@@ -11,9 +11,9 @@ import (
 	sb "smallbuffers"
 )
 
-// ExampleRun simulates PPTS against a crafted worst case and checks the
-// Proposition 3.2 bound.
-func ExampleRun() {
+// ExampleRunContext simulates PPTS against a crafted worst case and checks
+// the Proposition 3.2 bound.
+func ExampleRunContext() {
 	nw, err := sb.NewPath(32)
 	if err != nil {
 		panic(err)

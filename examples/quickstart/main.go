@@ -8,9 +8,6 @@
 //
 // Tier 2: sweep the same question across a protocol × path-length × seed
 // grid in parallel, and summarize the family of runs.
-//
-// The old struct-literal form, sb.Run(sb.Config{...}), still works but is
-// deprecated in favor of what this program shows.
 package main
 
 import (

@@ -296,7 +296,7 @@ func TestFacadeSurface(t *testing.T) {
 // roundCounter is a minimal custom collector exercising the extension
 // hook: it counts rounds through the facade-exported hook types.
 type roundCounter struct {
-	sb.MetricNopCollector
+	sb.NopObserver
 	rounds int
 }
 

@@ -40,7 +40,7 @@ func (d *execDigest) OnForward(round int, moves []sb.Move) {
 	}
 }
 
-func (d *execDigest) OnRoundEnd(round int, v sb.View) {
+func (d *execDigest) OnRoundEnd(round int, v sb.MetricView) {
 	n := v.Net().Len()
 	fmt.Fprintf(d.h, "R|%d|", round)
 	for i := 0; i < n; i++ {

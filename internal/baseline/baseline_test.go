@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"smallbuffers/internal/adversary"
+	"smallbuffers/internal/metrics"
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/packet"
 	"smallbuffers/internal/rat"
@@ -110,12 +111,12 @@ func TestGreedyDeterministicTieBreak(t *testing.T) {
 }
 
 type moveRecorder struct {
-	sim.NopObserver
+	metrics.NopObserver
 	first *packet.ID
 	seen  bool
 }
 
-func (m *moveRecorder) OnForward(round int, moves []sim.Move) {
+func (m *moveRecorder) OnForward(round int, moves []metrics.Move) {
 	if !m.seen && len(moves) > 0 {
 		*m.first = moves[0].Pkt.ID
 		m.seen = true

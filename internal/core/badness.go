@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"smallbuffers/internal/adversary"
+	"smallbuffers/internal/metrics"
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/packet"
 	"smallbuffers/internal/rat"
@@ -150,9 +151,11 @@ func NewHPTSBoundCheck(nw *network.Network, h *Hierarchy, rho rat.Rat) *BoundChe
 	}
 }
 
-// boundCheckObserver feeds the excess tracker from engine events.
+// boundCheckObserver feeds the excess tracker from engine events. The
+// engine fires OnInject every round, idle rounds included, so ξ decays by
+// ρ per round as the analyses require.
 type boundCheckObserver struct {
-	sim.NopObserver
+	metrics.NopObserver
 	c       *BoundCheck
 	pending []packet.Packet
 }
@@ -169,7 +172,7 @@ func (o *boundCheckObserver) OnAccept(round int, pkts []packet.Packet) {
 	}
 }
 
-func (o *boundCheckObserver) OnRoundEnd(round int, _ sim.View) {
+func (o *boundCheckObserver) OnRoundEnd(round int, _ metrics.View) {
 	// One reduced round per acceptance round, injections or not.
 	if o.c.phase > 1 && round%o.c.phase == 0 {
 		o.c.excess.Absorb(toInjections(o.pending))
@@ -185,8 +188,8 @@ func toInjections(pkts []packet.Packet) []packet.Injection {
 	return out
 }
 
-// Observer returns the engine observer feeding the tracker. Register it in
-// the same Config as Invariant().
+// Observer returns the engine observer feeding the tracker. Register it
+// with sim.WithObservers in the same Spec as Invariant().
 func (c *BoundCheck) Observer() sim.Observer {
 	return &boundCheckObserver{c: c}
 }
@@ -194,7 +197,7 @@ func (c *BoundCheck) Observer() sim.Observer {
 // Invariant returns the per-round check: at enabled rounds, for every
 // buffer i, badness(i) ≤ ξ(i) (evaluated after the forwarding step).
 func (c *BoundCheck) Invariant() sim.Invariant {
-	return func(v sim.View) error {
+	return func(v metrics.View) error {
 		if !c.checkAt(v.Round()) {
 			return nil
 		}
@@ -212,7 +215,7 @@ func (c *BoundCheck) Invariant() sim.Invariant {
 // MaxLoadInvariant returns a sim.Invariant asserting every buffer holds at
 // most `bound` packets, the executable form of the space theorems.
 func MaxLoadInvariant(nw *network.Network, bound int) sim.Invariant {
-	return func(v sim.View) error {
+	return func(v metrics.View) error {
 		for i := 0; i < nw.Len(); i++ {
 			if load := v.Load(network.NodeID(i)); load > bound {
 				return fmt.Errorf("core: load %d > bound %d at buffer %d round %d", load, bound, i, v.Round())

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"smallbuffers/internal/adversary"
+	"smallbuffers/internal/metrics"
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/rat"
 	"smallbuffers/internal/sim"
@@ -15,14 +16,14 @@ import (
 // pseudo-buffer classes annotated. It is a debugging aid kept for future
 // investigation of invariant failures; enable by setting from ≤ to.
 type dumpObserver struct {
-	sim.NopObserver
+	metrics.NopObserver
 	t    *testing.T
 	h    *Hierarchy
 	from int
 	to   int
 }
 
-func (d *dumpObserver) OnRoundEnd(round int, v sim.View) {
+func (d *dumpObserver) OnRoundEnd(round int, v metrics.View) {
 	if round < d.from || round > d.to {
 		return
 	}

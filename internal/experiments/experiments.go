@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 
+	"smallbuffers/internal/metrics"
 	"smallbuffers/internal/sim"
 	"smallbuffers/internal/stats"
 )
@@ -121,7 +122,7 @@ func emit(w io.Writer, out *Outcome) error {
 // aborting the run (used by the ablation experiment to measure how often an
 // analysis invariant breaks).
 func softInvariant(inv sim.Invariant, count *int) sim.Invariant {
-	return func(v sim.View) error {
+	return func(v metrics.View) error {
 		if err := inv(v); err != nil {
 			*count++
 		}

@@ -10,6 +10,7 @@ import (
 	"smallbuffers/internal/adversary"
 	"smallbuffers/internal/baseline"
 	"smallbuffers/internal/core"
+	"smallbuffers/internal/metrics"
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/rat"
 	"smallbuffers/internal/sim"
@@ -298,7 +299,7 @@ func TestPerCellInstrumentation(t *testing.T) {
 		return []sim.Observer{&roundCounter{c: cc}}
 	}
 	s.Invariants = func(c Cell, nw *network.Network) []sim.Invariant {
-		return []sim.Invariant{func(v sim.View) error { return nil }}
+		return []sim.Invariant{func(v metrics.View) error { return nil }}
 	}
 	res, err := s.Run(context.Background())
 	if err != nil {
@@ -323,8 +324,8 @@ func TestPerCellInstrumentation(t *testing.T) {
 type count struct{ rounds int }
 
 type roundCounter struct {
-	sim.NopObserver
+	metrics.NopObserver
 	c *count
 }
 
-func (r *roundCounter) OnRoundEnd(int, sim.View) { r.c.rounds++ }
+func (r *roundCounter) OnRoundEnd(int, metrics.View) { r.c.rounds++ }

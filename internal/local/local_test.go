@@ -7,6 +7,7 @@ import (
 
 	"smallbuffers/internal/adversary"
 	"smallbuffers/internal/core"
+	"smallbuffers/internal/metrics"
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/rat"
 	"smallbuffers/internal/sim"
@@ -181,12 +182,12 @@ func TestOddEvenParityStagger(t *testing.T) {
 }
 
 type parityObserver struct {
-	sim.NopObserver
+	metrics.NopObserver
 	nw  *network.Network
 	bad *[]string
 }
 
-func (p *parityObserver) OnForward(round int, moves []sim.Move) {
+func (p *parityObserver) OnForward(round int, moves []metrics.Move) {
 	for _, m := range moves {
 		if p.nw.Depth(m.From)%2 != round%2 {
 			*p.bad = append(*p.bad, fmt.Sprintf("round %d from depth %d", round, p.nw.Depth(m.From)))

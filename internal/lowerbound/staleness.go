@@ -3,10 +3,10 @@ package lowerbound
 import (
 	"fmt"
 
+	"smallbuffers/internal/metrics"
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/packet"
 	"smallbuffers/internal/rat"
-	"smallbuffers/internal/sim"
 )
 
 // Status classifies a live packet in the Section 5 accounting.
@@ -42,7 +42,7 @@ func (s Status) String() string {
 // calling Lemma55 after the pattern completes. Register it as an engine
 // observer.
 type StalenessTracker struct {
-	sim.NopObserver
+	metrics.NopObserver
 	adv *Adversary
 
 	// loc[id] is P(t+1) after the round-t forwarding step; status[id]
@@ -81,7 +81,7 @@ func NewStalenessTracker(adv *Adversary) *StalenessTracker {
 	}
 }
 
-// OnInject implements sim.Observer: packets are fresh at injection
+// OnInject implements metrics.Observer: packets are fresh at injection
 // (P(t) is either 0 or F(t)).
 func (st *StalenessTracker) OnInject(round int, pkts []packet.Packet) {
 	for _, p := range pkts {
@@ -90,8 +90,8 @@ func (st *StalenessTracker) OnInject(round int, pkts []packet.Packet) {
 	}
 }
 
-// OnForward implements sim.Observer.
-func (st *StalenessTracker) OnForward(round int, moves []sim.Move) {
+// OnForward implements metrics.Observer.
+func (st *StalenessTracker) OnForward(round int, moves []metrics.Move) {
 	st.alphaThisRound = 0
 	st.betaThisRound = 0
 	for id := range st.moved {
@@ -169,8 +169,8 @@ func (st *StalenessTracker) fail(err error) {
 	}
 }
 
-// OnRoundEnd implements sim.Observer: it maintains the Lemma 5.5 ledger.
-func (st *StalenessTracker) OnRoundEnd(round int, _ sim.View) {
+// OnRoundEnd implements metrics.Observer: it maintains the Lemma 5.5 ledger.
+func (st *StalenessTracker) OnRoundEnd(round int, _ metrics.View) {
 	m := st.adv.M()
 	// Scenario 1 bookkeeping at the end of each m-round phase: k is the
 	// number of trailing (m−1) digits of the phase index, i.e. the smallest

@@ -18,7 +18,7 @@ const (
 // source of Result.MaxLoad and friends — always on, whether selected or
 // not.
 type MaxLoadCollector struct {
-	NopCollector
+	NopObserver
 	maxLoad     int
 	node        network.NodeID
 	round       int
@@ -94,7 +94,7 @@ func (c *MaxLoadCollector) Summarize() Summary {
 // Memory stays O(cap) regardless of the horizon — small buffers for the
 // simulator itself.
 type LoadSeriesCollector struct {
-	NopCollector
+	NopObserver
 	maxSeries   *BoundedSeries
 	totalSeries *BoundedSeries
 	roundMax    int
@@ -148,7 +148,7 @@ func (c *LoadSeriesCollector) Summarize() Summary {
 // did it get", the histogram answers "how bad is it usually" (the lens
 // of the buffer-sizing literature).
 type LoadHistCollector struct {
-	NopCollector
+	NopObserver
 	hist *Hist
 }
 
@@ -192,7 +192,7 @@ func (c *LoadHistCollector) Summarize() Summary {
 // to occupancy. With the window off the collector is byte-identical to
 // its unwindowed form.
 type LatencyCollector struct {
-	NopCollector
+	NopObserver
 	hist *Hist
 
 	// Window state, all nil/zero when the window is disabled. The three
@@ -241,7 +241,7 @@ func (c *LatencyCollector) Name() string { return NameLatency }
 func (c *LatencyCollector) OnForward(round int, moves []Move) {
 	for _, m := range moves {
 		if m.Delivered {
-			lat := round - m.Inject
+			lat := round - m.Pkt.Inject
 			c.hist.Add(lat)
 			if c.cntWin != nil {
 				c.roundCount++
@@ -319,7 +319,7 @@ func (c *LatencyCollector) Summarize() Summary {
 // older rounds. With the window off the collector is byte-identical to
 // its unwindowed form.
 type LinkUtilCollector struct {
-	NopCollector
+	NopObserver
 	series        *BoundedSeries
 	roundForwards int
 	perLink       []int

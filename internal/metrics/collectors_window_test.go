@@ -3,11 +3,13 @@ package metrics
 import (
 	"reflect"
 	"testing"
+
+	"smallbuffers/internal/packet"
 )
 
 // deliver emits one delivered move with the given latency at round r.
 func deliver(c Collector, r, lat int) {
-	c.OnForward(r, []Move{{Delivered: true, Inject: r - lat}})
+	c.OnForward(r, []Move{{Delivered: true, Pkt: packet.Packet{Inject: r - lat}}})
 }
 
 func TestLatencyWindowedScalars(t *testing.T) {

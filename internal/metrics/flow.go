@@ -29,7 +29,7 @@ func permille(part, whole int) int {
 // series. Without a fault model every scalar is zero and the series is
 // flat — the collector is fault-aware, not fault-requiring.
 type DropRateCollector struct {
-	NopCollector
+	NopObserver
 	series     *BoundedSeries
 	roundDrops int
 	forwards   int
@@ -81,7 +81,7 @@ func (c *DropRateCollector) Summarize() Summary {
 // is the run's throughput efficiency; under loss it falls below 1000 by
 // the residual backlog plus everything the fault model ate.
 type GoodputCollector struct {
-	NopCollector
+	NopObserver
 	injSeries      *BoundedSeries
 	delSeries      *BoundedSeries
 	roundInjected  int
@@ -140,7 +140,7 @@ func (c *GoodputCollector) Summarize() Summary {
 // delivered, dropped, or still in flight, and the three counts always sum
 // to injected. It is the cheapest way to see where a run's packets went.
 type DeliveryCollector struct {
-	NopCollector
+	NopObserver
 	injected  int
 	delivered int
 	dropped   int
@@ -184,7 +184,7 @@ func (c *DeliveryCollector) Summarize() Summary {
 // lands there. A burst adversary concentrates near 1000‰ on one node; a
 // uniform random one spreads toward 1000/n.
 type InjectionConcentrationCollector struct {
-	NopCollector
+	NopObserver
 	perSource map[network.NodeID]int
 	total     int
 }

@@ -12,10 +12,12 @@
 // names, and the distilled Summaries flow engine → harness → service →
 // CLIs as data.
 //
-// The package deliberately depends only on the leaf model packages
-// (network), never on sim: sim imports metrics to populate
-// Result.Metrics, so the observation surface is mirrored here as the
-// minimal View and Move types, which the engine satisfies and adapts.
+// The package is also the single home of a run's observation vocabulary:
+// View, Move, Injection and the Observer hooks that Collector embeds. It
+// depends only on the leaf model packages (network, packet), so sim can
+// import it; the engine satisfies View itself and hands every hook — the
+// run's collectors and its WithObservers observers alike — the very
+// packet and move slices it works on, every round.
 //
 // # Determinism
 //
@@ -32,16 +34,20 @@ import (
 	"sort"
 
 	"smallbuffers/internal/network"
+	"smallbuffers/internal/packet"
 )
 
-// View is the read-only slice of engine state collectors observe: a
-// metrics-local mirror of sim.View (plus the staging count) so sim can
-// depend on metrics without an import cycle. *sim.Engine satisfies it.
+// View is the read-only engine state every hook observes: sim.View (the
+// protocols' decision view) plus the staging count. *sim.Engine
+// satisfies it.
 type View interface {
 	// Round returns the current (0-based) round number.
 	Round() int
 	// Net returns the topology.
 	Net() *network.Network
+	// Packets returns the packets visibly buffered at v in arrival order.
+	// The slice is shared; callers must not modify it.
+	Packets(v network.NodeID) []packet.Packet
 	// Load returns |L(v)|, the number of packets visibly buffered at v.
 	Load(v network.NodeID) int
 	// Bandwidth returns B(v), the capacity of v's outgoing link.
@@ -63,69 +69,82 @@ const (
 	PostForward
 )
 
-// Move mirrors sim.Move with exactly the fields collectors consume: the
-// link it crossed, whether it was a delivery, and the packet's injection
-// round (for latency accounting).
+// Move is an applied forwarding decision: the packet, the link it
+// crossed, and how the crossing ended.
 type Move struct {
+	Pkt       packet.Packet
 	From, To  network.NodeID
 	Delivered bool
-	// Inject is the round the moved packet was injected.
-	Inject int
 	// Dropped marks a packet lost in transit by the run's fault model: it
 	// left From's buffer and consumed the link, but never arrived (and
 	// Delivered is false even if To was its destination).
 	Dropped bool
 }
 
-// Injection mirrors packet.Injection with the fields collectors consume:
-// the source node the adversary injected at and the packet's destination.
-type Injection struct {
-	Src, Dst network.NodeID
-}
+// Injection is a packet as the adversary injected it this round
+// (Inject = Arrived = the round; possibly staged, not yet visible).
+type Injection = packet.Packet
 
-// Collector observes one run and distills it into a Summary. Collectors
-// are stateful and single-run: build a fresh instance per run (the
-// registry's Build does). Summarize must be pure and repeatable — the
-// engine snapshots summaries mid-run for partial Results.
-type Collector interface {
-	// Name is the collector's registry name; it keys the Summary in
-	// Result.Metrics.
-	Name() string
-	// OnInject fires after the injection step with the packets the
-	// adversary injected this round; rounds that inject nothing skip the
-	// call. Like OnForward's moves, the slice is an engine-owned scratch
-	// buffer, valid only for the duration of the call.
+// Observer receives a run's round events. The engine fires every hook on
+// every round, including rounds with no injections or moves, in the
+// order OnInject → OnAccept → OnSample(LT) → OnForward →
+// OnSample(PostForward) → OnRoundEnd, and evaluates the run's invariants
+// after the last OnRoundEnd. The slices are the engine's own: valid only
+// for the duration of the call and not to be modified, so hooks that
+// need them later must copy them. Implementations embed NopObserver and
+// override the hooks they need.
+type Observer interface {
+	// OnInject fires after the injection step with the packets injected
+	// this round (possibly staged, not yet visible); empty if none.
 	OnInject(round int, injs []Injection)
+	// OnAccept fires when packets become visible to the protocol: for
+	// unphased protocols the round's injections, for phased ones the
+	// staged batch at phase boundaries and nothing in between.
+	OnAccept(round int, pkts []packet.Packet)
 	// OnSample fires at each occupancy sample point: once at L_t and once
-	// post-forwarding, every round, in that order.
+	// post-forwarding, in that order.
 	OnSample(round int, p Point, v View)
-	// OnForward fires after the forwarding step with the applied moves.
-	// Rounds that move no packets skip the call. The moves slice is a
-	// scratch buffer the engine reuses every round: it is valid only for
-	// the duration of the call, so collectors that need it later must
-	// copy it.
+	// OnForward fires after the forwarding step with the applied moves;
+	// empty if nothing moved.
 	OnForward(round int, moves []Move)
 	// OnRoundEnd fires at the end of each round with the post-forwarding
 	// configuration; per-round series points are finalized here.
 	OnRoundEnd(round int, v View)
+}
+
+// NopObserver is an Observer with no-op hooks, for embedding.
+type NopObserver struct{}
+
+// OnInject implements Observer.
+func (NopObserver) OnInject(int, []Injection) {}
+
+// OnAccept implements Observer.
+func (NopObserver) OnAccept(int, []packet.Packet) {}
+
+// OnSample implements Observer.
+func (NopObserver) OnSample(int, Point, View) {}
+
+// OnForward implements Observer.
+func (NopObserver) OnForward(int, []Move) {}
+
+// OnRoundEnd implements Observer.
+func (NopObserver) OnRoundEnd(int, View) {}
+
+// Collector is an Observer that distills one run into a Summary.
+// Collectors are stateful and single-run: build a fresh instance per run
+// (the registry's Build does). Like every Observer they see every round,
+// so a custom collector registered via RegisterMetric gets empty
+// OnInject/OnForward calls on idle rounds. Summarize must be pure and
+// repeatable — the engine snapshots summaries mid-run for partial
+// Results.
+type Collector interface {
+	Observer
+	// Name is the collector's registry name; it keys the Summary in
+	// Result.Metrics.
+	Name() string
 	// Summarize distills the observations so far into a Summary.
 	Summarize() Summary
 }
-
-// NopCollector is a Collector with no-op hooks, for embedding.
-type NopCollector struct{}
-
-// OnInject implements Collector.
-func (NopCollector) OnInject(int, []Injection) {}
-
-// OnSample implements Collector.
-func (NopCollector) OnSample(int, Point, View) {}
-
-// OnForward implements Collector.
-func (NopCollector) OnForward(int, []Move) {}
-
-// OnRoundEnd implements Collector.
-func (NopCollector) OnRoundEnd(int, View) {}
 
 // Summary kinds, as reported in the "kind" field of the wire form.
 const (

@@ -100,7 +100,7 @@ func (w *window) quantile(p int) int {
 // buffer-sizing literature want — while the decayed tail keeps old
 // excursions visible without unbounded memory.
 type WindowLoadCollector struct {
-	NopCollector
+	NopObserver
 	win           *window
 	decayPermille int
 	roundMax      int
@@ -176,7 +176,7 @@ func (c *WindowLoadCollector) Summarize() Summary {
 // an in-flight lossy sweep it shows the current loss regime where the
 // whole-run goodput_permille only shows the average so far.
 type GoodputWindowCollector struct {
-	NopCollector
+	NopObserver
 	injWin         *window
 	delWin         *window
 	dropWin        *window

@@ -1076,7 +1076,7 @@ func (sc *Scenario) Sweep() (*harness.Sweep, error) {
 			if err != nil {
 				// Invariant params were validated; a build failure here is a
 				// topology mismatch, surfaced as a failing invariant.
-				return []sim.Invariant{func(sim.View) error { return err }}
+				return []sim.Invariant{func(metrics.View) error { return err }}
 			}
 			return invs
 		}

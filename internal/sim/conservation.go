@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"smallbuffers/internal/metrics"
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/packet"
 )
@@ -12,15 +13,15 @@ import (
 // or staged. It catches engine or protocol accounting bugs (duplication,
 // loss, overshooting a destination) that no space bound would notice.
 type ConservationCheck struct {
-	NopObserver
+	metrics.NopObserver
 	injected  int
 	delivered int
 	// Err records the first violation.
 	Err error
 }
 
-// NewConservationCheck returns a fresh checker; register it in
-// Config.Observers.
+// NewConservationCheck returns a fresh checker; register it with
+// WithObservers.
 func NewConservationCheck() *ConservationCheck { return &ConservationCheck{} }
 
 // OnInject implements Observer.
@@ -29,7 +30,7 @@ func (c *ConservationCheck) OnInject(round int, pkts []packet.Packet) {
 }
 
 // OnForward implements Observer.
-func (c *ConservationCheck) OnForward(round int, moves []Move) {
+func (c *ConservationCheck) OnForward(round int, moves []metrics.Move) {
 	for _, m := range moves {
 		if m.Delivered {
 			c.delivered++
@@ -38,7 +39,7 @@ func (c *ConservationCheck) OnForward(round int, moves []Move) {
 }
 
 // OnRoundEnd implements Observer.
-func (c *ConservationCheck) OnRoundEnd(round int, v View) {
+func (c *ConservationCheck) OnRoundEnd(round int, v metrics.View) {
 	if c.Err != nil {
 		return
 	}
@@ -47,9 +48,7 @@ func (c *ConservationCheck) OnRoundEnd(round int, v View) {
 	for i := 0; i < v.Net().Len(); i++ {
 		node := network.NodeID(i)
 		buffered += v.Load(node)
-		if e, ok := v.(*Engine); ok {
-			staged += e.Staged(node)
-		}
+		staged += v.Staged(node)
 		// No packet may sit at or past its destination.
 		for _, p := range v.Packets(node) {
 			if p.Dst == node || !v.Net().Reaches(node, p.Dst) {

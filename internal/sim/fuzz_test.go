@@ -97,7 +97,7 @@ func TestConservationDetectsLoss(t *testing.T) {
 	check := NewConservationCheck()
 	check.OnInject(0, []packet.Packet{{ID: 1, Src: 0, Dst: 3}})
 	// Round ends with no delivery and an empty configuration: loss.
-	eng, err := NewEngine(Config{Net: nw, Protocol: &greedyOldest{}, Adversary: adversary.Empty{}, Rounds: 1}.Spec())
+	eng, err := NewEngine(NewSpec(nw, &greedyOldest{}, adversary.Empty{}, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,11 +17,11 @@ import (
 // is impossible from outside, so it re-derives latency from moves and
 // occupancy from OnRoundEnd views plus a paired reference run.
 type legacyLatency struct {
-	NopObserver
+	metrics.NopObserver
 	total, max int
 }
 
-func (l *legacyLatency) OnForward(round int, moves []Move) {
+func (l *legacyLatency) OnForward(round int, moves []metrics.Move) {
 	for _, m := range moves {
 		if m.Delivered {
 			lat := round - m.Pkt.Inject
@@ -225,83 +225,144 @@ func TestLoadSeriesBoundedAtMillionRounds(t *testing.T) {
 	}
 }
 
-// orderingObserver records the full event sequence for the ordering
-// contract test.
-type orderingObserver struct {
+// orderingLog is the event sequence shared by the ordering contract
+// test's hooks and invariant: one "hook:event" entry per call, its round,
+// and the length of the slice the call carried.
+type orderingLog struct {
 	events []string
 	rounds []int
+	sizes  []int
 }
 
-func (o *orderingObserver) OnInject(round int, pkts []packet.Packet) { o.add("inject", round) }
-func (o *orderingObserver) OnAccept(round int, pkts []packet.Packet) { o.add("accept", round) }
-func (o *orderingObserver) OnForward(round int, moves []Move)        { o.add("forward", round) }
-func (o *orderingObserver) OnRoundEnd(round int, v View)             { o.add("roundend", round) }
-func (o *orderingObserver) add(ev string, round int) {
-	o.events = append(o.events, ev)
-	o.rounds = append(o.rounds, round)
+func (l *orderingLog) add(ev string, round, size int) {
+	l.events = append(l.events, ev)
+	l.rounds = append(l.rounds, round)
+	l.sizes = append(l.sizes, size)
 }
 
-// TestObserverOrderingContract pins the per-round hook order the metrics
-// collectors depend on: OnInject → (OnAccept) → OnForward → OnRoundEnd,
-// with rounds strictly increasing — for unphased and phased protocols
-// alike. For a phased protocol, OnAccept fires only at phase boundaries.
+// orderingHook records every hook call into a shared log. It is a full
+// Collector, so the same recorder attaches through WithObservers or
+// WithMetrics.
+type orderingHook struct {
+	id  string
+	log *orderingLog
+}
+
+func (o *orderingHook) Name() string               { return "ordering-" + o.id }
+func (o *orderingHook) Summarize() metrics.Summary { return metrics.Summary{Name: o.Name()} }
+func (o *orderingHook) OnInject(round int, pkts []packet.Packet) {
+	o.log.add(o.id+":inject", round, len(pkts))
+}
+func (o *orderingHook) OnAccept(round int, pkts []packet.Packet) {
+	o.log.add(o.id+":accept", round, len(pkts))
+}
+func (o *orderingHook) OnSample(round int, p metrics.Point, _ metrics.View) {
+	ev := ":sample-lt"
+	if p == metrics.PostForward {
+		ev = ":sample-post"
+	}
+	o.log.add(o.id+ev, round, 0)
+}
+func (o *orderingHook) OnForward(round int, moves []metrics.Move) {
+	o.log.add(o.id+":forward", round, len(moves))
+}
+func (o *orderingHook) OnRoundEnd(round int, _ metrics.View) { o.log.add(o.id+":roundend", round, 0) }
+
+// TestObserverOrderingContract pins the per-round dispatch contract: every
+// hook fires on every round, idle rounds included, in the order OnInject →
+// OnAccept → OnSample(LT) → OnForward → OnSample(PostForward) →
+// OnRoundEnd; each hook kind reaches every attached hook (collectors
+// before observers) before the next kind starts; and the invariants run
+// after every hook's OnRoundEnd. For a phased protocol OnAccept carries
+// packets only at phase boundaries.
 func TestObserverOrderingContract(t *testing.T) {
+	stream := func() adversary.Adversary { return adversary.NewStream(fullRate(2), 0, 5) }
+	// Two packets 0 → 5, at rounds 0 and 5: rounds 1–4 and 6–11 inject
+	// nothing, and rounds 10–11 move nothing.
+	gappy := func() adversary.Adversary {
+		return adversary.NewReplay(fullRate(1), map[int][]packet.Injection{
+			0: {{Src: 0, Dst: 5}},
+			5: {{Src: 0, Dst: 5}},
+		})
+	}
 	for _, tc := range []struct {
 		name  string
 		proto Protocol
 		phase int
+		adv   func() adversary.Adversary
+		// attach registers hooks a and b; order is the dispatch order it
+		// must produce.
+		attach func(a, b *orderingHook) []Option
+		order  []string
+		idle   bool
 	}{
-		{"unphased", &greedyOldest{}, 1},
-		{"phased-3", &phasedGreedy{greedyOldest{phase: 3}}, 3},
+		{"unphased", &greedyOldest{}, 1, stream,
+			func(a, b *orderingHook) []Option { return []Option{WithObservers(a, b)} }, []string{"a", "b"}, false},
+		{"phased-3", &phasedGreedy{greedyOldest{phase: 3}}, 3, stream,
+			func(a, b *orderingHook) []Option { return []Option{WithObservers(a, b)} }, []string{"a", "b"}, false},
+		{"collectors-idle-rounds", &greedyOldest{}, 1, gappy,
+			func(a, b *orderingHook) []Option { return []Option{WithMetrics(a, b)} }, []string{"a", "b"}, true},
+		{"mixed-idle-rounds", &greedyOldest{}, 1, gappy,
+			func(a, b *orderingHook) []Option { return []Option{WithObservers(a), WithMetrics(b)} }, []string{"b", "a"}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			nw := network.MustPath(6)
-			adv := adversary.NewStream(fullRate(2), 0, 5)
-			obs := &orderingObserver{}
+			log := &orderingLog{}
+			inv := func(v metrics.View) error { log.add("invariant", v.Round(), 0); return nil }
+			opts := append(tc.attach(&orderingHook{"a", log}, &orderingHook{"b", log}), WithInvariants(inv))
 			const rounds = 12
-			if _, err := Run(context.Background(), NewSpec(nw, tc.proto, adv, rounds, WithObservers(obs))); err != nil {
+			if _, err := Run(context.Background(), NewSpec(nw, tc.proto, tc.adv(), rounds, opts...)); err != nil {
 				t.Fatal(err)
 			}
-			round, state := -1, "roundend" // before everything
-			accepts := 0
-			for i, ev := range obs.events {
-				r := obs.rounds[i]
+
+			var want []string
+			var wantRounds []int
+			for r := 0; r < rounds; r++ {
+				for _, ev := range []string{"inject", "accept", "sample-lt", "forward", "sample-post", "roundend"} {
+					for _, id := range tc.order {
+						want = append(want, id+":"+ev)
+						wantRounds = append(wantRounds, r)
+					}
+				}
+				want = append(want, "invariant")
+				wantRounds = append(wantRounds, r)
+			}
+			for i := range min(len(want), len(log.events)) {
+				if log.events[i] != want[i] || log.rounds[i] != wantRounds[i] {
+					t.Fatalf("event %d: %s(%d), want %s(%d)", i, log.events[i], log.rounds[i], want[i], wantRounds[i])
+				}
+			}
+			if len(log.events) != len(want) {
+				t.Fatalf("%d events, want %d", len(log.events), len(want))
+			}
+
+			// Accepts carry the injections staged since the last phase
+			// boundary (every round is a boundary when unphased).
+			idleInjects, idleMoves, staged := 0, 0, 0
+			for i, ev := range log.events {
+				r, n := log.rounds[i], log.sizes[i]
 				switch ev {
-				case "inject":
-					if state != "roundend" || r != round+1 {
-						t.Fatalf("event %d: inject(%d) after %s(%d)", i, r, state, round)
+				case "a:inject":
+					staged += n
+					if n == 0 {
+						idleInjects++
 					}
-					round = r
-				case "accept":
-					if state != "inject" || r != round {
-						t.Fatalf("event %d: accept(%d) after %s(%d)", i, r, state, round)
+				case "a:accept":
+					want := 0
+					if r%tc.phase == 0 {
+						want, staged = staged, 0
 					}
-					if r%tc.phase != 0 {
-						t.Fatalf("accept at round %d, not a phase-%d boundary", r, tc.phase)
+					if n != want {
+						t.Errorf("round %d: accept carried %d packets, want %d", r, n, want)
 					}
-					accepts++
-				case "forward":
-					if (state != "inject" && state != "accept") || r != round {
-						t.Fatalf("event %d: forward(%d) after %s(%d)", i, r, state, round)
-					}
-				case "roundend":
-					if state != "forward" || r != round {
-						t.Fatalf("event %d: roundend(%d) after %s(%d)", i, r, state, round)
+				case "a:forward":
+					if n == 0 {
+						idleMoves++
 					}
 				}
-				state = ev
 			}
-			if round != rounds-1 || state != "roundend" {
-				t.Fatalf("run ended at %s(%d), want roundend(%d)", state, round, rounds-1)
-			}
-			if tc.phase > 1 {
-				// Injections flow every round; acceptance only at
-				// boundaries 0, ℓ, 2ℓ, ….
-				if want := (rounds + tc.phase - 1) / tc.phase; accepts != want {
-					t.Errorf("%d accept events, want %d phase boundaries", accepts, want)
-				}
-			} else if accepts != rounds {
-				t.Errorf("%d accept events, want one per round", accepts)
+			if tc.idle && (idleInjects == 0 || idleMoves == 0) {
+				t.Errorf("adversary left %d inject-idle and %d move-idle rounds, want some of each", idleInjects, idleMoves)
 			}
 		})
 	}

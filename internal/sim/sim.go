@@ -30,7 +30,8 @@ import (
 )
 
 // View is the read-only interface protocols use to observe the
-// configuration.
+// configuration. Hooks and invariants observe the wider metrics.View,
+// which adds the phased-staging count.
 type View interface {
 	// Round returns the current (0-based) round number.
 	Round() int
@@ -52,17 +53,6 @@ type View interface {
 type Forward struct {
 	From network.NodeID
 	Pkt  packet.ID
-}
-
-// Move is an applied forwarding decision, as reported to observers.
-type Move struct {
-	Pkt       packet.Packet
-	From, To  network.NodeID
-	Delivered bool
-	// Dropped marks a packet lost in transit by the run's fault model: it
-	// left From's buffer and consumed the link, but never arrived
-	// (Delivered is false even if To was its destination).
-	Dropped bool
 }
 
 // Protocol is a centralized online forwarding algorithm.
@@ -87,61 +77,16 @@ type PhasedAcceptor interface {
 	PhaseLength() int
 }
 
-// Observer receives execution events. Implementations embed NopObserver to
-// stay source-compatible as hooks are added.
-type Observer interface {
-	// OnInject fires after the injection step with the packets injected
-	// this round (possibly staged, not yet visible).
-	OnInject(round int, pkts []packet.Packet)
-	// OnAccept fires when packets become visible to the protocol (for
-	// unphased protocols this is every round, right after OnInject).
-	OnAccept(round int, pkts []packet.Packet)
-	// OnForward fires after the forwarding step with the applied moves.
-	OnForward(round int, moves []Move)
-	// OnRoundEnd fires at the end of each round with the post-forwarding
-	// configuration.
-	OnRoundEnd(round int, v View)
-}
+// Observer receives a run's round events: the run's metric collectors
+// and its WithObservers observers share these hooks and one dispatch
+// list (see metrics.Observer for the per-round order). Implementations
+// embed metrics.NopObserver.
+type Observer = metrics.Observer
 
-// NopObserver is an Observer with no-op hooks, for embedding.
-type NopObserver struct{}
-
-// OnInject implements Observer.
-func (NopObserver) OnInject(int, []packet.Packet) {}
-
-// OnAccept implements Observer.
-func (NopObserver) OnAccept(int, []packet.Packet) {}
-
-// OnForward implements Observer.
-func (NopObserver) OnForward(int, []Move) {}
-
-// OnRoundEnd implements Observer.
-func (NopObserver) OnRoundEnd(int, View) {}
-
-// Invariant is a per-round predicate checked after the forwarding step;
-// returning an error aborts the run. Invariants power the bound assertions
-// in tests and experiments.
-type Invariant func(v View) error
-
-// Config describes one simulation run as a struct literal.
-//
-// Deprecated: Config predates the context-aware API and supports neither
-// cancellation nor engine reuse. Build a Spec with NewSpec and options and
-// call Run(ctx, spec) instead. Config remains as a compatibility shim.
-type Config struct {
-	Net       *network.Network
-	Protocol  Protocol
-	Adversary adversary.Adversary
-	Rounds    int
-
-	// VerifyAdversary re-checks every injection against the adversary's
-	// declared (ρ,σ) bound; a violation aborts the run. Crafted adversaries
-	// are pre-verified, so this defaults to off.
-	VerifyAdversary bool
-
-	Observers  []Observer
-	Invariants []Invariant
-}
+// Invariant is a per-round predicate evaluated after every hook's
+// OnRoundEnd; returning an error aborts the run. Invariants power the
+// bound assertions in tests and experiments.
+type Invariant func(v metrics.View) error
 
 // Result summarizes a run. The historical scalar fields remain and are
 // sourced from the always-on max_load and latency collectors (see
@@ -194,8 +139,8 @@ type Result struct {
 
 // LinkUtilization returns the fraction of link v's total transmission
 // budget (rounds × bandwidth) actually used, in [0, 1]. ok is false for
-// sinks, zero-round runs, and Results not produced by the engine (the
-// deprecated zero-value path).
+// sinks, zero-round runs, and Results not produced by the engine (such as
+// a zero Result).
 func (r Result) LinkUtilization(v network.NodeID) (float64, bool) {
 	if int(v) >= len(r.PerLinkForwards) || int(v) >= len(r.linkCapacity) || r.linkCapacity[v] == 0 {
 		return 0, false
@@ -252,21 +197,21 @@ type Engine struct {
 	nextID   packet.ID
 	res      Result
 
-	// collectors is every collector the engine drives this run: the
-	// spec-selected set plus the internal max_load/latency pair when the
-	// spec does not already carry them. reported is the subset whose
-	// summaries populate Result.Metrics (the selected set, or the two
-	// defaults). maxLoadC and latencyC source the historical Result
+	// hooks is every observer the engine drives this run, in dispatch
+	// order: the spec-selected collectors, the internal max_load/latency
+	// pair when the spec does not already carry them, then the spec's
+	// observers. maxLoadC and latencyC source the historical Result
 	// scalars.
-	collectors  []metrics.Collector
-	reported    []metrics.Collector
-	maxLoadC    *metrics.MaxLoadCollector
-	latencyC    *metrics.LatencyCollector
-	moveScratch []metrics.Move
-	injScratch  []metrics.Injection
+	hooks    []metrics.Observer
+	maxLoadC *metrics.MaxLoadCollector
+	latencyC *metrics.LatencyCollector
 }
 
-var _ View = (*Engine)(nil)
+var (
+	_ metrics.View = (*Engine)(nil)
+	// Hooks see everything protocols see.
+	_ View = metrics.View(nil)
+)
 
 // NewEngine validates the spec and prepares a run.
 func NewEngine(spec Spec) (*Engine, error) {
@@ -341,15 +286,16 @@ func (e *Engine) Reset(spec Spec) error {
 	e.round = 0
 	e.nextID = 0
 
-	// Bind the run's metric collectors: the spec's set runs as-is, and
-	// the engine adds internal max_load/latency collectors when the spec
-	// does not already name them — the historical Result scalars are
-	// sourced from those two, selected or not. Collectors are stateful
-	// and single-run, so the spec must hand the engine fresh instances
-	// (the scenario and harness layers always do).
+	// Bind the run's hooks: the spec's collectors run as-is, and the
+	// engine adds internal max_load/latency collectors when the spec does
+	// not already name them — the historical Result scalars are sourced
+	// from those two, selected or not. Collectors are stateful and
+	// single-run, so the spec must hand the engine fresh instances (the
+	// scenario and harness layers always do).
 	e.maxLoadC, e.latencyC = nil, nil
-	e.collectors = append(e.collectors[:0], spec.collectors...)
+	e.hooks = e.hooks[:0]
 	for _, c := range spec.collectors {
+		e.hooks = append(e.hooks, c)
 		switch x := c.(type) {
 		case *metrics.MaxLoadCollector:
 			if e.maxLoadC == nil {
@@ -363,19 +309,13 @@ func (e *Engine) Reset(spec Spec) error {
 	}
 	if e.maxLoadC == nil {
 		e.maxLoadC = metrics.NewMaxLoad()
-		e.collectors = append(e.collectors, e.maxLoadC)
+		e.hooks = append(e.hooks, e.maxLoadC)
 	}
 	if e.latencyC == nil {
 		e.latencyC = metrics.NewLatency()
-		e.collectors = append(e.collectors, e.latencyC)
+		e.hooks = append(e.hooks, e.latencyC)
 	}
-	if len(spec.collectors) > 0 {
-		e.reported = e.collectors[:len(spec.collectors)]
-	} else {
-		// Default metric set: the two collectors behind the historical
-		// scalars.
-		e.reported = e.collectors
-	}
+	e.hooks = append(e.hooks, spec.observers...)
 
 	// The link counters are handed out inside the returned Result, so
 	// they cannot be recycled: fresh slices per run keep prior results
@@ -436,7 +376,7 @@ func (e *Engine) Step() (done bool, err error) {
 //
 // The historical scalar fields are sourced from the run's always-on
 // max_load and latency collectors; Metrics carries the full summaries of
-// the reported collector set.
+// the spec-selected collectors, or of that default pair.
 func (e *Engine) Result() Result {
 	res := e.res
 	res.MaxLoad = e.maxLoadC.MaxLoad()
@@ -449,8 +389,12 @@ func (e *Engine) Result() Result {
 	res.PerNodeMax = make([]int, e.spec.net.Len())
 	copy(res.PerNodeMax, e.maxLoadC.PerNodeMax())
 	res.PerLinkForwards = append([]int(nil), e.res.PerLinkForwards...)
-	res.Metrics = make(map[string]metrics.Summary, len(e.reported))
-	for _, c := range e.reported {
+	reported := e.spec.collectors
+	if len(reported) == 0 {
+		reported = []metrics.Collector{e.maxLoadC, e.latencyC}
+	}
+	res.Metrics = make(map[string]metrics.Summary, len(reported))
+	for _, c := range reported {
 		res.Metrics[c.Name()] = c.Summarize()
 	}
 	return res
@@ -511,18 +455,8 @@ func (e *Engine) step(t int) error {
 		newPkts = append(newPkts, p)
 	}
 	e.res.Injected += len(newPkts)
-	if len(newPkts) > 0 {
-		is := e.injScratch[:0]
-		for _, p := range newPkts {
-			is = append(is, metrics.Injection{Src: p.Src, Dst: p.Dst})
-		}
-		e.injScratch = is
-		for _, c := range e.collectors {
-			c.OnInject(t, is)
-		}
-	}
-	for _, ob := range e.spec.observers {
-		ob.OnInject(t, newPkts)
+	for _, h := range e.hooks {
+		h.OnInject(t, newPkts)
 	}
 
 	// Acceptance: phased protocols see injections only at phase boundaries.
@@ -548,14 +482,14 @@ func (e *Engine) step(t int) error {
 		p.Arrived = t
 		e.buffers[p.Src].Add(p)
 	}
-	if len(accepted) > 0 {
-		for _, ob := range e.spec.observers {
-			ob.OnAccept(t, accepted)
-		}
+	for _, h := range e.hooks {
+		h.OnAccept(t, accepted)
 	}
 
 	// Sample L_t (post-injection, pre-forwarding).
-	e.sample(t, metrics.LT)
+	for _, h := range e.hooks {
+		h.OnSample(t, metrics.LT, e)
+	}
 
 	// Forwarding step.
 	decisions, err := e.spec.protocol.Decide(e)
@@ -566,34 +500,23 @@ func (e *Engine) step(t int) error {
 	if err != nil {
 		return err
 	}
-	if len(moves) > 0 {
-		ms := e.moveScratch[:0]
-		for _, m := range moves {
-			ms = append(ms, metrics.Move{From: m.From, To: m.To, Delivered: m.Delivered, Dropped: m.Dropped, Inject: m.Pkt.Inject})
-		}
-		e.moveScratch = ms
-		for _, c := range e.collectors {
-			c.OnForward(t, ms)
-		}
-	}
-	for _, ob := range e.spec.observers {
-		ob.OnForward(t, moves)
+	for _, h := range e.hooks {
+		h.OnForward(t, moves)
 	}
 
 	// Sample post-forwarding occupancy too (receivers that did not forward
-	// can peak here), then seal the round for the collectors.
-	e.sample(t, metrics.PostForward)
-	for _, c := range e.collectors {
-		c.OnRoundEnd(t, e)
+	// can peak here), then seal the round.
+	for _, h := range e.hooks {
+		h.OnSample(t, metrics.PostForward, e)
+	}
+	for _, h := range e.hooks {
+		h.OnRoundEnd(t, e)
 	}
 
 	for _, inv := range e.spec.invariants {
 		if err := inv(e); err != nil {
 			return fmt.Errorf("invariant: %w", err)
 		}
-	}
-	for _, ob := range e.spec.observers {
-		ob.OnRoundEnd(t, e)
 	}
 	return nil
 }
@@ -603,10 +526,10 @@ func (e *Engine) step(t int) error {
 // over a downed link are validated but nullified (the packets stay
 // buffered), and forwarded packets the model drops leave their buffer and
 // consume the link without arriving.
-func (e *Engine) apply(t int, decisions []Forward) ([]Move, error) {
+func (e *Engine) apply(t int, decisions []Forward) ([]metrics.Move, error) {
 	fm := e.spec.faults
 	sent := make(map[network.NodeID]int, len(decisions))
-	moves := make([]Move, 0, len(decisions))
+	moves := make([]metrics.Move, 0, len(decisions))
 	// Remove phase: validate and detach all forwarded packets first so the
 	// moves are simultaneous. Validation is fault-blind — a decision must
 	// be feasible against the configured bandwidths whether or not the
@@ -638,7 +561,7 @@ func (e *Engine) apply(t int, decisions []Forward) ([]Move, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: node %d: %w", d.From, err)
 		}
-		m := Move{Pkt: p, From: d.From, To: to}
+		m := metrics.Move{Pkt: p, From: d.From, To: to}
 		if fm != nil && fm.Drops(t, d.From, int(p.ID)) {
 			m.Dropped = true
 		} else {
@@ -654,7 +577,7 @@ func (e *Engine) apply(t int, decisions []Forward) ([]Move, error) {
 		return moves[i].Pkt.ID < moves[j].Pkt.ID
 	})
 	// Insert phase. Latency accounting lives in the latency collector,
-	// which receives the same moves after apply returns.
+	// whose OnForward receives these moves after apply returns.
 	for i := range moves {
 		m := &moves[i]
 		e.res.PerLinkForwards[m.From]++
@@ -673,13 +596,6 @@ func (e *Engine) apply(t int, decisions []Forward) ([]Move, error) {
 	return moves, nil
 }
 
-// sample dispatches one occupancy sample point to the run's collectors.
-func (e *Engine) sample(t int, p metrics.Point) {
-	for _, c := range e.collectors {
-		c.OnSample(t, p, e)
-	}
-}
-
 // Run is the primary execution entry point: build an engine from spec and
 // execute it under ctx. Cancellation is honored between rounds; on
 // cancellation the partial Result is returned with the context's error.
@@ -689,12 +605,4 @@ func Run(ctx context.Context, spec Spec) (Result, error) {
 		return Result{}, err
 	}
 	return e.Run(ctx)
-}
-
-// RunConfig executes one run described by the legacy struct-literal Config.
-//
-// Deprecated: use Run with a Spec; RunConfig supports neither cancellation
-// nor engine reuse.
-func RunConfig(cfg Config) (Result, error) {
-	return Run(context.Background(), cfg.Spec())
 }

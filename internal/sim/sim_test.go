@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"smallbuffers/internal/adversary"
+	"smallbuffers/internal/metrics"
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/packet"
 	"smallbuffers/internal/rat"
@@ -72,16 +74,16 @@ func TestNewEngineValidation(t *testing.T) {
 	proto := &greedyOldest{}
 	tests := []struct {
 		name string
-		cfg  Config
+		spec Spec
 	}{
-		{"nil net", Config{Protocol: proto, Adversary: adv, Rounds: 1}},
-		{"nil protocol", Config{Net: nw, Adversary: adv, Rounds: 1}},
-		{"nil adversary", Config{Net: nw, Protocol: proto, Rounds: 1}},
-		{"negative rounds", Config{Net: nw, Protocol: proto, Adversary: adv, Rounds: -1}},
+		{"nil net", NewSpec(nil, proto, adv, 1)},
+		{"nil protocol", NewSpec(nw, nil, adv, 1)},
+		{"nil adversary", NewSpec(nw, proto, nil, 1)},
+		{"negative rounds", NewSpec(nw, proto, adv, -1)},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := NewEngine(tt.cfg.Spec()); err == nil {
+			if _, err := NewEngine(tt.spec); err == nil {
 				t.Error("NewEngine succeeded, want error")
 			}
 		})
@@ -271,19 +273,20 @@ func TestPhasedAcceptanceStaging(t *testing.T) {
 			acceptCounts = append(acceptCounts, len(pkts))
 		},
 	}
-	eng, err := NewEngine(Config{Net: nw, Protocol: proto, Adversary: adv, Rounds: 7, Observers: []Observer{obs}}.Spec())
+	eng, err := NewEngine(NewSpec(nw, proto, adv, 7, WithObservers(obs)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// Acceptance at rounds 0 (packet 0), 3 (packets 1,2,3), 6 (packets 4,5,6).
-	if len(acceptRounds) != 3 || acceptRounds[0] != 0 || acceptRounds[1] != 3 || acceptRounds[2] != 6 {
-		t.Errorf("accept rounds = %v, want [0 3 6]", acceptRounds)
+	// OnAccept fires every round; packets arrive at rounds 0 (packet 0),
+	// 3 (packets 1,2,3) and 6 (packets 4,5,6).
+	if !reflect.DeepEqual(acceptRounds, []int{0, 1, 2, 3, 4, 5, 6}) {
+		t.Errorf("accept rounds = %v, want [0 1 2 3 4 5 6]", acceptRounds)
 	}
-	if acceptCounts[0] != 1 || acceptCounts[1] != 3 || acceptCounts[2] != 3 {
-		t.Errorf("accept counts = %v, want [1 3 3]", acceptCounts)
+	if !reflect.DeepEqual(acceptCounts, []int{1, 0, 0, 3, 0, 0, 3}) {
+		t.Errorf("accept counts = %v, want [1 0 0 3 0 0 3]", acceptCounts)
 	}
 }
 
@@ -310,7 +313,7 @@ func TestBadPhaseLengthRejected(t *testing.T) {
 	nw := network.MustPath(4)
 	proto := &phasedGreedy{}
 	proto.phase = 0
-	if _, err := NewEngine(Config{Net: nw, Protocol: proto, Adversary: adversary.Empty{}, Rounds: 1}.Spec()); err == nil {
+	if _, err := NewEngine(NewSpec(nw, proto, adversary.Empty{}, 1)); err == nil {
 		t.Error("phase length 0 accepted")
 	}
 }
@@ -318,7 +321,7 @@ func TestBadPhaseLengthRejected(t *testing.T) {
 func TestInvariantAborts(t *testing.T) {
 	nw := network.MustPath(4)
 	adv := adversary.NewStream(fullRate(1), 0, 3)
-	inv := func(v View) error {
+	inv := func(v metrics.View) error {
 		if v.Load(1) > 0 {
 			return fmt.Errorf("buffer 1 occupied")
 		}
@@ -331,7 +334,7 @@ func TestInvariantAborts(t *testing.T) {
 }
 
 type recordingObserver struct {
-	NopObserver
+	metrics.NopObserver
 	onAccept  func(int, []packet.Packet)
 	injects   int
 	forwards  int
@@ -344,8 +347,8 @@ func (r *recordingObserver) OnAccept(round int, pkts []packet.Packet) {
 		r.onAccept(round, pkts)
 	}
 }
-func (r *recordingObserver) OnForward(round int, moves []Move) { r.forwards += len(moves) }
-func (r *recordingObserver) OnRoundEnd(round int, v View)      { r.roundEnds++ }
+func (r *recordingObserver) OnForward(round int, moves []metrics.Move) { r.forwards += len(moves) }
+func (r *recordingObserver) OnRoundEnd(round int, v metrics.View)      { r.roundEnds++ }
 
 func TestObserverHooks(t *testing.T) {
 	nw := network.MustPath(4)

@@ -42,7 +42,9 @@ func NewSpec(nw *network.Network, p Protocol, adv adversary.Adversary, rounds in
 	return s
 }
 
-// WithObservers registers observers that receive the run's events.
+// WithObservers registers observers that receive the run's events. They
+// are dispatched after the run's collectors, on every hook of every
+// round.
 func WithObservers(obs ...Observer) Option {
 	return func(s *Spec) { s.observers = append(s.observers, obs...) }
 }
@@ -104,19 +106,3 @@ func (s Spec) Rounds() int { return s.rounds }
 
 // Faults returns the run's fault model (nil for the loss-free model).
 func (s Spec) Faults() faults.Model { return s.faults }
-
-// Spec converts the legacy struct-literal Config into a Spec.
-//
-// Deprecated: build a Spec directly with NewSpec and options.
-func (c Config) Spec() Spec {
-	s := Spec{
-		net:             c.Net,
-		protocol:        c.Protocol,
-		adversary:       c.Adversary,
-		rounds:          c.Rounds,
-		verifyAdversary: c.VerifyAdversary,
-	}
-	s.observers = append(s.observers, c.Observers...)
-	s.invariants = append(s.invariants, c.Invariants...)
-	return s
-}

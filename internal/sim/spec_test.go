@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"smallbuffers/internal/adversary"
+	"smallbuffers/internal/metrics"
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/rat"
 )
@@ -25,7 +26,7 @@ func specFixture(t *testing.T, seed int64, opts ...Option) Spec {
 func TestSpecOptions(t *testing.T) {
 	obs := &recordingObserver{}
 	calls := 0
-	inv := func(View) error { calls++; return nil }
+	inv := func(metrics.View) error { calls++; return nil }
 	s := specFixture(t, 7,
 		WithObservers(obs),
 		WithInvariants(inv),
@@ -71,30 +72,6 @@ func TestSpecDeterminism(t *testing.T) {
 	}
 }
 
-// The Config shim and the Spec path must execute identically.
-func TestConfigShimMatchesSpec(t *testing.T) {
-	nw := network.MustPath(16)
-	mkAdv := func() adversary.Adversary {
-		adv, err := adversary.NewRandom(nw, adversary.Bound{Rho: rat.One, Sigma: 1}, nil, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return adv
-	}
-	old, err := RunConfig(Config{Net: nw, Protocol: &greedyOldest{}, Adversary: mkAdv(), Rounds: 150, VerifyAdversary: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	neu, err := Run(context.Background(),
-		NewSpec(nw, &greedyOldest{}, mkAdv(), 150, WithVerifyAdversary()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(old, neu) {
-		t.Errorf("shim and spec paths diverged:\n%+v\n%+v", old, neu)
-	}
-}
-
 func TestCancelledContextStopsRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -126,12 +103,12 @@ func TestCancelledContextStopsRun(t *testing.T) {
 }
 
 type cancelAtRound struct {
-	NopObserver
+	metrics.NopObserver
 	round  int
 	cancel context.CancelFunc
 }
 
-func (c *cancelAtRound) OnRoundEnd(round int, _ View) {
+func (c *cancelAtRound) OnRoundEnd(round int, _ metrics.View) {
 	if round >= c.round {
 		c.cancel()
 	}

@@ -9,9 +9,9 @@ import (
 	"io"
 	"strings"
 
+	"smallbuffers/internal/metrics"
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/packet"
-	"smallbuffers/internal/sim"
 )
 
 // Event is one recorded simulation event.
@@ -28,7 +28,7 @@ type Event struct {
 // Recorder is an engine observer that captures events and the per-round
 // occupancy matrix.
 type Recorder struct {
-	sim.NopObserver
+	metrics.NopObserver
 	// Events in order. Disable with CaptureEvents=false for long runs.
 	Events        []Event
 	CaptureEvents bool
@@ -39,7 +39,7 @@ type Recorder struct {
 // NewRecorder returns a recorder capturing both events and loads.
 func NewRecorder() *Recorder { return &Recorder{CaptureEvents: true} }
 
-// OnInject implements sim.Observer.
+// OnInject implements metrics.Observer.
 func (r *Recorder) OnInject(round int, pkts []packet.Packet) {
 	if !r.CaptureEvents {
 		return
@@ -51,8 +51,8 @@ func (r *Recorder) OnInject(round int, pkts []packet.Packet) {
 	}
 }
 
-// OnForward implements sim.Observer.
-func (r *Recorder) OnForward(round int, moves []sim.Move) {
+// OnForward implements metrics.Observer.
+func (r *Recorder) OnForward(round int, moves []metrics.Move) {
 	if !r.CaptureEvents {
 		return
 	}
@@ -69,8 +69,8 @@ func (r *Recorder) OnForward(round int, moves []sim.Move) {
 	}
 }
 
-// OnRoundEnd implements sim.Observer.
-func (r *Recorder) OnRoundEnd(round int, v sim.View) {
+// OnRoundEnd implements metrics.Observer.
+func (r *Recorder) OnRoundEnd(round int, v metrics.View) {
 	row := make([]int, v.Net().Len())
 	for i := range row {
 		row[i] = v.Load(network.NodeID(i))

@@ -1,8 +1,8 @@
 package smallbuffers_test
 
-// Facade-level coverage of the two-tier execution API: the deprecated
-// Run(Config) shim must match RunContext(NewSpec(...)) exactly, and the
-// Sweep layer must be drivable entirely through the re-exports.
+// Facade-level coverage of the two-tier execution API: the engine must
+// support Step/Reset-driven reuse, and the Sweep layer must be drivable
+// entirely through the re-exports.
 
 import (
 	"context"
@@ -24,28 +24,6 @@ func fixedScenario(t *testing.T) (*sb.Network, sb.Adversary) {
 		t.Fatal(err)
 	}
 	return nw, adv
-}
-
-// The Run(Config) compatibility shim and the RunContext path must produce
-// identical results for a fixed scenario.
-func TestRunShimMatchesRunContext(t *testing.T) {
-	nw, adv := fixedScenario(t)
-	old, err := sb.Run(sb.Config{
-		Net: nw, Protocol: sb.NewPPTS(), Adversary: adv, Rounds: 500,
-		VerifyAdversary: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, adv2 := fixedScenario(t)
-	neu, err := sb.RunContext(context.Background(),
-		sb.NewSpec(nw, sb.NewPPTS(), adv2, 500, sb.WithVerifyAdversary()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(old, neu) {
-		t.Errorf("shim and RunContext diverged:\n%+v\n%+v", old, neu)
-	}
 }
 
 // The facade engine supports Step/Reset-driven reuse.

@@ -71,9 +71,6 @@
 //	}
 //	agg, _ := sweep.Run(ctx)
 //	fmt.Println(agg.MaxLoad.Mean, agg.MaxLoad.Max)
-//
-// The struct-literal Config form, Run(Config), still works but is
-// deprecated; new code should use NewSpec/RunContext and Sweep.
 package smallbuffers
 
 import (
@@ -124,16 +121,11 @@ type (
 	Adversary = adversary.Adversary
 	// Protocol is a centralized online forwarding algorithm.
 	Protocol = sim.Protocol
-	// Config describes one simulation run as a struct literal.
-	//
-	// Deprecated: build a Spec with NewSpec and options and call
-	// RunContext; Config supports neither cancellation nor engine reuse.
-	Config = sim.Config
 	// Spec describes one simulation run for the context-aware API; build
 	// it with NewSpec and the With* options.
 	Spec = sim.Spec
 	// RunOption customizes a Spec (WithObservers, WithInvariants,
-	// WithVerifyAdversary, WithDeadline).
+	// WithMetrics, WithFaults, WithVerifyAdversary, WithDeadline).
 	RunOption = sim.Option
 	// Engine is the reusable simulation engine: Run(ctx) for whole runs,
 	// Step/Reset for incremental driving and allocation-light reuse.
@@ -162,13 +154,16 @@ type (
 	View = sim.View
 	// Forward is one forwarding decision.
 	Forward = sim.Forward
-	// Move is an applied forwarding decision, as seen by observers.
-	Move = sim.Move
-	// Observer receives engine events.
-	Observer = sim.Observer
-	// NopObserver is an embeddable no-op Observer.
-	NopObserver = sim.NopObserver
-	// Invariant is a per-round predicate checked by the engine.
+	// Move is an applied forwarding decision, as every hook sees it.
+	Move = metrics.Move
+	// Observer receives a run's round events; metric collectors are
+	// Observers too, and the engine drives both through one hook list.
+	Observer = metrics.Observer
+	// NopObserver is an embeddable no-op Observer (and the base of custom
+	// MetricCollectors).
+	NopObserver = metrics.NopObserver
+	// Invariant is a per-round predicate checked by the engine after
+	// every hook's OnRoundEnd.
 	Invariant = sim.Invariant
 	// Hierarchy is the base-m partition HPTS runs on (§4.1).
 	Hierarchy = core.Hierarchy
@@ -463,12 +458,6 @@ func RunContext(ctx context.Context, spec Spec) (Result, error) { return sim.Run
 // another Spec while keeping its buffer allocations.
 func NewEngine(spec Spec) (*Engine, error) { return sim.NewEngine(spec) }
 
-// Run executes one simulation.
-//
-// Deprecated: use RunContext with a Spec built by NewSpec; Run supports
-// neither cancellation nor engine reuse.
-func Run(cfg Config) (Result, error) { return sim.RunConfig(cfg) }
-
 // --- Execution (Tier 2: sweeps) ---
 
 // NewSweepProtocol wraps a protocol constructor as a sweep axis entry;
@@ -530,8 +519,10 @@ func RenderSeries(w io.Writer, label string, series []int, width int) error {
 // aqtsim -metrics) or attached directly with WithMetrics.
 
 type (
-	// MetricCollector observes one run and distills it into a
-	// MetricSummary; implementations register with RegisterMetric.
+	// MetricCollector is an Observer that distills one run into a
+	// MetricSummary; implementations embed NopObserver and register with
+	// RegisterMetric. Like every Observer it sees every round, so idle
+	// rounds reach it as empty OnInject/OnForward calls.
 	MetricCollector = metrics.Collector
 	// MetricSummary is a collector's canonical integer-only output:
 	// named scalars, bounded series, and histograms.
@@ -546,21 +537,15 @@ type (
 	RegistryMetric = registry.Metric
 	// HistBar is one labeled count of an ASCII histogram rendering.
 	HistBar = stats.HistBar
-	// MetricView is the read-only engine state a collector observes
-	// (a narrow mirror of View, plus phased-staging counts).
+	// MetricView is the read-only engine state every hook and invariant
+	// observes: View plus phased-staging counts.
 	MetricView = metrics.View
 	// MetricPoint identifies an occupancy sample point within a round
 	// (MetricSampleLT, MetricSamplePostForward).
 	MetricPoint = metrics.Point
-	// MetricMove is one applied forwarding decision as collectors see
-	// it. OnForward's moves slice is an engine-reused scratch buffer —
-	// copy it if your collector retains it past the call.
-	MetricMove = metrics.Move
-	// MetricNopCollector is an embeddable no-op MetricCollector.
-	MetricNopCollector = metrics.NopCollector
 )
 
-// Occupancy sample points, as passed to MetricCollector.OnSample.
+// Occupancy sample points, as passed to Observer.OnSample.
 const (
 	// MetricSampleLT is the paper's measurement point L_t:
 	// post-injection, pre-forwarding.
