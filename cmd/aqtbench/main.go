@@ -39,7 +39,9 @@ import (
 	"time"
 
 	sb "smallbuffers"
+	"smallbuffers/internal/experiments"
 	"smallbuffers/internal/service"
+	"smallbuffers/internal/store"
 )
 
 // parseBandwidths parses the -bandwidths axis ("1,2,4,8").
@@ -172,21 +174,14 @@ func run(ctx context.Context, args []string) error {
 		return runJSON(ctx, w, exps)
 	}
 
-	ok := true
-	for _, e := range exps {
-		if _, err := fmt.Fprintf(w, "\n%s — %s (%s)\n\n", e.ID, e.Title, e.Paper); err != nil {
-			return err
-		}
-		outcome, err := e.Run(ctx, w)
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-		ok = ok && outcome.OK
+	ok, err := experiments.RunAll(ctx, w, exps)
+	if err != nil {
+		return err
 	}
 	if !ok {
 		return fmt.Errorf("some experiments report violated bounds")
 	}
-	_, err := fmt.Fprintln(w, "\nall experiments passed")
+	_, err = fmt.Fprintln(w, "\nall experiments passed")
 	return err
 }
 
@@ -292,65 +287,6 @@ func printCorpusMetrics(w io.Writer, corpus []map[string]sb.MetricSummary) error
 	return nil
 }
 
-// storedDigest reports the verified results digest the store already
-// holds for sc, or "" when the scenario still needs to run. Entries that
-// fail verification (or predate the current span/format) are evicted so
-// the run recomputes them.
-func storedDigest(root string, sc *sb.Scenario) (string, error) {
-	dig, err := sc.Digest()
-	if err != nil {
-		return "", err
-	}
-	total, err := sc.GridSize()
-	if err != nil {
-		return "", err
-	}
-	st, err := sb.OpenResultStore(root, dig, sb.CellIndexRange{Lo: 0, Hi: total}, sb.ResultStoreOptions{})
-	if err != nil {
-		return "", sb.RemoveResultStoreEntry(root, dig)
-	}
-	defer st.Close()
-	if !st.Complete() || st.RecordsDigest() == "" {
-		return "", nil
-	}
-	rederived, err := st.Digest()
-	if err != nil || rederived != st.RecordsDigest() {
-		st.Close()
-		return "", sb.RemoveResultStoreEntry(root, dig)
-	}
-	return rederived, nil
-}
-
-// persistRun appends a completed sweep's records to the store entry and
-// seals it with the results digest.
-func persistRun(root string, sc *sb.Scenario, agg *sb.SweepResult) error {
-	dig, err := sc.Digest()
-	if err != nil {
-		return err
-	}
-	total, err := sc.GridSize()
-	if err != nil {
-		return err
-	}
-	st, err := sb.OpenResultStore(root, dig, sb.CellIndexRange{Lo: 0, Hi: total}, sb.ResultStoreOptions{})
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	for _, rec := range agg.Records() {
-		if st.Has(rec.Index) {
-			continue
-		}
-		if err := st.Append(rec); err != nil {
-			return err
-		}
-	}
-	if st.Complete() {
-		return st.SetRecordsDigest(agg.Digest())
-	}
-	return nil
-}
-
 func runScenarioFile(ctx context.Context, w io.Writer, path string, validateOnly bool, storeDir string) (map[string]sb.MetricSummary, error) {
 	sc, err := sb.LoadScenarioFile(path)
 	if err != nil {
@@ -381,12 +317,24 @@ func runScenarioFile(ctx context.Context, w io.Writer, path string, validateOnly
 		_, err := fmt.Fprintf(w, "%-28s valid\n", title)
 		return nil, err
 	}
+	// -store keys each file's entry by its scenario digest over the whole
+	// grid; a sealed entry is reported instead of re-run.
+	var dig string
+	var span sb.CellIndexRange
 	if storeDir != "" {
-		stored, err := storedDigest(storeDir, sc)
+		if dig, err = sc.Digest(); err != nil {
+			return nil, err
+		}
+		if span.Hi, err = sc.GridSize(); err != nil {
+			return nil, err
+		}
+		st, err := store.OpenSealed(storeDir, dig, span)
 		if err != nil {
 			return nil, err
 		}
-		if stored != "" {
+		if st != nil {
+			stored := st.RecordsDigest()
+			st.Close()
 			_, err := fmt.Fprintf(w, "%-28s stored (results %s)\n", title, stored)
 			return nil, err
 		}
@@ -417,7 +365,7 @@ func runScenarioFile(ctx context.Context, w io.Writer, path string, validateOnly
 		printMetricLines(w, "  ", ms)
 	}
 	if storeDir != "" {
-		if err := persistRun(storeDir, sc, agg); err != nil {
+		if err := store.Seal(storeDir, dig, span, agg.Records(), agg.Digest()); err != nil {
 			return ms, fmt.Errorf("persisting results: %w", err)
 		}
 	}
@@ -518,7 +466,7 @@ func runScenarioRemote(ctx context.Context, w io.Writer, client *http.Client, ba
 // as the distributed-vs-local reproducibility check (compare with
 // `aqtsim -scenario f -result-digest`).
 func runScenariosFleet(ctx context.Context, w io.Writer, fleetArg, path string) error {
-	endpoints, err := parseFleetArg(fleetArg)
+	endpoints, err := sb.ParseFleetEndpoints(fleetArg)
 	if err != nil {
 		return err
 	}
@@ -534,32 +482,6 @@ func runScenariosFleet(ctx context.Context, w io.Writer, fleetArg, path string) 
 		return err
 	}
 	return printCorpusMetrics(w, corpus)
-}
-
-// parseFleetArg expands a -fleet operand: a comma-separated endpoint
-// list, or @file with one endpoint per line (blank lines and #-comments
-// ignored).
-func parseFleetArg(arg string) ([]string, error) {
-	var raw []string
-	if strings.HasPrefix(arg, "@") {
-		data, err := os.ReadFile(strings.TrimPrefix(arg, "@"))
-		if err != nil {
-			return nil, fmt.Errorf("fleet file: %w", err)
-		}
-		raw = strings.Split(string(data), "\n")
-	} else {
-		raw = strings.Split(arg, ",")
-	}
-	var eps []string
-	for _, line := range raw {
-		if ep := strings.TrimSpace(line); ep != "" && !strings.HasPrefix(ep, "#") {
-			eps = append(eps, ep)
-		}
-	}
-	if len(eps) == 0 {
-		return nil, fmt.Errorf("no endpoints in -fleet %q", arg)
-	}
-	return eps, nil
 }
 
 func runScenarioFleet(ctx context.Context, w io.Writer, cfg sb.FleetConfig, path string) (map[string]sb.MetricSummary, error) {

@@ -3,13 +3,16 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	sb "smallbuffers"
 	"smallbuffers/internal/service"
+	"smallbuffers/internal/store"
 )
 
 func TestList(t *testing.T) {
@@ -196,5 +199,113 @@ func TestJSONCancelledContext(t *testing.T) {
 	cancel()
 	if err := run(ctx, []string{"-run", "E1", "-json", "-o", filepath.Join(t.TempDir(), "x.json")}); err == nil {
 		t.Error("cancelled context did not abort the run")
+	}
+}
+
+// TestScenarioStore drives -store over the corpus: the first run seals
+// every file's entry with the digest a fresh run produces, the second
+// serves every file from the store, and an entry whose recorded digest no
+// longer matches its records is evicted and recomputed.
+func TestScenarioStore(t *testing.T) {
+	const corpus = "../../testdata/scenarios"
+	dir := t.TempDir()
+	runStore := func() string {
+		t.Helper()
+		out := filepath.Join(t.TempDir(), "out.txt")
+		if err := run(context.Background(), []string{"-scenarios", corpus, "-store", dir, "-o", out}); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	files, err := filepath.Glob(filepath.Join(corpus, "*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("corpus: %v %v", files, err)
+	}
+	type entry struct {
+		title, digest, results string
+		span                   sb.CellIndexRange
+	}
+	entries := make([]entry, len(files))
+	for i, f := range files {
+		sc, err := sb.LoadScenarioFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := entry{title: sc.Name}
+		if e.digest, err = sc.Digest(); err != nil {
+			t.Fatal(err)
+		}
+		if e.span.Hi, err = sc.GridSize(); err != nil {
+			t.Fatal(err)
+		}
+		agg, err := sc.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.results = agg.Digest()
+		entries[i] = e
+	}
+	sealed := func(e entry) string {
+		t.Helper()
+		st, err := store.OpenSealed(dir, e.digest, e.span)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st == nil {
+			return ""
+		}
+		defer st.Close()
+		return st.RecordsDigest()
+	}
+
+	first := runStore()
+	if strings.Contains(first, " stored (") {
+		t.Fatalf("first run served from an empty store:\n%s", first)
+	}
+	for _, e := range entries {
+		if got := sealed(e); got != e.results {
+			t.Errorf("%s: sealed digest %q, fresh run %s", e.title, got, e.results)
+		}
+	}
+
+	second := runStore()
+	for _, e := range entries {
+		if want := fmt.Sprintf("%-28s stored (results %s)\n", e.title, e.results); !strings.Contains(second, want) {
+			t.Errorf("second run does not serve %s from the store:\n%s", e.title, second)
+		}
+	}
+	if strings.Contains(second, "ok (") {
+		t.Errorf("second run re-simulated a stored file:\n%s", second)
+	}
+
+	// Tamper with one entry's recorded digest: its records no longer
+	// re-derive it, so the entry is evicted and the file re-run.
+	victim := entries[0]
+	manifest := filepath.Join(store.EntryDir(dir, victim.digest), "manifest.json")
+	data, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := strings.Index(string(data), victim.results)
+	if at < 0 {
+		t.Fatalf("manifest lacks the results digest:\n%s", data)
+	}
+	bad := victim.results[:len(victim.results)-1] + "x"
+	if err := os.WriteFile(manifest, []byte(strings.Replace(string(data), victim.results, bad, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	third := runStore()
+	if strings.Contains(third, fmt.Sprintf("%-28s stored (", victim.title)) {
+		t.Errorf("tampered entry %s served from the store:\n%s", victim.title, third)
+	}
+	if got := strings.Count(third, " stored ("); got != len(entries)-1 {
+		t.Errorf("third run served %d files from the store, want %d:\n%s", got, len(entries)-1, third)
+	}
+	if got := sealed(victim); got != victim.results {
+		t.Errorf("recomputed entry sealed with %q, want %s", got, victim.results)
 	}
 }

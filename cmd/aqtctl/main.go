@@ -38,7 +38,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -89,7 +88,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-scenario is required")
 	}
 
-	endpoints, err := parseFleet(*fleetArg)
+	endpoints, err := sb.ParseFleetEndpoints(*fleetArg)
 	if err != nil {
 		return err
 	}
@@ -226,37 +225,6 @@ func printLive(w io.Writer, snap *sb.FleetLiveView) {
 		}
 	}
 	fmt.Fprintln(w, "---")
-}
-
-// parseFleet expands the -fleet operand into an endpoint list.
-func parseFleet(arg string) ([]string, error) {
-	var raw []string
-	if strings.HasPrefix(arg, "@") {
-		data, err := os.ReadFile(strings.TrimPrefix(arg, "@"))
-		if err != nil {
-			return nil, fmt.Errorf("fleet file: %w", err)
-		}
-		raw = strings.Split(string(data), "\n")
-	} else {
-		raw = strings.Split(arg, ",")
-	}
-	var eps []string
-	seen := map[string]bool{}
-	for _, line := range raw {
-		ep := strings.TrimSpace(line)
-		if ep == "" || strings.HasPrefix(ep, "#") {
-			continue
-		}
-		if seen[ep] {
-			return nil, fmt.Errorf("duplicate fleet endpoint %q", ep)
-		}
-		seen[ep] = true
-		eps = append(eps, ep)
-	}
-	if len(eps) == 0 {
-		return nil, fmt.Errorf("no endpoints in -fleet %q", arg)
-	}
-	return eps, nil
 }
 
 func printSummary(w io.Writer, name string, sum sb.FleetSummary) error {

@@ -99,19 +99,30 @@ func TestAqtctlEndToEnd(t *testing.T) {
 	}
 }
 
+// TestParseFleet checks the -fleet operand as aqtctl reads it: blank
+// entries are skipped, and duplicates, an empty list and a missing fleet
+// file are refused before anything is dispatched.
 func TestParseFleet(t *testing.T) {
-	eps, err := parseFleet("a:1, b:2,,")
-	if err != nil || len(eps) != 2 || eps[0] != "a:1" || eps[1] != "b:2" {
-		t.Errorf("parseFleet list = %v, %v", eps, err)
+	addrs := startDaemons(t, 2)
+	var stdout, stderr bytes.Buffer
+	args := []string{"-fleet", addrs[0] + ", " + addrs[1] + ",,", "-live", "-once"}
+	if err := run(context.Background(), args, &stdout, &stderr); err != nil {
+		t.Fatalf("aqtctl -fleet list: %v\nstderr:\n%s", err, stderr.String())
 	}
-	if _, err := parseFleet("a:1,a:1"); err == nil {
-		t.Error("duplicate endpoints accepted")
+	for _, a := range addrs {
+		if !strings.Contains(stdout.String(), a) {
+			t.Errorf("daemon %s missing from snapshot:\n%s", a, stdout.String())
+		}
 	}
-	if _, err := parseFleet(",,"); err == nil {
-		t.Error("empty list accepted")
-	}
-	if _, err := parseFleet("@/nonexistent/fleet.txt"); err == nil {
-		t.Error("missing fleet file accepted")
+	for _, tc := range []struct{ fleet, what, err string }{
+		{"a:1,a:1", "duplicate endpoints", "same daemon"},
+		{",,", "empty list", "no endpoints"},
+		{"@/nonexistent/fleet.txt", "missing fleet file", "fleet file"},
+	} {
+		err := run(context.Background(), []string{"-fleet", tc.fleet, "-scenario", "x.json"}, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.what, err, tc.err)
+		}
 	}
 }
 

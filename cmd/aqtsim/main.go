@@ -162,10 +162,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return err
 	}
 	if o.resultDigest {
-		// The results digest always runs through the sweep path — a
-		// one-point scenario is a one-cell sweep replaying exactly the
-		// single run (RawSeeds) — so local digests compare 1:1 with the
-		// aqtserve response for the same scenario file.
+		// Every scenario runs as a sweep (a one-point scenario is a
+		// one-cell sweep), so local digests compare 1:1 with the aqtserve
+		// response for the same scenario file.
 		agg, err := sc.Run(ctx)
 		if agg == nil {
 			return err
@@ -220,16 +219,30 @@ func buildScenario(o options) (*sb.Scenario, error) {
 	})
 }
 
-// runSingle executes a one-point scenario and prints the classic report.
+// runSingle executes a one-point scenario as its one-cell sweep and prints
+// the classic report.
 func runSingle(ctx context.Context, o options, sc *sb.Scenario, w io.Writer) error {
-	single, err := sc.CompileSingle()
+	note, err := sc.Note()
+	if err != nil {
+		return err
+	}
+	sw, err := sc.Sweep()
 	if err != nil {
 		return err
 	}
 	rec := sb.NewTraceRecorder()
 	rec.CaptureEvents = o.json
-	res, err := sb.RunContext(ctx, single.Spec(sb.WithObservers(rec)))
+	var nw *sb.Network
+	sw.Observers = func(_ sb.SweepCell, n *sb.Network) []sb.Observer {
+		nw = n
+		return []sb.Observer{rec}
+	}
+	agg, err := sw.Run(ctx)
 	if err != nil {
+		return err
+	}
+	cell, res := agg.Cells[0].Cell, agg.Cells[0].Result
+	if err := agg.Cells[0].Err; err != nil {
 		return err
 	}
 
@@ -238,16 +251,16 @@ func runSingle(ctx context.Context, o options, sc *sb.Scenario, w io.Writer) err
 	}
 	fmt.Fprintf(w, "protocol:   %s\n", res.Protocol)
 	fmt.Fprintf(w, "topology:   %s (%d nodes, link bandwidth %d)\n",
-		single.TopologyLabel, single.Net.Len(), single.Net.BottleneckBandwidth())
+		cell.Topology, nw.Len(), nw.BottleneckBandwidth())
 	fmt.Fprintf(w, "demand:     %v over %d rounds (%d injected, %d delivered, %d residual)\n",
-		single.Bound, res.Rounds, res.Injected, res.Delivered, res.Residual)
-	if single.Faults != nil {
+		cell.Bound, res.Rounds, res.Injected, res.Delivered, res.Residual)
+	if cell.Faults != "" {
 		goodput := "-"
 		if res.Injected > 0 {
 			goodput = fmt.Sprintf("%.0f%%", 100*float64(res.Delivered)/float64(res.Injected))
 		}
 		fmt.Fprintf(w, "faults:     %s (%d dropped in transit, goodput %s)\n",
-			single.FaultLabel, res.Dropped, goodput)
+			cell.Faults, res.Dropped, goodput)
 	}
 	fmt.Fprintf(w, "max load:   %d (buffer %d, round %d); physical %d\n",
 		res.MaxLoad, res.MaxLoadNode, res.MaxLoadRound, res.MaxPhysicalLoad)
@@ -257,10 +270,10 @@ func runSingle(ctx context.Context, o options, sc *sb.Scenario, w io.Writer) err
 	if link, util, okUtil := res.MaxLinkUtilization(); okUtil {
 		fmt.Fprintf(w, "links:      busiest %d at %.0f%% of rounds×bandwidth\n", link, 100*util)
 	}
-	if single.Note != "" {
-		fmt.Fprintf(w, "paper:      %s\n", single.Note)
+	if note != "" {
+		fmt.Fprintf(w, "paper:      %s\n", note)
 	}
-	if len(single.Metrics) > 0 {
+	if len(sc.Metrics) > 0 {
 		if err := printMetrics(w, res.Metrics); err != nil {
 			return err
 		}

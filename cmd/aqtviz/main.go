@@ -110,20 +110,34 @@ func run(ctx context.Context, args []string) error {
 }
 
 // runScenarioDemo renders the occupancy heatmap of a one-point scenario
-// file — the same declarative specs aqtsim -scenario runs.
+// file — the same declarative specs aqtsim -scenario runs — by running its
+// one-cell sweep with a trace recorder attached.
 func runScenarioDemo(ctx context.Context, path string) error {
 	sc, err := sb.LoadScenarioFile(path)
 	if err != nil {
 		return err
 	}
-	single, err := sc.CompileSingle()
+	note, err := sc.Note()
+	if err != nil {
+		return err
+	}
+	sw, err := sc.Sweep()
 	if err != nil {
 		return err
 	}
 	rec := sb.NewTraceRecorder()
 	rec.CaptureEvents = false
-	res, err := sb.RunContext(ctx, single.Spec(sb.WithObservers(rec)))
+	var nw *sb.Network
+	sw.Observers = func(_ sb.SweepCell, n *sb.Network) []sb.Observer {
+		nw = n
+		return []sb.Observer{rec}
+	}
+	agg, err := sw.Run(ctx)
 	if err != nil {
+		return err
+	}
+	cell, res := agg.Cells[0].Cell, agg.Cells[0].Result
+	if err := agg.Cells[0].Err; err != nil {
 		return err
 	}
 	title := sc.Name
@@ -131,10 +145,10 @@ func runScenarioDemo(ctx context.Context, path string) error {
 		title = path
 	}
 	fmt.Printf("%s: %s on %s (%d nodes, link bandwidth %d), %v over %d rounds: max load %d\n",
-		title, res.Protocol, single.TopologyLabel, single.Net.Len(),
-		single.Net.BottleneckBandwidth(), single.Bound, res.Rounds, res.MaxLoad)
-	if single.Note != "" {
-		fmt.Printf("paper: %s\n", single.Note)
+		title, res.Protocol, cell.Topology, nw.Len(),
+		nw.BottleneckBandwidth(), cell.Bound, res.Rounds, res.MaxLoad)
+	if note != "" {
+		fmt.Printf("paper: %s\n", note)
 	}
 	fmt.Println()
 	if err := rec.RenderHeatmap(os.Stdout, 40); err != nil {
@@ -146,7 +160,7 @@ func runScenarioDemo(ctx context.Context, path string) error {
 	}
 	// Scenarios that select the load_series metric also plot the bounded
 	// series — the whole-run view that stays O(cap) at any horizon.
-	if ls, ok := res.Metrics["load_series"]; ok && len(single.Metrics) > 0 {
+	if ls, ok := res.Metrics["load_series"]; ok && len(sc.Metrics) > 0 {
 		fmt.Println()
 		for _, ser := range ls.Series {
 			label := fmt.Sprintf("load_series/%s stride %d over %d rounds", ser.Key, ser.Stride, ser.Rounds)

@@ -19,7 +19,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"strings"
 	"time"
 
@@ -49,7 +48,7 @@ func runServe(ctx context.Context, addr, runURL, fleetArg string, out io.Writer)
 		}
 		d.runURL = u
 	case fleetArg != "":
-		eps, err := parseEndpoints(fleetArg)
+		eps, err := sb.ParseFleetEndpoints(fleetArg)
 		if err != nil {
 			return err
 		}
@@ -79,33 +78,6 @@ func runServe(ctx context.Context, addr, runURL, fleetArg string, out io.Writer)
 	case err := <-errc:
 		return err
 	}
-}
-
-// parseEndpoints expands a -fleet operand (comma list or @file, same
-// grammar as aqtctl's) into an endpoint list.
-func parseEndpoints(arg string) ([]string, error) {
-	var raw []string
-	if strings.HasPrefix(arg, "@") {
-		data, err := os.ReadFile(strings.TrimPrefix(arg, "@"))
-		if err != nil {
-			return nil, fmt.Errorf("fleet file: %w", err)
-		}
-		raw = strings.Split(string(data), "\n")
-	} else {
-		raw = strings.Split(arg, ",")
-	}
-	var eps []string
-	for _, line := range raw {
-		ep := strings.TrimSpace(line)
-		if ep == "" || strings.HasPrefix(ep, "#") {
-			continue
-		}
-		eps = append(eps, ep)
-	}
-	if len(eps) == 0 {
-		return nil, fmt.Errorf("no endpoints in -fleet %q", arg)
-	}
-	return eps, nil
 }
 
 func (d *dashboard) handleIndex(w http.ResponseWriter, _ *http.Request) {

@@ -160,15 +160,19 @@ func TestServeFlagErrors(t *testing.T) {
 	}
 }
 
+// TestParseEndpoints checks the -fleet operand as the dashboard reads it:
+// the shared grammar skips blank entries and comments, and runServe
+// refuses an empty list or a missing fleet file before it listens.
 func TestParseEndpoints(t *testing.T) {
-	eps, err := parseEndpoints("a:1, b:2,,# c")
+	eps, err := sb.ParseFleetEndpoints("a:1, b:2,,# c")
 	if err != nil || len(eps) != 2 || eps[0] != "a:1" || eps[1] != "b:2" {
-		t.Errorf("parseEndpoints = %v, %v", eps, err)
+		t.Errorf("ParseFleetEndpoints = %v, %v", eps, err)
 	}
-	if _, err := parseEndpoints(",,"); err == nil {
+	ctx := context.Background()
+	if err := runServe(ctx, "127.0.0.1:0", "", ",,", io.Discard); err == nil {
 		t.Error("empty list accepted")
 	}
-	if _, err := parseEndpoints("@/nonexistent"); err == nil {
+	if err := runServe(ctx, "127.0.0.1:0", "", "@/nonexistent", io.Discard); err == nil {
 		t.Error("missing fleet file accepted")
 	}
 }

@@ -1,21 +1,18 @@
 // Package buffer implements the per-node packet stores of the simulation.
 //
 // A node's buffer holds packets in arrival order. The paper's algorithms
-// never address the buffer as a whole: they partition it into LIFO
+// never address a buffer as a whole: they partition it into LIFO
 // pseudo-buffers ("virtual output queues", §3.2 footnote 2) keyed by an
-// algorithm-specific class — the destination index for PPTS, the
-// (level, intermediate-destination) pair for HPTS. This package provides
-// both views: the flat buffer owned by the engine, and a Grouping helper
-// that materializes pseudo-buffers on demand.
-//
-// Positions within a pseudo-buffer are 1-based to match the paper: a packet
-// at position p ≥ 2 is "bad" (Definition 3.3), and LIFO priority forwards
-// the packet at the greatest position.
+// algorithm-specific class — the destination for PPTS, the level-λ
+// intermediate destination for HPTS. Each protocol in internal/core builds
+// that partition itself from Packets, in the shape its Decide needs, so
+// this package is only the flat store the engine owns. Arrival order is
+// what makes the partition LIFO: within one class, the packet that comes
+// last in Packets is the top.
 package buffer
 
 import (
 	"fmt"
-	"sort"
 
 	"smallbuffers/internal/packet"
 )
@@ -40,15 +37,8 @@ func (b *Buffer) Add(p packet.Packet) { b.pkts = append(b.pkts, p) }
 func (b *Buffer) Reset() { b.pkts = b.pkts[:0] }
 
 // Packets returns the stored packets in arrival order. The returned slice
-// is shared; callers must not modify it. Use Snapshot for an owned copy.
+// is shared; callers must not modify it.
 func (b *Buffer) Packets() []packet.Packet { return b.pkts }
-
-// Snapshot returns an owned copy of the stored packets in arrival order.
-func (b *Buffer) Snapshot() []packet.Packet {
-	out := make([]packet.Packet, len(b.pkts))
-	copy(out, b.pkts)
-	return out
-}
 
 // Remove deletes the packet with the given ID, preserving order, and
 // returns it. It returns an error if the packet is not present.
@@ -70,91 +60,4 @@ func (b *Buffer) Contains(id packet.ID) bool {
 		}
 	}
 	return false
-}
-
-// Class names a pseudo-buffer within a node. Algorithms choose the meaning:
-// PPTS uses Minor = destination index; HPTS uses Major = segment level and
-// Minor = intermediate-destination index.
-type Class struct {
-	Major int
-	Minor int
-}
-
-// String renders "(j,k)".
-func (c Class) String() string { return fmt.Sprintf("(%d,%d)", c.Major, c.Minor) }
-
-// Classifier maps a packet (at the node owning the buffer) to its
-// pseudo-buffer class.
-type Classifier func(p packet.Packet) Class
-
-// Pseudo is a read-only view of one pseudo-buffer: the packets of a single
-// class in arrival order (index 0 = position 1 = bottom; last = LIFO top).
-type Pseudo struct {
-	Class Class
-	Pkts  []packet.Packet
-}
-
-// Len returns the pseudo-buffer's occupancy |L_{j,k}(i)|.
-func (ps Pseudo) Len() int { return len(ps.Pkts) }
-
-// Bad reports whether the pseudo-buffer is bad, i.e. holds ≥ 2 packets
-// (Definitions 3.3 / 4.4).
-func (ps Pseudo) Bad() bool { return len(ps.Pkts) >= 2 }
-
-// BadCount returns β = max{|L| − 1, 0}, the number of bad packets here.
-func (ps Pseudo) BadCount() int {
-	if len(ps.Pkts) <= 1 {
-		return 0
-	}
-	return len(ps.Pkts) - 1
-}
-
-// Top returns the LIFO head — the packet the pseudo-buffer would forward —
-// and false if empty.
-func (ps Pseudo) Top() (packet.Packet, bool) {
-	if len(ps.Pkts) == 0 {
-		return packet.Packet{}, false
-	}
-	return ps.Pkts[len(ps.Pkts)-1], true
-}
-
-// Group partitions a buffer into pseudo-buffers under the classifier. The
-// result maps each non-empty class to its view; iteration order is not
-// defined — use SortedClasses for determinism.
-func Group(b *Buffer, classify Classifier) map[Class]Pseudo {
-	out := make(map[Class]Pseudo)
-	for _, p := range b.Packets() {
-		c := classify(p)
-		ps := out[c]
-		ps.Class = c
-		ps.Pkts = append(ps.Pkts, p)
-		out[c] = ps
-	}
-	return out
-}
-
-// SortedClasses returns the classes of a grouping sorted by (Major, Minor),
-// for deterministic iteration.
-func SortedClasses(g map[Class]Pseudo) []Class {
-	out := make([]Class, 0, len(g))
-	for c := range g {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Major != out[j].Major {
-			return out[i].Major < out[j].Major
-		}
-		return out[i].Minor < out[j].Minor
-	})
-	return out
-}
-
-// BadTotal returns Σ over classes of β, the total bad-packet count of the
-// grouping (the per-node summand of Definitions 3.3 / 4.5).
-func BadTotal(g map[Class]Pseudo) int {
-	total := 0
-	for _, ps := range g {
-		total += ps.BadCount()
-	}
-	return total
 }

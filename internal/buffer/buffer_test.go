@@ -2,7 +2,6 @@ package buffer
 
 import (
 	"testing"
-	"testing/quick"
 
 	"smallbuffers/internal/packet"
 )
@@ -41,134 +40,6 @@ func TestBufferBasics(t *testing.T) {
 	}
 	if _, err := b.Remove(99); err == nil {
 		t.Error("Remove(99) succeeded, want error")
-	}
-}
-
-func TestSnapshotIsOwned(t *testing.T) {
-	var b Buffer
-	b.Add(mk(1, 0))
-	snap := b.Snapshot()
-	snap[0].ID = 42
-	if b.Packets()[0].ID != 1 {
-		t.Error("Snapshot shares memory with buffer")
-	}
-}
-
-func TestGroupAndPseudo(t *testing.T) {
-	var b Buffer
-	// Class by Dst parity: packets 1,3 in class (0,1); 2,4,6 in class (0,0).
-	add := func(id packet.ID, dst int) {
-		b.Add(packet.Packet{ID: id, Dst: 10, Inject: dst})
-	}
-	add(1, 1)
-	add(2, 2)
-	add(3, 3)
-	add(4, 4)
-	add(6, 6)
-	g := Group(&b, func(p packet.Packet) Class {
-		return Class{Minor: p.Inject % 2}
-	})
-	even, odd := g[Class{Minor: 0}], g[Class{Minor: 1}]
-	if even.Len() != 3 || odd.Len() != 2 {
-		t.Fatalf("group sizes = %d, %d, want 3, 2", even.Len(), odd.Len())
-	}
-	if !even.Bad() || even.BadCount() != 2 {
-		t.Errorf("even badness = %v/%d, want true/2", even.Bad(), even.BadCount())
-	}
-	if odd.BadCount() != 1 {
-		t.Errorf("odd BadCount = %d, want 1", odd.BadCount())
-	}
-	top, ok := even.Top()
-	if !ok || top.ID != 6 {
-		t.Errorf("even Top = %v, want packet 6 (LIFO)", top)
-	}
-	if BadTotal(g) != 3 {
-		t.Errorf("BadTotal = %d, want 3", BadTotal(g))
-	}
-
-	var empty Pseudo
-	if empty.Bad() || empty.BadCount() != 0 {
-		t.Error("empty pseudo is bad")
-	}
-	if _, ok := empty.Top(); ok {
-		t.Error("empty Top ok")
-	}
-	single := Pseudo{Pkts: []packet.Packet{mk(1, 0)}}
-	if single.Bad() || single.BadCount() != 0 {
-		t.Error("singleton pseudo is bad")
-	}
-}
-
-func TestSortedClasses(t *testing.T) {
-	g := map[Class]Pseudo{
-		{1, 0}: {},
-		{0, 2}: {},
-		{0, 1}: {},
-		{1, 1}: {},
-	}
-	got := SortedClasses(g)
-	want := []Class{{0, 1}, {0, 2}, {1, 0}, {1, 1}}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortedClasses = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestClassString(t *testing.T) {
-	if got := (Class{2, 5}).String(); got != "(2,5)" {
-		t.Errorf("String = %q", got)
-	}
-}
-
-// Property: grouping preserves packets exactly — every packet appears in
-// exactly one pseudo-buffer, in the same relative order.
-func TestQuickGroupPartitions(t *testing.T) {
-	f := func(classes []uint8) bool {
-		var b Buffer
-		for i, c := range classes {
-			b.Add(packet.Packet{ID: packet.ID(i + 1), Inject: int(c % 4)})
-		}
-		g := Group(&b, func(p packet.Packet) Class {
-			return Class{Minor: p.Inject}
-		})
-		total := 0
-		for _, ps := range g {
-			total += ps.Len()
-			// Order within pseudo-buffer must be ascending by ID (arrival).
-			for i := 1; i < len(ps.Pkts); i++ {
-				if ps.Pkts[i-1].ID >= ps.Pkts[i].ID {
-					return false
-				}
-			}
-			// All packets in the class actually belong there.
-			for _, p := range ps.Pkts {
-				if p.Inject != ps.Class.Minor {
-					return false
-				}
-			}
-		}
-		return total == b.Len()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: BadTotal = Len − #nonempty classes.
-func TestQuickBadTotalIdentity(t *testing.T) {
-	f := func(classes []uint8) bool {
-		var b Buffer
-		for i, c := range classes {
-			b.Add(packet.Packet{ID: packet.ID(i + 1), Inject: int(c % 5)})
-		}
-		g := Group(&b, func(p packet.Packet) Class {
-			return Class{Minor: p.Inject}
-		})
-		return BadTotal(g) == b.Len()-len(g)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"smallbuffers/internal/adversary"
-	"smallbuffers/internal/buffer"
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/packet"
 	"smallbuffers/internal/sim"
@@ -302,15 +301,6 @@ func (p *HPTS) activatePreBad(j int) {
 		for i := a; i < wk && p.actLevel[i] < 0; i++ {
 			p.actLevel[i], p.actW[i] = j, wk
 		}
-	}
-}
-
-// HPTSClassifier returns a buffer.Classifier assigning packets at node i to
-// their (level, destination-index) pseudo-buffer, for badness accounting.
-func HPTSClassifier(h *Hierarchy, i network.NodeID) buffer.Classifier {
-	return func(p packet.Packet) buffer.Class {
-		j, k := h.Class(int(i), int(p.Dst))
-		return buffer.Class{Major: j, Minor: k}
 	}
 }
 

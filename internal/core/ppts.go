@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"smallbuffers/internal/adversary"
-	"smallbuffers/internal/buffer"
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/packet"
 	"smallbuffers/internal/sim"
@@ -192,13 +191,4 @@ func (p *PPTS) scan(st *pptsState, bad bool) []sim.Forward {
 		frontier = ik
 	}
 	return out
-}
-
-// PPTSClassifier returns a buffer.Classifier assigning each packet to its
-// destination pseudo-buffer (Major = 0, Minor = destination node ID). It is
-// used by badness accounting and tests.
-func PPTSClassifier() buffer.Classifier {
-	return func(p packet.Packet) buffer.Class {
-		return buffer.Class{Minor: int(p.Dst)}
-	}
 }

@@ -78,13 +78,10 @@ func (p *TreePTS) Attach(nw *network.Network, _ adversary.Bound, dests []network
 // Decide implements sim.Protocol: active(v) ⇔ bad(v) ∨ ∃ child c active(c),
 // computed leaves-first.
 func (p *TreePTS) Decide(v sim.View) ([]sim.Forward, error) {
-	threshold := 2
 	active := p.sweep(v, 2)
 	if active == nil && p.drainWhenIdle {
 		active = p.sweep(v, 1)
-		threshold = 1
 	}
-	_ = threshold
 	// Cascaded rates on capacitated links: walk roots-first (reverse
 	// topological order) so each sender sees its parent's rate; full B only
 	// into the root, where packets are absorbed. B = 1 degenerates to the

@@ -81,11 +81,12 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("experiments: unknown id %q", id)
 }
 
-// RunAll executes the suite, writing every table to w, and reports whether
-// all experiments passed. Cancelling ctx aborts the suite between rounds.
-func RunAll(ctx context.Context, w io.Writer) (bool, error) {
+// RunAll executes exps in order, writing a header and every table to w,
+// and reports whether all of them passed. An experiment's error stops the
+// run. Cancelling ctx aborts it between rounds.
+func RunAll(ctx context.Context, w io.Writer, exps []Experiment) (bool, error) {
 	ok := true
-	for _, e := range All() {
+	for _, e := range exps {
 		if _, err := fmt.Fprintf(w, "\n%s — %s (%s)\n\n", e.ID, e.Title, e.Paper); err != nil {
 			return false, err
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -49,6 +50,9 @@ func TestExperimentsPass(t *testing.T) {
 			if testing.Short() && !fast[e.ID] {
 				t.Skip("heavy sweep; run without -short")
 			}
+			// Experiments share no state, and the heaviest (E6) runs on one
+			// core, so they overlap.
+			t.Parallel()
 			var buf bytes.Buffer
 			out, err := e.Run(context.Background(), &buf)
 			if err != nil {
@@ -64,16 +68,52 @@ func TestExperimentsPass(t *testing.T) {
 	}
 }
 
+// TestRunAllAggregates checks RunAll's fold on two real experiments and
+// two stubs; TestExperimentsPass runs the whole suite.
 func TestRunAllAggregates(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full suite")
+	ctx := context.Background()
+	var fast []Experiment
+	for _, id := range []string{"F1", "E9"} {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast = append(fast, e)
 	}
-	ok, err := RunAll(context.Background(), io.Discard)
-	if err != nil {
-		t.Fatal(err)
+	ran := 0
+	stub := func(id string, ok bool, err error) Experiment {
+		return Experiment{ID: id, Title: "stub", Paper: "none", Run: func(context.Context, io.Writer) (*Outcome, error) {
+			ran++
+			if err != nil {
+				return nil, err
+			}
+			return &Outcome{OK: ok}, nil
+		}}
 	}
-	if !ok {
-		t.Error("RunAll reports failures")
+
+	var buf bytes.Buffer
+	ok, err := RunAll(ctx, &buf, fast)
+	if err != nil || !ok {
+		t.Fatalf("RunAll(F1, E9) = %v, %v; want true, nil", ok, err)
+	}
+	for _, want := range []string{"\nF1 — ", "\nE9 — "} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("output lacks the %q header", want)
+		}
+	}
+
+	// A violated bound fails the suite but does not stop it.
+	ok, err = RunAll(ctx, io.Discard, []Experiment{stub("X1", false, nil), fast[1], stub("X2", true, nil)})
+	if err != nil || ok || ran != 2 {
+		t.Errorf("RunAll with a failing stub = %v, %v after %d stubs; want false, nil after 2", ok, err, ran)
+	}
+
+	// An error stops the suite, wrapped with the experiment's ID.
+	ran = 0
+	boom := errors.New("boom")
+	ok, err = RunAll(ctx, io.Discard, []Experiment{stub("X3", true, nil), stub("X4", true, boom), stub("X5", true, nil)})
+	if !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "X4: ") || ok || ran != 2 {
+		t.Errorf("RunAll with an erroring stub = %v, %v after %d stubs; want false, X4: boom after 2", ok, err, ran)
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -59,14 +61,64 @@ type client struct {
 }
 
 func newClient(endpoint string) *client {
-	base := endpoint
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	base = strings.TrimRight(base, "/")
 	// No overall request timeout: run streams are long-lived by design.
 	// Cancellation flows through the request context.
-	return &client{base: base, http: &http.Client{}}
+	return &client{base: baseURL(endpoint), http: &http.Client{}}
+}
+
+// baseURL normalises an endpoint to the daemon's base URL: "host:port"
+// gains an http:// scheme and trailing slashes go, so "a:1" and
+// "http://a:1/" name one daemon.
+func baseURL(endpoint string) string {
+	if !strings.Contains(endpoint, "://") {
+		endpoint = "http://" + endpoint
+	}
+	return strings.TrimRight(endpoint, "/")
+}
+
+// checkEndpoints rejects an empty endpoint list and endpoints that name
+// the same daemon: a daemon listed twice would be dispatched to and
+// polled twice, and a snapshot would count its runs and cells twice.
+func checkEndpoints(endpoints []string) error {
+	if len(endpoints) == 0 {
+		return errors.New("fleet: no endpoints")
+	}
+	seen := make(map[string]string, len(endpoints))
+	for _, ep := range endpoints {
+		base := baseURL(ep)
+		if prev, ok := seen[base]; ok {
+			return fmt.Errorf("fleet: endpoints %q and %q name the same daemon", prev, ep)
+		}
+		seen[base] = ep
+	}
+	return nil
+}
+
+// ParseEndpoints expands a -fleet operand into an endpoint list: a
+// comma-separated list, or @file with one endpoint per line. Blank
+// entries and #-comments are skipped; an empty list and endpoints naming
+// the same daemon are errors.
+func ParseEndpoints(arg string) ([]string, error) {
+	var raw []string
+	if name, ok := strings.CutPrefix(arg, "@"); ok {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			return nil, fmt.Errorf("fleet file: %w", err)
+		}
+		raw = strings.Split(string(data), "\n")
+	} else {
+		raw = strings.Split(arg, ",")
+	}
+	var eps []string
+	for _, line := range raw {
+		if ep := strings.TrimSpace(line); ep != "" && !strings.HasPrefix(ep, "#") {
+			eps = append(eps, ep)
+		}
+	}
+	if len(eps) == 0 {
+		return nil, fmt.Errorf("no endpoints in -fleet %q", arg)
+	}
+	return eps, checkEndpoints(eps)
 }
 
 // submit POSTs a scenario asynchronously. A 202 returns the daemon's

@@ -18,7 +18,8 @@ import (
 // Config sizes the coordinator. Endpoints is required; every other field
 // has a production-lean default.
 type Config struct {
-	// Endpoints lists the aqtserve daemons ("host:port" or full URLs).
+	// Endpoints lists the aqtserve daemons ("host:port" or full URLs),
+	// each at most once: "a:1" and "http://a:1/" are the same daemon.
 	Endpoints []string
 	// ShardsPerDaemon sets the initial partition: the grid splits into
 	// len(Endpoints) × ShardsPerDaemon index-range shards (clamped to the
@@ -222,8 +223,8 @@ func (co *coordinator) mergedLocked() int {
 // never returns a partial result.
 func Run(ctx context.Context, cfg Config, sc *scenario.Scenario) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if len(cfg.Endpoints) == 0 {
-		return nil, errors.New("fleet: no endpoints")
+	if err := checkEndpoints(cfg.Endpoints); err != nil {
+		return nil, err
 	}
 	if err := sc.Validate(); err != nil {
 		return nil, err

@@ -97,9 +97,10 @@ func (f *FleetLive) Progress() int {
 // not "live". Daemons are visited in configured order and runs within a
 // daemon arrive sorted, so the snapshot's shape is stable poll to poll;
 // per-daemon errors are recorded in the snapshot rather than failing it.
+// Endpoints naming the same daemon fail it: their runs would count twice.
 func LiveSnapshot(ctx context.Context, cfg Config) (*FleetLive, error) {
-	if len(cfg.Endpoints) == 0 {
-		return nil, fmt.Errorf("fleet: no endpoints configured")
+	if err := checkEndpoints(cfg.Endpoints); err != nil {
+		return nil, err
 	}
 	snap := &FleetLive{}
 	var perRun []map[string]metrics.Summary

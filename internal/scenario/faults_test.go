@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"smallbuffers/internal/sim"
+	"smallbuffers/internal/network"
 )
 
 // faultScenario sweeps one protocol over a drop axis — the smallest
@@ -105,16 +105,17 @@ func TestFaultAxisValidation(t *testing.T) {
 			if err != nil {
 				return // rejected at Parse/Validate
 			}
-			// Out-of-range params pass schema resolution and must fail at
-			// model build time instead.
-			if _, err := sc.CompileSingle(); err == nil {
-				t.Errorf("scenario with %s compiled", name)
+			// Out-of-range params pass schema resolution and must fail the
+			// cell at model build time instead.
+			agg, err := sc.Run(context.Background())
+			if err == nil && agg.Failed == 0 {
+				t.Errorf("scenario with %s ran", name)
 			}
 		})
 	}
 }
 
-func TestCompileSingleBuildsFaultModel(t *testing.T) {
+func TestOnePointSweepBuildsFaultModel(t *testing.T) {
 	sc, err := Parse([]byte(`{
 		"topology": {"name": "path", "params": {"n": 12}},
 		"protocol": {"name": "ppts"},
@@ -126,20 +127,17 @@ func TestCompileSingleBuildsFaultModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := sc.CompileSingle()
+	agg, err := sc.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if single.Faults == nil || single.Faults.Name() != "drop" {
-		t.Fatalf("Single.Faults = %v", single.Faults)
+	if agg.Completed != 1 {
+		t.Fatal(agg.FirstErr())
 	}
-	if single.FaultLabel != "drop(p=1/4)" {
-		t.Errorf("FaultLabel = %q", single.FaultLabel)
+	if got := agg.Cells[0].Cell.Faults; got != "drop(p=1/4)" {
+		t.Errorf("cell fault label = %q", got)
 	}
-	res, err := sim.Run(context.Background(), single.Spec())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := agg.Cells[0].Result
 	if res.Dropped == 0 {
 		t.Error("p=1/4 drop model dropped nothing over 200 rounds")
 	}
@@ -242,12 +240,19 @@ func TestFromFlagsFault(t *testing.T) {
 	if sc.Faults[0].Params["p"] != "1/8" || sc.Faults[0].Params["period"] != 16 || sc.Faults[0].Params["down"] != 4 {
 		t.Errorf("fault params = %v", sc.Faults[0].Params)
 	}
-	single, err := sc.CompileSingle()
+	sw, err := sc.Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if single.Faults == nil || single.Faults.Name() != "link_flap" {
-		t.Fatalf("Single.Faults = %v", single.Faults)
+	nw, err := network.NewPath(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sw.Faults) != 1 {
+		t.Fatalf("sweep fault axis = %v", sw.Faults)
+	}
+	if m, err := sw.Faults[0].New(nw, 7); err != nil || m.Name() != "link_flap" {
+		t.Fatalf("fault model = %v, %v", m, err)
 	}
 	if _, err := FromFlags(Flags{
 		Topology: "path", Protocol: "pts", Adversary: "random",

@@ -8,7 +8,6 @@ import (
 
 	"smallbuffers/internal/harness"
 	"smallbuffers/internal/metrics"
-	"smallbuffers/internal/sim"
 )
 
 // metricScenario is a one-point scenario selecting the acceptance
@@ -96,7 +95,7 @@ func TestMetricsAxisValidation(t *testing.T) {
 	}
 }
 
-func TestCompileSingleBuildsMetricCollectors(t *testing.T) {
+func TestOnePointSweepBuildsMetricCollectors(t *testing.T) {
 	sc, err := Parse([]byte(`{
 		"topology": {"name": "path", "params": {"n": 12}},
 		"protocol": {"name": "ppts"},
@@ -108,17 +107,14 @@ func TestCompileSingleBuildsMetricCollectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := sc.CompileSingle()
+	agg, err := sc.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(single.Metrics) != 2 {
-		t.Fatalf("Single.Metrics = %v", single.Metrics)
+	if agg.Completed != 1 {
+		t.Fatal(agg.FirstErr())
 	}
-	res, err := sim.Run(context.Background(), single.Spec())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := agg.Cells[0].Result
 	if len(res.Metrics) != 2 {
 		t.Fatalf("Result.Metrics names = %v, want load_series+latency", metrics.SortedNames(res.Metrics))
 	}

@@ -3,9 +3,9 @@
 // (ρ,σ) bound, horizon, bandwidths, seeds, invariant set, and metric
 // set — that
 // marshals to and from JSON, validates against the component registry
-// (internal/registry), compiles to a sim.Spec when every axis is a single
-// point, and lifts to a harness.Sweep when any axis is a list. Reproducing
-// a figure means running a file, not editing a program.
+// (internal/registry), and lifts to a harness.Sweep over the cartesian
+// product of its axes; a one-point scenario is a one-cell sweep.
+// Reproducing a figure means running a file, not editing a program.
 //
 // # Canonical form
 //
@@ -19,11 +19,11 @@
 //
 // # Seeds
 //
-// A scenario's seeds are the adversaries' seeds, verbatim — in single runs
-// and in sweep cells alike (the sweep is lifted with RawSeeds). A scenario
-// therefore pins exact traffic: the same file always replays the same
-// injections, and a one-point scenario reproduces precisely the run its
-// flag-based CLI equivalent would execute.
+// A scenario's seeds are the adversaries' seeds, verbatim: the sweep is
+// lifted with RawSeeds. A scenario therefore pins exact traffic: the same
+// file always replays the same injections, and a one-point scenario
+// reproduces precisely the run its flag-based CLI equivalent would
+// execute.
 package scenario
 
 import (
@@ -77,9 +77,9 @@ type Shard struct {
 }
 
 // Scenario is a declarative description of a simulation workload. Every
-// axis is a list; a scenario whose axes all have one point compiles to a
-// single sim.Spec, anything larger lifts to a harness.Sweep (the cartesian
-// product of the axes).
+// axis is a list, and the scenario lifts to a harness.Sweep over the
+// cartesian product of the axes; a scenario whose axes all have one point
+// (IsSingle) is a one-cell sweep.
 type Scenario struct {
 	// Name and Doc label the scenario in reports and corpora.
 	Name string
@@ -694,9 +694,9 @@ func (sc *Scenario) selfHosting() (bool, error) {
 }
 
 // IsSingle reports whether every axis has at most one point, i.e. the
-// scenario describes one run rather than a sweep grid. A sharded
-// scenario is never single: it names part of a grid and always executes
-// through the sweep path, where cell indices stay global.
+// scenario describes one run rather than a sweep grid; the CLIs print a
+// one-run report for it. A sharded scenario is never single: it names
+// part of a grid, whose cells keep their global indices.
 func (sc *Scenario) IsSingle() bool {
 	return sc.Shard == nil &&
 		len(sc.Topologies) <= 1 && len(sc.Protocols) <= 1 && len(sc.Adversaries) <= 1 &&
@@ -704,168 +704,50 @@ func (sc *Scenario) IsSingle() bool {
 		len(sc.Faults) <= 1
 }
 
-// Single is a fully materialized one-point scenario: the built topology,
-// protocol, and adversary, the effective bound and horizon (self-hosting
-// adversaries override both), and the report annotations.
-type Single struct {
-	Net       *network.Network
-	Protocol  sim.Protocol
-	Adversary adversary.Adversary
-	Bound     adversary.Bound
-	Rounds    int
-	Seed      int64
-	// TopologyLabel names the topology for reports ("path(n=64)"; the
-	// adversary's label for self-hosting patterns).
-	TopologyLabel string
-	// Note is the paper annotation: the protocol's predicted bound, or the
-	// self-hosting adversary's floor.
-	Note       string
-	Verify     bool
-	Invariants []sim.Invariant
-	// Metrics are the scenario-selected collector instances. Collectors
-	// are stateful and single-run: a Single materializes one run, so its
-	// Spec must be executed at most once.
-	Metrics []metrics.Collector
-	// Faults is the scenario's fault model, already bound (Reset) to the
-	// built topology and the run's seed; nil means loss-free. Like the
-	// collectors it is stateless-per-query but freshly built per run.
-	Faults faults.Model
-	// FaultLabel names the fault entry for reports ("drop(p=1/20)").
-	FaultLabel string
-}
-
-// Spec assembles the run description, folding in the scenario's
-// invariants, metric collectors, and verification flag plus any extra
-// options (observers, deadlines).
-func (s *Single) Spec(extra ...sim.Option) sim.Spec {
-	opts := make([]sim.Option, 0, 4+len(extra))
-	if len(s.Invariants) > 0 {
-		opts = append(opts, sim.WithInvariants(s.Invariants...))
-	}
-	if len(s.Metrics) > 0 {
-		opts = append(opts, sim.WithMetrics(s.Metrics...))
-	}
-	if s.Faults != nil {
-		opts = append(opts, sim.WithFaults(s.Faults))
-	}
-	if s.Verify {
-		opts = append(opts, sim.WithVerifyAdversary())
-	}
-	opts = append(opts, extra...)
-	return sim.NewSpec(s.Net, s.Protocol, s.Adversary, s.Rounds, opts...)
-}
-
-// CompileSingle materializes a one-point scenario. It fails on scenarios
-// with list-valued axes (use Sweep for those).
-func (sc *Scenario) CompileSingle() (*Single, error) {
+// Note returns the paper annotation of a one-point scenario's report: a
+// self-hosting adversary's own note (the Theorem 5.1 floor), else the
+// protocol's predicted bound under the effective bound.
+func (sc *Scenario) Note() (string, error) {
 	if err := sc.Validate(); err != nil {
-		return nil, err
+		return "", err
 	}
 	if !sc.IsSingle() {
-		return nil, fmt.Errorf("scenario: %s describes a grid (list-valued axes or a shard); compile it with Sweep", sc.label())
+		return "", fmt.Errorf("scenario: %s describes a grid (list-valued axes or a shard), not one run", sc.label())
 	}
-
 	bound, err := sc.bound(0)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	single := &Single{Bound: bound, Seed: sc.Seeds[0], Verify: sc.Verify}
-	if len(sc.Rounds) == 1 {
-		single.Rounds = sc.Rounds[0]
-	}
-
-	advEntry, err := registry.LookupAdversary(sc.Adversaries[0].Name)
+	adv, err := registry.LookupAdversary(sc.Adversaries[0].Name)
 	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
+		return "", fmt.Errorf("scenario: %w", err)
 	}
-	advParams, err := resolved(sc.Adversaries[0], advEntry.Params)
+	if adv.SelfHosting() {
+		p, err := resolved(sc.Adversaries[0], adv.Params)
+		if err != nil {
+			return "", fmt.Errorf("scenario: %w", err)
+		}
+		prep, err := adv.Prepare(bound, p)
+		if err != nil {
+			return "", fmt.Errorf("scenario: adversary %q: %w", adv.Name, err)
+		}
+		if prep.Note != "" {
+			return prep.Note, nil
+		}
+		bound = prep.Bound
+	}
+	proto, err := registry.LookupProtocol(sc.Protocols[0].Name)
 	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
+		return "", fmt.Errorf("scenario: %w", err)
 	}
-
-	if advEntry.SelfHosting() {
-		prep, err := advEntry.Prepare(bound, advParams)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: adversary %q: %w", advEntry.Name, err)
-		}
-		single.Net = prep.Net
-		single.Adversary = prep.Adversary
-		single.Bound = prep.Bound
-		single.Rounds = prep.Rounds
-		single.Note = prep.Note
-		single.TopologyLabel = sc.Adversaries[0].label()
-	} else {
-		topoEntry, err := registry.LookupTopology(sc.Topologies[0].Name)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		topoParams, err := resolved(sc.Topologies[0], topoEntry.Params)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		nw, err := topoEntry.Build(topoParams)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: topology %q: %w", topoEntry.Name, err)
-		}
-		single.Net = nw
-		single.TopologyLabel = sc.Topologies[0].label()
+	if proto.Note == nil {
+		return "", nil
 	}
-	if len(sc.Bandwidths) == 1 {
-		nw, err := single.Net.WithBandwidths(network.WithUniformBandwidth(sc.Bandwidths[0]))
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		single.Net = nw
-	}
-
-	protoEntry, err := registry.LookupProtocol(sc.Protocols[0].Name)
+	p, err := resolved(sc.Protocols[0], proto.Params)
 	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
+		return "", fmt.Errorf("scenario: %w", err)
 	}
-	protoParams, err := resolved(sc.Protocols[0], protoEntry.Params)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	if single.Protocol, err = protoEntry.Build(protoParams); err != nil {
-		return nil, fmt.Errorf("scenario: protocol %q: %w", protoEntry.Name, err)
-	}
-	if single.Note == "" && protoEntry.Note != nil {
-		single.Note = protoEntry.Note(protoParams, single.Bound)
-	}
-
-	if single.Adversary == nil {
-		single.Adversary, err = advEntry.Build(registry.AdversaryContext{
-			Net: single.Net, Bound: bound, Seed: single.Seed, Rounds: single.Rounds,
-		}, advParams)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: adversary %q: %w", advEntry.Name, err)
-		}
-	}
-
-	if single.Invariants, err = sc.buildInvariants(single.Net); err != nil {
-		return nil, err
-	}
-	if single.Metrics, err = sc.buildMetrics(); err != nil {
-		return nil, err
-	}
-	if len(sc.Faults) == 1 {
-		fm, err := sc.buildFault(sc.Faults[0], single.Net, single.Seed)
-		if err != nil {
-			return nil, err
-		}
-		single.Faults = fm
-		single.FaultLabel = sc.Faults[0].label()
-	}
-	return single, nil
-}
-
-// Compile compiles a one-point scenario directly to a sim.Spec.
-func (sc *Scenario) Compile() (sim.Spec, error) {
-	s, err := sc.CompileSingle()
-	if err != nil {
-		return sim.Spec{}, err
-	}
-	return s.Spec(), nil
+	return proto.Note(p, bound), nil
 }
 
 // buildInvariants materializes the scenario's invariant set against a
@@ -952,8 +834,9 @@ func (sc *Scenario) bound(i int) (adversary.Bound, error) {
 }
 
 // Sweep lifts the scenario to a harness.Sweep over the cartesian product
-// of its axes. Seeds are passed to adversaries verbatim (RawSeeds), so a
-// one-point sweep cell reproduces exactly the run CompileSingle describes.
+// of its axes; it is the only scenario compiler. Seeds are passed to
+// adversaries verbatim (RawSeeds), so a one-point scenario's one cell is
+// exactly the run its flag-based CLI equivalent describes.
 func (sc *Scenario) Sweep() (*harness.Sweep, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err

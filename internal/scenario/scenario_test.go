@@ -9,6 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"smallbuffers/internal/adversary"
+	"smallbuffers/internal/core"
+	"smallbuffers/internal/network"
 	"smallbuffers/internal/rat"
 	"smallbuffers/internal/registry"
 	"smallbuffers/internal/sim"
@@ -221,12 +224,12 @@ func TestEveryRegistryEntryCompilesAndRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec, err := sc.Compile()
+		agg, err := sc.Run(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sim.Run(ctx, spec); err != nil {
-			t.Fatalf("run: %v", err)
+		if agg.Completed != 1 {
+			t.Fatalf("run: %v", agg.FirstErr())
 		}
 	}
 
@@ -289,9 +292,10 @@ func TestEveryRegistryEntryCompilesAndRuns(t *testing.T) {
 	}
 }
 
-// TestSingleAndSweepAgree pins the seed semantics: a one-point scenario
-// produces the same Result through CompileSingle+sim.Run and through the
-// lifted one-cell sweep (RawSeeds hands the adversary the same seed).
+// TestSingleAndSweepAgree pins the seed semantics: a one-point scenario's
+// one-cell sweep produces the same Result as a single sim.Run of the same
+// components built by hand, with the scenario seed handed to the
+// adversary verbatim (RawSeeds).
 func TestSingleAndSweepAgree(t *testing.T) {
 	src := `{
 		"topology": {"name": "path", "params": {"n": 32}},
@@ -302,24 +306,25 @@ func TestSingleAndSweepAgree(t *testing.T) {
 		"seed": 99,
 		"verify": true
 	}`
-	sc, err := Parse([]byte(src))
+	nw, err := network.NewPath(32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := sc.CompileSingle()
+	bound := adversary.Bound{Rho: rat.FromInt(1), Sigma: 2}
+	adv, err := adversary.NewHotSpot(nw, bound, registry.SpreadDestinations(nw, 4), 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := sim.Run(context.Background(), single.Spec())
+	direct, err := sim.Run(context.Background(), sim.NewSpec(nw, core.NewPPTS(), adv, 300, sim.WithVerifyAdversary()))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	sc2, err := Parse([]byte(src))
+	sc, err := Parse([]byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := sc2.Run(context.Background())
+	agg, err := sc.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +332,7 @@ func TestSingleAndSweepAgree(t *testing.T) {
 		t.Fatalf("sweep = %d requested / %d completed, want 1/1 (first err: %v)", agg.Requested, agg.Completed, agg.FirstErr())
 	}
 	if got := agg.Cells[0].Result; !reflect.DeepEqual(direct, got) {
-		t.Errorf("single and sweep results differ:\nsingle: %+v\nsweep:  %+v", direct, got)
+		t.Errorf("hand-built run and sweep cell differ:\nsim.Run: %+v\nsweep:   %+v", direct, got)
 	}
 	if agg.Cells[0].Cell.DerivedSeed != 99 {
 		t.Errorf("sweep cell seed = %d, want the raw 99", agg.Cells[0].Cell.DerivedSeed)
@@ -351,8 +356,8 @@ func TestSweepGridShape(t *testing.T) {
 	if sc.IsSingle() {
 		t.Fatal("list-valued scenario claims to be single")
 	}
-	if _, err := sc.CompileSingle(); err == nil {
-		t.Error("CompileSingle on a grid must fail")
+	if _, err := sc.Note(); err == nil {
+		t.Error("Note on a grid must fail")
 	}
 	agg, err := sc.Run(context.Background())
 	if err != nil {
@@ -375,21 +380,29 @@ func TestLowerBoundScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := sc.CompileSingle()
+	agg, err := sc.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if single.Rounds != 64 {
-		t.Errorf("rounds = %d, want the construction's 64", single.Rounds)
+	if agg.Completed != 1 {
+		t.Fatal(agg.FirstErr())
 	}
-	if single.Bound.Sigma != 1 {
-		t.Errorf("sigma = %d, want the construction's 1", single.Bound.Sigma)
+	cell := agg.Cells[0].Cell
+	if cell.Rounds != 64 {
+		t.Errorf("rounds = %d, want the construction's 64", cell.Rounds)
 	}
-	if !strings.Contains(single.Note, "Theorem 5.1") {
-		t.Errorf("note = %q", single.Note)
+	if cell.Bound.Sigma != 1 {
+		t.Errorf("sigma = %d, want the construction's 1", cell.Bound.Sigma)
 	}
-	if _, err := sim.Run(context.Background(), single.Spec()); err != nil {
+	if cell.Topology != "lowerbound(ell=2,m=4)" {
+		t.Errorf("topology label = %q", cell.Topology)
+	}
+	note, err := sc.Note()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(note, "Theorem 5.1") {
+		t.Errorf("note = %q", note)
 	}
 }
 
@@ -486,11 +499,14 @@ func TestInvariantViolationAbortsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := sc.Compile()
+	agg, err := sc.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.Run(context.Background(), spec); err == nil {
-		t.Error("max-load 0 must be violated")
+	if agg.Failed != 1 {
+		t.Fatalf("max-load 0 must fail the cell, got %d failed", agg.Failed)
+	}
+	if err := agg.FirstErr(); !strings.Contains(err.Error(), "> bound 0") {
+		t.Errorf("cell error %v is not the invariant's", err)
 	}
 }

@@ -201,7 +201,7 @@ func TestShardValidationErrors(t *testing.T) {
 		t.Error("slicing a shard accepted")
 	}
 
-	// A sharded single-cell scenario still refuses CompileSingle: it
+	// A sharded single-cell scenario is still no one-point scenario: it
 	// indexes into a grid, even a 1×…×1 one.
 	one, err := Parse(shardGridSrc())
 	if err != nil {
@@ -211,7 +211,10 @@ func TestShardValidationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := onecell.CompileSingle(); err == nil {
-		t.Error("CompileSingle on a sharded scenario must fail")
+	if onecell.IsSingle() {
+		t.Error("a sharded scenario claims to be single")
+	}
+	if _, err := onecell.Note(); err == nil {
+		t.Error("Note on a sharded scenario must fail")
 	}
 }

@@ -52,7 +52,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -470,66 +469,27 @@ func (s *Server) finish(r *run, ctxErr error) {
 	s.mu.Unlock()
 
 	if ctxErr == nil && s.cfg.CacheDir != "" && len(recs) > 0 {
-		s.persist(r, recs, sum)
+		// Best effort: the run is already served and cached in memory, so
+		// a persistence failure costs warmth after a restart, never
+		// correctness.
+		_ = store.Seal(s.cfg.CacheDir, r.digest, r.span, recs, sum.ResultsDigest)
 	}
 
 	s.metrics.runsInFlight.Add(-1)
 	s.inRuns.Done()
 }
 
-// persist writes a completed run's records to the durable cache, best
-// effort: the run has already been served and cached in memory, so a
-// persistence failure costs warmth after a restart, never correctness.
-// Records the entry already covers (an earlier partial persist) are
-// skipped; the digest is recorded once the span is whole.
-func (s *Server) persist(r *run, recs []harness.CellRecord, sum *Summary) {
-	st, err := store.Open(s.cfg.CacheDir, r.digest, r.span, store.Options{})
-	if err != nil {
-		// A format bump or span clash: the entry is stale by contract —
-		// wipe it and recompute from this run's records.
-		_ = store.Remove(s.cfg.CacheDir, r.digest)
-		if st, err = store.Open(s.cfg.CacheDir, r.digest, r.span, store.Options{}); err != nil {
-			return
-		}
-	}
-	defer st.Close()
-	for _, rec := range recs {
-		if st.Has(rec.Index) {
-			continue
-		}
-		if st.Append(rec) != nil {
-			return
-		}
-	}
-	if st.Complete() {
-		_ = st.SetRecordsDigest(sum.ResultsDigest)
-	}
-}
-
-// loadFromDisk probes the durable cache for a finished entry of the
-// given digest. It returns the records only when the entry is complete
-// and its stored bytes re-derive the recorded digest; anything less —
-// partial, torn, bit-flipped, digest mismatch — is evicted or ignored,
-// never served.
+// loadFromDisk returns the records of the durable cache's sealed entry
+// for digest, or nil; store.OpenSealed decides what is servable and
+// evicts what is corrupt.
 func (s *Server) loadFromDisk(digest string, span harness.IndexRange) []harness.CellRecord {
-	if _, err := os.Stat(store.EntryDir(s.cfg.CacheDir, digest)); err != nil {
-		return nil
-	}
-	st, err := store.Open(s.cfg.CacheDir, digest, span, store.Options{})
-	if err != nil {
-		_ = store.Remove(s.cfg.CacheDir, digest)
+	// OpenSealed's error is a failed eviction: the entry is not served
+	// either way, and the next Seal replaces it.
+	st, _ := store.OpenSealed(s.cfg.CacheDir, digest, span)
+	if st == nil {
 		return nil
 	}
 	defer st.Close()
-	if !st.Complete() || st.RecordsDigest() == "" {
-		return nil // a partial persist: not servable, but future runs may finish it
-	}
-	rederived, err := st.Digest()
-	if err != nil || rederived != st.RecordsDigest() {
-		st.Close()
-		_ = store.Remove(s.cfg.CacheDir, digest)
-		return nil
-	}
 	recs := make([]harness.CellRecord, 0, span.Count())
 	if st.Scan(func(rec harness.CellRecord) error {
 		recs = append(recs, rec)

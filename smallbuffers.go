@@ -670,27 +670,25 @@ func RegisteredFaults() []string { return registry.FaultNames() }
 // A Scenario is a serializable description of a workload: topology,
 // protocol, adversary, (ρ,σ) bound, horizon, bandwidths, seeds, and
 // invariant set, each axis a single point or a list. Scenarios marshal to
-// and from JSON, validate against the component registry, compile to a
-// Spec when one-point, and lift to a Sweep otherwise — so reproducing an
-// experiment means running a file (see testdata/scenarios/), not editing
-// a program. cmd/aqtsim and cmd/aqtbench consume them via -scenario and
-// -scenarios.
+// and from JSON, validate against the component registry, and lift to a
+// Sweep over their axes (a one-point scenario is a one-cell sweep) — so
+// reproducing an experiment means running a file (see testdata/scenarios/),
+// not editing a program. cmd/aqtsim and cmd/aqtbench consume them via
+// -scenario and -scenarios.
 
 type (
 	// Scenario is a declarative, serializable workload description; run it
-	// with Scenario.Run, serialize with Scenario.Marshal, compile with
-	// Scenario.Compile (one-point) or Scenario.Sweep (grids). Its content
-	// address is Scenario.Digest() — SHA-256 of the canonical Marshal
-	// form, stable across every JSON spelling of the same workload — the
-	// key the service tier's result cache memoizes on.
+	// with Scenario.Run, serialize with Scenario.Marshal, or lift it with
+	// Scenario.Sweep to attach observers. Its content address is
+	// Scenario.Digest() — SHA-256 of the canonical Marshal form, stable
+	// across every JSON spelling of the same workload — the key the
+	// service tier's result cache memoizes on.
 	Scenario = scenario.Scenario
 	// ScenarioComponent names one registered component plus parameters.
 	ScenarioComponent = scenario.Component
 	// ScenarioBound is the serializable (ρ,σ) bound: ρ is an exact
 	// rational string such as "1/2".
 	ScenarioBound = scenario.Bound
-	// ScenarioSingle is a fully materialized one-point scenario.
-	ScenarioSingle = scenario.Single
 	// ScenarioFlags bridges a flag-style flat parameter namespace to a
 	// one-point scenario (the CLIs' scenario constructor).
 	ScenarioFlags = scenario.Flags
@@ -802,6 +800,11 @@ func VerifyFleetLocal(ctx context.Context, sc *Scenario, fleetDigest string) err
 
 // FleetSystemClock is the real-time FleetClock used outside tests.
 func FleetSystemClock() FleetClock { return fleet.SystemClock() }
+
+// ParseFleetEndpoints expands the CLIs' -fleet operand: a comma-separated
+// endpoint list, or @file with one endpoint per line (blank lines and
+// #-comments skipped). Endpoints naming the same daemon are an error.
+func ParseFleetEndpoints(arg string) ([]string, error) { return fleet.ParseEndpoints(arg) }
 
 // --- Live observability ---
 //
@@ -999,5 +1002,5 @@ func FaultsExperiment(dropProbs ...Rat) Experiment {
 // reports whether every bound assertion held. Cancelling ctx aborts the
 // suite between simulation rounds.
 func RunAllExperiments(ctx context.Context, w io.Writer) (bool, error) {
-	return experiments.RunAll(ctx, w)
+	return experiments.RunAll(ctx, w, experiments.All())
 }
