@@ -19,14 +19,15 @@
 // never perturbs execution or results digests). -once prints a single
 // snapshot and exits.
 //
-// Failure semantics: a shard whose daemon dies mid-stream is discarded
-// wholesale and re-dispatched to a healthy daemon (capped exponential
-// backoff, bounded attempts, per-daemon quarantine); an idle daemon
-// steals the largest in-flight shard by cancelling it remotely, keeping
-// the cells it already streamed and re-dispatching only the uncovered
-// remainder. Cells are merged exactly once or the run fails — there is
-// no partial success. -verify-local re-runs the scenario in-process and
-// hard-errors on any digest divergence.
+// Failure semantics: every streamed cell is merged on arrival. When a
+// shard's daemon dies mid-stream, the cells it delivered stay merged and
+// only the uncovered remainder is re-dispatched to a healthy daemon
+// (capped exponential backoff, bounded attempts, per-daemon quarantine);
+// an idle daemon steals the largest in-flight shard by cancelling it
+// remotely, and the remainder is re-dispatched the same way. This holds
+// with and without -store. Cells are merged exactly once or the run
+// fails — there is no partial success. -verify-local re-runs the
+// scenario in-process and hard-errors on any digest divergence.
 package main
 
 import (

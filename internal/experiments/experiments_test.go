@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -63,6 +64,16 @@ func TestExperimentsPass(t *testing.T) {
 			}
 			if buf.Len() == 0 {
 				t.Errorf("%s produced no output", e.ID)
+			}
+			if e.ID == "E2" {
+				// A fixed adversary order keeps reruns diffable.
+				tab := out.Tables[0]
+				col := slices.Index(tab.Columns, "adversary")
+				for i, row := range tab.Rows {
+					if want := [...]string{"burst", "random"}[i%2]; row[col] != want {
+						t.Errorf("E2 row %d: adversary %q, want %q", i, row[col], want)
+					}
+				}
 			}
 		})
 	}

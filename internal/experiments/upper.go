@@ -94,15 +94,18 @@ func E2PPTS() Experiment {
 					if err != nil {
 						return nil, err
 					}
-					for name, adv := range map[string]adversary.Adversary{"burst": burst, "random": rnd} {
-						res, err := sim.Run(ctx, sim.NewSpec(nw, core.NewPPTS(), adv, horizon))
+					for _, a := range []struct {
+						name string
+						adv  adversary.Adversary
+					}{{"burst", burst}, {"random", rnd}} {
+						res, err := sim.Run(ctx, sim.NewSpec(nw, core.NewPPTS(), a.adv, horizon))
 						if err != nil {
 							return nil, err
 						}
 						limit := 1 + d + sigma
 						rowOK := res.MaxLoad <= limit
 						ok = ok && rowOK
-						table.AddRow(n, d, sigma, name, res.MaxLoad, limit,
+						table.AddRow(n, d, sigma, a.name, res.MaxLoad, limit,
 							stats.Ratio(res.MaxLoad, limit), stats.CheckMark(rowOK))
 					}
 				}
@@ -246,11 +249,4 @@ func E4HPTS() Experiment {
 			return out, emit(w, out)
 		},
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -158,9 +158,9 @@ func (c *client) submit(ctx context.Context, body []byte) (string, *service.Repo
 }
 
 // stream follows a run's NDJSON stream, invoking onCell for every cell
-// record, and returns the closing summary report. An error means the
-// stream broke before the summary — the caller must treat every cell it
-// saw as suspect and discard.
+// record as its frame decodes whole, and returns the closing summary
+// report. An error means the stream broke before the summary: the cells
+// already passed to onCell are sound, the rest of the run never arrived.
 func (c *client) stream(ctx context.Context, runID string, onCell func(harness.CellRecord)) (*service.Report, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/runs/"+runID+"/stream", nil)
 	if err != nil {
@@ -222,24 +222,6 @@ func (c *client) cancel(ctx context.Context, runID string) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return decodeError(resp)
-	}
-	io.Copy(io.Discard, resp.Body)
-	return nil
-}
-
-// ready probes /readyz. A nil error means the daemon accepts new work.
-func (c *client) ready(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/readyz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
 		return decodeError(resp)
 	}
 	io.Copy(io.Discard, resp.Body)

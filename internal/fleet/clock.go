@@ -9,11 +9,12 @@
 // Cell indices are a global property of the grid (see harness.Cell), so
 // shards are just index ranges and the merge is mechanical: collect every
 // cell exactly once, sort by index, digest. The coordinator enforces
-// "exactly once" structurally — a failed shard's partial records are
-// discarded wholesale before re-dispatch, and a stolen shard's already-
-// streamed records are committed while only the uncovered remainder is
-// re-enqueued — so the merged digest either equals the local digest or
-// the run errors. There is no "close enough".
+// "exactly once" structurally — every record is committed on arrival to
+// a merge (the caller's store, or an in-memory grid) that refuses an
+// index it already holds, and whenever a shard ends early (its daemon
+// died, a thief stole it, the daemon cancelled it) only its uncovered
+// remainder is re-enqueued — so the merged digest either equals the
+// local digest or the run errors. There is no "close enough".
 //
 // # Determinism discipline
 //

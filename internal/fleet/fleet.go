@@ -155,31 +155,19 @@ type shardItem struct {
 	attempts int
 }
 
-// task is one in-flight dispatch of a shard on a daemon. Without a
-// store, received buffers the streamed records until the task settles;
-// with one, records go straight to disk and only the appended count is
-// kept.
+// task is one in-flight dispatch of a shard on a daemon. Its records
+// are committed to the merge as they arrive; only their count is kept.
 type task struct {
 	item     shardItem
 	daemon   *daemonState
 	runID    string
 	stolen   bool // a thief has requested cancellation
-	received []harness.CellRecord
-	appended int // records persisted to the store by this task
-}
-
-// got counts the records this task has delivered so far. Caller holds
-// co.mu.
-func (t *task) got() int {
-	if t.received != nil {
-		return len(t.received)
-	}
-	return t.appended
+	appended int  // records this task committed to the merge
 }
 
 // remaining estimates the victim's uncovered cells — what a steal would
 // reclaim. Caller holds co.mu.
-func (t *task) remaining() int { return t.item.rng.Count() - t.got() }
+func (t *task) remaining() int { return t.item.rng.Count() - t.appended }
 
 type daemonState struct {
 	endpoint    string
@@ -189,32 +177,33 @@ type daemonState struct {
 	stats       DaemonStats
 }
 
+// merge is where the coordinator commits records as they arrive: the
+// caller's store, or an in-memory grid without one. Append refuses an
+// index outside the grid or one already merged — the structural
+// guarantee that nothing is ever double-merged.
+type merge interface {
+	Append(harness.CellRecord) error
+	Count() int
+	UncoveredIn(harness.IndexRange) []harness.IndexRange
+	Scan(func(harness.CellRecord) error) error
+	Digest() (string, error)
+}
+
 type coordinator struct {
 	cfg    Config
 	parent *scenario.Scenario
 	total  int
-	st     *store.Store // nil without a store; records then buffer in committed
+	merged merge
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	pending     []shardItem
-	running     map[*task]struct{}
-	committed   map[int]harness.CellRecord
-	healthy     int
-	fatal       error
-	done        bool
-	retries     int
-	steals      int
-	maxBuffered int
-}
-
-// mergedLocked counts the cells merged so far — the committed map
-// without a store, the store's coverage with one. Caller holds co.mu.
-func (co *coordinator) mergedLocked() int {
-	if co.st != nil {
-		return co.st.Count()
-	}
-	return len(co.committed)
+	mu      sync.Mutex
+	cond    *sync.Cond
+	pending []shardItem
+	running map[*task]struct{}
+	healthy int
+	fatal   error
+	done    bool
+	retries int
+	steals  int
 }
 
 // Run executes sc's whole sweep grid across the fleet and returns the
@@ -237,44 +226,42 @@ func Run(ctx context.Context, cfg Config, sc *scenario.Scenario) (*Result, error
 		return nil, err
 	}
 
-	co := &coordinator{
-		cfg:     cfg,
-		parent:  sc,
-		total:   total,
-		st:      cfg.Store,
-		running: map[*task]struct{}{},
-		healthy: len(cfg.Endpoints),
-	}
-	resumed := 0
-	if co.st != nil {
+	var merged merge
+	if st := cfg.Store; st != nil {
 		dig, err := sc.Digest()
 		if err != nil {
 			return nil, err
 		}
-		if got := co.st.Scenario(); got != dig {
+		if got := st.Scenario(); got != dig {
 			return nil, fmt.Errorf("fleet: store entry holds scenario %s, not %s", got, dig)
 		}
-		if sp := co.st.Span(); sp.Lo != 0 || sp.Hi != total {
+		if sp := st.Span(); sp.Lo != 0 || sp.Hi != total {
 			return nil, fmt.Errorf("fleet: store entry spans %v, scenario grid is [0,%d)", sp, total)
 		}
-		resumed = co.st.Count()
+		merged = st
 	} else {
-		co.committed = make(map[int]harness.CellRecord, total)
+		merged = newGrid(total)
+	}
+	co := &coordinator{
+		cfg:     cfg,
+		parent:  sc,
+		total:   total,
+		merged:  merged,
+		running: map[*task]struct{}{},
+		healthy: len(cfg.Endpoints),
 	}
 	co.cond = sync.NewCond(&co.mu)
 
 	// Size-aware partitioning: shards balance total topology node count,
 	// not cell count, so a few big-topology cells weigh as much as many
-	// small ones. With a store, only the uncovered remainder is
-	// partitioned at all — covered cells are already durable.
+	// small ones. Only the uncovered remainder is partitioned at all —
+	// cells a store already covers are durable.
 	weights, err := sc.CellWeights()
 	if err != nil {
 		return nil, err
 	}
-	owed := []harness.IndexRange{{Lo: 0, Hi: total}}
-	if co.st != nil {
-		owed = co.st.Uncovered()
-	}
+	resumed := merged.Count()
+	owed := merged.UncoveredIn(harness.IndexRange{Lo: 0, Hi: total})
 	for _, rng := range harness.PartitionRangesWeighted(owed, weights, len(cfg.Endpoints)*cfg.ShardsPerDaemon) {
 		co.pending = append(co.pending, shardItem{rng: rng})
 	}
@@ -309,13 +296,11 @@ func Run(ctx context.Context, cfg Config, sc *scenario.Scenario) (*Result, error
 
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	if co.st != nil {
+	if cfg.Store != nil {
 		// Whatever happened, commit the store's view of the merge so a
 		// failed or cancelled run resumes from everything that arrived.
-		if serr := co.st.Sync(); serr == nil && co.fatal == nil && ctx.Err() == nil {
-			// synced cleanly; fall through to the outcome checks
-		} else if serr != nil && co.fatal == nil && ctx.Err() == nil {
-			return nil, fmt.Errorf("fleet: store sync: %w", serr)
+		if err := cfg.Store.Sync(); err != nil && co.fatal == nil && ctx.Err() == nil {
+			return nil, fmt.Errorf("fleet: store sync: %w", err)
 		}
 	}
 	if co.fatal != nil {
@@ -324,95 +309,69 @@ func Run(ctx context.Context, cfg Config, sc *scenario.Scenario) (*Result, error
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if merged := co.mergedLocked(); merged != co.total {
-		return nil, fmt.Errorf("fleet: merged %d of %d cells", merged, co.total)
+	if n := merged.Count(); n != co.total {
+		return nil, fmt.Errorf("fleet: merged %d of %d cells", n, co.total)
 	}
 
 	sum := Summary{
-		Requested:        co.total,
-		Retries:          co.retries,
-		Steals:           co.steals,
-		Resumed:          resumed,
-		MaxBufferedCells: co.maxBuffered,
-		Wall:             cfg.Clock.Now().Sub(start),
+		Requested: co.total,
+		Retries:   co.retries,
+		Steals:    co.steals,
+		Resumed:   resumed,
+		Wall:      cfg.Clock.Now().Sub(start),
+	}
+
+	// Stream the merged records back in index order: the digest and the
+	// metric fold go record by record, so a store-backed merge holds O(1)
+	// cells in memory, exactly like its append path.
+	digest, err := merged.Digest()
+	if err != nil {
+		return nil, fmt.Errorf("fleet: merge digest: %w", err)
+	}
+	sum.ResultsDigest = digest
+	agg := make(map[string]metrics.Summary)
+	mergeable := true
+	err = merged.Scan(func(rec harness.CellRecord) error {
+		if rec.Err != "" {
+			sum.Failed++
+			return nil
+		}
+		sum.Completed++
+		if !mergeable {
+			return nil
+		}
+		for _, ms := range rec.Metrics {
+			prev, ok := agg[ms.Name]
+			if !ok {
+				agg[ms.Name] = ms
+				continue
+			}
+			m, err := metrics.Merge(prev, ms)
+			if err != nil {
+				// Same policy as a local sweep's MergeAll failing: drop
+				// the aggregate, keep the run.
+				mergeable = false
+				return nil
+			}
+			agg[ms.Name] = m
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("fleet: merge scan: %w", err)
+	}
+	if mergeable && len(agg) > 0 {
+		sum.Metrics = metrics.Records(agg)
 	}
 
 	var recs []harness.CellRecord
-	if co.st != nil {
-		// Stream the merged records back off disk in index order: the
-		// digest comes from a RecordsDigester over the stored bytes and
-		// the metric fold happens record by record — O(1) cells in
-		// memory, exactly like the append path.
-		digest, err := co.st.Digest()
-		if err != nil {
-			return nil, fmt.Errorf("fleet: store digest: %w", err)
-		}
-		sum.ResultsDigest = digest
-		agg := make(map[string]metrics.Summary)
-		mergeable := true
-		err = co.st.Scan(func(rec harness.CellRecord) error {
-			if rec.Err != "" {
-				sum.Failed++
-				return nil
-			}
-			sum.Completed++
-			if !mergeable {
-				return nil
-			}
-			for _, ms := range rec.Metrics {
-				prev, ok := agg[ms.Name]
-				if !ok {
-					agg[ms.Name] = ms
-					continue
-				}
-				m, err := metrics.Merge(prev, ms)
-				if err != nil {
-					// Same policy as MergeAll failing below: drop the
-					// aggregate, keep the run.
-					mergeable = false
-					return nil
-				}
-				agg[ms.Name] = m
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fleet: store scan: %w", err)
-		}
-		if mergeable && len(agg) > 0 {
-			sum.Metrics = metrics.Records(agg)
-		}
-		if err := co.st.SetRecordsDigest(digest); err != nil {
+	if cfg.Store != nil {
+		if err := cfg.Store.SetRecordsDigest(digest); err != nil {
 			return nil, fmt.Errorf("fleet: store digest commit: %w", err)
 		}
 	} else {
-		recs = make([]harness.CellRecord, 0, co.total)
-		for i := 0; i < co.total; i++ {
-			rec, ok := co.committed[i]
-			if !ok {
-				return nil, fmt.Errorf("fleet: cell %d missing from the merge", i)
-			}
-			recs = append(recs, rec)
-		}
-		sum.ResultsDigest = harness.RecordsDigest(recs)
-		var perCell []map[string]metrics.Summary
-		for _, rec := range recs {
-			if rec.Err != "" {
-				sum.Failed++
-				continue
-			}
-			sum.Completed++
-			if len(rec.Metrics) > 0 {
-				m := make(map[string]metrics.Summary, len(rec.Metrics))
-				for _, s := range rec.Metrics {
-					m[s.Name] = s
-				}
-				perCell = append(perCell, m)
-			}
-		}
-		if merged, err := metrics.MergeAll(perCell); err == nil {
-			sum.Metrics = metrics.Records(merged)
-		}
+		recs = merged.(*grid).records()
+		sum.MaxBufferedCells = len(recs)
 	}
 
 	var busy time.Duration
@@ -473,7 +432,7 @@ func (co *coordinator) next(ctx context.Context, d *daemonState) *task {
 			// Nothing pending, nothing running, not done: cells were lost
 			// without being re-enqueued — a coordinator bug, not a daemon
 			// failure. Fail loudly rather than hang.
-			co.fail(fmt.Errorf("fleet: %d of %d cells unaccounted for", co.total-co.mergedLocked(), co.total))
+			co.fail(fmt.Errorf("fleet: %d of %d cells unaccounted for", co.total-co.merged.Count(), co.total))
 			return nil
 		}
 		if victim := co.stealVictimLocked(); victim != nil {
@@ -516,8 +475,8 @@ func (co *coordinator) stealVictimLocked() *task {
 	return victim
 }
 
-// runTask dispatches one shard to d and settles the outcome: commit,
-// commit-and-split (stolen), or discard-and-requeue (failed).
+// runTask dispatches one shard to d and settles the outcome: done,
+// stolen (split the remainder), or failed (requeue the remainder).
 func (co *coordinator) runTask(ctx context.Context, d *daemonState, t *task) {
 	// Serve any backoff the daemon has earned before burdening it again.
 	co.mu.Lock()
@@ -525,7 +484,7 @@ func (co *coordinator) runTask(ctx context.Context, d *daemonState, t *task) {
 	co.mu.Unlock()
 	if fails > 0 {
 		if err := co.cfg.Clock.Sleep(ctx, co.backoff(fails)); err != nil {
-			co.requeue(t, false, nil)
+			co.requeue(t, false)
 			return
 		}
 	}
@@ -561,7 +520,7 @@ func (co *coordinator) runTask(ctx context.Context, d *daemonState, t *task) {
 		}
 		// No work lost: the shard re-enters the queue without consuming an
 		// attempt.
-		co.requeue(t, false, nil)
+		co.requeue(t, false)
 		return
 	}
 
@@ -573,17 +532,11 @@ func (co *coordinator) runTask(ctx context.Context, d *daemonState, t *task) {
 		co.mu.Unlock()
 		if cached.Status != service.StatusDone {
 			co.daemonFailed(d)
-			co.requeue(t, true, nil)
+			co.requeue(t, true)
 			return
 		}
-		if co.st != nil {
-			for _, rec := range cached.Cells {
-				co.appendCell(t, rec)
-			}
-		} else {
-			co.mu.Lock()
-			t.received = cached.Cells
-			co.mu.Unlock()
+		for _, rec := range cached.Cells {
+			co.appendCell(t, rec)
 		}
 		co.commitDone(d, t, co.cfg.Clock.Now().Sub(start))
 		return
@@ -594,30 +547,16 @@ func (co *coordinator) runTask(ctx context.Context, d *daemonState, t *task) {
 	d.stats.Dispatches++
 	co.mu.Unlock()
 
-	rep, err := d.client.stream(ctx, runID, func(rec harness.CellRecord) {
-		if co.st != nil {
-			co.appendCell(t, rec)
-			return
-		}
-		co.mu.Lock()
-		t.received = append(t.received, rec)
-		co.mu.Unlock()
-	})
+	rep, err := d.client.stream(ctx, runID, func(rec harness.CellRecord) { co.appendCell(t, rec) })
 	elapsed := co.cfg.Clock.Now().Sub(start)
 	if err != nil {
 		// The stream broke before its summary: the daemon (or the network
-		// to it) died mid-shard. Without a store everything received is
-		// suspect — discard it all and redispatch the whole shard. With
-		// one, each record was checksummed and validated on its way to
-		// disk; the durable prefix stays and only the uncovered remainder
-		// redispatches. Either way the loss consumes an attempt.
+		// to it) died mid-shard. Each record it delivered was decoded whole
+		// and committed on arrival; only the uncovered remainder
+		// redispatches, and the loss consumes an attempt.
 		co.cfg.Logf("fleet: stream %s from %s broke: %v", t.item.rng, d.endpoint, err)
 		co.daemonFailed(d)
-		if co.st != nil {
-			co.requeueRemainder(t, true)
-		} else {
-			co.requeue(t, true, nil)
-		}
+		co.requeue(t, true)
 		return
 	}
 
@@ -633,52 +572,97 @@ func (co *coordinator) runTask(ctx context.Context, d *daemonState, t *task) {
 			return
 		}
 		// Cancelled by the daemon's own lifecycle (drain, shutdown), not
-		// by a thief: partial work we did not ask to stop. Discard (or,
-		// with a store, keep what landed and redispatch the rest).
+		// by a thief: partial work we did not ask to stop. Keep what
+		// arrived and redispatch the rest.
 		co.cfg.Logf("fleet: %s cancelled shard %s unasked", d.endpoint, t.item.rng)
 		co.daemonFailed(d)
-		if co.st != nil {
-			co.requeueRemainder(t, true)
-		} else {
-			co.requeue(t, true, nil)
-		}
+		co.requeue(t, true)
 	default:
 		co.daemonFailed(d)
-		co.requeue(t, true, fmt.Errorf("fleet: %s finished shard %s in unexpected status %q", d.endpoint, t.item.rng, rep.Status))
+		co.failTask(t, fmt.Errorf("fleet: %s finished shard %s in unexpected status %q", d.endpoint, t.item.rng, rep.Status))
 	}
 }
 
-// appendCell streams one received record into the store (store mode
-// only). Records carrying a context-cancellation error are scheduling
-// artifacts — a cell interrupted mid-simulation, not a result — and are
-// dropped so their indices stay uncovered and re-run. An append failure
-// is fatal: the disk under the merge is gone or lying.
+// appendCell commits one received record to the merge. Records carrying
+// a context-cancellation error are scheduling artifacts — a cell
+// interrupted mid-simulation, not a result — and are dropped so their
+// indices stay uncovered and re-run. A record outside the task's shard,
+// one already merged, or a failed store append is fatal: either the
+// daemon or the disk under the merge is lying.
 func (co *coordinator) appendCell(t *task, rec harness.CellRecord) {
 	if strings.Contains(rec.Err, context.Canceled.Error()) {
 		return
 	}
-	if err := co.st.Append(rec); err != nil {
-		co.mu.Lock()
-		co.fail(fmt.Errorf("fleet: store append cell %d of shard %s: %w", rec.Index, t.item.rng, err))
-		co.mu.Unlock()
-		return
+	var err error
+	if rec.Index < t.item.rng.Lo || rec.Index >= t.item.rng.Hi {
+		err = fmt.Errorf("fleet: shard %s streamed out-of-range cell %d", t.item.rng, rec.Index)
+	} else if aerr := co.merged.Append(rec); aerr != nil {
+		err = fmt.Errorf("fleet: merge cell %d of shard %s: %w", rec.Index, t.item.rng, aerr)
 	}
 	co.mu.Lock()
+	defer co.mu.Unlock()
+	if err != nil {
+		co.fail(err)
+		return
+	}
 	t.appended++
-	co.mu.Unlock()
 }
 
-// requeueRemainder settles a partially delivered store-mode task:
-// records that reached the store stay durable — the merge is append-only
-// — and only the uncovered remainder returns to the queue. lostWork
-// consumes one of the shard's attempts, exactly as requeue does; a fully
-// delivered shard (the failure hit after its last record) settles
-// without consuming one.
-func (co *coordinator) requeueRemainder(t *task, lostWork bool) {
+// commitDone settles a cleanly finished shard. Its records are already
+// merged; done means the daemon claims the shard is whole — hold it to
+// that.
+func (co *coordinator) commitDone(d *daemonState, t *task, elapsed time.Duration) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
+	if rest := co.merged.UncoveredIn(t.item.rng); len(rest) > 0 {
+		missing := 0
+		for _, r := range rest {
+			missing += r.Count()
+		}
+		co.failLocked(t, fmt.Errorf("fleet: %s finished shard %s but %d of its cells never arrived",
+			d.endpoint, t.item.rng, missing))
+		return
+	}
+	d.consecFails = 0
+	d.stats.Cells += t.appended
+	d.stats.Busy += elapsed
+	co.settleLocked(t)
+}
+
+// commitStolen settles a cancelled victim: the records it cleanly
+// completed are already merged (appendCell drops the cancellation
+// artifacts), and the uncovered remainder returns to the queue, a single
+// large one split so thief and victim can share it.
+func (co *coordinator) commitStolen(d *daemonState, t *task, elapsed time.Duration) {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	d.consecFails = 0
+	d.stats.Cells += t.appended
+	d.stats.Busy += elapsed
+	rest := co.merged.UncoveredIn(t.item.rng)
+	if len(rest) == 1 && rest[0].Count() >= 2*co.cfg.MinStealCells {
+		mid := rest[0].Lo + rest[0].Count()/2
+		rest = []harness.IndexRange{{Lo: rest[0].Lo, Hi: mid}, {Lo: mid, Hi: rest[0].Hi}}
+	}
+	for _, rng := range rest {
+		co.pending = append(co.pending, shardItem{rng: rng, attempts: t.item.attempts})
+	}
+	co.cfg.Logf("fleet: shard %s stolen: %d cells kept, %d re-enqueued in %d pieces",
+		t.item.rng, t.appended, t.item.rng.Count()-t.appended, len(rest))
+	co.settleLocked(t)
+}
+
+// requeue settles a task that did not finish: the records it merged stay
+// merged and are credited to its daemon, and only the uncovered remainder
+// returns to the queue. lostWork consumes one of the shard's attempts,
+// and exceeding MaxAttempts fails the run; a shard whose every cell
+// arrived before the failure settles without consuming one.
+func (co *coordinator) requeue(t *task, lostWork bool) {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	t.daemon.stats.Cells += t.appended
 	item := t.item
-	rest := co.st.UncoveredIn(item.rng)
+	rest := co.merged.UncoveredIn(item.rng)
 	if lostWork && len(rest) > 0 {
 		item.attempts++
 		co.retries++
@@ -694,172 +678,13 @@ func (co *coordinator) requeueRemainder(t *task, lostWork bool) {
 	co.settleLocked(t)
 }
 
-// commitDone merges a cleanly finished shard: exactly the shard's cells,
-// each exactly once.
-func (co *coordinator) commitDone(d *daemonState, t *task, elapsed time.Duration) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if co.st != nil {
-		// The records are already durable; done just means the daemon
-		// claims the shard is whole — hold it to that.
-		if rest := co.st.UncoveredIn(t.item.rng); len(rest) > 0 {
-			missing := 0
-			for _, r := range rest {
-				missing += r.Count()
-			}
-			co.failLocked(t, fmt.Errorf("fleet: %s finished shard %s but %d of its cells never arrived",
-				d.endpoint, t.item.rng, missing))
-			return
-		}
-		d.consecFails = 0
-		d.stats.Cells += t.appended
-		d.stats.Busy += elapsed
-		co.settleLocked(t)
-		return
-	}
-	if len(t.received) != t.item.rng.Count() {
-		co.failLocked(t, fmt.Errorf("fleet: %s returned %d records for %d-cell shard %s",
-			d.endpoint, len(t.received), t.item.rng.Count(), t.item.rng))
-		return
-	}
-	if !co.commitLocked(t, t.received) {
-		return
-	}
-	d.consecFails = 0
-	d.stats.Cells += len(t.received)
-	d.stats.Busy += elapsed
-	co.settleLocked(t)
-}
-
-// commitStolen merges what a cancelled victim actually executed and
-// re-enqueues the uncovered remainder. Records of cells that were
-// interrupted mid-simulation carry a context-cancellation error — those
-// are scheduling artifacts, not results, and return to the queue.
-func (co *coordinator) commitStolen(d *daemonState, t *task, elapsed time.Duration) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if co.st != nil {
-		// Clean records already streamed to disk (appendCell filters the
-		// cancellation artifacts); re-enqueue the uncovered remainder,
-		// splitting a single large one so thief and victim share it.
-		d.consecFails = 0
-		d.stats.Cells += t.appended
-		d.stats.Busy += elapsed
-		rest := co.st.UncoveredIn(t.item.rng)
-		if len(rest) == 1 && rest[0].Count() >= 2*co.cfg.MinStealCells {
-			mid := rest[0].Lo + rest[0].Count()/2
-			rest = []harness.IndexRange{{Lo: rest[0].Lo, Hi: mid}, {Lo: mid, Hi: rest[0].Hi}}
-		}
-		for _, rng := range rest {
-			co.pending = append(co.pending, shardItem{rng: rng, attempts: t.item.attempts})
-		}
-		co.cfg.Logf("fleet: shard %s stolen: %d cells kept, %d re-enqueued in %d pieces",
-			t.item.rng, t.appended, t.item.rng.Count()-t.appended, len(rest))
-		co.settleLocked(t)
-		return
-	}
-	clean := make([]harness.CellRecord, 0, len(t.received))
-	for _, rec := range t.received {
-		if strings.Contains(rec.Err, context.Canceled.Error()) {
-			continue
-		}
-		clean = append(clean, rec)
-	}
-	if !co.commitLocked(t, clean) {
-		return
-	}
-	d.consecFails = 0
-	d.stats.Cells += len(clean)
-	d.stats.Busy += elapsed
-
-	// Re-enqueue the uncovered sub-intervals; split a single large
-	// remainder so the thief and this daemon can share it.
-	rest := co.uncoveredLocked(t.item.rng)
-	if len(rest) == 1 && rest[0].Count() >= 2*co.cfg.MinStealCells {
-		mid := rest[0].Lo + rest[0].Count()/2
-		rest = []harness.IndexRange{{Lo: rest[0].Lo, Hi: mid}, {Lo: mid, Hi: rest[0].Hi}}
-	}
-	for _, rng := range rest {
-		co.pending = append(co.pending, shardItem{rng: rng, attempts: t.item.attempts})
-	}
-	co.cfg.Logf("fleet: shard %s stolen: %d cells kept, %d re-enqueued in %d pieces",
-		t.item.rng, len(clean), t.item.rng.Count()-len(clean), len(rest))
-	co.settleLocked(t)
-}
-
-// commitLocked merges records into the global cell map, failing the run
-// on any duplicate or out-of-shard index — the structural guarantee that
-// nothing is ever double-merged. Caller holds co.mu.
-func (co *coordinator) commitLocked(t *task, recs []harness.CellRecord) bool {
-	for _, rec := range recs {
-		if rec.Index < t.item.rng.Lo || rec.Index >= t.item.rng.Hi {
-			co.failLocked(t, fmt.Errorf("fleet: shard %s streamed out-of-range cell %d", t.item.rng, rec.Index))
-			return false
-		}
-		if _, dup := co.committed[rec.Index]; dup {
-			co.failLocked(t, fmt.Errorf("fleet: cell %d merged twice", rec.Index))
-			return false
-		}
-	}
-	for _, rec := range recs {
-		co.committed[rec.Index] = rec
-	}
-	if len(co.committed) > co.maxBuffered {
-		co.maxBuffered = len(co.committed)
-	}
-	return true
-}
-
-// uncoveredLocked lists the maximal sub-intervals of rng whose cells are
-// not yet committed. Caller holds co.mu.
-func (co *coordinator) uncoveredLocked(rng harness.IndexRange) []harness.IndexRange {
-	var out []harness.IndexRange
-	for i := rng.Lo; i < rng.Hi; i++ {
-		if _, ok := co.committed[i]; ok {
-			continue
-		}
-		if n := len(out); n > 0 && out[n-1].Hi == i {
-			out[n-1].Hi = i + 1
-		} else {
-			out = append(out, harness.IndexRange{Lo: i, Hi: i + 1})
-		}
-	}
-	return out
-}
-
 // settleLocked removes a finished task and flips done when the grid is
 // fully merged. Caller holds co.mu.
 func (co *coordinator) settleLocked(t *task) {
 	delete(co.running, t)
-	if co.mergedLocked() == co.total {
+	if co.merged.Count() == co.total {
 		co.done = true
 	}
-	co.cond.Broadcast()
-}
-
-// requeue discards a task's received records and returns its whole range
-// to the queue. lostWork consumes one of the shard's attempts; exceeding
-// MaxAttempts (or a non-nil hard error) fails the run.
-func (co *coordinator) requeue(t *task, lostWork bool, hard error) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if hard != nil {
-		co.failLocked(t, hard)
-		return
-	}
-	item := t.item
-	if lostWork {
-		item.attempts++
-		co.retries++
-		t.daemon.stats.Failures++
-		if item.attempts >= co.cfg.MaxAttempts {
-			co.failLocked(t, fmt.Errorf("fleet: shard %s failed %d times, giving up", item.rng, item.attempts))
-			return
-		}
-	}
-	t.received = nil
-	co.pending = append(co.pending, item)
-	delete(co.running, t)
 	co.cond.Broadcast()
 }
 

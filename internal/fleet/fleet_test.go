@@ -19,6 +19,7 @@ import (
 	"smallbuffers/internal/scenario"
 	"smallbuffers/internal/service"
 	"smallbuffers/internal/sim"
+	"smallbuffers/internal/store"
 )
 
 // A test-only protocol with a per-round delay so tests can hold shards
@@ -204,47 +205,118 @@ func TestFleetMatchesLocalDigest(t *testing.T) {
 	}
 }
 
+// mergeModes are the coordinator's two merges: in memory, and into a
+// store opened on a fresh directory.
+var mergeModes = []struct {
+	name  string
+	store func(t *testing.T, sc *scenario.Scenario) *store.Store
+}{
+	{"memory", func(*testing.T, *scenario.Scenario) *store.Store { return nil }},
+	{"store", func(t *testing.T, sc *scenario.Scenario) *store.Store { return openStoreFor(t, t.TempDir(), sc) }},
+}
+
 // TestFleetSurvivesDaemonDeath kills one daemon mid-stream (after it has
 // delivered a few cells) and requires the merged digest to still match
-// the local run: the dead daemon's partial shards are discarded and
-// re-dispatched, never double-merged.
+// the local run in both merge modes: the cells the dead daemon delivered
+// stay merged, only the remainder is re-dispatched, and nothing is ever
+// double-merged.
 func TestFleetSurvivesDaemonDeath(t *testing.T) {
 	sc := gridScenario(t, "fleet-death", 8, 40, 2000)
 	want := localDigest(t, sc)
+	for _, mode := range mergeModes {
+		t.Run(mode.name, func(t *testing.T) {
+			st := mode.store(t, sc)
+			victim := newDaemon(t, service.Config{Workers: 2, SweepWorkers: 1})
+			victim.killAfter = 3 // die after three stream lines: mid-shard by construction
+			healthy1 := newDaemon(t, service.Config{Workers: 2, SweepWorkers: 2})
+			healthy2 := newDaemon(t, service.Config{Workers: 2, SweepWorkers: 2})
 
-	victim := newDaemon(t, service.Config{Workers: 2, SweepWorkers: 1})
-	victim.killAfter = 3 // die after three stream lines: mid-shard by construction
-	healthy1 := newDaemon(t, service.Config{Workers: 2, SweepWorkers: 2})
-	healthy2 := newDaemon(t, service.Config{Workers: 2, SweepWorkers: 2})
+			cfg := Config{
+				Endpoints:    []string{victim.addr(), healthy1.addr(), healthy2.addr()},
+				Store:        st,
+				BackoffBase:  time.Millisecond,
+				BackoffMax:   20 * time.Millisecond,
+				FailureLimit: 2,
+				Logf:         t.Logf,
+			}
+			res, err := Run(context.Background(), cfg, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Summary.ResultsDigest != want {
+				t.Fatalf("fleet digest %s, local %s (retries=%d)", res.Summary.ResultsDigest, want, res.Summary.Retries)
+			}
+			if !victim.dead.Load() {
+				t.Fatal("kill switch never fired")
+			}
+			if res.Summary.Retries == 0 {
+				t.Error("daemon died mid-stream but retries = 0")
+			}
+			var quarantined bool
+			for _, ds := range res.Summary.Daemons {
+				if ds.Endpoint == victim.addr() && ds.Quarantined {
+					quarantined = true
+				}
+			}
+			if !quarantined {
+				t.Error("dead daemon not quarantined")
+			}
+			wantBuffered := 16
+			if st != nil {
+				wantBuffered = 0
+				if !st.Complete() {
+					t.Errorf("store incomplete: %d of 16", st.Count())
+				}
+			}
+			if res.Summary.MaxBufferedCells != wantBuffered {
+				t.Errorf("MaxBufferedCells = %d, want %d", res.Summary.MaxBufferedCells, wantBuffered)
+			}
+		})
+	}
+}
 
-	cfg := Config{
-		Endpoints:    []string{victim.addr(), healthy1.addr(), healthy2.addr()},
-		BackoffBase:  time.Millisecond,
-		BackoffMax:   20 * time.Millisecond,
-		FailureLimit: 2,
-		Logf:         t.Logf,
-	}
-	res, err := Run(context.Background(), cfg, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Summary.ResultsDigest != want {
-		t.Fatalf("fleet digest %s, local %s (retries=%d)", res.Summary.ResultsDigest, want, res.Summary.Retries)
-	}
-	if !victim.dead.Load() {
-		t.Fatal("kill switch never fired")
-	}
-	if res.Summary.Retries == 0 {
-		t.Error("daemon died mid-stream but retries = 0")
-	}
-	var quarantined bool
-	for _, ds := range res.Summary.Daemons {
-		if ds.Endpoint == victim.addr() && ds.Quarantined {
-			quarantined = true
-		}
-	}
-	if !quarantined {
-		t.Error("dead daemon not quarantined")
+// TestFleetCreditsCellsOfBrokenStream pins per-daemon accounting after a
+// broken stream: the victim's shard is 4 cells and it dies after
+// streaming 2, so it is credited with exactly those 2, the healthy daemon
+// runs its own 4 plus the victim's 2-cell remainder, and the per-daemon
+// cells sum to the grid.
+func TestFleetCreditsCellsOfBrokenStream(t *testing.T) {
+	sc := gridScenario(t, "fleet-broken-stream", 4, 40, 0)
+	want := localDigest(t, sc)
+	for _, mode := range mergeModes {
+		t.Run(mode.name, func(t *testing.T) {
+			victim := newDaemon(t, service.Config{Workers: 1, SweepWorkers: 1})
+			victim.killAfter = 3 // the third line is written but never flushed
+			healthy := newDaemon(t, service.Config{Workers: 1, SweepWorkers: 1})
+			cfg := Config{
+				Endpoints:         []string{victim.addr(), healthy.addr()},
+				Store:             mode.store(t, sc),
+				ShardsPerDaemon:   1,
+				InFlightPerDaemon: 1,
+				FailureLimit:      1,
+				Logf:              t.Logf,
+			}
+			res, err := Run(context.Background(), cfg, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Summary.ResultsDigest != want {
+				t.Fatalf("fleet digest %s, local %s", res.Summary.ResultsDigest, want)
+			}
+			if !victim.dead.Load() {
+				t.Fatal("kill switch never fired")
+			}
+			cells := 0
+			for _, ds := range res.Summary.Daemons {
+				cells += ds.Cells
+				if ds.Endpoint == victim.addr() && ds.Cells != 2 {
+					t.Errorf("victim credited with %d cells, want the 2 it streamed", ds.Cells)
+				}
+			}
+			if cells != 8 {
+				t.Errorf("daemon cell counts sum to %d, want 8", cells)
+			}
+		})
 	}
 }
 

@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"testing"
-	"time"
 
 	"smallbuffers/internal/harness"
 	"smallbuffers/internal/scenario"
@@ -166,45 +165,6 @@ func TestFleetStoreAlreadyComplete(t *testing.T) {
 		if ds.Dispatches != 0 {
 			t.Fatalf("complete entry still dispatched to %s", ds.Endpoint)
 		}
-	}
-}
-
-// TestFleetStoreSurvivesDaemonDeath is the durability cross of the death
-// test: a daemon dies mid-stream, the cells it delivered stay durable,
-// only the remainder redispatches, and the digest still matches local.
-func TestFleetStoreSurvivesDaemonDeath(t *testing.T) {
-	sc := gridScenario(t, "fleet-store-death", 8, 40, 2000)
-	want := localDigest(t, sc)
-	st := openStoreFor(t, t.TempDir(), sc)
-
-	victim := newDaemon(t, service.Config{Workers: 2, SweepWorkers: 1})
-	victim.killAfter = 3
-	healthy1 := newDaemon(t, service.Config{Workers: 2, SweepWorkers: 2})
-	healthy2 := newDaemon(t, service.Config{Workers: 2, SweepWorkers: 2})
-
-	cfg := Config{
-		Endpoints:    []string{victim.addr(), healthy1.addr(), healthy2.addr()},
-		Store:        st,
-		BackoffBase:  time.Millisecond,
-		BackoffMax:   20 * time.Millisecond,
-		FailureLimit: 2,
-		Logf:         t.Logf,
-	}
-	res, err := Run(context.Background(), cfg, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Summary.ResultsDigest != want {
-		t.Fatalf("store-mode digest after death %s, local %s (retries=%d)", res.Summary.ResultsDigest, want, res.Summary.Retries)
-	}
-	if !victim.dead.Load() {
-		t.Fatal("kill switch never fired")
-	}
-	if res.Summary.MaxBufferedCells != 0 {
-		t.Fatalf("store mode buffered %d cells", res.Summary.MaxBufferedCells)
-	}
-	if !st.Complete() {
-		t.Fatalf("store incomplete: %d of 16", st.Count())
 	}
 }
 

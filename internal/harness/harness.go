@@ -19,7 +19,6 @@ package harness
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -206,25 +205,6 @@ type Sweep struct {
 	ShardOffset int
 	ShardCount  int
 
-	// Skip names global cell-index ranges to leave out of execution — the
-	// resume path: cells whose records are already durable in a store
-	// need not be re-run, and the sweep executes only the remainder.
-	// Ranges must be disjoint and ascending (as Store.Covered reports
-	// them); they compose with the shard, skipping within the shard's
-	// cells. Skipped cells keep their global indices vacant: they do not
-	// run, do not appear in the SweepResult, and the caller reassembles
-	// the full record set (store + fresh records, sorted by index) for
-	// digesting.
-	Skip []IndexRange
-
-	// Sink, when set, receives every executed cell's wire record as the
-	// cell completes (completion order, not index order). An append error
-	// cancels the sweep's remaining cells and fails Run. Records of cells
-	// that died of the sweep's own cancellation are not appended — a
-	// cancellation artifact is not a result, and persisting one would
-	// poison resume with a record a fresh run would never produce.
-	Sink RecordSink
-
 	// RawSeeds passes each cell's grid seed to its adversary verbatim
 	// instead of deriving a per-cell seed from BaseSeed and the cell
 	// coordinates. The scenario layer sets it so that a serialized seed
@@ -313,16 +293,6 @@ func (s *Sweep) validate() error {
 	if s.ShardOffset > 0 && s.ShardCount == 0 {
 		return fmt.Errorf("harness: ShardOffset %d without a ShardCount", s.ShardOffset)
 	}
-	prev := IndexRange{Lo: -1, Hi: 0}
-	for _, r := range s.Skip {
-		if r.Lo < 0 || r.Hi <= r.Lo {
-			return fmt.Errorf("harness: malformed skip range %v", r)
-		}
-		if r.Lo < prev.Hi {
-			return fmt.Errorf("harness: skip ranges %v and %v out of order (must be disjoint ascending)", prev, r)
-		}
-		prev = r
-	}
 	return nil
 }
 
@@ -409,8 +379,8 @@ func deriveSeed(base int64, c Cell) int64 {
 }
 
 // CellsToRun expands the grid (see Cells) and applies the configured
-// shard and skip ranges: exactly the cells Stream and Run will execute,
-// in global index order.
+// shard: exactly the cells Stream and Run will execute, in global index
+// order.
 func (s *Sweep) CellsToRun() ([]Cell, error) {
 	cells, err := s.Cells()
 	if err != nil {
@@ -422,21 +392,7 @@ func (s *Sweep) CellsToRun() ([]Cell, error) {
 		}
 		cells = cells[s.ShardOffset : s.ShardOffset+s.ShardCount]
 	}
-	if len(s.Skip) == 0 {
-		return cells, nil
-	}
-	kept := make([]Cell, 0, len(cells))
-	si := 0
-	for _, c := range cells {
-		for si < len(s.Skip) && s.Skip[si].Hi <= c.Index {
-			si++
-		}
-		if si < len(s.Skip) && s.Skip[si].Lo <= c.Index {
-			continue
-		}
-		kept = append(kept, c)
-	}
-	return kept, nil
+	return cells, nil
 }
 
 // Stream executes the sweep (or its configured shard) on the worker pool
@@ -671,22 +627,9 @@ func (s *Sweep) Run(ctx context.Context) (*SweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	runCtx := ctx
-	var cancel context.CancelFunc
-	if s.Sink != nil {
-		runCtx, cancel = context.WithCancel(ctx)
-		defer cancel()
-	}
-	var sinkErr error
 	agg := &SweepResult{Requested: len(cells)}
-	for cr := range s.stream(runCtx, cells) {
+	for cr := range s.stream(ctx, cells) {
 		agg.Cells = append(agg.Cells, cr)
-		if s.Sink != nil && sinkErr == nil && !isCancelArtifact(cr.Err) {
-			if err := s.Sink.Append(cr.Record()); err != nil {
-				sinkErr = err
-				cancel()
-			}
-		}
 		if cr.Err != nil {
 			agg.Failed++
 			continue
@@ -719,16 +662,5 @@ func (s *Sweep) Run(ctx context.Context) (*SweepResult, error) {
 		agg.Interrupted = true
 		return agg, err
 	}
-	if sinkErr != nil {
-		agg.Interrupted = true
-		return agg, fmt.Errorf("harness: record sink: %w", sinkErr)
-	}
 	return agg, nil
-}
-
-// isCancelArtifact reports whether a cell error is the sweep's own
-// cancellation surfacing through the engine rather than a result the
-// cell deterministically produces.
-func isCancelArtifact(err error) bool {
-	return err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 }

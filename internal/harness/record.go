@@ -40,18 +40,6 @@ type CellRecord struct {
 	Err     string            `json:"error,omitempty"`
 }
 
-// RecordSink receives executed cell records as they complete. It is the
-// harness's hook into the persistence tier (implemented by the on-disk
-// result store) without the harness depending on it: a sweep configured
-// with a sink streams every record out as soon as its cell finishes, in
-// completion order — sinks that need index order (digests do) re-sort or
-// re-merge on their side. Sinks must be safe for use from the single
-// aggregation goroutine that calls them; an append error aborts the
-// sweep.
-type RecordSink interface {
-	Append(CellRecord) error
-}
-
 // MetricByName returns the record's summary for the named collector.
 func (r CellRecord) MetricByName(name string) (metrics.Summary, bool) {
 	for _, s := range r.Metrics {

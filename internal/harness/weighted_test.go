@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"testing"
 )
@@ -117,99 +115,5 @@ func TestPartitionRangesWeighted(t *testing.T) {
 
 	if PartitionRangesWeighted(nil, weights, 4) != nil {
 		t.Fatal("no ranges produced pieces")
-	}
-}
-
-// sinkRecorder collects appended records and can fail on demand.
-type sinkRecorder struct {
-	recs    []CellRecord
-	failAt  int // fail when len(recs) reaches failAt (0 = never)
-	sinkErr error
-}
-
-func (k *sinkRecorder) Append(r CellRecord) error {
-	if k.failAt > 0 && len(k.recs)+1 >= k.failAt {
-		return k.sinkErr
-	}
-	k.recs = append(k.recs, r)
-	return nil
-}
-
-func TestSweepSkipAndSink(t *testing.T) {
-	// Full run: the reference digest, with a sink attached — the sink
-	// must see exactly the executed records.
-	full := acceptanceSweep(4)
-	sink := &sinkRecorder{}
-	full.Sink = sink
-	ref, err := full.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.recs) != 32 {
-		t.Fatalf("sink saw %d records, want 32", len(sink.recs))
-	}
-	refDigest := ref.Digest()
-
-	// Skip two ranges; the executed cells are exactly the complement, and
-	// stitching the skipped cells back in reproduces the digest.
-	skip := []IndexRange{{Lo: 4, Hi: 9}, {Lo: 20, Hi: 32}}
-	part := acceptanceSweep(4)
-	part.Skip = skip
-	partRes, err := part.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	skipped := func(i int) bool {
-		for _, r := range skip {
-			if i >= r.Lo && i < r.Hi {
-				return true
-			}
-		}
-		return false
-	}
-	want := 0
-	for i := 0; i < 32; i++ {
-		if !skipped(i) {
-			want++
-		}
-	}
-	if len(partRes.Cells) != want {
-		t.Fatalf("skip run executed %d cells, want %d", len(partRes.Cells), want)
-	}
-	stitched := partRes.Records()
-	for _, rec := range ref.Records() {
-		if skipped(rec.Index) {
-			stitched = append(stitched, rec)
-		}
-	}
-	if got := RecordsDigest(stitched); got != refDigest {
-		t.Fatalf("stitched digest %s, full %s", got, refDigest)
-	}
-
-	// Malformed skip ranges are rejected up front.
-	for _, bad := range [][]IndexRange{
-		{{Lo: 5, Hi: 5}},                  // empty
-		{{Lo: -1, Hi: 2}},                 // negative
-		{{Lo: 8, Hi: 10}, {Lo: 2, Hi: 4}}, // descending
-		{{Lo: 2, Hi: 6}, {Lo: 5, Hi: 9}},  // overlapping
-	} {
-		s := acceptanceSweep(1)
-		s.Skip = bad
-		if _, err := s.Run(context.Background()); err == nil {
-			t.Fatalf("skip %v accepted", bad)
-		}
-	}
-}
-
-func TestSweepSinkErrorAbortsRun(t *testing.T) {
-	s := acceptanceSweep(4)
-	boom := errors.New("disk gone")
-	s.Sink = &sinkRecorder{failAt: 5, sinkErr: boom}
-	res, err := s.Run(context.Background())
-	if err == nil || !errors.Is(err, boom) {
-		t.Fatalf("sink failure not surfaced: %v", err)
-	}
-	if res == nil || !res.Interrupted {
-		t.Fatalf("sink failure did not interrupt the sweep: %+v", res)
 	}
 }

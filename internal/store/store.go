@@ -339,7 +339,6 @@ func (s *Store) ranges(covered bool, within harness.IndexRange) []harness.IndexR
 // fleet merges shards concurrently); an index outside the span or
 // already covered is an error — the caller's bookkeeping, not the
 // record, is wrong, and silently dropping either would hide it.
-// Append implements harness.RecordSink.
 func (s *Store) Append(rec harness.CellRecord) error {
 	line, err := json.Marshal(rec)
 	if err != nil {

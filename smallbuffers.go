@@ -863,9 +863,10 @@ func PartitionSweepCellsWeighted(weights []int, shards int) []CellIndexRange {
 // once as a checksummed NDJSON line, a manifest tracks the covered index
 // ranges, and torn or bit-flipped tails are detected and truncated on
 // open. It is the durability layer behind fleet checkpoint/resume
-// (FleetConfig.Store, aqtctl -store/-resume), Sweep.Sink streaming, and
-// the daemon's restart-surviving cache (ServerConfig.CacheDir,
-// aqtserve -cache-dir).
+// (FleetConfig.Store, aqtctl -store/-resume: every record a daemon
+// delivers is committed on arrival, so a broken run resumes from all of
+// them), corpus checkpointing (aqtbench -store), and the daemon's
+// restart-surviving cache (ServerConfig.CacheDir, aqtserve -cache-dir).
 
 type (
 	// ResultStore is one scenario's durable record set; open it with
@@ -873,9 +874,6 @@ type (
 	ResultStore = store.Store
 	// ResultStoreOptions tunes an open store (sync cadence).
 	ResultStoreOptions = store.Options
-	// SweepRecordSink receives each completed cell record in completion
-	// order (Sweep.Sink); returning an error aborts the sweep.
-	SweepRecordSink = harness.RecordSink
 	// SweepRecordsDigester computes SweepResultsDigest incrementally
 	// from encoded records fed in ascending index order — O(1) memory
 	// however large the grid.
