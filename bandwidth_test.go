@@ -10,10 +10,13 @@ import (
 	"testing"
 
 	sb "smallbuffers"
+	"smallbuffers/internal/adversary"
+	"smallbuffers/internal/core"
+	"smallbuffers/internal/network"
 )
 
 func TestNetworkBandwidthAccessors(t *testing.T) {
-	nw, err := sb.NewPath(8, sb.WithUniformBandwidth(4), sb.WithLinkBandwidth(3, 2))
+	nw, err := sb.NewPath(8, sb.WithUniformBandwidth(4), network.WithLinkBandwidth(3, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +58,7 @@ func TestSweepBandwidthAxisMonotone(t *testing.T) {
 		proto func() sb.Protocol
 		dests []sb.NodeID
 	}{
-		{"PTS", func() sb.Protocol { return sb.NewPTS() }, nil},
+		{"PTS", func() sb.Protocol { return core.NewPTS() }, nil},
 		{"PPTS", func() sb.Protocol { return sb.NewPPTS() }, dests(48)},
 	}
 	for _, tc := range cases {
@@ -100,7 +103,7 @@ func TestSweepBandwidthAxisMonotone(t *testing.T) {
 
 func TestSweepBandwidthAxisValidation(t *testing.T) {
 	sweep := &sb.Sweep{
-		Protocols:   []sb.SweepProtocol{sb.NewSweepProtocol("PTS", func() sb.Protocol { return sb.NewPTS() })},
+		Protocols:   []sb.SweepProtocol{sb.NewSweepProtocol("PTS", func() sb.Protocol { return core.NewPTS() })},
 		Topologies:  []sb.SweepTopology{sb.SweepPath(8)},
 		Bounds:      []sb.Bound{{Rho: sb.NewRat(1, 1), Sigma: 1}},
 		Adversaries: []sb.SweepAdversary{sb.SweepRandomAdversary(nil)},
@@ -133,7 +136,7 @@ func TestSuperUnitRateAdmissibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sb.VerifyAdversary(fast, adv, 400); err != nil {
+	if err := adversary.VerifyPrefix(fast, adv, 400); err != nil {
 		t.Errorf("shaped super-unit pattern violated its own bound: %v", err)
 	}
 }
@@ -143,9 +146,9 @@ func TestLinkUtilizationReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv := sb.NewStream(sb.Bound{Rho: sb.NewRat(1, 1), Sigma: 1}, 0, 7)
+	adv := adversary.NewStream(sb.Bound{Rho: sb.NewRat(1, 1), Sigma: 1}, 0, 7)
 	res, err := sb.RunContext(context.Background(),
-		sb.NewSpec(nw, sb.NewPTS(sb.PTSWithDrain()), adv, 200))
+		sb.NewSpec(nw, core.NewPTS(core.WithDrain()), adv, 200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +181,7 @@ func TestEngineDeliversEverythingFasterWithBandwidth(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := sb.RunContext(context.Background(),
-			sb.NewSpec(nw, sb.NewPTS(sb.PTSWithDrain()), adv, 400))
+			sb.NewSpec(nw, core.NewPTS(core.WithDrain()), adv, 400))
 		if err != nil {
 			t.Fatal(err)
 		}

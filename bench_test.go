@@ -1,7 +1,7 @@
 package smallbuffers_test
 
 // One benchmark per reproduced artifact (the experiment index of
-// DESIGN.md §4), plus micro-benchmarks of the hot paths. Each experiment
+// EXPERIMENTS.md), plus micro-benchmarks of the hot paths. Each experiment
 // benchmark executes one representative workload of its table per
 // iteration; `go test -bench=.` therefore regenerates every measured
 // quantity of the paper at a probe scale, and cmd/aqtbench produces the
@@ -14,6 +14,12 @@ import (
 	"testing"
 
 	sb "smallbuffers"
+	"smallbuffers/internal/adversary"
+	"smallbuffers/internal/core"
+	"smallbuffers/internal/local"
+	"smallbuffers/internal/network"
+	"smallbuffers/internal/opt"
+	"smallbuffers/internal/sim"
 )
 
 // runOnce executes one simulation and reports the max load to the bench.
@@ -35,11 +41,11 @@ func BenchmarkE1PTS(b *testing.B) {
 	bound := sb.Bound{Rho: sb.NewRat(1, 1), Sigma: 2}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		adv, err := sb.PTSBurstAdversary(nw, bound, 384)
+		adv, err := adversary.PTSBurst(nw, bound, 384)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res := runOnce(b, sb.NewSpec(nw, sb.NewPTS(), adv, 384))
+		res := runOnce(b, sb.NewSpec(nw, core.NewPTS(), adv, 384))
 		if res.MaxLoad > 2+bound.Sigma {
 			b.Fatalf("bound violated: %d", res.MaxLoad)
 		}
@@ -167,7 +173,7 @@ func BenchmarkE7Greedy(b *testing.B) {
 	bound := sb.Bound{Rho: sb.NewRat(1, 1), Sigma: 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		adv, err := sb.GreedyKillerAdversary(nw, bound, 16, 768)
+		adv, err := adversary.GreedyKiller(nw, bound, 16, 768)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,7 +196,7 @@ func BenchmarkE8Ablation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		runOnce(b, sb.NewSpec(nw, sb.NewHPTS(2, sb.HPTSAblatePreBad()), adv, 1024))
+		runOnce(b, sb.NewSpec(nw, sb.NewHPTS(2, core.HPTSAblatePreBad()), adv, 1024))
 	}
 }
 
@@ -211,7 +217,7 @@ func BenchmarkE9Exact(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sb.SolveOptimal(sb.OptConfig{
+		if _, err := opt.Solve(opt.Config{
 			Net: nw, Adversary: adv, Rounds: adv.Rounds(),
 			MaxStates: 4_000_000, MaxBranch: 1 << 16,
 		}); err != nil {
@@ -230,8 +236,8 @@ func BenchmarkE10Locality(b *testing.B) {
 	bound := sb.Bound{Rho: sb.NewRat(1, 1), Sigma: 0}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		adv := sb.NewStream(bound, 0, 15)
-		res := runOnce(b, sb.NewSpec(nw, sb.NewDownhill(), adv, 768))
+		adv := adversary.NewStream(bound, 0, 15)
+		res := runOnce(b, sb.NewSpec(nw, local.NewDownhill(), adv, 768))
 		if res.MaxLoad != 15 {
 			b.Fatalf("staircase height %d, want 15", res.MaxLoad)
 		}
@@ -267,7 +273,7 @@ func BenchmarkAdaptiveHotSpot(b *testing.B) {
 	dests := []sb.NodeID{40, 50, 60, 63}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		adv, err := sb.NewHotSpotAdversary(nw, bound, dests, 7)
+		adv, err := adversary.NewHotSpot(nw, bound, dests, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -304,7 +310,7 @@ func BenchmarkEngineGreedyThroughput(b *testing.B) {
 	bound := sb.Bound{Rho: sb.NewRat(1, 1), Sigma: 0}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		adv := sb.NewStream(bound, 0, 255)
+		adv := adversary.NewStream(bound, 0, 255)
 		runOnce(b, sb.NewSpec(nw, sb.NewGreedy(sb.FIFO), adv, 1024))
 	}
 }
@@ -318,9 +324,9 @@ func BenchmarkEngineReuse(b *testing.B) {
 	}
 	bound := sb.Bound{Rho: sb.NewRat(1, 1), Sigma: 0}
 	mkSpec := func() sb.Spec {
-		return sb.NewSpec(nw, sb.NewGreedy(sb.FIFO), sb.NewStream(bound, 0, 255), 1024)
+		return sb.NewSpec(nw, sb.NewGreedy(sb.FIFO), adversary.NewStream(bound, 0, 255), 1024)
 	}
-	eng, err := sb.NewEngine(mkSpec())
+	eng, err := sim.NewEngine(mkSpec())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -350,7 +356,7 @@ func BenchmarkSweep32(b *testing.B) {
 			},
 			Topologies: []sb.SweepTopology{
 				sb.SweepPath(32),
-				{Name: "binary(4)", New: func() (*sb.Network, error) { return sb.BinaryTree(4) }},
+				{Name: "binary(4)", New: func() (*sb.Network, error) { return network.BinaryTree(4) }},
 			},
 			Bounds:      []sb.Bound{{Rho: sb.NewRat(1, 1), Sigma: 2}},
 			Adversaries: []sb.SweepAdversary{sb.SweepRandomAdversary(nil)},
@@ -403,7 +409,7 @@ func BenchmarkAdversaryVerifier(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := sb.VerifyAdversary(nw, adv, 512); err != nil {
+		if err := adversary.VerifyPrefix(nw, adv, 512); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,5 +1,5 @@
 // Command aqtbench regenerates the paper's evaluation: every theorem and
-// figure as a measured table (see DESIGN.md §4 for the experiment index),
+// figure as a measured table (see EXPERIMENTS.md for the experiment index),
 // and runs scenario-file workloads (see testdata/scenarios/).
 //
 // Examples:

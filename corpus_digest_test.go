@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	sb "smallbuffers"
+	"smallbuffers/internal/harness"
 )
 
 func TestCorpusDigestsPinned(t *testing.T) {
@@ -53,7 +54,7 @@ func TestCorpusDigestsPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := sb.SweepResultsDigest(agg.Records()); got != pinned {
+			if got := harness.RecordsDigest(agg.Records()); got != pinned {
 				t.Errorf("results digest drifted:\n got %s\nwant %s\nIf the change is intentional, regenerate the pinned entry; if not, the simulation semantics changed.", got, pinned)
 			}
 		})

@@ -58,40 +58,3 @@ func ExampleNewLowerBoundAdversary() {
 	// buffers 48, rounds 64, floor 5/4
 	// F(0) = 47, F moves left: F(last) = 20
 }
-
-// ExampleNewSchedule builds and verifies an explicit injection pattern.
-func ExampleNewSchedule() {
-	nw, err := sb.NewPath(8)
-	if err != nil {
-		panic(err)
-	}
-	bound := sb.Bound{Rho: sb.NewRat(1, 1), Sigma: 1}
-	adv := sb.NewSchedule().
-		At(0, 0, 7).     // round 0: inject 0 → 7
-		AtN(3, 2, 2, 7). // round 3: two packets 2 → 7
-		Build(bound)
-	err = sb.VerifyAdversary(nw, adv, 10)
-	fmt.Println("within (1,1):", err == nil)
-	// Output: within (1,1): true
-}
-
-// ExampleNewUnion composes edge-disjoint sources with a tight bound.
-func ExampleNewUnion() {
-	nw, err := sb.NewPath(9)
-	if err != nil {
-		panic(err)
-	}
-	bound := sb.Bound{Rho: sb.NewRat(1, 2), Sigma: 1}
-	left, err := sb.NewOnOff(bound, 0, 4)
-	if err != nil {
-		panic(err)
-	}
-	right, err := sb.NewOnOff(bound, 4, 8)
-	if err != nil {
-		panic(err)
-	}
-	u := sb.NewUnion(left, right).WithUnionBound(bound) // routes are disjoint
-	err = sb.VerifyAdversary(nw, u, 100)
-	fmt.Println("tight union bound holds:", err == nil)
-	// Output: tight union bound holds: true
-}

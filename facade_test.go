@@ -8,25 +8,32 @@ import (
 	"testing"
 
 	sb "smallbuffers"
+	"smallbuffers/internal/adversary"
+	"smallbuffers/internal/core"
+	"smallbuffers/internal/local"
+	"smallbuffers/internal/metrics"
+	"smallbuffers/internal/network"
+	"smallbuffers/internal/registry"
+	"smallbuffers/internal/sim"
 )
 
-// TestFacadeSurface exercises every public constructor end to end so the
-// facade cannot drift from the internals it wraps.
+// TestFacadeSurface drives the facade's constructors, and the internal
+// components the CLIs reach by name, end to end beside each other.
 func TestFacadeSurface(t *testing.T) {
 	t.Run("topologies", func(t *testing.T) {
-		if _, err := sb.NewTree([]sb.NodeID{1, sb.None}); err != nil {
+		if _, err := network.NewTree([]sb.NodeID{1, network.None}); err != nil {
 			t.Error(err)
 		}
-		if _, err := sb.NewForest([]sb.NodeID{sb.None, sb.None}); err != nil {
+		if _, err := network.NewForest([]sb.NodeID{network.None, network.None}); err != nil {
 			t.Error(err)
 		}
-		if _, err := sb.RandomTree(10, rand.New(rand.NewSource(1))); err != nil {
+		if _, err := network.RandomTree(10, rand.New(rand.NewSource(1))); err != nil {
 			t.Error(err)
 		}
-		if _, err := sb.CaterpillarTree(3, 1); err != nil {
+		if _, err := network.CaterpillarTree(3, 1); err != nil {
 			t.Error(err)
 		}
-		if _, err := sb.BinaryTree(2); err != nil {
+		if _, err := network.BinaryTree(2); err != nil {
 			t.Error(err)
 		}
 	})
@@ -59,7 +66,7 @@ func TestFacadeSurface(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := sb.RunContext(context.Background(),
-			sb.NewSpec(tree, sb.NewTreePTS(sb.TreePTSWithDrain()), tadv, 100)); err != nil {
+			sb.NewSpec(tree, sb.NewTreePTS(core.TreePTSWithDrain()), tadv, 100)); err != nil {
 			t.Fatal(err)
 		}
 
@@ -72,7 +79,7 @@ func TestFacadeSurface(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := sb.RunContext(context.Background(),
-			sb.NewSpec(nw64, sb.NewHPTS(2, sb.HPTSAblatePreBad()), radv, 200)); err != nil {
+			sb.NewSpec(nw64, sb.NewHPTS(2, core.HPTSAblatePreBad()), radv, 200)); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -83,9 +90,9 @@ func TestFacadeSurface(t *testing.T) {
 			t.Fatal(err)
 		}
 		bound := sb.Bound{Rho: sb.NewRat(1, 2), Sigma: 1}
-		for _, p := range []sb.Protocol{sb.NewDownhill(), sb.NewOddEvenDownhill()} {
+		for _, p := range []sb.Protocol{local.NewDownhill(), local.NewOddEven()} {
 			res, err := sb.RunContext(context.Background(),
-				sb.NewSpec(nw, p, sb.NewStream(bound, 0, 7), 200))
+				sb.NewSpec(nw, p, adversary.NewStream(bound, 0, 7), 200))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,42 +108,38 @@ func TestFacadeSurface(t *testing.T) {
 			t.Fatal(err)
 		}
 		bound := sb.Bound{Rho: sb.NewRat(1, 1), Sigma: 2}
-		hot, err := sb.NewHotSpotAdversary(nw, bound, []sb.NodeID{15}, 1)
+		hot, err := adversary.NewHotSpot(nw, bound, []sb.NodeID{15}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cons := sb.NewConservationCheck()
+		cons := sim.NewConservationCheck()
 		if _, err := sb.RunContext(context.Background(),
-			sb.NewSpec(nw, sb.NewPTS(), hot, 150, sb.WithObservers(cons))); err != nil {
+			sb.NewSpec(nw, core.NewPTS(), hot, 150, sb.WithObservers(cons))); err != nil {
 			t.Fatal(err)
 		}
 		if cons.Err != nil {
 			t.Error(cons.Err)
 		}
 
-		rr := sb.NewRoundRobin(bound, 0, []sb.NodeID{10, 12, 15})
-		if err := sb.VerifyAdversary(nw, rr, 60); err != nil {
+		rr := adversary.NewRoundRobin(bound, 0, []sb.NodeID{10, 12, 15})
+		if err := adversary.VerifyPrefix(nw, rr, 60); err != nil {
 			t.Error(err)
 		}
-		delayed := sb.NewDelayed(sb.NewStream(bound, 0, 15), 5)
-		if err := sb.VerifyAdversary(nw, delayed, 60); err != nil {
-			t.Error(err)
-		}
-		gk, err := sb.GreedyKillerAdversary(nw, bound, 4, 120)
+		gk, err := adversary.GreedyKiller(nw, bound, 4, 120)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sb.VerifyAdversary(nw, gk, 120); err != nil {
+		if err := adversary.VerifyPrefix(nw, gk, 120); err != nil {
 			t.Error(err)
 		}
 	})
 
 	t.Run("scenarios and registry", func(t *testing.T) {
-		if len(sb.RegisteredProtocols()) < 10 || len(sb.RegisteredTopologies()) < 4 ||
-			len(sb.RegisteredAdversaries()) < 7 || len(sb.RegisteredInvariants()) < 1 {
+		if len(registry.ProtocolNames()) < 10 || len(registry.TopologyNames()) < 4 ||
+			len(registry.AdversaryNames()) < 7 || len(registry.InvariantNames()) < 1 {
 			t.Errorf("registry enumeration too small: %v / %v / %v / %v",
-				sb.RegisteredProtocols(), sb.RegisteredTopologies(),
-				sb.RegisteredAdversaries(), sb.RegisteredInvariants())
+				registry.ProtocolNames(), registry.TopologyNames(),
+				registry.AdversaryNames(), registry.InvariantNames())
 		}
 		sc, err := sb.ParseScenario([]byte(`{
 			"topology": {"name": "path", "params": {"n": 16}},
@@ -159,12 +162,12 @@ func TestFacadeSurface(t *testing.T) {
 			t.Errorf("scenario run: %+v (first err: %v)", agg, agg.FirstErr())
 		}
 
-		// The extension hooks: a custom protocol registered under a new name
-		// is immediately constructible from scenario JSON.
-		err = sb.RegisterProtocol(sb.RegistryProtocol{
+		// A custom protocol registered under a new name is immediately
+		// constructible from scenario JSON.
+		err = registry.RegisterProtocol(registry.Protocol{
 			Name: "facade-test-greedy",
-			Doc:  "registered through the facade in a test",
-			Build: func(sb.RegistryParams) (sb.Protocol, error) {
+			Doc:  "registered in a test",
+			Build: func(registry.Params) (sb.Protocol, error) {
 				return sb.NewGreedy(sb.FIFO), nil
 			},
 		})
@@ -193,17 +196,11 @@ func TestFacadeSurface(t *testing.T) {
 	})
 
 	t.Run("metrics", func(t *testing.T) {
-		if got := sb.RegisteredMetrics(); len(got) < 5 {
-			t.Errorf("RegisteredMetrics = %v, want the 5 built-ins", got)
+		if got := registry.MetricNames(); len(got) < 5 {
+			t.Errorf("MetricNames = %v, want the 5 built-ins", got)
 		}
-		hist, err := sb.NewMetric("load_hist", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		series, err := sb.NewMetric("load_series", map[string]any{"cap": 16, "tail": 4})
-		if err != nil {
-			t.Fatal(err)
-		}
+		hist := newMetric(t, "load_hist", nil)
+		series := newMetric(t, "load_series", map[string]any{"cap": 16, "tail": 4})
 		nw, err := sb.NewPath(8)
 		if err != nil {
 			t.Fatal(err)
@@ -213,7 +210,7 @@ func TestFacadeSurface(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := sb.RunContext(context.Background(),
-			sb.NewSpec(nw, sb.NewPPTS(), adv, 60, sb.WithMetrics(hist, series)))
+			sb.NewSpec(nw, sb.NewPPTS(), adv, 60, sim.WithMetrics(hist, series)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,12 +236,12 @@ func TestFacadeSurface(t *testing.T) {
 			t.Error("empty histogram rendering")
 		}
 
-		// A custom collector registered through the facade is immediately
+		// A custom collector registered under a new name is immediately
 		// selectable from scenario JSON.
-		err = sb.RegisterMetric(sb.RegistryMetric{
+		err = registry.RegisterMetric(registry.Metric{
 			Name: "facade-test-rounds",
-			Doc:  "registered through the facade in a test",
-			Build: func(sb.RegistryParams) (sb.MetricCollector, error) {
+			Doc:  "registered in a test",
+			Build: func(registry.Params) (metrics.Collector, error) {
 				return &roundCounter{}, nil
 			},
 		})
@@ -293,15 +290,34 @@ func TestFacadeSurface(t *testing.T) {
 	})
 }
 
-// roundCounter is a minimal custom collector exercising the extension
-// hook: it counts rounds through the facade-exported hook types.
+// newMetric builds a fresh collector from the registry by name, with
+// params resolved against its schema.
+func newMetric(t *testing.T, name string, params map[string]any) metrics.Collector {
+	t.Helper()
+	e, err := registry.LookupMetric(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := e.Params.Resolve(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := e.Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// roundCounter is a minimal custom collector registered by name: it
+// counts rounds through the metrics hook types.
 type roundCounter struct {
-	sb.NopObserver
+	metrics.NopObserver
 	rounds int
 }
 
-func (c *roundCounter) Name() string                  { return "facade-test-rounds" }
-func (c *roundCounter) OnRoundEnd(int, sb.MetricView) { c.rounds++ }
+func (c *roundCounter) Name() string                 { return "facade-test-rounds" }
+func (c *roundCounter) OnRoundEnd(int, metrics.View) { c.rounds++ }
 func (c *roundCounter) Summarize() sb.MetricSummary {
 	return sb.MetricSummary{Name: "facade-test-rounds", Kind: "scalar",
 		Scalars: map[string]int{"rounds": c.rounds}}

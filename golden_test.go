@@ -20,12 +20,18 @@ import (
 	"testing"
 
 	sb "smallbuffers"
+	"smallbuffers/internal/baseline"
+	"smallbuffers/internal/core"
+	"smallbuffers/internal/local"
+	"smallbuffers/internal/metrics"
+	"smallbuffers/internal/network"
+	"smallbuffers/internal/sim"
 )
 
 // execDigest observes a run and folds every move and every post-round load
 // vector into one 64-bit digest.
 type execDigest struct {
-	sb.NopObserver
+	metrics.NopObserver
 	h interface {
 		Write([]byte) (int, error)
 		Sum64() uint64
@@ -34,13 +40,13 @@ type execDigest struct {
 
 func newExecDigest() *execDigest { return &execDigest{h: fnv.New64a()} }
 
-func (d *execDigest) OnForward(round int, moves []sb.Move) {
+func (d *execDigest) OnForward(round int, moves []metrics.Move) {
 	for _, m := range moves {
 		fmt.Fprintf(d.h, "F|%d|%d|%d|%d|%t|", round, m.Pkt.ID, m.From, m.To, m.Delivered)
 	}
 }
 
-func (d *execDigest) OnRoundEnd(round int, v sb.MetricView) {
+func (d *execDigest) OnRoundEnd(round int, v metrics.View) {
 	n := v.Net().Len()
 	fmt.Fprintf(d.h, "R|%d|", round)
 	for i := 0; i < n; i++ {
@@ -93,19 +99,19 @@ func goldenScenarios() []scenario {
 	}
 
 	scenarios := []scenario{
-		pathScenario("pts/path48/random-sink", 400, func() sb.Protocol { return sb.NewPTS() }, sinkDest),
-		pathScenario("pts-drain/path48/random-sink", 400, func() sb.Protocol { return sb.NewPTS(sb.PTSWithDrain()) }, sinkDest),
+		pathScenario("pts/path48/random-sink", 400, func() sb.Protocol { return core.NewPTS() }, sinkDest),
+		pathScenario("pts-drain/path48/random-sink", 400, func() sb.Protocol { return core.NewPTS(core.WithDrain()) }, sinkDest),
 		pathScenario("ppts/path48/random-multi", 400, func() sb.Protocol { return sb.NewPPTS() }, multiDest),
 		pathScenario("ppts-drain/path48/random-multi", 400, func() sb.Protocol { return sb.NewPPTS(sb.PPTSWithDrain()) }, multiDest),
-		pathScenario("downhill/path48/random-sink", 400, func() sb.Protocol { return sb.NewDownhill() }, sinkDest),
-		pathScenario("oddeven/path48/random-half", 400, func() sb.Protocol { return sb.NewOddEvenDownhill() }, halfRate),
+		pathScenario("downhill/path48/random-sink", 400, func() sb.Protocol { return local.NewDownhill() }, sinkDest),
+		pathScenario("oddeven/path48/random-half", 400, func() sb.Protocol { return local.NewOddEven() }, halfRate),
 	}
 	greedy := []struct {
 		tag    string
 		policy sb.GreedyPolicy
 	}{
-		{"fifo", sb.FIFO}, {"lifo", sb.LIFO}, {"lis", sb.LIS},
-		{"sis", sb.SIS}, {"ntg", sb.NTG}, {"ftg", sb.FTG},
+		{"fifo", baseline.FIFO{}}, {"lifo", baseline.LIFO{}}, {"lis", baseline.LIS{}},
+		{"sis", baseline.SIS{}}, {"ntg", baseline.NTG{}}, {"ftg", baseline.FTG{}},
 	}
 	for _, g := range greedy {
 		policy := g.policy
@@ -141,7 +147,7 @@ func goldenScenarios() []scenario {
 		}})
 	scenarios = append(scenarios, scenario{name: "tree-ppts/caterpillar8x2/random-spine", rounds: 400,
 		build: func() (*sb.Network, sb.Protocol, sb.Adversary, error) {
-			nw, err := sb.CaterpillarTree(8, 2)
+			nw, err := network.CaterpillarTree(8, 2)
 			if err != nil {
 				return nil, nil, nil, err
 			}
@@ -167,7 +173,7 @@ func TestGoldenB1Equivalence(t *testing.T) {
 		}
 		dig := newExecDigest()
 		res, err := sb.RunContext(t.Context(),
-			sb.NewSpec(nw, proto, adv, sc.rounds, sb.WithObservers(dig), sb.WithVerifyAdversary()))
+			sb.NewSpec(nw, proto, adv, sc.rounds, sb.WithObservers(dig), sim.WithVerifyAdversary()))
 		if err != nil {
 			t.Fatalf("%s: run: %v", sc.name, err)
 		}

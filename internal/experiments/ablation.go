@@ -13,7 +13,8 @@ import (
 	"smallbuffers/internal/trace"
 )
 
-// E8Ablations measures the two design choices DESIGN.md calls out:
+// E8Ablations measures the two design choices that EXPERIMENTS.md's
+// index lists for E8:
 // (a) HPTS's ActivatePreBad step — removing it should break the Lemma 4.8
 // phase invariant and can raise the max load; (b) the drain-when-idle
 // extension to PPTS — it must not raise the max load while restoring

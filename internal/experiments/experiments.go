@@ -4,7 +4,7 @@
 // cmd/aqtbench binary and the repository's benchmarks run these; their
 // output is the source for EXPERIMENTS.md.
 //
-// Index (see DESIGN.md §4 for the full mapping):
+// Index (see the Index section of EXPERIMENTS.md for the full mapping):
 //
 //	F1  Figure 1        hierarchical partition and virtual trajectory
 //	E1  Prop 3.1        PTS ≤ 2 + σ

@@ -16,9 +16,9 @@ import (
 	"smallbuffers/internal/stats"
 )
 
-// DefaultDropProbs is the loss axis E13 sweeps: exact drop probabilities
+// dropProbs is the loss axis E13 sweeps: exact drop probabilities
 // from loss-free to heavy loss.
-var DefaultDropProbs = []rat.Rat{
+var dropProbs = []rat.Rat{
 	rat.New(0, 1), rat.New(1, 100), rat.New(1, 20), rat.New(1, 10), rat.New(1, 4),
 }
 
@@ -36,10 +36,7 @@ var DefaultDropProbs = []rat.Rat{
 // growing headroom), while goodput — the delivered fraction — decays:
 // loss buys buffer space at the price of throughput, the inverse of
 // E12's bandwidth tradeoff.
-func E13Faults(dropProbs ...rat.Rat) Experiment {
-	if len(dropProbs) == 0 {
-		dropProbs = DefaultDropProbs
-	}
+func E13Faults() Experiment {
 	return Experiment{
 		ID:    "E13",
 		Title: "buffer headroom under loss: drop probability vs max load and goodput",

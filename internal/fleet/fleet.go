@@ -1,3 +1,28 @@
+// Package fleet is the distribution tier: a coordinator that splits one
+// scenario's sweep grid into deterministic index-range shards, dispatches
+// them to a fleet of aqtserve daemons, and merges the streamed per-cell
+// records back into the exact record set — and RecordsDigest — of a
+// local single-process run.
+//
+// # Correctness model
+//
+// Cell indices are a global property of the grid (see harness.Cell), so
+// shards are just index ranges and the merge is mechanical: collect every
+// cell exactly once, sort by index, digest. The coordinator enforces
+// "exactly once" structurally — every record is committed on arrival to
+// a merge (the caller's store, or an in-memory grid) that refuses an
+// index it already holds, and whenever a shard ends early (its daemon
+// died, a thief stole it, the daemon cancelled it) only its uncovered
+// remainder is re-enqueued — so the merged digest either equals the
+// local digest or the run errors. There is no "close enough".
+//
+// # Determinism discipline
+//
+// Simulation results never depend on the fleet: scheduling, retries,
+// steals, and daemon failures change only where cells execute. Wall-clock
+// time is confined to the injected Config.Clock, a live.Clock (aqtlint's
+// nowallclock analyzer covers this package), so tests drive backoff
+// deterministically.
 package fleet
 
 import (
@@ -9,6 +34,7 @@ import (
 	"time"
 
 	"smallbuffers/internal/harness"
+	"smallbuffers/internal/live"
 	"smallbuffers/internal/metrics"
 	"smallbuffers/internal/scenario"
 	"smallbuffers/internal/service"
@@ -59,9 +85,10 @@ type Config struct {
 	// The merged digest is byte-identical with and without a store —
 	// persistence changes where records live, never what they contain.
 	Store *store.Store
-	// Clock injects time for backoff and the summary's elapsed fields.
-	// Defaults to SystemClock(). Simulation results never depend on it.
-	Clock Clock
+	// Clock injects time for backoff, live-watch pacing and the summary's
+	// elapsed fields. Defaults to live.SystemClock(). Simulation results
+	// never depend on it.
+	Clock live.Clock
 	// Logf, when set, receives human-oriented progress lines (dispatches,
 	// failures, steals).
 	Logf func(format string, args ...any)
@@ -90,7 +117,7 @@ func (c Config) withDefaults() Config {
 		c.MinStealCells = 4
 	}
 	if c.Clock == nil {
-		c.Clock = SystemClock()
+		c.Clock = live.SystemClock()
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}

@@ -18,62 +18,19 @@ func (r IndexRange) Count() int { return r.Hi - r.Lo }
 // String renders the range in half-open interval notation.
 func (r IndexRange) String() string { return fmt.Sprintf("[%d,%d)", r.Lo, r.Hi) }
 
-// PartitionCells splits the global cell-index space [0, total) into at
-// most shards contiguous, non-overlapping ranges that cover it exactly,
-// in index order, with sizes differing by at most one (the remainder
-// spreads over the leading ranges). Because cell indices are a global,
-// deterministic property of the grid — never of workers, machines, or
-// scheduling — any partition of the index space executes every cell
-// exactly once wherever the pieces run, and the per-cell records
-// reassemble by index into the record set (and RecordsDigest) of an
-// unsharded run. total ≤ 0 or shards ≤ 0 yields nil.
-func PartitionCells(total, shards int) []IndexRange {
-	if total <= 0 || shards <= 0 {
-		return nil
-	}
-	if shards > total {
-		shards = total
-	}
-	out := make([]IndexRange, 0, shards)
-	size, rem := total/shards, total%shards
-	lo := 0
-	for i := 0; i < shards; i++ {
-		hi := lo + size
-		if i < rem {
-			hi++
-		}
-		out = append(out, IndexRange{Lo: lo, Hi: hi})
-		lo = hi
-	}
-	return out
-}
-
-// PartitionCellsWeighted is the size-aware PartitionCells: it splits the
-// index space [0, len(weights)) into at most shards contiguous ranges of
-// near-equal total *weight* rather than near-equal cell count, so a
-// shard of few big-topology cells balances against a shard of many small
-// ones instead of straggling. weights[i] is the cost of cell i (the
-// distribution tier uses topology node count); non-positive weights
-// count as 1. Like PartitionCells the result is a deterministic function
-// of its arguments, covers the index space exactly, and preserves global
-// indices — weighting redistributes work, it never changes what any cell
-// computes, so result digests are unaffected.
-func PartitionCellsWeighted(weights []int, shards int) []IndexRange {
-	if len(weights) == 0 || shards <= 0 {
-		return nil
-	}
-	return PartitionRangesWeighted([]IndexRange{{Lo: 0, Hi: len(weights)}}, weights, shards)
-}
-
 // PartitionRangesWeighted subdivides the given ranges — disjoint,
-// ascending, as Covered/Uncovered report them — into about shards
-// contiguous pieces of near-equal total weight. It is the resume-path
-// generalization of PartitionCellsWeighted: the cells still owed may be
-// an arbitrary union of ranges (whatever a prior interrupted run left
-// uncovered), and pieces never span a gap between input ranges. weights
-// is indexed by *global* cell index and must extend past the highest
-// range bound; non-positive weights count as 1. Deterministic in its
-// arguments.
+// ascending, as Covered/Uncovered report them — into contiguous pieces of
+// near-equal total weight; the fleet plans its shards with it. One range
+// yields at most shards pieces and each further range adds at most one,
+// because pieces never span a gap between input ranges (the cells a
+// prior interrupted run left uncovered may be any union of ranges).
+// weights[i] is the cost of cell i (the fleet uses topology node count),
+// indexed by *global* cell index; it must extend past the highest range
+// bound, and non-positive weights count as 1. Because cell indices are a
+// global, deterministic property of the grid, any partition executes
+// every cell exactly once wherever the pieces run, and the per-cell
+// records reassemble by index into the record set (and RecordsDigest) of
+// an unsharded run. Deterministic in its arguments.
 func PartitionRangesWeighted(ranges []IndexRange, weights []int, shards int) []IndexRange {
 	if shards <= 0 {
 		return nil

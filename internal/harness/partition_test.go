@@ -11,42 +11,20 @@ import (
 	"smallbuffers/internal/sim"
 )
 
-func TestPartitionCells(t *testing.T) {
-	cases := []struct {
-		total, shards int
-		want          []IndexRange
-	}{
-		{0, 3, nil},
-		{-1, 3, nil},
-		{5, 0, nil},
-		{5, -2, nil},
-		{1, 1, []IndexRange{{0, 1}}},
-		{2, 5, []IndexRange{{0, 1}, {1, 2}}},
-		{6, 3, []IndexRange{{0, 2}, {2, 4}, {4, 6}}},
-		{7, 3, []IndexRange{{0, 3}, {3, 5}, {5, 7}}},
-		{10, 4, []IndexRange{{0, 3}, {3, 6}, {6, 8}, {8, 10}}},
-	}
-	for _, tc := range cases {
-		got := PartitionCells(tc.total, tc.shards)
-		if len(got) != len(tc.want) {
-			t.Errorf("PartitionCells(%d, %d) = %v, want %v", tc.total, tc.shards, got, tc.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Errorf("PartitionCells(%d, %d)[%d] = %v, want %v", tc.total, tc.shards, i, got[i], tc.want[i])
-			}
-		}
-	}
+// unitPartition splits [0, total) into at most shards pieces of
+// near-equal cell count: zero weights count as 1.
+func unitPartition(total, shards int) []IndexRange {
+	return PartitionRangesWeighted([]IndexRange{{Lo: 0, Hi: total}}, make([]int, total), shards)
 }
 
-// TestPartitionCellsProperties sweeps small (total, shards) combinations
-// and checks the structural guarantees: exact coverage in index order,
-// no overlap, and balance within one cell.
+// TestPartitionCellsProperties sweeps small (total, shards)
+// combinations over unit weights and checks the structural guarantees:
+// exact coverage in ascending index order, no overlap, no empty piece,
+// balance within one cell, and min(total, shards) pieces.
 func TestPartitionCellsProperties(t *testing.T) {
 	for total := 1; total <= 40; total++ {
 		for shards := 1; shards <= 12; shards++ {
-			ranges := PartitionCells(total, shards)
+			ranges := unitPartition(total, shards)
 			next := 0
 			minSz, maxSz := total+1, 0
 			for _, r := range ranges {
@@ -111,7 +89,7 @@ func TestShardedSweepReassembles(t *testing.T) {
 
 	for _, k := range []int{1, 2, 3, 5, 12} {
 		var recs []CellRecord
-		for _, rng := range PartitionCells(total, k) {
+		for _, rng := range unitPartition(total, k) {
 			sw := shardTestSweep()
 			sw.ShardOffset, sw.ShardCount = rng.Lo, rng.Count()
 			agg, err := sw.Run(ctx)

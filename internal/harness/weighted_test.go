@@ -39,51 +39,6 @@ func checkCoverage(t *testing.T, want, got []IndexRange) {
 	}
 }
 
-func TestPartitionCellsWeighted(t *testing.T) {
-	// Uniform weights behave like the unweighted partitioner: cover
-	// exactly, near-equal cell counts.
-	uniform := make([]int, 100)
-	for i := range uniform {
-		uniform[i] = 1
-	}
-	got := PartitionCellsWeighted(uniform, 8)
-	checkCoverage(t, []IndexRange{{Lo: 0, Hi: 100}}, got)
-	for _, g := range got {
-		if g.Count() < 100/8 || g.Count() > 100/8+1 {
-			t.Fatalf("uniform weights produced unbalanced piece %v in %v", g, got)
-		}
-	}
-
-	// One cell carrying half the total weight gets a shard (nearly) to
-	// itself while the rest share the light cells.
-	skewed := make([]int, 64)
-	for i := range skewed {
-		skewed[i] = 1
-	}
-	skewed[0] = 63
-	got = PartitionCellsWeighted(skewed, 4)
-	checkCoverage(t, []IndexRange{{Lo: 0, Hi: 64}}, got)
-	if got[0].Count() > 2 {
-		t.Fatalf("heavy cell not isolated: first piece %v of %v", got[0], got)
-	}
-
-	// Deterministic: same inputs, same pieces.
-	again := PartitionCellsWeighted(skewed, 4)
-	if fmt.Sprint(got) != fmt.Sprint(again) {
-		t.Fatalf("partition not deterministic: %v vs %v", got, again)
-	}
-
-	// Degenerate inputs.
-	if PartitionCellsWeighted(nil, 4) != nil {
-		t.Fatal("empty weights produced pieces")
-	}
-	if PartitionCellsWeighted(uniform, 0) != nil {
-		t.Fatal("zero shards produced pieces")
-	}
-	// Non-positive weights are clamped to 1, never dropped.
-	checkCoverage(t, []IndexRange{{Lo: 0, Hi: 3}}, PartitionCellsWeighted([]int{0, -5, 2}, 2))
-}
-
 func TestPartitionRangesWeighted(t *testing.T) {
 	weights := make([]int, 40)
 	for i := range weights {
@@ -116,4 +71,40 @@ func TestPartitionRangesWeighted(t *testing.T) {
 	if PartitionRangesWeighted(nil, weights, 4) != nil {
 		t.Fatal("no ranges produced pieces")
 	}
+	if PartitionRangesWeighted([]IndexRange{{Lo: 0, Hi: 0}}, weights, 4) != nil {
+		t.Fatal("an empty range produced pieces")
+	}
+	if PartitionRangesWeighted(owed, weights, 0) != nil {
+		t.Fatal("zero shards produced pieces")
+	}
+
+	// One range under uniform weights: near-equal cell counts.
+	got = unitPartition(100, 8)
+	checkCoverage(t, []IndexRange{{Lo: 0, Hi: 100}}, got)
+	for _, g := range got {
+		if g.Count() < 100/8 || g.Count() > 100/8+1 {
+			t.Fatalf("uniform weights produced unbalanced piece %v in %v", g, got)
+		}
+	}
+
+	// One cell carrying half the total weight gets a shard (nearly) to
+	// itself while the rest share the light cells.
+	skewed := make([]int, 64)
+	for i := range skewed {
+		skewed[i] = 1
+	}
+	skewed[0] = 63
+	whole := []IndexRange{{Lo: 0, Hi: 64}}
+	got = PartitionRangesWeighted(whole, skewed, 4)
+	checkCoverage(t, whole, got)
+	if got[0].Count() > 2 {
+		t.Fatalf("heavy cell not isolated: first piece %v of %v", got[0], got)
+	}
+	// Deterministic: same inputs, same pieces.
+	if again := PartitionRangesWeighted(whole, skewed, 4); fmt.Sprint(got) != fmt.Sprint(again) {
+		t.Fatalf("partition not deterministic: %v vs %v", got, again)
+	}
+
+	// Non-positive weights are clamped to 1, never dropped.
+	checkCoverage(t, []IndexRange{{Lo: 0, Hi: 3}}, PartitionRangesWeighted([]IndexRange{{Lo: 0, Hi: 3}}, []int{0, -5, 2}, 2))
 }

@@ -10,7 +10,7 @@ import (
 // internal/fleet and internal/live (wallClockPackages): the
 // coordinator's retry, backoff, and steal logic and the live tier's
 // snapshot timestamps and poll pacing must draw all time from the
-// injected live.Clock (fleet.Clock is its alias) so schedules replay
+// injected live.Clock (fleet.Config.Clock) so schedules replay
 // deterministically under test. The single sanctioned time.Now lives in
 // live.SystemClock behind an explicit allow directive. Wall-clock
 // values and process-global RNG state are exactly the inputs that vary

@@ -104,8 +104,8 @@ func isDeterministicPkg(path string) bool {
 // nofloat/detmap/seedflow have nothing to enforce there — but their
 // retry, backoff, steal, snapshot-timestamp, and poll-pacing decisions
 // must never read the wall clock directly: all time flows through the
-// injected live.Clock (fleet.Clock is its alias), so tests can drive
-// schedules deterministically. internal/live carries the one sanctioned
+// injected live.Clock (fleet.Config.Clock), so tests can drive schedules
+// deterministically. internal/live carries the one sanctioned
 // time.Now, behind an explicit allow directive in SystemClock.
 var wallClockPackages = map[string]bool{
 	"fleet": true,

@@ -11,8 +11,9 @@ import (
 	"time"
 )
 
-// Clock mirrors the real coordinator's injected clock.
-type Clock interface {
+// clock mirrors live.Clock, which the real coordinator takes as
+// Config.Clock.
+type clock interface {
 	Now() time.Time
 	Sleep(ctx context.Context, d time.Duration) error
 }
@@ -27,10 +28,10 @@ func Backoff(deadline time.Time) time.Duration {
 	return time.Duration(jitter) * time.Millisecond
 }
 
-// Wait shows the legal shapes: time flows through the injected Clock,
+// Wait shows the legal shapes: time flows through the injected clock,
 // and timers (which consume a caller-supplied duration rather than
 // reading the clock) stay legal.
-func Wait(ctx context.Context, c Clock, d time.Duration) error {
+func Wait(ctx context.Context, c clock, d time.Duration) error {
 	_ = c.Now()
 	t := time.NewTimer(d)
 	defer t.Stop()

@@ -2,9 +2,9 @@
 // that are still in flight. An Accumulator folds each completed cell's
 // record into a running metrics.Summary set the moment it is published,
 // so GET /v1/runs/{id}/live can answer "what is happening right now"
-// without waiting for the sweep's summary event; a Registry indexes the
-// accumulators by run id for the service handlers and the Prometheus
-// exposition.
+// without waiting for the sweep's summary event. The service keeps each
+// run's accumulator on the run itself, for the /live handler and the
+// Prometheus exposition.
 //
 // # Strictly observational
 //
@@ -25,7 +25,6 @@ package live
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"time"
 
@@ -36,8 +35,8 @@ import (
 // Clock abstracts the observation tier's only uses of wall time:
 // stamping snapshots and pacing poll loops. Injecting it keeps live
 // views and retry schedules testable and keeps time.Now out of
-// digest-adjacent code. The fleet coordinator shares this interface
-// (fleet.Clock is an alias).
+// digest-adjacent code. The service and the fleet coordinator take it
+// as their Config.Clock.
 type Clock interface {
 	// Now returns the current time. Used only for elapsed-time and rate
 	// fields, never for anything that reaches simulation results.
@@ -222,55 +221,4 @@ func (a *Accumulator) View() View {
 		}
 	}
 	return v
-}
-
-// Registry indexes live accumulators by run id.
-type Registry struct {
-	mu   sync.Mutex
-	runs map[string]*Accumulator
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{runs: map[string]*Accumulator{}}
-}
-
-// Add registers an accumulator under its run id (replacing any previous
-// entry).
-func (r *Registry) Add(a *Accumulator) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.runs[a.id] = a
-}
-
-// Get returns the accumulator for a run id.
-func (r *Registry) Get(id string) (*Accumulator, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	a, ok := r.runs[id]
-	return a, ok
-}
-
-// Remove drops a run's accumulator (on cache eviction).
-func (r *Registry) Remove(id string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.runs, id)
-}
-
-// Views renders a snapshot of every registered run, sorted by run id so
-// the Prometheus exposition is stable scrape to scrape.
-func (r *Registry) Views() []View {
-	r.mu.Lock()
-	accs := make([]*Accumulator, 0, len(r.runs))
-	for _, a := range r.runs {
-		accs = append(accs, a)
-	}
-	r.mu.Unlock()
-	sort.Slice(accs, func(i, j int) bool { return accs[i].id < accs[j].id })
-	out := make([]View, len(accs))
-	for i, a := range accs {
-		out[i] = a.View()
-	}
-	return out
 }

@@ -108,25 +108,6 @@ func TestAccumulatorMergeConflictCounted(t *testing.T) {
 	}
 }
 
-func TestRegistryViewsSorted(t *testing.T) {
-	r := NewRegistry()
-	clk := &fakeClock{}
-	for _, id := range []string{"r1-b", "r1-a", "r1-c"} {
-		r.Add(NewAccumulator(id, 1, 1, clk))
-	}
-	views := r.Views()
-	if len(views) != 3 || views[0].ID != "r1-a" || views[2].ID != "r1-c" {
-		t.Fatalf("views %+v", views)
-	}
-	r.Remove("r1-b")
-	if _, ok := r.Get("r1-b"); ok {
-		t.Fatal("removed run still present")
-	}
-	if got := len(r.Views()); got != 2 {
-		t.Fatalf("views after remove = %d", got)
-	}
-}
-
 // TestViewRaceFree drives Observe and View concurrently under -race: a
 // reader polling snapshots must never block or corrupt the publisher.
 func TestViewRaceFree(t *testing.T) {

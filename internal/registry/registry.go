@@ -5,10 +5,10 @@
 // against it. The registry is the single source of truth for what a name
 // means — the CLIs carry no per-command construction switches.
 //
-// All tables support runtime extension (the facade re-exports
-// RegisterProtocol and friends), so downstream code can drop new
-// components into the same scenario machinery: register a name once and
-// every scenario file, sweep, and CLI invocation can use it.
+// All tables support runtime extension (RegisterProtocol and friends),
+// so a new component drops into the same scenario machinery: register a
+// name once and every scenario file, sweep, and CLI invocation can use
+// it.
 //
 // Lookups of unknown names fail with an enumeration of the registered
 // names and a "did you mean" suggestion when a close match exists.

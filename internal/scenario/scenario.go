@@ -562,7 +562,7 @@ func (sc *Scenario) GridSize() (int, error) {
 // CellWeights returns per-cell cost weights for the scenario's grid —
 // one entry per cell of the row-major expansion, the cell's topology
 // node count — the input to size-aware partitioning
-// (harness.PartitionCellsWeighted): a 4096-node cell costs what it
+// (harness.PartitionRangesWeighted): a 4096-node cell costs what it
 // costs wherever it lands, so shards should balance total node count,
 // not cell count. Topology is the grid's outermost axis, so each
 // topology's weight fills a contiguous block of gridSize/len(topologies)

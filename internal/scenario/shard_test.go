@@ -64,7 +64,7 @@ func TestShardMarshalFixedPoint(t *testing.T) {
 	}
 
 	seen := map[string]bool{parentDigest: true}
-	for _, rng := range harness.PartitionCells(12, 4) {
+	for _, rng := range shardPlan(t, sc, 4) {
 		sub, err := sc.Slice(rng.Lo, rng.Count())
 		if err != nil {
 			t.Fatal(err)
@@ -119,6 +119,17 @@ func TestShardMarshalFixedPoint(t *testing.T) {
 	}
 }
 
+// shardPlan splits sc's grid into at most k shards the way the fleet
+// plans them.
+func shardPlan(t *testing.T, sc *Scenario, k int) []harness.IndexRange {
+	t.Helper()
+	weights, err := sc.CellWeights()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return harness.PartitionRangesWeighted([]harness.IndexRange{{Lo: 0, Hi: len(weights)}}, weights, k)
+}
+
 // TestShardedRunsReassemble runs the grid whole and as every partition
 // into k shards through the scenario layer, and requires the merged
 // records to reproduce the unsharded digest exactly.
@@ -139,7 +150,7 @@ func TestShardedRunsReassemble(t *testing.T) {
 
 	for _, k := range []int{2, 3, 5} {
 		var recs []harness.CellRecord
-		for _, rng := range harness.PartitionCells(12, k) {
+		for _, rng := range shardPlan(t, parent, k) {
 			sub, err := parent.Slice(rng.Lo, rng.Count())
 			if err != nil {
 				t.Fatal(err)

@@ -196,9 +196,13 @@ func TestShardedSubmissions(t *testing.T) {
 		t.Fatalf("grid = %d cells, want 6", total)
 	}
 
+	weights, err := parent.CellWeights()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var recs []harness.CellRecord
 	seen := map[string]bool{}
-	for _, rng := range harness.PartitionCells(total, 3) {
+	for _, rng := range harness.PartitionRangesWeighted([]harness.IndexRange{{Lo: 0, Hi: total}}, weights, 3) {
 		sub, err := parent.Slice(rng.Lo, rng.Count())
 		if err != nil {
 			t.Fatal(err)

@@ -47,25 +47,34 @@ func getLive(t *testing.T, url, id string) (live.View, int) {
 
 // TestLiveViewMidSweep is the tentpole acceptance at the service tier:
 // mid-sweep, GET /v1/runs/{id}/live returns merged windowed summaries
-// and progress; the per-run Prometheus gauges appear on /metrics while
-// the run is in flight; and the attached poller leaves the results
-// digest byte-identical to a local run.
+// and progress; the per-run Prometheus gauges appear on /metrics for
+// every run in flight, queued ones included; the attached poller leaves
+// the results digest byte-identical to a local run; and a run evicted
+// from the cache vanishes from /live.
 func TestLiveViewMidSweep(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, SweepWorkers: 2})
+	// The cache holds the two runs below (6 + 2 cells); a third evicts
+	// the colder.
+	_, ts := newTestServer(t, Config{Workers: 1, SweepWorkers: 2, CacheCells: 8})
+	submit := func(body string) Report {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/runs?wait=0", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var rep Report
+		if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("async submit = %d", resp.StatusCode)
+		}
+		return rep
+	}
 	body := windowScenarioBody("live-mid", 6, 60, 2000, 16)
-
-	resp, err := http.Post(ts.URL+"/v1/runs?wait=0", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep Report
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("async submit = %d", resp.StatusCode)
-	}
+	rep := submit(body)
+	// With one worker, this run stays queued until the first finishes.
+	queued := submit(scenarioBody("live-queued", 2, 40, 2000))
 
 	// Poll until the view shows a mid-sweep state: running, some cells
 	// done, some still to go, and the windowed summaries merged so far.
@@ -117,6 +126,7 @@ func TestLiveViewMidSweep(t *testing.T) {
 		fmt.Sprintf("aqtserve_run_cells_in_flight{run=%q}", rep.ID),
 		fmt.Sprintf("aqtserve_run_window_occupancy_p99{run=%q}", rep.ID),
 		fmt.Sprintf("aqtserve_run_drop_window_permille{run=%q}", rep.ID),
+		fmt.Sprintf("aqtserve_run_cells_total{run=%q} 2", queued.ID),
 	} {
 		if !strings.Contains(string(prom), gauge) {
 			t.Errorf("/metrics missing %s while in flight", gauge)
@@ -169,9 +179,69 @@ func TestLiveViewMidSweep(t *testing.T) {
 		t.Error("finished run still exposed on the per-run gauges")
 	}
 
+	// Once the queued run is done (polling it keeps it the warmer cache
+	// entry), a third run overflows the cache and evicts the first: its
+	// id and live view are gone, the warmer run's are not.
+	for {
+		v, code := getLive(t, ts.URL, queued.ID)
+		if code != http.StatusOK {
+			t.Fatalf("/live for the queued run = %d", code)
+		}
+		if v.Status == StatusDone {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("queued run never finished: %+v", v)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if code, r := post(t, ts.URL, scenarioBody("live-evict", 1, 10, 0)); code != http.StatusOK || r.Status != StatusDone {
+		t.Fatalf("evicting run = %d %+v", code, r)
+	}
+	// The waiting POST returns when the run's done channel closes, just
+	// before the server adds it to the cache, so the eviction may lag.
+	for {
+		_, code := getLive(t, ts.URL, rep.ID)
+		if code == http.StatusNotFound {
+			break
+		}
+		if code != http.StatusOK || time.Now().After(deadline) {
+			t.Fatalf("/live for the evicted run = %d, want 404", code)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if _, code := getLive(t, ts.URL, queued.ID); code != http.StatusOK {
+		t.Errorf("/live for the cached run = %d, want 200", code)
+	}
+
 	// Unknown run → 404.
 	if _, code := getLive(t, ts.URL, "nope"); code != http.StatusNotFound {
 		t.Errorf("/live for unknown run = %d", code)
+	}
+}
+
+// TestRunGaugesSortedByID pins the per-run gauge order: the server
+// collects in-flight runs from a map, and /metrics lists them by run id
+// whatever order they arrive in.
+func TestRunGaugesSortedByID(t *testing.T) {
+	var m promMetrics
+	var out strings.Builder
+	m.write(&out, snapshot{live: []live.View{
+		{ID: "r1-b", Status: StatusRunning, CellsTotal: 2},
+		{ID: "r1-a", Status: StatusQueued, CellsTotal: 1},
+		{ID: "r1-c", Status: StatusQueued, CellsTotal: 3},
+	}})
+	runs := map[string][]string{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if gauge, rest, ok := strings.Cut(line, `{run="`); ok {
+			id, _, _ := strings.Cut(rest, `"`)
+			runs[gauge] = append(runs[gauge], id)
+		}
+	}
+	for _, gauge := range []string{"aqtserve_run_cells_in_flight", "aqtserve_run_cells_done", "aqtserve_run_cells_total"} {
+		if got := strings.Join(runs[gauge], " "); got != "r1-a r1-b r1-c" {
+			t.Errorf("%s lists runs %q, want \"r1-a r1-b r1-c\"", gauge, got)
+		}
 	}
 }
 

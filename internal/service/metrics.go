@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"io"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -89,12 +90,13 @@ func (m *promMetrics) write(w io.Writer, s snapshot) {
 // writeRunGauges renders the per-run gauges for in-flight runs: sweep
 // progress plus — when the run selected the windowed collectors — the
 // recent occupancy p99 and drop rate from the merge-as-you-go view.
-// Views arrive sorted by run id, so the exposition is stable scrape to
-// scrape.
+// It sorts views by run id, so the exposition is stable scrape to
+// scrape whatever order the server collected them in.
 func writeRunGauges(w io.Writer, views []live.View) {
 	if len(views) == 0 {
 		return
 	}
+	sort.Slice(views, func(i, j int) bool { return views[i].ID < views[j].ID })
 	header := func(name, help string) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
 	}

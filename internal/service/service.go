@@ -279,7 +279,6 @@ type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
 	metrics promMetrics
-	liveReg *live.Registry
 
 	baseCtx context.Context
 	stop    context.CancelFunc
@@ -304,7 +303,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		metrics:  promMetrics{start: time.Now()},
-		liveReg:  live.NewRegistry(),
 		baseCtx:  ctx,
 		stop:     cancel,
 		queue:    make(chan *run, cfg.QueueDepth),
@@ -319,7 +317,6 @@ func New(cfg Config) *Server {
 		if s.byDigest[digest] == r {
 			delete(s.byDigest, digest)
 		}
-		s.liveReg.Remove(r.id)
 	})
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/runs", s.handleSubmit)
@@ -628,7 +625,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		watchers:  1, // the submitter, detached by respondJoined
 	}
 	r.live = live.NewAccumulator(r.id, len(cells), s.cfg.SweepWorkers, s.cfg.Clock)
-	s.liveReg.Add(r.live)
 	s.runs[r.id] = r
 	s.byDigest[digest] = r
 	s.metrics.runsStarted.Add(1)
@@ -677,7 +673,6 @@ func (s *Server) serveWarmedLocked(w http.ResponseWriter, name, digest string, s
 	close(r.done)
 	r.live = live.NewAccumulator(r.id, len(recs), s.cfg.SweepWorkers, s.cfg.Clock)
 	r.live.Finish(StatusDone)
-	s.liveReg.Add(r.live)
 	s.runs[r.id] = r
 	s.byDigest[digest] = r
 	s.cache.add(digest, r, len(recs))
@@ -969,12 +964,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		queueDepth:    len(s.queue),
 		workers:       s.cfg.Workers,
 	}
+	runs := make([]*run, 0, len(s.runs))
+	for _, r := range s.runs {
+		runs = append(runs, r)
+	}
 	s.mu.Unlock()
 	// Per-run gauges cover in-flight runs only: finished runs linger in
 	// the cache indefinitely, and unbounded label cardinality is how a
 	// scrape endpoint dies.
-	for _, v := range s.liveReg.Views() {
-		if v.Status == StatusQueued || v.Status == StatusRunning {
+	for _, r := range runs {
+		if v := r.live.View(); v.Status == StatusQueued || v.Status == StatusRunning {
 			snap.live = append(snap.live, v)
 		}
 	}

@@ -20,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"smallbuffers/internal/adversary"
 	"smallbuffers/internal/buffer"
@@ -400,23 +399,13 @@ func (e *Engine) Result() Result {
 }
 
 // Run executes the remaining rounds and returns the summary. Cancellation
-// is honored between rounds: when ctx is done (or the Spec's deadline
-// expires), Run stops promptly and returns the partial Result together
+// is honored between rounds: when ctx is done (cancelled or past its
+// deadline), Run stops promptly and returns the partial Result together
 // with the context's error.
 func (e *Engine) Run(ctx context.Context) (Result, error) {
-	var deadline time.Time
-	if e.spec.deadline > 0 {
-		//aqtlint:allow nowallclock -- WithDeadline is explicitly wall-clock cancellation; it aborts a run, never feeds a result or digest
-		deadline = time.Now().Add(e.spec.deadline)
-	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return e.Result(), err
-		}
-		//aqtlint:allow nowallclock -- deadline check mirrors the wall-clock WithDeadline option; aborting is observable only as an error
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return e.Result(), fmt.Errorf("sim: run deadline %v exhausted at round %d: %w",
-				e.spec.deadline, e.round, context.DeadlineExceeded)
 		}
 		done, err := e.Step()
 		if err != nil {

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"time"
-
 	"smallbuffers/internal/adversary"
 	"smallbuffers/internal/faults"
 	"smallbuffers/internal/metrics"
@@ -26,7 +24,6 @@ type Spec struct {
 	collectors      []metrics.Collector
 	faults          faults.Model
 	verifyAdversary bool
-	deadline        time.Duration
 }
 
 // Option customizes a Spec.
@@ -83,13 +80,6 @@ func WithFaults(m faults.Model) Option {
 // pre-verified, so this is off by default.
 func WithVerifyAdversary() Option {
 	return func(s *Spec) { s.verifyAdversary = true }
-}
-
-// WithDeadline sets a wall-clock budget for the run. Engine.Run stops
-// between rounds once the budget is exhausted and returns the partial
-// Result together with context.DeadlineExceeded.
-func WithDeadline(d time.Duration) Option {
-	return func(s *Spec) { s.deadline = d }
 }
 
 // Net returns the topology the run executes on.

@@ -30,9 +30,8 @@ func TestSpecOptions(t *testing.T) {
 	s := specFixture(t, 7,
 		WithObservers(obs),
 		WithInvariants(inv),
-		WithVerifyAdversary(),
-		WithDeadline(time.Minute))
-	if len(s.observers) != 1 || len(s.invariants) != 1 || !s.verifyAdversary || s.deadline != time.Minute {
+		WithVerifyAdversary())
+	if len(s.observers) != 1 || len(s.invariants) != 1 || !s.verifyAdversary {
 		t.Errorf("options not applied: %+v", s)
 	}
 	if s.Net() == nil || s.Protocol() == nil || s.Adversary() == nil || s.Rounds() != 200 {
@@ -114,12 +113,15 @@ func (c *cancelAtRound) OnRoundEnd(round int, _ metrics.View) {
 	}
 }
 
+// TestDeadlineStopsRun bounds a run's wall time with a context deadline,
+// the engine's only wall-clock budget.
 func TestDeadlineStopsRun(t *testing.T) {
 	nw := network.MustPath(8)
 	adv := adversary.NewStream(adversary.Bound{Rho: rat.One, Sigma: 0}, 0, 7)
 	slow := &slowProtocol{inner: &greedyOldest{}, delay: 2 * time.Millisecond}
-	_, err := Run(context.Background(),
-		NewSpec(nw, slow, adv, 1_000_000, WithDeadline(20*time.Millisecond)))
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	_, err := Run(ctx, NewSpec(nw, slow, adv, 1_000_000))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

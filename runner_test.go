@@ -1,8 +1,8 @@
 package smallbuffers_test
 
-// Facade-level coverage of the two-tier execution API: the engine must
-// support Step/Reset-driven reuse, and the Sweep layer must be drivable
-// entirely through the re-exports.
+// Coverage of the two-tier execution API from outside the module's
+// internals: an engine built from a facade Spec supports Step/Reset-driven
+// reuse, and the Sweep layer is drivable entirely through the facade.
 
 import (
 	"context"
@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	sb "smallbuffers"
+	"smallbuffers/internal/sim"
 )
 
 func fixedScenario(t *testing.T) (*sb.Network, sb.Adversary) {
@@ -26,10 +27,10 @@ func fixedScenario(t *testing.T) (*sb.Network, sb.Adversary) {
 	return nw, adv
 }
 
-// The facade engine supports Step/Reset-driven reuse.
+// An engine built from a facade Spec supports Step/Reset-driven reuse.
 func TestFacadeEngineStepReset(t *testing.T) {
 	nw, adv := fixedScenario(t)
-	eng, err := sb.NewEngine(sb.NewSpec(nw, sb.NewPPTS(), adv, 100))
+	eng, err := sim.NewEngine(sb.NewSpec(nw, sb.NewPPTS(), adv, 100))
 	if err != nil {
 		t.Fatal(err)
 	}

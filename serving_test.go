@@ -9,11 +9,15 @@ import (
 	"testing"
 
 	sb "smallbuffers"
+	"smallbuffers/internal/harness"
+	"smallbuffers/internal/registry"
+	"smallbuffers/internal/service"
 )
 
-// TestServingFacade exercises the Tier-3 surface end to end: digest the
-// scenario, serve it over HTTP via NewServer, and check the served
-// results digest against a local run.
+// TestServingFacade exercises the Tier-3 surface end to end: parse and
+// digest the scenario through the facade, serve it over HTTP with
+// internal/service's Server, and check the served results digest against
+// a local run.
 func TestServingFacade(t *testing.T) {
 	src := `{
 		"name": "facade-serving",
@@ -37,11 +41,11 @@ func TestServingFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	localDigest := agg.Digest()
-	if localDigest != sb.SweepResultsDigest(agg.Records()) {
-		t.Error("SweepResultsDigest disagrees with SweepResult.Digest")
+	if localDigest != harness.RecordsDigest(agg.Records()) {
+		t.Error("harness.RecordsDigest disagrees with SweepResult.Digest")
 	}
 
-	srv := sb.NewServer(sb.ServerConfig{Workers: 2})
+	srv := service.New(service.Config{Workers: 2})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -51,7 +55,7 @@ func TestServingFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var rep sb.ServerReport
+	var rep service.Report
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +69,7 @@ func TestServingFacade(t *testing.T) {
 		t.Errorf("served results digest %s, local %s", rep.ResultsDigest, localDigest)
 	}
 
-	cat := sb.Catalog()
+	cat := registry.Catalog()
 	if len(cat.Protocols) == 0 || len(cat.Adversaries) == 0 {
 		t.Errorf("catalog incomplete: %d protocols, %d adversaries", len(cat.Protocols), len(cat.Adversaries))
 	}

@@ -7,11 +7,18 @@ import (
 	"testing"
 
 	sb "smallbuffers"
+	"smallbuffers/internal/adversary"
+	"smallbuffers/internal/baseline"
+	"smallbuffers/internal/core"
+	"smallbuffers/internal/experiments"
+	"smallbuffers/internal/opt"
+	"smallbuffers/internal/rat"
 )
 
-// TestPublicAPIEndToEnd drives the whole library through the facade only:
-// build a topology, construct adversaries, run every protocol family, and
-// check the paper's bounds.
+// TestPublicAPIEndToEnd drives the library end to end: build a topology,
+// construct adversaries, run every protocol family, and check the paper's
+// bounds. It uses the facade where it has the constructor and the
+// internal packages where it does not.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	nw, err := sb.NewPath(64)
 	if err != nil {
@@ -36,11 +43,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	})
 
 	t.Run("PTS_burst", func(t *testing.T) {
-		adv, err := sb.PTSBurstAdversary(nw, bound, 300)
+		adv, err := adversary.PTSBurst(nw, bound, 300)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sb.RunContext(context.Background(), sb.NewSpec(nw, sb.NewPTS(sb.PTSWithDrain()), adv, 300))
+		res, err := sb.RunContext(context.Background(), sb.NewSpec(nw, core.NewPTS(core.WithDrain()), adv, 300))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,10 +79,10 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	})
 
 	t.Run("greedy_baselines", func(t *testing.T) {
-		if got := len(sb.AllGreedy()); got != 6 {
-			t.Fatalf("AllGreedy = %d, want 6", got)
+		if got := len(baseline.All()); got != 6 {
+			t.Fatalf("baseline.All = %d policies, want 6", got)
 		}
-		adv := sb.NewStream(bound, 0, 63)
+		adv := adversary.NewStream(bound, 0, 63)
 		res, err := sb.RunContext(context.Background(), sb.NewSpec(nw, sb.NewGreedy(sb.NTG), adv, 200))
 		if err != nil {
 			t.Fatal(err)
@@ -136,13 +143,13 @@ func TestPublicAPIVerifier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := sb.NewStream(sb.Bound{Rho: sb.NewRat(1, 2), Sigma: 1}, 0, 7)
-	if err := sb.VerifyAdversary(nw, good, 100); err != nil {
+	good := adversary.NewStream(sb.Bound{Rho: sb.NewRat(1, 2), Sigma: 1}, 0, 7)
+	if err := adversary.VerifyPrefix(nw, good, 100); err != nil {
 		t.Errorf("stream rejected: %v", err)
 	}
 	// A schedule violating its declared bound is caught.
-	bad := sb.NewSchedule().AtN(0, 5, 0, 7).Build(sb.Bound{Rho: sb.NewRat(1, 1), Sigma: 1})
-	if err := sb.VerifyAdversary(nw, bad, 5); err == nil {
+	bad := adversary.NewSchedule().AtN(0, 5, 0, 7).Build(sb.Bound{Rho: sb.NewRat(1, 1), Sigma: 1})
+	if err := adversary.VerifyPrefix(nw, bad, 5); err == nil {
 		t.Error("violation not caught")
 	}
 }
@@ -153,7 +160,7 @@ func TestPublicAPITraceAndFigure(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := sb.NewTraceRecorder()
-	adv := sb.NewStream(sb.Bound{Rho: sb.NewRat(1, 1), Sigma: 0}, 0, 15)
+	adv := adversary.NewStream(sb.Bound{Rho: sb.NewRat(1, 1), Sigma: 0}, 0, 15)
 	if _, err := sb.RunContext(context.Background(), sb.NewSpec(nw, sb.NewGreedy(sb.FIFO), adv, 50,
 		sb.WithObservers(rec))); err != nil {
 		t.Fatal(err)
@@ -191,8 +198,8 @@ func TestPublicAPIOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv := sb.NewSchedule().At(0, 0, 4).At(0, 1, 4).Build(sb.Bound{Rho: sb.NewRat(1, 1), Sigma: 1})
-	res, err := sb.SolveOptimal(sb.OptConfig{Net: nw, Adversary: adv, Rounds: 6})
+	adv := adversary.NewSchedule().At(0, 0, 4).At(0, 1, 4).Build(sb.Bound{Rho: sb.NewRat(1, 1), Sigma: 1})
+	res, err := opt.Solve(opt.Config{Net: nw, Adversary: adv, Rounds: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +212,7 @@ func TestPublicAPIExperiments(t *testing.T) {
 	if got := len(sb.Experiments()); got != 14 {
 		t.Fatalf("Experiments = %d, want 14", got)
 	}
-	e, err := sb.ExperimentByID("F1")
+	e, err := experiments.ByID("F1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +227,8 @@ func TestPublicAPIExperiments(t *testing.T) {
 }
 
 func TestParseRat(t *testing.T) {
-	r, err := sb.ParseRat("3/4")
+	r, err := rat.Parse("3/4")
 	if err != nil || !r.Equal(sb.NewRat(3, 4)) {
-		t.Errorf("ParseRat = %v, %v", r, err)
+		t.Errorf("rat.Parse = %v, %v", r, err)
 	}
 }
