@@ -37,7 +37,6 @@ type HotSpot struct {
 	dests    []network.NodeID
 	excess   *Excess
 	attempts int
-	perRound []int
 }
 
 var _ Adaptive = (*HotSpot)(nil)
@@ -54,14 +53,17 @@ func NewHotSpot(nw *network.Network, bound Bound, dests []network.NodeID, seed i
 	}
 	dests = append([]network.NodeID(nil), dests...)
 	sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
+	excess, err := newShaper(nw, bound)
+	if err != nil {
+		return nil, err
+	}
 	return &HotSpot{
 		nw:       nw,
 		bound:    bound,
 		rng:      rand.New(rand.NewSource(seed)),
 		dests:    dests,
-		excess:   NewExcess(nw, bound.Rho),
+		excess:   excess,
 		attempts: defaultAttempts(bound),
-		perRound: make([]int, nw.Len()),
 	}, nil
 }
 
@@ -91,20 +93,14 @@ func (h *HotSpot) InjectAdaptive(round int, loads Loads) []packet.Injection {
 			hot = network.NodeID(v)
 		}
 	}
-	for i := range h.perRound {
-		h.perRound[i] = 0
-	}
 	var out []packet.Injection
 	for a := 0; a < h.attempts; a++ {
 		in, ok := h.propose(hot)
-		if !ok {
-			continue
-		}
-		if h.admit(in) {
+		if ok && h.excess.admit(in.Src, in.Dst) {
 			out = append(out, in)
 		}
 	}
-	h.excess.Absorb(out)
+	h.excess.endRound()
 	return out
 }
 
@@ -150,18 +146,4 @@ func (h *HotSpot) propose(hot network.NodeID) (packet.Injection, bool) {
 		return packet.Injection{Src: hot, Dst: d}, true
 	}
 	return packet.Injection{Src: srcs[h.rng.Intn(len(srcs))], Dst: d}, true
-}
-
-// admit charges the candidate against the shaper.
-func (h *HotSpot) admit(in packet.Injection) bool {
-	route := CrossedBuffers(h.nw, in)
-	for _, v := range route {
-		if h.excess.WouldExceed(v, h.perRound[v], h.bound.Sigma) {
-			return false
-		}
-	}
-	for _, v := range route {
-		h.perRound[v]++
-	}
-	return true
 }

@@ -14,6 +14,7 @@ package adversary
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/packet"
@@ -50,9 +51,27 @@ func (b Bound) ValidateFor(nw *network.Network) error {
 // from other construction errors with errors.Is.
 var ErrRateInadmissible = errors.New("rate above the bottleneck bandwidth")
 
+// maxRateDen caps the denominator q of a rate ρ = p/q. It is the
+// simulation scale of package rat, far above what the paper's
+// constructions need, and it keeps Excess's q·ξ well inside int64.
+const maxRateDen = 1_000_000
+
+// CheckRate is the rule every rate obeys on any network: 0 ≤ ρ, and ρ's
+// denominator in lowest terms is at most 10^6. Bound validation and
+// scenario validation both apply it.
+func CheckRate(rho rat.Rat) error {
+	if rho.Sign() < 0 {
+		return fmt.Errorf("adversary: rate ρ=%v negative", rho)
+	}
+	if rho.Den() > maxRateDen {
+		return fmt.Errorf("adversary: rate ρ=%v has a denominator above %d", rho, maxRateDen)
+	}
+	return nil
+}
+
 func (b Bound) validateAgainst(bmin int) error {
-	if b.Rho.Sign() < 0 {
-		return fmt.Errorf("adversary: rate ρ=%v negative", b.Rho)
+	if err := CheckRate(b.Rho); err != nil {
+		return err
 	}
 	if rat.FromInt(int64(bmin)).Less(b.Rho) {
 		return fmt.Errorf("adversary: %w: ρ=%v outside [0,%d]", ErrRateInadmissible, b.Rho, bmin)
@@ -87,16 +106,6 @@ func Crosses(nw *network.Network, in packet.Injection, v network.NodeID) bool {
 	return v != in.Dst && nw.Reaches(in.Src, v) && nw.Reaches(v, in.Dst)
 }
 
-// CrossedBuffers returns all buffers contained in the injection's
-// trajectory, in route order (src … dst-1 for a path).
-func CrossedBuffers(nw *network.Network, in packet.Injection) []network.NodeID {
-	route, err := nw.Route(in.Src, in.Dst)
-	if err != nil {
-		return nil
-	}
-	return route[:len(route)-1] // drop destination
-}
-
 // Excess tracks ξ_t(v) for every buffer of a network, exactly, using the
 // token-bucket recursion
 //
@@ -105,63 +114,98 @@ func CrossedBuffers(nw *network.Network, in packet.Injection) []network.NodeID {
 // which is equivalent to Definition 2.2 (proved by the accompanying property
 // test against the naïve max-over-intervals form). By Lemma 2.3, a pattern
 // is (ρ,σ)-bounded iff ξ_t(v) ≤ σ for all t, v.
+//
+// For ρ = p/q in lowest terms the tracker holds q·ξ(v) as an int64. That
+// is as exact as rational arithmetic: a round adds q for every packet
+// crossing v and subtracts p, so q·ξ stays an integer. Overflow is checked
+// once per round, not per buffer: Absorb panics, as package rat does, when
+// the largest q·ξ plus q per injection could pass math.MaxInt64, and a
+// shaper checks its σ once, when it is built.
 type Excess struct {
-	nw  *network.Network
-	rho rat.Rat
-	xi  []rat.Rat
-	// counts is scratch space: N_{t}(v) of the round being absorbed.
-	counts []int
+	nw   *network.Network
+	p, q int64
+	// acc[v] is q·ξ_{t−1}(v) plus q for every packet charged to v in the
+	// round in progress; between rounds it is q·ξ(v).
+	acc []int64
+	// hi is the largest acc[v] at the last round boundary.
+	hi int64
+	// limit is q·σ + p for a shaper: a packet fits at v while
+	// acc[v] + q ≤ limit, that is, while ξ_{t−1}(v) + N_t(v) − ρ ≤ σ.
+	limit int64
 }
 
 // NewExcess returns a tracker with ξ ≡ 0 for the given network and rate.
 func NewExcess(nw *network.Network, rho rat.Rat) *Excess {
-	return &Excess{
-		nw:     nw,
-		rho:    rho,
-		xi:     make([]rat.Rat, nw.Len()),
-		counts: make([]int, nw.Len()),
+	return &Excess{nw: nw, p: rho.Num(), q: rho.Den(), acc: make([]int64, nw.Len())}
+}
+
+// newShaper returns a tracker that admits packets one at a time so that
+// ξ never exceeds b.Sigma. Its acc values stay at most q·σ + p, so the
+// single construction-time check below rules out overflow.
+func newShaper(nw *network.Network, b Bound) (*Excess, error) {
+	e := NewExcess(nw, b.Rho)
+	if int64(b.Sigma) > (math.MaxInt64-e.p-e.q)/e.q {
+		return nil, fmt.Errorf("adversary: burst σ=%d too large at ρ=%v", b.Sigma, b.Rho)
 	}
+	e.limit = e.q*int64(b.Sigma) + e.p
+	return e, nil
+}
+
+// admit is the shaper: it charges one packet src→dst to the round in
+// progress if every buffer on the route keeps ξ ≤ σ, and reports whether
+// it did. dst must be reachable from src.
+func (e *Excess) admit(src, dst network.NodeID) bool {
+	for u := src; u != dst; u = e.nw.Next(u) {
+		if e.acc[u]+e.q > e.limit {
+			return false
+		}
+	}
+	for u := src; u != dst; u = e.nw.Next(u) {
+		e.acc[u] += e.q
+	}
+	return true
+}
+
+// endRound closes the round in progress at every buffer:
+// q·ξ ← max(0, q·ξ + q·N − p).
+func (e *Excess) endRound() {
+	hi := int64(0)
+	for v, a := range e.acc {
+		a = max(a-e.p, 0)
+		e.acc[v] = a
+		hi = max(hi, a)
+	}
+	e.hi = hi
 }
 
 // Absorb advances the tracker by one round with the given injections,
 // updating ξ for every buffer. It must be called once per round in order.
+// An injection whose destination is not reachable crosses no buffer.
 func (e *Excess) Absorb(injections []packet.Injection) {
-	for i := range e.counts {
-		e.counts[i] = 0
+	if k := int64(len(injections)); k > (math.MaxInt64-e.hi)/e.q {
+		panic(fmt.Sprintf("adversary: excess overflow: %d injections on q·ξ = %d at ρ = %d/%d", k, e.hi, e.p, e.q))
 	}
 	for _, in := range injections {
-		for _, v := range CrossedBuffers(e.nw, in) {
-			e.counts[v]++
+		if !e.nw.Reaches(in.Src, in.Dst) {
+			continue
+		}
+		for u := in.Src; u != in.Dst; u = e.nw.Next(u) {
+			e.acc[u] += e.q
 		}
 	}
-	for v := range e.xi {
-		next := e.xi[v].Add(rat.FromInt(int64(e.counts[v]))).Sub(e.rho)
-		e.xi[v] = next.Max(rat.Zero)
-	}
+	e.endRound()
 }
 
 // At returns the current ξ(v).
-func (e *Excess) At(v network.NodeID) rat.Rat { return e.xi[v] }
+func (e *Excess) At(v network.NodeID) rat.Rat { return rat.New(e.acc[v], e.q) }
 
 // Max returns the largest current excess over all buffers and its location.
 func (e *Excess) Max() (rat.Rat, network.NodeID) {
-	best, arg := rat.Zero, network.NodeID(0)
-	for v, x := range e.xi {
-		if best.Less(x) {
-			best, arg = x, network.NodeID(v)
+	best, arg := int64(0), network.NodeID(0)
+	for v, a := range e.acc {
+		if a > best {
+			best, arg = a, network.NodeID(v)
 		}
 	}
-	return best, arg
-}
-
-// WouldExceed reports whether absorbing one additional packet crossing
-// buffer v this round (on top of `already` packets absorbed for v this
-// round) would push ξ(v) above sigma. It is the primitive used by traffic
-// shapers to stay bounded by construction.
-//
-// After absorbing k packets this round, ξ' = max(0, ξ_prev + k − ρ); one
-// more gives max(0, ξ_prev + k + 1 − ρ).
-func (e *Excess) WouldExceed(v network.NodeID, already int, sigma int) bool {
-	next := e.xi[v].Add(rat.FromInt(int64(already + 1))).Sub(e.rho)
-	return rat.FromInt(int64(sigma)).Less(next)
+	return rat.New(best, e.q), arg
 }

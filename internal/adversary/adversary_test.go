@@ -22,6 +22,8 @@ func TestBoundValidate(t *testing.T) {
 		{"rate above one", Bound{Rho: rat.New(3, 2)}, false},
 		{"negative rate", Bound{Rho: rat.New(-1, 2)}, false},
 		{"negative burst", Bound{Rho: rat.One, Sigma: -1}, false},
+		{"denominator at the cap", Bound{Rho: rat.New(1, maxRateDen)}, true},
+		{"denominator above the cap", Bound{Rho: rat.New(1, 1<<62)}, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -41,12 +43,10 @@ func TestCrosses(t *testing.T) {
 			t.Errorf("Crosses(1→4, %d) = %v, want %v", v, got, wantCross[v])
 		}
 	}
-	buffers := CrossedBuffers(nw, in)
-	if len(buffers) != 3 || buffers[0] != 1 || buffers[2] != 3 {
-		t.Errorf("CrossedBuffers = %v, want [1 2 3]", buffers)
-	}
-	if got := CrossedBuffers(nw, packet.Injection{Src: 4, Dst: 1}); got != nil {
-		t.Errorf("CrossedBuffers(backward) = %v, want nil", got)
+	for v := network.NodeID(0); v < 6; v++ {
+		if Crosses(nw, packet.Injection{Src: 4, Dst: 1}, v) {
+			t.Errorf("Crosses(backward 4→1, %d) = true, want false", v)
+		}
 	}
 }
 

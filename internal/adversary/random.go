@@ -16,17 +16,13 @@ import (
 // closely, which is what makes it a useful stress test for the upper-bound
 // theorems.
 type Random struct {
-	nw    *network.Network
 	bound Bound
 	rng   *rand.Rand
 	dests []network.NodeID
 	// sources[i] lists the valid injection sites for dests[i].
-	sources   [][]network.NodeID
-	excess    *Excess
-	attempts  int
-	roundSeen int
-	// perRound counts packets admitted this round per buffer (shaper input).
-	perRound []int
+	sources  [][]network.NodeID
+	excess   *Excess
+	attempts int
 }
 
 var _ Adversary = (*Random)(nil)
@@ -80,15 +76,17 @@ func NewRandom(nw *network.Network, bound Bound, dests []network.NodeID, seed in
 			}
 		}
 	}
+	excess, err := newShaper(nw, bound)
+	if err != nil {
+		return nil, err
+	}
 	r := &Random{
-		nw:       nw,
 		bound:    bound,
 		rng:      rand.New(rand.NewSource(seed)),
 		dests:    dests,
 		sources:  sources,
-		excess:   NewExcess(nw, bound.Rho),
+		excess:   excess,
 		attempts: defaultAttempts(bound),
-		perRound: make([]int, nw.Len()),
 	}
 	for _, o := range opts {
 		o(r)
@@ -107,9 +105,6 @@ func (r *Random) Destinations() []network.NodeID {
 // Inject implements Adversary.
 func (r *Random) Inject(round int) []packet.Injection {
 	_ = round // stateful: rounds are consumed in order by contract
-	for i := range r.perRound {
-		r.perRound[i] = 0
-	}
 	var out []packet.Injection
 	for a := 0; a < r.attempts; a++ {
 		di := r.rng.Intn(len(r.dests))
@@ -117,28 +112,16 @@ func (r *Random) Inject(round int) []packet.Injection {
 			continue
 		}
 		src := r.sources[di][r.rng.Intn(len(r.sources[di]))]
-		in := packet.Injection{Src: src, Dst: r.dests[di]}
-		if r.admit(in) {
-			out = append(out, in)
+		if r.excess.admit(src, r.dests[di]) {
+			if out == nil {
+				// The round's one allocation: the remaining attempts fit.
+				out = make([]packet.Injection, 0, r.attempts-a)
+			}
+			out = append(out, packet.Injection{Src: src, Dst: r.dests[di]})
 		}
 	}
-	r.excess.Absorb(out)
+	r.excess.endRound()
 	return out
-}
-
-// admit checks the candidate against the shaper and, if admitted, charges
-// its route in the per-round counters.
-func (r *Random) admit(in packet.Injection) bool {
-	route := CrossedBuffers(r.nw, in)
-	for _, v := range route {
-		if r.excess.WouldExceed(v, r.perRound[v], r.bound.Sigma) {
-			return false
-		}
-	}
-	for _, v := range route {
-		r.perRound[v]++
-	}
-	return true
 }
 
 // Stream is a deterministic constant-rate adversary: it injects one packet

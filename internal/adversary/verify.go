@@ -89,8 +89,10 @@ func NaiveBoundHolds(nw *network.Network, bound Bound, history [][]packet.Inject
 	for t, injs := range history {
 		counts[t] = make([]int, n)
 		for _, in := range injs {
-			for _, v := range CrossedBuffers(nw, in) {
-				counts[t][v]++
+			for v := range counts[t] {
+				if Crosses(nw, in, network.NodeID(v)) {
+					counts[t][v]++
+				}
 			}
 		}
 	}

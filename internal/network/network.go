@@ -36,6 +36,10 @@ type Network struct {
 	sinks     []NodeID
 	isPath    bool
 	bandwidth []int // bandwidth[v] = capacity of the link out of v (sinks: 1, unused)
+	// One preorder numbering of the reversed forest, with a DFS started at
+	// every sink: v's subtree, the nodes whose route passes through v,
+	// holds exactly the positions [pre[v], end[v]).
+	pre, end []int32
 }
 
 // Option configures a Network under construction (today: link bandwidths).
@@ -169,27 +173,36 @@ func fromNext(next []NodeID, isPath bool, opts []Option) (*Network, error) {
 	for _, c := range children {
 		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
 	}
-	// Depth via BFS from sinks along reverse edges; unreached nodes are on a
-	// cycle.
+	// Depth and preorder positions via a DFS from each sink along reverse
+	// edges; unreached nodes are on a cycle. ^v on the stack marks where
+	// v's subtree ends.
 	depth := make([]int, n)
-	for i := range depth {
-		depth[i] = -1
+	pre, end := make([]int32, n), make([]int32, n)
+	for i := range pre {
+		pre[i] = -1
 	}
-	queue := make([]NodeID, 0, n)
+	var stack []NodeID
+	pos := int32(0)
 	for _, s := range sinks {
-		depth[s] = 0
-		queue = append(queue, s)
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, c := range children[v] {
-			depth[c] = depth[v] + 1
-			queue = append(queue, c)
+		stack = append(stack, s)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if v < 0 {
+				end[^v] = pos
+				continue
+			}
+			pre[v] = pos
+			pos++
+			stack = append(stack, ^v)
+			for _, c := range children[v] {
+				depth[c] = depth[v] + 1
+				stack = append(stack, c)
+			}
 		}
 	}
-	for v, d := range depth {
-		if d < 0 {
+	for v, p := range pre {
+		if p < 0 {
 			return nil, fmt.Errorf("network: node %d is on a directed cycle", v)
 		}
 	}
@@ -197,7 +210,7 @@ func fromNext(next []NodeID, isPath bool, opts []Option) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Network{next: next, children: children, depth: depth, sinks: sinks, isPath: isPath, bandwidth: bw}, nil
+	return &Network{next: next, children: children, depth: depth, pre: pre, end: end, sinks: sinks, isPath: isPath, bandwidth: bw}, nil
 }
 
 // Len returns the number of nodes.
@@ -286,19 +299,11 @@ func (nw *Network) Valid(v NodeID) bool { return v >= 0 && int(v) < len(nw.next)
 
 // Reaches reports whether w lies on the directed path from v to its sink
 // (inclusive of v itself). For trees this is the partial order v ⪯ w of
-// Appendix B.2 restricted to comparable pairs; for paths it is v ≤ w.
+// Appendix B.2 restricted to comparable pairs; for paths it is v ≤ w. It
+// costs O(1): w is on v's route exactly when v is in w's subtree, that is,
+// when v's preorder position falls in w's interval.
 func (nw *Network) Reaches(v, w NodeID) bool {
-	if !nw.Valid(v) || !nw.Valid(w) {
-		return false
-	}
-	// Walk from v toward the sink. Depth strictly decreases along the walk,
-	// so once the current depth drops below w's, w can never appear.
-	for u := v; u != None && nw.depth[u] >= nw.depth[w]; u = nw.next[u] {
-		if u == w {
-			return true
-		}
-	}
-	return false
+	return nw.Valid(v) && nw.Valid(w) && nw.pre[w] <= nw.pre[v] && nw.pre[v] < nw.end[w]
 }
 
 // Route returns the node sequence from src to dst following next hops,

@@ -140,6 +140,57 @@ func TestReaches(t *testing.T) {
 	}
 }
 
+// refReaches walks from v toward its sink, the direct definition of
+// Reaches, kept as the oracle for the preorder intervals.
+func refReaches(nw *Network, v, w NodeID) bool {
+	if !nw.Valid(v) || !nw.Valid(w) {
+		return false
+	}
+	for u := v; u != None && nw.depth[u] >= nw.depth[w]; u = nw.next[u] {
+		if u == w {
+			return true
+		}
+	}
+	return false
+}
+
+// Property: on random forests with several roots, Reaches agrees with the
+// walk for every node pair, out-of-range ids included. Each sink starts
+// its own DFS, so this checks that the intervals of different trees never
+// overlap.
+func TestQuickReachesMatchesWalk(t *testing.T) {
+	f := func(seed int64, sz uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + int(sz)%60
+		roots := min(n, 2+rng.Intn(3))
+		// Parents come earlier in a random order, so there is no cycle.
+		order := rng.Perm(n)
+		parent := make([]NodeID, n)
+		for i, v := range order {
+			parent[v] = None
+			if i >= roots && rng.Intn(8) > 0 {
+				parent[v] = NodeID(order[rng.Intn(i)])
+			}
+		}
+		nw, err := NewForest(parent)
+		if err != nil || len(nw.Sinks()) < roots {
+			return false
+		}
+		for v := NodeID(-1); int(v) <= n; v++ {
+			for w := NodeID(-1); int(w) <= n; w++ {
+				if nw.Reaches(v, w) != refReaches(nw, v, w) {
+					t.Logf("parent %v: Reaches(%d,%d) = %v", parent, v, w, nw.Reaches(v, w))
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestRouteAndDist(t *testing.T) {
 	nw := MustPath(5)
 	route, err := nw.Route(1, 4)

@@ -1,14 +1,15 @@
 // Package rat implements exact rational arithmetic for the small magnitudes
 // that arise in adversarial-queuing accounting (rates ρ = p/q, excess values,
-// load budgets). Using exact rationals instead of floats keeps the
-// (ρ,σ)-boundedness verifier and the excess recursion of Definition 2.2 free
-// of rounding drift over long executions.
+// load budgets). Exact rationals instead of floats keep rates and bounds free
+// of rounding drift over long executions. The excess tracker of Definition
+// 2.2 (adversary.Excess) instead holds q·ξ as an int64 for ρ = p/q, which
+// is just as exact, and returns a Rat only when a value is read.
 //
 // The implementation uses int64 numerators/denominators and normalizes
 // eagerly. All operations check for overflow and panic with a descriptive
 // message if an intermediate product would not fit; simulation-scale values
-// (rates with denominators ≤ 10^6, horizons ≤ 10^9 rounds) are far below the
-// overflow threshold.
+// (rates with denominators ≤ 10^6, which adversary.CheckRate enforces,
+// horizons ≤ 10^9 rounds) are far below the overflow threshold.
 package rat
 
 import (

@@ -451,14 +451,15 @@ func (sc *Scenario) Validate() error {
 		seenMetrics[m.Name] = true
 	}
 
-	// Canonicalize bounds: exact, reduced, non-negative σ.
+	// Canonicalize bounds: exact, reduced, a rate every adversary accepts,
+	// non-negative σ.
 	for i, b := range sc.Bounds {
 		rho, err := rat.Parse(b.Rho)
 		if err != nil {
 			return fmt.Errorf("scenario: bound %d: bad rho: %w", i, err)
 		}
-		if rho.Sign() < 0 {
-			return fmt.Errorf("scenario: bound %d: negative rho %v", i, rho)
+		if err := adversary.CheckRate(rho); err != nil {
+			return fmt.Errorf("scenario: bound %d: %w", i, err)
 		}
 		if b.Sigma < 0 {
 			return fmt.Errorf("scenario: bound %d: negative sigma %d", i, b.Sigma)

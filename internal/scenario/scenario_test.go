@@ -426,6 +426,10 @@ func TestValidationErrors(t *testing.T) {
 			"topology": {"name": "path"}, "protocol": {"name": "pts"},
 			"adversary": {"name": "stream"}, "bound": {"rho": "fast", "sigma": 1}, "rounds": 10
 		}`, "bad"},
+		{"rate denominator above the cap", `{
+			"topology": {"name": "path"}, "protocol": {"name": "pts"},
+			"adversary": {"name": "random"}, "bound": {"rho": "1/4611686018427387904", "sigma": 2}, "rounds": 10
+		}`, "denominator above"},
 		{"missing rounds", `{
 			"topology": {"name": "path"}, "protocol": {"name": "pts"},
 			"adversary": {"name": "stream"}, "bound": {"rho": "1", "sigma": 1}

@@ -596,6 +596,32 @@ func TestEndpointsAndErrors(t *testing.T) {
 	}
 }
 
+// TestHostileRateRejected posts a rate whose denominator is 2^62. Without
+// a cap on ρ's denominator the scenario validated, and the random
+// adversary's first round overflowed int64 and panicked, killing the
+// daemon. The POST must get a 4xx, and the daemon must keep serving.
+func TestHostileRateRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	code, rep := post(t, ts.URL, `{
+		"topology": {"name": "path", "params": {"n": 8}},
+		"protocol": {"name": "ppts"},
+		"adversary": {"name": "random"},
+		"bound": {"rho": "1/4611686018427387904", "sigma": 2},
+		"rounds": 10
+	}`)
+	if code < 400 || code >= 500 || !strings.Contains(rep.Error, "denominator") {
+		t.Errorf("hostile rate: %d %+v, want a 4xx naming the denominator", code, rep)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after the hostile rate: %d, want 200", resp.StatusCode)
+	}
+}
+
 // TestCacheEviction bounds the cache at a few cells and checks old
 // digests re-simulate after eviction.
 func TestCacheEviction(t *testing.T) {
