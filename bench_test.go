@@ -377,24 +377,6 @@ func BenchmarkSweep32(b *testing.B) {
 	}
 }
 
-// BenchmarkPPTSDecide isolates PPTS's per-round decision cost at a loaded
-// configuration (64 nodes, 8 destinations).
-func BenchmarkPPTSDecide(b *testing.B) {
-	nw, err := sb.NewPath(64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bound := sb.Bound{Rho: sb.NewRat(1, 1), Sigma: 4}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		adv, err := sb.PPTSBurstAdversary(nw, bound, 8, 256)
-		if err != nil {
-			b.Fatal(err)
-		}
-		runOnce(b, sb.NewSpec(nw, sb.NewPPTS(), adv, 256))
-	}
-}
-
 // BenchmarkAdversaryVerifier measures the exact (ρ,σ) verifier on a random
 // pattern.
 func BenchmarkAdversaryVerifier(b *testing.B) {

@@ -35,6 +35,9 @@ type Policy interface {
 type Greedy struct {
 	policy Policy
 	nw     *network.Network
+	// scratch reused across rounds: the decisions and one buffer's packets
+	out     []sim.Forward
+	scratch []packet.Packet
 }
 
 var _ sim.Protocol = (*Greedy)(nil)
@@ -58,8 +61,7 @@ func (g *Greedy) Attach(nw *network.Network, _ adversary.Bound, _ []network.Node
 // min(B(v), load) policy-preferred packets, selected greedily so that at
 // B = 1 the choice coincides with the classical single-packet rule.
 func (g *Greedy) Decide(v sim.View) ([]sim.Forward, error) {
-	var out []sim.Forward
-	var scratch []packet.Packet
+	out, scratch := g.out[:0], g.scratch
 	for i := 0; i < g.nw.Len(); i++ {
 		node := network.NodeID(i)
 		if g.nw.Next(node) == network.None {
@@ -89,7 +91,9 @@ func (g *Greedy) Decide(v sim.View) ([]sim.Forward, error) {
 			out = append(out, sim.Forward{From: node, Pkt: scratch[k].ID})
 		}
 	}
-	return out, nil
+	g.out, g.scratch = out, scratch
+	// The caller owns the returned decisions; the scratch stays here.
+	return append([]sim.Forward(nil), out...), nil
 }
 
 // FIFO forwards the packet that arrived at the buffer earliest.

@@ -117,36 +117,10 @@ func TestHPTSExecutionMatchesReference(t *testing.T) {
 	}
 }
 
-// loadedPath256 is a fixed, heavily loaded path(256) view for allocation
-// and speed measurements.
+// loadedPath256 is a fixed, heavily loaded path(256) view for speed
+// measurements.
 func loadedPath256() *fakeView {
 	return randomConfig(network.MustPath(256), rand.New(rand.NewSource(7)), 8)
-}
-
-// TestHPTSDecideAllocs pins the per-round allocation budget: the returned
-// decision slice and nothing else.
-func TestHPTSDecideAllocs(t *testing.T) {
-	view := loadedPath256()
-	for _, ell := range []int{1, 2, 4} {
-		p := NewHPTS(ell)
-		if err := p.Attach(view.nw, fullBound(2), nil); err != nil {
-			t.Fatal(err)
-		}
-		for off := 0; off < ell; off++ {
-			view.round = off
-			if d, _ := p.Decide(view); len(d) == 0 {
-				t.Fatalf("ℓ=%d round %d: no decisions on a loaded path", ell, off)
-			}
-			allocs := testing.AllocsPerRun(20, func() {
-				if _, err := p.Decide(view); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs > 1 {
-				t.Errorf("ℓ=%d round %d: Decide makes %.0f allocations, want ≤ 1", ell, off, allocs)
-			}
-		}
-	}
 }
 
 // BenchmarkHPTSDecide measures one HPTS forwarding decision on a loaded

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"smallbuffers/internal/adversary"
 	"smallbuffers/internal/network"
@@ -33,9 +33,22 @@ import (
 // On capacitated links the scan is unchanged; each activated pseudo-buffer
 // forwards up to B(v) packets (B = 1 recovers Algorithm 2 exactly, and the
 // 1 + d + σ bound scales down as bandwidth buys faster drains — see E12).
+//
+// Each round indexes the buffered packets once, recording for every
+// destination present its leftmost non-empty and leftmost bad
+// pseudo-buffer, which is all the sweep asks (the activated intervals are
+// disjoint). Decide thus costs O(n + P) for P buffered packets, plus a sort
+// of the destinations present; its scratch is sized at Attach, and it
+// allocates only the returned decisions.
 type PPTS struct {
 	drainWhenIdle bool
 	nw            *network.Network
+	// scratch, sized at Attach and reused across rounds. Per destination w:
+	first []int // leftmost node holding a packet for w, −1 if none
+	bad   []int // leftmost node holding ≥ 2 packets for w, −1 if none
+	seen  []int // last node found holding a packet for w
+	dests []int // the destinations present, ascending
+	out   []sim.Forward
 }
 
 var _ sim.Protocol = (*PPTS)(nil)
@@ -70,56 +83,53 @@ func (p *PPTS) Attach(nw *network.Network, _ adversary.Bound, _ []network.NodeID
 	if !nw.IsPath() {
 		return fmt.Errorf("core: PPTS requires a path topology (use TreePPTS for trees)")
 	}
+	n := nw.Len()
 	p.nw = nw
+	scratch := make([]int, 4*n)
+	p.first, p.bad, p.seen, p.dests = scratch[:n], scratch[n:2*n], scratch[2*n:3*n], scratch[3*n:3*n]
+	for i := range scratch[:3*n] {
+		scratch[i] = -1
+	}
 	return nil
 }
 
-// pptsState is the per-round view: for each destination w present in the
-// configuration, the per-node pseudo-buffer contents.
-type pptsState struct {
-	n int
-	// byDest[w][i] = packets at node i destined for w, arrival order.
-	byDest map[network.NodeID][][]packet.Packet
-	dests  []network.NodeID // sorted ascending
-	bw     []int            // bw[i] = link bandwidth of node i
-}
-
-func newPPTSState(v sim.View) *pptsState {
-	n := v.Net().Len()
-	st := &pptsState{n: n, byDest: make(map[network.NodeID][][]packet.Packet), bw: make([]int, n)}
-	for i := 0; i < n; i++ {
-		st.bw[i] = v.Bandwidth(network.NodeID(i))
+// index records, in one left-to-right pass over round v's packets, the
+// destinations present and each one's leftmost non-empty and leftmost bad
+// pseudo-buffer. The previous round's entries are reset through its
+// destination list.
+func (p *PPTS) index(v sim.View) {
+	for _, w := range p.dests {
+		p.first[w], p.bad[w], p.seen[w] = -1, -1, -1
+	}
+	p.dests = p.dests[:0]
+	for i := range p.nw.Len() {
 		for _, pk := range v.Packets(network.NodeID(i)) {
-			per := st.byDest[pk.Dst]
-			if per == nil {
-				per = make([][]packet.Packet, n)
-				st.byDest[pk.Dst] = per
-				st.dests = append(st.dests, pk.Dst)
+			// Nodes are scanned left to right, so the first node seen twice
+			// for a destination is its leftmost bad one.
+			switch w := int(pk.Dst); {
+			case p.first[w] < 0:
+				p.first[w], p.seen[w] = i, i
+				p.dests = append(p.dests, w)
+			case p.seen[w] != i:
+				p.seen[w] = i
+			case p.bad[w] < 0:
+				p.bad[w] = i
 			}
-			per[i] = append(per[i], pk)
 		}
 	}
-	sort.Slice(st.dests, func(a, b int) bool { return st.dests[a] < st.dests[b] })
-	return st
-}
-
-// pseudo returns the k-pseudo-buffer of node i for destination w.
-func (st *pptsState) pseudo(w network.NodeID, i int) []packet.Packet {
-	per := st.byDest[w]
-	if per == nil {
-		return nil
-	}
-	return per[i]
+	slices.Sort(p.dests)
 }
 
 // Decide implements sim.Protocol (Algorithm 2).
 func (p *PPTS) Decide(v sim.View) ([]sim.Forward, error) {
-	st := newPPTSState(v)
-	out := p.scan(st, true)
-	if out == nil && p.drainWhenIdle {
-		out = p.scan(st, false)
+	p.index(v)
+	out := p.scan(p.out[:0], v, true)
+	if len(out) == 0 && p.drainWhenIdle {
+		out = p.scan(out, v, false)
 	}
-	return out, nil
+	p.out = out
+	// The caller owns the returned decisions; the scratch stays here.
+	return append([]sim.Forward(nil), out...), nil
 }
 
 // scan performs the right-to-left destination sweep. With bad=true it is
@@ -135,36 +145,29 @@ func (p *PPTS) Decide(v sim.View) ([]sim.Forward, error) {
 // the sweep is right-to-left overall (higher destinations first, intervals
 // right-to-left), so every receiver's rate is known before its sender's.
 // At B = 1 every limit degenerates to one packet — Algorithm 2 exactly.
-func (p *PPTS) scan(st *pptsState, bad bool) []sim.Forward {
-	frontier := st.n // sentinel "w_d"
-	sent := make([]int, st.n+1)
-	var out []sim.Forward
-	for kk := len(st.dests) - 1; kk >= 0; kk-- {
-		w := st.dests[kk]
-		// Left-most qualifying k-pseudo-buffer strictly left of the frontier.
-		ik := -1
-		limit := int(w)
-		if frontier < limit {
-			limit = frontier
+func (p *PPTS) scan(out []sim.Forward, v sim.View, bad bool) []sim.Forward {
+	frontier := p.nw.Len() // sentinel "w_d"
+	// sent is what the node right of the current one forwarded: an
+	// interval's right end feeds either its destination or the previous
+	// interval's left end, the node the last iteration served.
+	sent := 0
+	for k := len(p.dests) - 1; k >= 0; k-- {
+		w := p.dests[k]
+		// Left-most qualifying k-pseudo-buffer strictly left of the frontier:
+		// the left-most one, unless that lies at or beyond it.
+		ik := p.bad[w]
+		if !bad {
+			ik = p.first[w]
 		}
-		for i := 0; i < limit; i++ {
-			ps := st.pseudo(w, i)
-			if (bad && len(ps) >= 2) || (!bad && len(ps) >= 1) {
-				ik = i
-				break
-			}
-		}
-		if ik < 0 {
+		end := min(frontier, w)
+		if ik < 0 || ik >= end {
 			continue
 		}
-		hi := frontier - 1
-		if int(w)-1 < hi {
-			hi = int(w) - 1
-		}
+		hi := end - 1
 		if !bad {
 			// Truncate so the interval's emission lands safely: find the
 			// largest hi' ∈ [ik, hi] with (hi'+1 == w) or L_k(hi'+1) empty.
-			for hi >= ik && hi+1 != int(w) && len(st.pseudo(w, hi+1)) > 0 {
+			for hi >= ik && hi+1 != w && holds(v.Packets(network.NodeID(hi+1)), w) {
 				hi--
 			}
 			if hi < ik {
@@ -174,9 +177,9 @@ func (p *PPTS) scan(st *pptsState, bad bool) []sim.Forward {
 		for i := hi; i >= ik; i-- {
 			// The intervals are disjoint (Lemma B.1), so node i forwards
 			// from this one pseudo-buffer only.
-			limit := st.bw[i]
-			if i+1 != int(w) {
-				limit = min(limit, max(1, sent[i+1]))
+			limit := v.Bandwidth(network.NodeID(i))
+			if i+1 != w {
+				limit = min(limit, max(1, sent))
 				if !bad && i == hi {
 					// Drain mode truncated the interval so its emission
 					// lands in an empty pseudo-buffer; more than one packet
@@ -185,10 +188,27 @@ func (p *PPTS) scan(st *pptsState, bad bool) []sim.Forward {
 				}
 			}
 			n0 := len(out)
-			out = appendLIFOTop(out, network.NodeID(i), st.pseudo(w, i), limit)
-			sent[i] = len(out) - n0
+			out = appendTopFor(out, network.NodeID(i), v.Packets(network.NodeID(i)), w, limit)
+			sent = len(out) - n0
 		}
 		frontier = ik
+	}
+	return out
+}
+
+// holds reports whether pkts has a packet for destination w.
+func holds(pkts []packet.Packet, w int) bool {
+	return slices.ContainsFunc(pkts, func(pk packet.Packet) bool { return int(pk.Dst) == w })
+}
+
+// appendTopFor is appendLIFOTop over the pseudo-buffer of the packets in
+// pkts destined for w: it forwards their b most recent.
+func appendTopFor(out []sim.Forward, from network.NodeID, pkts []packet.Packet, w, b int) []sim.Forward {
+	for q := len(pkts) - 1; q >= 0 && b > 0; q-- {
+		if int(pkts[q].Dst) == w {
+			out = append(out, sim.Forward{From: from, Pkt: pkts[q].ID})
+			b--
+		}
 	}
 	return out
 }

@@ -38,6 +38,7 @@ type PTS struct {
 	drainWhenIdle bool
 	nw            *network.Network
 	dest          network.NodeID
+	out           []sim.Forward // decision scratch, reused across rounds
 }
 
 var _ sim.Protocol = (*PTS)(nil)
@@ -110,7 +111,7 @@ func (p *PTS) Decide(v sim.View) ([]sim.Forward, error) {
 	}
 	// Activate [start, dest−1]; forwarding rates cascade from the
 	// destination end (receivers are resolved before their senders).
-	var out []sim.Forward
+	out := p.out[:0]
 	prevSent := 0
 	for i := p.dest - 1; i >= start; i-- {
 		limit := v.Bandwidth(i)
@@ -121,13 +122,8 @@ func (p *PTS) Decide(v sim.View) ([]sim.Forward, error) {
 		out = appendLIFOTop(out, i, v.Packets(i), limit)
 		prevSent = len(out) - n0
 	}
-	return out, nil
-}
-
-// lifoTop returns the ID of the most recently arrived packet in pkts
-// (the slice is in arrival order).
-func lifoTop(pkts []packet.Packet) packet.ID {
-	return pkts[len(pkts)-1].ID
+	p.out = out
+	return append([]sim.Forward(nil), out...), nil
 }
 
 // appendLIFOTop appends forwarding decisions for the min(len(pkts), b)

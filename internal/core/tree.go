@@ -1,12 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"smallbuffers/internal/adversary"
 	"smallbuffers/internal/network"
-	"smallbuffers/internal/packet"
 	"smallbuffers/internal/sim"
 )
 
@@ -21,11 +21,17 @@ import (
 // the output of many routing algorithms): components never share links, so
 // the sweep runs on all of them simultaneously and the per-component
 // analysis is unchanged.
+//
+// Decide costs O(n) per round over scratch sized at Attach, and allocates
+// only the returned decisions.
 type TreePTS struct {
 	drainWhenIdle bool
 	nw            *network.Network
-	roots         map[network.NodeID]bool
 	topo          []network.NodeID
+	// scratch, sized at Attach and reused across rounds:
+	active []bool // per node: activated this round
+	sent   []int  // per node: packets forwarded this round
+	out    []sim.Forward
 }
 
 var _ sim.Protocol = (*TreePTS)(nil)
@@ -61,69 +67,65 @@ func (p *TreePTS) Name() string {
 // Attach implements sim.Protocol. The network may be an in-tree or an
 // in-forest; every declared destination must be a root.
 func (p *TreePTS) Attach(nw *network.Network, _ adversary.Bound, dests []network.NodeID) error {
-	p.nw = nw
-	p.roots = make(map[network.NodeID]bool, len(nw.Sinks()))
-	for _, s := range nw.Sinks() {
-		p.roots[s] = true
-	}
-	p.topo = nw.TopoOrder()
 	for _, d := range dests {
-		if !p.roots[d] {
+		if !nw.Valid(d) || nw.Next(d) != network.None {
 			return fmt.Errorf("core: TreePTS handles root destinations only, adversary declares %d (use TreePPTS)", d)
 		}
 	}
+	p.nw = nw
+	p.topo = nw.TopoOrder()
+	p.active = make([]bool, nw.Len())
+	p.sent = make([]int, nw.Len())
 	return nil
 }
 
 // Decide implements sim.Protocol: active(v) ⇔ bad(v) ∨ ∃ child c active(c),
 // computed leaves-first.
 func (p *TreePTS) Decide(v sim.View) ([]sim.Forward, error) {
-	active := p.sweep(v, 2)
-	if active == nil && p.drainWhenIdle {
-		active = p.sweep(v, 1)
+	if !p.sweep(v, 2) && p.drainWhenIdle {
+		p.sweep(v, 1)
 	}
 	// Cascaded rates on capacitated links: walk roots-first (reverse
 	// topological order) so each sender sees its parent's rate; full B only
 	// into the root, where packets are absorbed. B = 1 degenerates to the
-	// paper's one-packet rule.
-	var out []sim.Forward
-	sent := make([]int, p.nw.Len())
+	// paper's one-packet rule. An active node's parent is active, so every
+	// rate read here was written this round.
+	out := p.out[:0]
 	for idx := len(p.topo) - 1; idx >= 0; idx-- {
 		node := p.topo[idx]
-		if !active[node] || p.roots[node] {
+		up := p.nw.Next(node)
+		if !p.active[node] || up == network.None {
 			continue
 		}
 		limit := v.Bandwidth(node)
-		if up := p.nw.Next(node); !p.roots[up] {
-			limit = min(limit, max(1, sent[up]))
+		if p.nw.Next(up) != network.None {
+			limit = min(limit, max(1, p.sent[up]))
 		}
 		n0 := len(out)
 		out = appendLIFOTop(out, node, v.Packets(node), limit)
-		sent[node] = len(out) - n0
+		p.sent[node] = len(out) - n0
 	}
-	return out, nil
+	p.out = out
+	return append([]sim.Forward(nil), out...), nil
 }
 
-// sweep marks ancestors-or-self of every node with load ≥ threshold;
-// it returns nil when no node qualifies.
-func (p *TreePTS) sweep(v sim.View, threshold int) map[network.NodeID]bool {
-	active := make(map[network.NodeID]bool)
+// sweep marks ancestors-or-self of every node with load ≥ threshold and
+// reports whether any node qualifies.
+func (p *TreePTS) sweep(v sim.View, threshold int) bool {
+	clear(p.active)
 	any := false
 	for _, node := range p.topo { // leaves first
 		if v.Load(node) >= threshold {
-			active[node] = true
+			p.active[node] = true
 			any = true
 		}
-		if active[node] {
+		if p.active[node] {
 			if up := p.nw.Next(node); up != network.None {
-				active[up] = true
+				p.active[up] = true
 			}
 		}
 	}
-	if !any {
-		return nil
-	}
-	return active
+	return any
 }
 
 // TreePPTS is Algorithm 6: the directed-tree generalization of PPTS
@@ -133,10 +135,29 @@ func (p *TreePTS) sweep(v sim.View, threshold int) map[network.NodeID]bool {
 // paths to w_k is activated, excluding nodes already activated for earlier
 // destinations. Max load ≤ 1 + d′ + σ, where d′ is the maximum number of
 // destinations on any leaf-root path.
+//
+// Each round indexes the buffered packets once, collecting the bad
+// (node, destination) pairs; the union of the paths from a destination's
+// bad nodes equals the union from its minimal antichain. Each pair walks
+// toward its destination and stops at the first claimed node, so the walks
+// claim each node once. Decide thus costs O(n + P) for P buffered packets,
+// plus a sort of the bad pairs; its scratch is sized at Attach, and it
+// allocates only the returned decisions.
 type TreePPTS struct {
 	nw   *network.Network
 	topo []network.NodeID
+	// scratch, sized at Attach and reused across rounds:
+	seen  []int // per destination: last node found holding a packet for it, −1 if none
+	badAt []int // per destination: last node found holding ≥ 2 packets for it, −1 if none
+	dests []int // the destinations present
+	pairs []badPair
+	claim []int // per node: destination whose pseudo-buffer it forwards, −1 = inactive
+	sent  []int // per node: packets forwarded this round
+	out   []sim.Forward
 }
+
+// badPair is a node holding ≥ 2 packets for destination w.
+type badPair struct{ node, w int }
 
 var _ sim.Protocol = (*TreePPTS)(nil)
 
@@ -153,105 +174,89 @@ func (p *TreePPTS) Attach(nw *network.Network, _ adversary.Bound, _ []network.No
 	if nw == nil {
 		return fmt.Errorf("core: TreePPTS requires a network")
 	}
+	n := nw.Len()
 	p.nw = nw
 	p.topo = nw.TopoOrder()
+	scratch := make([]int, 5*n)
+	p.seen, p.badAt, p.claim, p.sent, p.dests = scratch[:n], scratch[n:2*n], scratch[2*n:3*n], scratch[3*n:4*n], scratch[4*n:4*n]
+	for i := range scratch[:3*n] {
+		scratch[i] = -1
+	}
 	return nil
+}
+
+// index collects, in one pass over round v's packets, the destinations
+// present and the bad (node, destination) pairs. The previous round's
+// entries are reset through its destination list.
+func (p *TreePPTS) index(v sim.View) {
+	for _, w := range p.dests {
+		p.seen[w], p.badAt[w] = -1, -1
+	}
+	p.dests, p.pairs = p.dests[:0], p.pairs[:0]
+	for i := range p.nw.Len() {
+		for _, pk := range v.Packets(network.NodeID(i)) {
+			// A node's packets are scanned together, so a destination's
+			// pseudo-buffer at i turns bad at its second packet there.
+			switch w := int(pk.Dst); {
+			case p.seen[w] < 0:
+				p.dests = append(p.dests, w)
+				p.seen[w] = i
+			case p.seen[w] != i:
+				p.seen[w] = i
+			case p.badAt[w] != i:
+				p.badAt[w] = i
+				p.pairs = append(p.pairs, badPair{node: i, w: w})
+			}
+		}
+	}
 }
 
 // Decide implements sim.Protocol (Algorithm 6).
 func (p *TreePPTS) Decide(v sim.View) ([]sim.Forward, error) {
-	// Pseudo-buffers by destination, discovered from the configuration.
-	byDest := make(map[network.NodeID]map[network.NodeID][]packet.Packet)
-	var dests []network.NodeID
-	n := p.nw.Len()
-	for i := 0; i < n; i++ {
-		node := network.NodeID(i)
-		for _, pk := range v.Packets(node) {
-			per := byDest[pk.Dst]
-			if per == nil {
-				per = make(map[network.NodeID][]packet.Packet)
-				byDest[pk.Dst] = per
-				dests = append(dests, pk.Dst)
-			}
-			per[node] = append(per[node], pk)
-		}
-	}
+	p.index(v)
 	// Reverse topological order of destinations: w_i ≺ w_j ⇒ j processed
 	// first. Sort by depth ascending (root-most first), ties by ID for
 	// determinism.
-	sort.Slice(dests, func(a, b int) bool {
-		da, db := p.nw.Depth(dests[a]), p.nw.Depth(dests[b])
-		if da != db {
-			return da < db
-		}
-		return dests[a] < dests[b]
+	slices.SortFunc(p.pairs, func(a, b badPair) int {
+		da, db := p.nw.Depth(network.NodeID(a.w)), p.nw.Depth(network.NodeID(b.w))
+		return cmp.Or(cmp.Compare(da, db), cmp.Compare(a.w, b.w), cmp.Compare(a.node, b.node))
 	})
-
-	// activeFor[node] = destination whose pseudo-buffer node forwards;
-	// network.None marks "not active".
-	activeFor := make([]network.NodeID, n)
-	for i := range activeFor {
-		activeFor[i] = network.None
-	}
-	for _, w := range dests {
-		per := byDest[w]
-		// Bad set B_k: nodes with |L_k| ≥ 2.
-		var badNodes []network.NodeID
-		for node, ps := range per {
-			if len(ps) >= 2 {
-				badNodes = append(badNodes, node)
-			}
-		}
-		if len(badNodes) == 0 {
-			continue
-		}
-		// Minimal antichain min(B_k): drop nodes with a bad strict
-		// descendant in B_k.
-		sort.Slice(badNodes, func(a, b int) bool { return badNodes[a] < badNodes[b] })
-		minimal := badNodes[:0:0]
-		for _, u := range badNodes {
-			hasDesc := false
-			for _, o := range badNodes {
-				if o != u && p.nw.Reaches(o, u) {
-					hasDesc = true
-					break
-				}
-			}
-			if !hasDesc {
-				minimal = append(minimal, u)
-			}
-		}
-		// A_k = (∪ Path(u, w)) \ A: walk each path toward w, claiming
-		// unclaimed nodes (excluding w itself: packets destined w are
-		// delivered on arrival, never forwarded out of w).
-		for _, u := range minimal {
-			for node := u; node != w && node != network.None; node = p.nw.Next(node) {
-				if activeFor[node] == network.None {
-					activeFor[node] = w
-				}
-			}
+	// A_k = (∪ Path(u, w)) \ A: walk each path toward w, claiming
+	// unclaimed nodes (excluding w itself: packets destined w are
+	// delivered on arrival, never forwarded out of w). A walk may stop at
+	// the first claimed node: its claim came from a walk to w or to a
+	// destination above w, and by induction every node from it up to that
+	// destination, and so up to w, is claimed already.
+	for _, bp := range p.pairs {
+		w := network.NodeID(bp.w)
+		for node := network.NodeID(bp.node); node != w && node != network.None && p.claim[node] < 0; node = p.nw.Next(node) {
+			p.claim[node] = bp.w
 		}
 	}
 
 	// Cascaded rates on capacitated links, roots-first so parents resolve
 	// before children; full B only into the pseudo-buffer's destination.
-	var out []sim.Forward
-	sent := make([]int, n)
+	// A claimed node's next hop is its destination or claimed, so every
+	// rate read here was written this round. The loop visits every node,
+	// so it also clears the round's claims.
+	out := p.out[:0]
 	for idx := len(p.topo) - 1; idx >= 0; idx-- {
 		node := p.topo[idx]
-		w := activeFor[node]
-		if w == network.None {
+		w := p.claim[node]
+		p.claim[node] = -1
+		if w < 0 {
 			continue
 		}
 		limit := v.Bandwidth(node)
-		if up := p.nw.Next(node); up != w {
-			limit = min(limit, max(1, sent[up]))
+		if up := p.nw.Next(node); int(up) != w {
+			limit = min(limit, max(1, p.sent[up]))
 		}
 		n0 := len(out)
-		out = appendLIFOTop(out, node, byDest[w][node], limit)
-		sent[node] = len(out) - n0
+		out = appendTopFor(out, node, v.Packets(node), w, limit)
+		p.sent[node] = len(out) - n0
 	}
-	return out, nil
+	p.out = out
+	return append([]sim.Forward(nil), out...), nil
 }
 
 // DestinationDepth returns d′(G, W): the maximum number of destinations on

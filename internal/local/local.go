@@ -33,7 +33,8 @@ type Downhill struct {
 	// rule; larger slack trades buffer space for fewer forwards.
 	Slack int
 
-	nw *network.Network
+	nw  *network.Network
+	out []sim.Forward // decision scratch, reused across rounds
 }
 
 var _ sim.Protocol = (*Downhill)(nil)
@@ -76,7 +77,7 @@ func (p *Downhill) Attach(nw *network.Network, _ adversary.Bound, dests []networ
 // configuration at both endpoints, which is exactly the locality-1
 // information model of [9, 17].
 func (p *Downhill) Decide(v sim.View) ([]sim.Forward, error) {
-	var out []sim.Forward
+	out := p.out[:0]
 	for i := 0; i < p.nw.Len(); i++ {
 		node := network.NodeID(i)
 		next := p.nw.Next(node)
@@ -97,7 +98,8 @@ func (p *Downhill) Decide(v sim.View) ([]sim.Forward, error) {
 			out = append(out, sim.Forward{From: node, Pkt: pkts[len(pkts)-1-j].ID})
 		}
 	}
-	return out, nil
+	p.out = out
+	return append([]sim.Forward(nil), out...), nil
 }
 
 // OddEven is the parity-staggered downhill variant ("odd-even downhill" in
@@ -108,7 +110,8 @@ func (p *Downhill) Decide(v sim.View) ([]sim.Forward, error) {
 // is emptying under it — the property the local lower bound argument of
 // [17] exploits.
 type OddEven struct {
-	nw *network.Network
+	nw  *network.Network
+	out []sim.Forward // decision scratch, reused across rounds
 }
 
 var _ sim.Protocol = (*OddEven)(nil)
@@ -132,7 +135,7 @@ func (p *OddEven) Attach(nw *network.Network, bound adversary.Bound, dests []net
 // Decide implements sim.Protocol.
 func (p *OddEven) Decide(v sim.View) ([]sim.Forward, error) {
 	parity := v.Round() % 2
-	var out []sim.Forward
+	out := p.out[:0]
 	for i := 0; i < p.nw.Len(); i++ {
 		node := network.NodeID(i)
 		next := p.nw.Next(node)
@@ -155,5 +158,6 @@ func (p *OddEven) Decide(v sim.View) ([]sim.Forward, error) {
 			out = append(out, sim.Forward{From: node, Pkt: pkts[len(pkts)-1-j].ID})
 		}
 	}
-	return out, nil
+	p.out = out
+	return append([]sim.Forward(nil), out...), nil
 }

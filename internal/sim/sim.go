@@ -17,9 +17,10 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"smallbuffers/internal/adversary"
 	"smallbuffers/internal/buffer"
@@ -54,7 +55,9 @@ type Forward struct {
 	Pkt  packet.ID
 }
 
-// Protocol is a centralized online forwarding algorithm.
+// Protocol is a centralized online forwarding algorithm. An instance
+// serves one run at a time: Attach starts a run and may size per-run
+// scratch that Decide reuses round after round.
 type Protocol interface {
 	// Name identifies the protocol in reports.
 	Name() string
@@ -63,7 +66,7 @@ type Protocol interface {
 	Attach(nw *network.Network, bound adversary.Bound, dests []network.NodeID) error
 	// Decide returns the forwarding decisions for the current round. The
 	// engine validates feasibility; an infeasible decision aborts the run
-	// with an error.
+	// with an error. The engine reads the decisions only within the round.
 	Decide(v View) ([]Forward, error)
 }
 
@@ -196,6 +199,11 @@ type Engine struct {
 	nextID   packet.ID
 	res      Result
 
+	// Forwarding-step scratch, reused across rounds: per-node forward
+	// counts and the applied moves (hooks see moves only during the call).
+	sent  []int
+	moves []metrics.Move
+
 	// hooks is every observer the engine drives this run, in dispatch
 	// order: the spec-selected collectors, the internal max_load/latency
 	// pair when the spec does not already carry them, then the spec's
@@ -276,6 +284,11 @@ func (e *Engine) Reset(spec Spec) error {
 		clear(e.stagedAt)
 	} else {
 		e.stagedAt = make([]int, n)
+	}
+	if cap(e.sent) >= n {
+		e.sent = e.sent[:n]
+	} else {
+		e.sent = make([]int, n)
 	}
 
 	e.spec = spec
@@ -462,9 +475,7 @@ func (e *Engine) step(t int) error {
 			for _, p := range e.staged {
 				e.stagedAt[p.Src]--
 			}
-			// Hooks may retain the accepted slice, so the next phase stages
-			// into fresh storage.
-			accepted, e.staged = e.staged, nil
+			accepted, e.staged = e.staged, e.staged[:0]
 		}
 	}
 	for _, p := range accepted {
@@ -517,22 +528,26 @@ func (e *Engine) step(t int) error {
 // consume the link without arriving.
 func (e *Engine) apply(t int, decisions []Forward) ([]metrics.Move, error) {
 	fm := e.spec.faults
-	sent := make(map[network.NodeID]int, len(decisions))
-	moves := make([]metrics.Move, 0, len(decisions))
+	// Zero the counts of this round's senders first, so no round, not even
+	// one that failed half way, leaves counts behind for the next.
+	for _, d := range decisions {
+		if !e.spec.net.Valid(d.From) {
+			return nil, fmt.Errorf("sim: decision from invalid node %d", d.From)
+		}
+		e.sent[d.From] = 0
+	}
+	moves := e.moves[:0]
 	// Remove phase: validate and detach all forwarded packets first so the
 	// moves are simultaneous. Validation is fault-blind — a decision must
 	// be feasible against the configured bandwidths whether or not the
 	// fault model then nullifies it, so protocols cannot observe faults
 	// through the engine's error behavior.
 	for _, d := range decisions {
-		if !e.spec.net.Valid(d.From) {
-			return nil, fmt.Errorf("sim: decision from invalid node %d", d.From)
-		}
-		if b := e.spec.net.Bandwidth(d.From); sent[d.From] >= b {
+		if b := e.spec.net.Bandwidth(d.From); e.sent[d.From] >= b {
 			return nil, fmt.Errorf("sim: round %d: node %d forwards %d packets but its link bandwidth is %d",
-				t, d.From, sent[d.From]+1, b)
+				t, d.From, e.sent[d.From]+1, b)
 		}
-		sent[d.From]++
+		e.sent[d.From]++
 		to := e.spec.net.Next(d.From)
 		if to == network.None {
 			return nil, fmt.Errorf("sim: sink node %d cannot forward", d.From)
@@ -558,12 +573,10 @@ func (e *Engine) apply(t int, decisions []Forward) ([]metrics.Move, error) {
 		}
 		moves = append(moves, m)
 	}
+	e.moves = moves
 	// Deterministic arrival order: by source node, then packet ID.
-	sort.Slice(moves, func(i, j int) bool {
-		if moves[i].From != moves[j].From {
-			return moves[i].From < moves[j].From
-		}
-		return moves[i].Pkt.ID < moves[j].Pkt.ID
+	slices.SortFunc(moves, func(a, b metrics.Move) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.Pkt.ID, b.Pkt.ID))
 	})
 	// Insert phase. Latency accounting lives in the latency collector,
 	// whose OnForward receives these moves after apply returns.
