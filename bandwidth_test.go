@@ -7,11 +7,14 @@ package smallbuffers_test
 
 import (
 	"context"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	sb "smallbuffers"
 	"smallbuffers/internal/adversary"
 	"smallbuffers/internal/core"
+	"smallbuffers/internal/harness"
 	"smallbuffers/internal/network"
 )
 
@@ -42,10 +45,30 @@ func TestNetworkBandwidthAccessors(t *testing.T) {
 }
 
 func TestSweepBandwidthAxisMonotone(t *testing.T) {
-	// The acceptance shape of the redesign: a Bandwidths sweep through the
-	// public Sweep API, max load non-increasing in B for PTS and PPTS on
-	// paths. Super-unit demand (ρ=2) makes the decrease strict territory;
-	// the axis replays identical injections per B.
+	// The acceptance shape of the redesign: max load non-increasing in B
+	// for PTS and PPTS on paths, with identical injections per B. The first
+	// inputs are Bandwidths sweeps through the public Sweep API at
+	// super-unit demand (ρ=2), where the decrease is strict territory; the
+	// rest are the paper protocols' cells of the E12 experiment files.
+	monotone := func(t *testing.T, cells []harness.CellResult) {
+		t.Helper()
+		prevLoad, prevInjected := -1, -1
+		for _, cr := range cells {
+			if cr.Err != nil {
+				t.Fatal(cr.Err)
+			}
+			if prevLoad >= 0 && cr.Result.MaxLoad > prevLoad {
+				t.Errorf("max load increased with bandwidth: B=%d → %d packets (previous %d)",
+					cr.Cell.Bandwidth, cr.Result.MaxLoad, prevLoad)
+			}
+			if prevInjected >= 0 && cr.Result.Injected != prevInjected {
+				t.Errorf("B=%d replayed %d injections, want %d (bandwidth must not change the derived seed)",
+					cr.Cell.Bandwidth, cr.Result.Injected, prevInjected)
+			}
+			prevLoad, prevInjected = cr.Result.MaxLoad, cr.Result.Injected
+		}
+	}
+
 	dests := func(n int) []sb.NodeID {
 		var out []sb.NodeID
 		for k := 0; k < 4; k++ {
@@ -62,7 +85,6 @@ func TestSweepBandwidthAxisMonotone(t *testing.T) {
 		{"PPTS", func() sb.Protocol { return sb.NewPPTS() }, dests(48)},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			sweep := &sb.Sweep{
 				Protocols:  []sb.SweepProtocol{sb.NewSweepProtocol(tc.name, tc.proto)},
@@ -79,24 +101,38 @@ func TestSweepBandwidthAxisMonotone(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := res.FirstErr(); err != nil {
+			if res.Completed != 3 {
+				t.Fatalf("completed %d cells, want 3: %v", res.Completed, res.FirstErr())
+			}
+			monotone(t, res.Cells)
+		})
+	}
+
+	files, err := filepath.Glob(filepath.Join("testdata", "experiments", "e12-*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no E12 files: %v", err)
+	}
+	for _, f := range files {
+		sc, err := sb.LoadScenarioFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(sc.Name, func(t *testing.T) {
+			agg, err := sc.Run(context.Background())
+			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Completed != 3 {
-				t.Fatalf("completed %d cells, want 3", res.Completed)
-			}
-			prevLoad, prevInjected := -1, -1
-			for _, cr := range res.Cells {
-				if prevLoad >= 0 && cr.Result.MaxLoad > prevLoad {
-					t.Errorf("%s: max load increased with bandwidth: B=%d → %d packets (previous %d)",
-						tc.name, cr.Cell.Bandwidth, cr.Result.MaxLoad, prevLoad)
+			// Each file runs one paper protocol; its cells are in B order.
+			var paper []harness.CellResult
+			for _, cr := range agg.Cells {
+				if !strings.HasPrefix(cr.Cell.Protocol, "greedy-") {
+					paper = append(paper, cr)
 				}
-				if prevInjected >= 0 && cr.Result.Injected != prevInjected {
-					t.Errorf("%s: B=%d replayed %d injections, want %d (bandwidth must not change the derived seed)",
-						tc.name, cr.Cell.Bandwidth, cr.Result.Injected, prevInjected)
-				}
-				prevLoad, prevInjected = cr.Result.MaxLoad, cr.Result.Injected
 			}
+			if len(paper) < 3 {
+				t.Fatalf("%d pts/ppts cells, want one per bandwidth", len(paper))
+			}
+			monotone(t, paper)
 		})
 	}
 }

@@ -1,24 +1,18 @@
 package smallbuffers_test
 
-// One benchmark per reproduced artifact (the experiment index of
-// EXPERIMENTS.md), plus micro-benchmarks of the hot paths. Each experiment
-// benchmark executes one representative workload of its table per
-// iteration; `go test -bench=.` therefore regenerates every measured
-// quantity of the paper at a probe scale, and cmd/aqtbench produces the
-// full tables.
+// Micro-benchmarks of the engine's hot paths through the public API. The
+// per-protocol Decide benchmarks live next to the protocols
+// (internal/core), the paper's tables are cmd/aqtbench's experiments, and
+// bench/ holds the end-to-end benchmark.
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"testing"
 
 	sb "smallbuffers"
 	"smallbuffers/internal/adversary"
-	"smallbuffers/internal/core"
-	"smallbuffers/internal/local"
 	"smallbuffers/internal/network"
-	"smallbuffers/internal/opt"
 	"smallbuffers/internal/sim"
 )
 
@@ -30,237 +24,6 @@ func runOnce(b *testing.B, spec sb.Spec) sb.Result {
 		b.Fatal(err)
 	}
 	return res
-}
-
-// BenchmarkE1PTS: Proposition 3.1 workload — PTS under a crafted burst.
-func BenchmarkE1PTS(b *testing.B) {
-	nw, err := sb.NewPath(64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bound := sb.Bound{Rho: sb.NewRat(1, 1), Sigma: 2}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		adv, err := adversary.PTSBurst(nw, bound, 384)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res := runOnce(b, sb.NewSpec(nw, core.NewPTS(), adv, 384))
-		if res.MaxLoad > 2+bound.Sigma {
-			b.Fatalf("bound violated: %d", res.MaxLoad)
-		}
-	}
-}
-
-// BenchmarkE2PPTS: Proposition 3.2 workload — PPTS with d = 8 destinations.
-func BenchmarkE2PPTS(b *testing.B) {
-	nw, err := sb.NewPath(64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bound := sb.Bound{Rho: sb.NewRat(1, 1), Sigma: 2}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		adv, err := sb.PPTSBurstAdversary(nw, bound, 8, 512)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res := runOnce(b, sb.NewSpec(nw, sb.NewPPTS(), adv, 512))
-		if res.MaxLoad > 1+8+bound.Sigma {
-			b.Fatalf("bound violated: %d", res.MaxLoad)
-		}
-	}
-}
-
-// BenchmarkE3Tree: Proposition 3.5 workload — TreePPTS on a spider.
-func BenchmarkE3Tree(b *testing.B) {
-	tree, err := sb.SpiderTree(4, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	root := tree.Sinks()[0]
-	dests := []sb.NodeID{1, 2, 3, root}
-	bound := sb.Bound{Rho: sb.NewRat(1, 1), Sigma: 2}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		adv, err := sb.TreeBurstAdversary(tree, bound, dests, 300)
-		if err != nil {
-			b.Fatal(err)
-		}
-		runOnce(b, sb.NewSpec(tree, sb.NewTreePPTS(), adv, 300))
-	}
-}
-
-// BenchmarkE4HPTS: Theorem 4.1 workload — HPTS(ℓ=2) on 64 = 8² nodes at
-// ρ = 1/2.
-func BenchmarkE4HPTS(b *testing.B) {
-	nw, err := sb.NewPath(64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bound := sb.Bound{Rho: sb.NewRat(1, 2), Sigma: 2}
-	dests := []sb.NodeID{15, 31, 47, 63}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		adv, err := sb.NewRandomAdversary(nw, bound, dests, 11)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res := runOnce(b, sb.NewSpec(nw, sb.NewHPTS(2), adv, 1024))
-		if res.MaxLoad > 2*8+bound.Sigma+1 {
-			b.Fatalf("bound violated: %d", res.MaxLoad)
-		}
-	}
-}
-
-// BenchmarkE5LowerBound: Theorem 5.1 workload — the Section 5 pattern vs
-// PPTS (m=8, ℓ=2, ρ=3/4).
-func BenchmarkE5LowerBound(b *testing.B) {
-	probe, err := sb.NewLowerBoundAdversary(8, 2, sb.NewRat(3, 4))
-	if err != nil {
-		b.Fatal(err)
-	}
-	nw, err := probe.Network()
-	if err != nil {
-		b.Fatal(err)
-	}
-	floor := int(probe.PredictedBound().Ceil())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		adv, err := sb.NewLowerBoundAdversary(8, 2, sb.NewRat(3, 4))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res := runOnce(b, sb.NewSpec(nw, sb.NewPPTS(), adv, adv.Rounds()))
-		if res.MaxLoad < floor {
-			b.Fatalf("floor missed: %d < %d", res.MaxLoad, floor)
-		}
-	}
-}
-
-// BenchmarkE6Tradeoff: the headline tradeoff at one representative point —
-// HPTS(ℓ=2) at ρ=1/2 with every node a destination, n = 256.
-func BenchmarkE6Tradeoff(b *testing.B) {
-	nw, err := sb.NewPath(256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dests := make([]sb.NodeID, 0, 255)
-	for v := 1; v < 256; v++ {
-		dests = append(dests, sb.NodeID(v))
-	}
-	bound := sb.Bound{Rho: sb.NewRat(1, 2), Sigma: 2}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		adv, err := sb.NewRandomAdversary(nw, bound, dests, 6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res := runOnce(b, sb.NewSpec(nw, sb.NewHPTS(2), adv, 1024))
-		if res.MaxLoad > 2*16+bound.Sigma+1 {
-			b.Fatalf("bound violated: %d", res.MaxLoad)
-		}
-	}
-}
-
-// BenchmarkE7Greedy: the greedy-handicap workload — FIFO under the
-// multi-destination stress pattern.
-func BenchmarkE7Greedy(b *testing.B) {
-	nw, err := sb.NewPath(64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bound := sb.Bound{Rho: sb.NewRat(1, 1), Sigma: 1}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		adv, err := adversary.GreedyKiller(nw, bound, 16, 768)
-		if err != nil {
-			b.Fatal(err)
-		}
-		runOnce(b, sb.NewSpec(nw, sb.NewGreedy(sb.FIFO), adv, 768))
-	}
-}
-
-// BenchmarkE8Ablation: HPTS without ActivatePreBad (the ablated variant of
-// Algorithm 5) on the E4 workload.
-func BenchmarkE8Ablation(b *testing.B) {
-	nw, err := sb.NewPath(64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bound := sb.Bound{Rho: sb.NewRat(1, 2), Sigma: 2}
-	dests := []sb.NodeID{15, 31, 47, 63}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		adv, err := sb.NewRandomAdversary(nw, bound, dests, 11)
-		if err != nil {
-			b.Fatal(err)
-		}
-		runOnce(b, sb.NewSpec(nw, sb.NewHPTS(2, core.HPTSAblatePreBad()), adv, 1024))
-	}
-}
-
-// BenchmarkE9Exact: the exhaustive offline optimum on the smallest
-// Section 5 instance.
-func BenchmarkE9Exact(b *testing.B) {
-	probe, err := sb.NewLowerBoundAdversary(2, 2, sb.NewRat(1, 2))
-	if err != nil {
-		b.Fatal(err)
-	}
-	nw, err := probe.Network()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		adv, err := sb.NewLowerBoundAdversary(2, 2, sb.NewRat(1, 2))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := opt.Solve(opt.Config{
-			Net: nw, Adversary: adv, Rounds: adv.Rounds(),
-			MaxStates: 4_000_000, MaxBranch: 1 << 16,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE10Locality: the locality-gap workload — plain downhill
-// converging to its staircase steady state on a 16-node line.
-func BenchmarkE10Locality(b *testing.B) {
-	nw, err := sb.NewPath(16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bound := sb.Bound{Rho: sb.NewRat(1, 1), Sigma: 0}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		adv := adversary.NewStream(bound, 0, 15)
-		res := runOnce(b, sb.NewSpec(nw, local.NewDownhill(), adv, 768))
-		if res.MaxLoad != 15 {
-			b.Fatalf("staircase height %d, want 15", res.MaxLoad)
-		}
-	}
-}
-
-// BenchmarkE11Latency: the latency-vs-space workload with the latency
-// recorder attached (PPTS+drain arm).
-func BenchmarkE11Latency(b *testing.B) {
-	nw, err := sb.NewPath(64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bound := sb.Bound{Rho: sb.NewRat(1, 2), Sigma: 2}
-	dests := []sb.NodeID{56, 57, 58, 59, 60, 61, 62, 63}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		adv, err := sb.NewRandomAdversary(nw, bound, dests, 12)
-		if err != nil {
-			b.Fatal(err)
-		}
-		runOnce(b, sb.NewSpec(nw, sb.NewPPTS(sb.PPTSWithDrain()), adv, 1024))
-	}
 }
 
 // BenchmarkAdaptiveHotSpot: engine + adaptive adversary round-trip cost.
@@ -283,22 +46,6 @@ func BenchmarkAdaptiveHotSpot(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkF1Figure: Figure 1 rendering.
-func BenchmarkF1Figure(b *testing.B) {
-	h, err := sb.NewHierarchy(2, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := sb.RenderFigure1(io.Discard, h, 0, 13); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Micro-benchmarks of the hot paths ---
 
 // BenchmarkEngineGreedyThroughput measures raw engine rounds/sec with a
 // greedy protocol on a 256-node line (reported as ns per 1024-round run).

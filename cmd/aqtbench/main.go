@@ -4,9 +4,8 @@
 //
 // Examples:
 //
-//	aqtbench                      # run the full suite (F1, E1–E12)
+//	aqtbench                      # run the full suite (F1, E1–E13)
 //	aqtbench -run E4              # one experiment
-//	aqtbench -run E12 -bandwidths 1,2,4,8,16   # custom link-bandwidth axis
 //	aqtbench -o report.txt        # write to a file
 //	aqtbench -json -o bench.json  # machine-readable outcomes (BENCH_*.json trajectory)
 //	aqtbench -list                # list experiments
@@ -33,7 +32,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -43,19 +41,6 @@ import (
 	"smallbuffers/internal/service"
 	"smallbuffers/internal/store"
 )
-
-// parseBandwidths parses the -bandwidths axis ("1,2,4,8").
-func parseBandwidths(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		b, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || b < 1 {
-			return nil, fmt.Errorf("bad -bandwidths entry %q (want integers ≥ 1)", part)
-		}
-		out = append(out, b)
-	}
-	return out, nil
-}
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -68,11 +53,10 @@ func main() {
 
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("aqtbench", flag.ContinueOnError)
-	id := fs.String("run", "", "experiment to run (E1…E12, F1); empty = all")
+	id := fs.String("run", "", "experiment to run (E1…E13, F1); empty = all")
 	out := fs.String("o", "", "output file (default stdout)")
 	list := fs.Bool("list", false, "list experiments and exit")
 	asJSON := fs.Bool("json", false, "emit machine-readable JSON outcomes instead of text tables")
-	bandwidths := fs.String("bandwidths", "", "comma-separated link-bandwidth axis for E12 (default 1,2,4,8)")
 	scenarios := fs.String("scenarios", "", "run scenario files instead of experiments (a .json file or a directory of them)")
 	validate := fs.Bool("validate", false, "with -scenarios: validate and round-trip the files without running them")
 	server := fs.String("server", "", "with -scenarios: POST each scenario to a running aqtserve at this base URL instead of simulating locally")
@@ -97,8 +81,8 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	if *scenarios != "" {
-		if *asJSON || *list || *id != "" || *bandwidths != "" {
-			return fmt.Errorf("-scenarios cannot be combined with -json, -list, -run, or -bandwidths")
+		if *asJSON || *list || *id != "" {
+			return fmt.Errorf("-scenarios cannot be combined with -json, -list, or -run")
 		}
 		if *server != "" && *fleetArg != "" {
 			return fmt.Errorf("-server and -fleet are mutually exclusive")
@@ -145,17 +129,6 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	exps := sb.Experiments()
-	if *bandwidths != "" {
-		bs, err := parseBandwidths(*bandwidths)
-		if err != nil {
-			return err
-		}
-		for i, e := range exps {
-			if e.ID == "E12" {
-				exps[i] = sb.BandwidthExperiment(bs...)
-			}
-		}
-	}
 	if *id != "" {
 		found := false
 		for _, e := range exps {

@@ -185,7 +185,6 @@ func TestScenarioFlagConflicts(t *testing.T) {
 		{"-scenarios", "../../testdata/scenarios", "-json"},
 		{"-scenarios", "../../testdata/scenarios", "-list"},
 		{"-scenarios", "../../testdata/scenarios", "-run", "E1"},
-		{"-scenarios", "../../testdata/scenarios", "-bandwidths", "9"},
 		{"-validate"},
 	} {
 		if err := run(context.Background(), args); err == nil {

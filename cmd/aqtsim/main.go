@@ -226,23 +226,10 @@ func runSingle(ctx context.Context, o options, sc *sb.Scenario, w io.Writer) err
 	if err != nil {
 		return err
 	}
-	sw, err := sc.Sweep()
-	if err != nil {
-		return err
-	}
 	rec := sb.NewTraceRecorder()
 	rec.CaptureEvents = o.json
-	var nw *sb.Network
-	sw.Observers = func(_ sb.SweepCell, n *sb.Network) []sb.Observer {
-		nw = n
-		return []sb.Observer{rec}
-	}
-	agg, err := sw.Run(ctx)
+	cell, res, nw, err := sc.RunOne(ctx, rec)
 	if err != nil {
-		return err
-	}
-	cell, res := agg.Cells[0].Cell, agg.Cells[0].Result
-	if err := agg.Cells[0].Err; err != nil {
 		return err
 	}
 

@@ -121,23 +121,10 @@ func runScenarioDemo(ctx context.Context, path string) error {
 	if err != nil {
 		return err
 	}
-	sw, err := sc.Sweep()
-	if err != nil {
-		return err
-	}
 	rec := sb.NewTraceRecorder()
 	rec.CaptureEvents = false
-	var nw *sb.Network
-	sw.Observers = func(_ sb.SweepCell, n *sb.Network) []sb.Observer {
-		nw = n
-		return []sb.Observer{rec}
-	}
-	agg, err := sw.Run(ctx)
+	cell, res, nw, err := sc.RunOne(ctx, rec)
 	if err != nil {
-		return err
-	}
-	cell, res := agg.Cells[0].Cell, agg.Cells[0].Result
-	if err := agg.Cells[0].Err; err != nil {
 		return err
 	}
 	title := sc.Name

@@ -490,7 +490,7 @@ func TestHPTSBoundTheorem41(t *testing.T) {
 	cases := []struct {
 		m, ell int
 	}{
-		{2, 2}, {2, 3}, {2, 4}, {3, 2}, {4, 2}, {3, 3},
+		{2, 2}, {2, 3}, {2, 4}, {3, 2}, {4, 2}, {3, 3}, {8, 2},
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("m=%d_ell=%d", tc.m, tc.ell), func(t *testing.T) {

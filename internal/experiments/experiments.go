@@ -1,8 +1,12 @@
 // Package experiments defines the reproduction suite: one executable
 // experiment per theorem/figure of the paper, each printing a table of
 // parameters, measured values, and the paper's predicted bound. The
-// cmd/aqtbench binary and the repository's benchmarks run these; their
-// output is the source for EXPERIMENTS.md.
+// cmd/aqtbench binary runs these; their output is the source for
+// EXPERIMENTS.md.
+//
+// E1–E4, E7 and E12 are data: scenario files named after the experiment
+// ("e1-*.json"), checked cell by cell against the bound each protocol
+// declares in the registry. The others build their tables in Go.
 //
 // Index (see the Index section of EXPERIMENTS.md for the full mapping):
 //
@@ -26,8 +30,11 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"io/fs"
+	"strings"
 
 	"smallbuffers/internal/metrics"
+	"smallbuffers/internal/scenario"
 	"smallbuffers/internal/sim"
 	"smallbuffers/internal/stats"
 )
@@ -51,34 +58,95 @@ type Experiment struct {
 	Run   func(ctx context.Context, w io.Writer) (*Outcome, error)
 }
 
-// All returns the full suite in presentation order.
-func All() []Experiment {
+// All returns the full suite in presentation order; files holds the
+// scenario files of the file-backed experiments.
+func All(files fs.FS) []Experiment {
 	return []Experiment{
 		Figure1(),
-		E1PTS(),
-		E2PPTS(),
-		E3Trees(),
-		E4HPTS(),
+		fromFiles(files, "E1", "PTS buffer bound on a path, single destination",
+			"Proposition 3.1: max load ≤ 2 + σ"),
+		fromFiles(files, "E2", "PPTS buffer bound on a path, d destinations",
+			"Proposition 3.2: max load ≤ 1 + d + σ"),
+		fromFiles(files, "E3", "tree PTS and PPTS buffer bounds on directed trees",
+			"Prop B.3: ≤ 2 + σ (single dest); Prop 3.5: ≤ 1 + d′ + σ"),
+		fromFiles(files, "E4", "HPTS hierarchical bound on a path of n = m^ℓ nodes",
+			"Theorem 4.1: max load ≤ ℓ·n^(1/ℓ) + σ + 1 for ρ·ℓ ≤ 1"),
 		E5LowerBound(),
 		E6Tradeoff(),
-		E7Greedy(),
+		fromFiles(files, "E7", "greedy scheduling policies vs PPTS under d-destination stress",
+			"§1 (and [17]): greedy forwarding needs Ω(d) buffers for ρ > 1/2"),
 		E8Ablations(),
 		E9Exact(),
 		E10Locality(),
 		E11Latency(),
-		E12Bandwidth(),
+		fromFiles(files, "E12", "space vs link bandwidth: max load under capacitated links",
+			"title/§1: with great speed come small buffers — B ≥ 1 generalization"),
 		E13Faults(),
 	}
 }
 
-// ByID finds an experiment by its identifier ("E1" … "E13", "F1").
-func ByID(id string) (Experiment, error) {
-	for _, e := range All() {
+// ByID finds an experiment of All(files) by its identifier ("E1" … "E13",
+// "F1").
+func ByID(files fs.FS, id string) (Experiment, error) {
+	for _, e := range All(files) {
 		if e.ID == id {
 			return e, nil
 		}
 	}
 	return Experiment{}, fmt.Errorf("experiments: unknown id %q", id)
+}
+
+// fromFiles returns the experiment whose tables are the scenario files of
+// files named "<id>-*.json" (in lower case). Each file runs through
+// Scenario.Run and renders one table of cell, max load, bound and ✓,
+// where the bound is the one the cell's protocol declares
+// (Scenario.CellBounds). The experiment fails if any cell errors or goes
+// over its bound.
+func fromFiles(files fs.FS, id, title, paper string) Experiment {
+	return Experiment{ID: id, Title: title, Paper: paper, Run: func(ctx context.Context, w io.Writer) (*Outcome, error) {
+		names, err := fs.Glob(files, strings.ToLower(id)+"-*.json")
+		if err != nil {
+			return nil, err
+		}
+		if len(names) == 0 {
+			return nil, fmt.Errorf("no %s-*.json scenario files", strings.ToLower(id))
+		}
+		out := &Outcome{OK: true}
+		for _, name := range names {
+			data, err := fs.ReadFile(files, name)
+			if err != nil {
+				return nil, err
+			}
+			sc, err := scenario.Parse(data)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", name, err)
+			}
+			bounds, err := sc.CellBounds()
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", name, err)
+			}
+			agg, err := sc.Run(ctx)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", name, err)
+			}
+			if err := agg.FirstErr(); err != nil {
+				return nil, fmt.Errorf("%s: %w", name, err)
+			}
+			table := stats.NewTable(sc.Name+": "+sc.Doc, "cell", "max load", "bound", "✓")
+			for _, cr := range agg.Cells {
+				b, ok := bounds[cr.Cell.Index]
+				if !ok {
+					table.AddRow(cr.Cell, cr.Result.MaxLoad, "—", "—")
+					continue
+				}
+				within := cr.Result.MaxLoad <= b
+				out.OK = out.OK && within
+				table.AddRow(cr.Cell, cr.Result.MaxLoad, b, stats.CheckMark(within))
+			}
+			out.Tables = append(out.Tables, table)
+		}
+		return out, emit(w, out)
+	}}
 }
 
 // RunAll executes exps in order, writing a header and every table to w,

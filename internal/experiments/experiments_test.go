@@ -5,13 +5,23 @@ import (
 	"context"
 	"errors"
 	"io"
-	"slices"
+	"os"
 	"strings"
 	"testing"
+	"testing/fstest"
+
+	"smallbuffers/internal/adversary"
+	"smallbuffers/internal/baseline"
+	"smallbuffers/internal/network"
+	"smallbuffers/internal/registry"
+	"smallbuffers/internal/sim"
 )
 
+// files holds the scenario files of the file-backed experiments.
+var files = os.DirFS("../../testdata/experiments")
+
 func TestAllRegistered(t *testing.T) {
-	all := All()
+	all := All(files)
 	wantIDs := []string{"F1", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13"}
 	if len(all) != len(wantIDs) {
 		t.Fatalf("All() = %d experiments, want %d", len(all), len(wantIDs))
@@ -32,11 +42,11 @@ func TestAllRegistered(t *testing.T) {
 }
 
 func TestByID(t *testing.T) {
-	e, err := ByID("E4")
+	e, err := ByID(files, "E4")
 	if err != nil || e.ID != "E4" {
 		t.Errorf("ByID(E4) = %v, %v", e.ID, err)
 	}
-	if _, err := ByID("E99"); err == nil {
+	if _, err := ByID(files, "E99"); err == nil {
 		t.Error("ByID(E99) succeeded")
 	}
 }
@@ -45,7 +55,7 @@ func TestByID(t *testing.T) {
 // in any mode; the heavier sweeps are guarded by -short.
 func TestExperimentsPass(t *testing.T) {
 	fast := map[string]bool{"F1": true, "E9": true}
-	for _, e := range All() {
+	for _, e := range All(files) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			if testing.Short() && !fast[e.ID] {
@@ -66,12 +76,11 @@ func TestExperimentsPass(t *testing.T) {
 				t.Errorf("%s produced no output", e.ID)
 			}
 			if e.ID == "E2" {
-				// A fixed adversary order keeps reruns diffable.
-				tab := out.Tables[0]
-				col := slices.Index(tab.Columns, "adversary")
-				for i, row := range tab.Rows {
-					if want := [...]string{"burst", "random"}[i%2]; row[col] != want {
-						t.Errorf("E2 row %d: adversary %q, want %q", i, row[col], want)
+				// A fixed adversary order keeps reruns diffable: each d runs
+				// the burst, then the random pattern, at both σ.
+				for i, row := range out.Tables[0].Rows {
+					if want := [...]string{"/burst(", "/random("}[i/2%2]; !strings.Contains(row[0], want) {
+						t.Errorf("E2 row %d: cell %q, want adversary %q", i, row[0], want)
 					}
 				}
 			}
@@ -85,7 +94,7 @@ func TestRunAllAggregates(t *testing.T) {
 	ctx := context.Background()
 	var fast []Experiment
 	for _, id := range []string{"F1", "E9"} {
-		e, err := ByID(id)
+		e, err := ByID(files, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +139,7 @@ func TestRunAllAggregates(t *testing.T) {
 
 func TestFigure1Output(t *testing.T) {
 	var buf bytes.Buffer
-	f1, err := ByID("F1")
+	f1, err := ByID(files, "F1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,5 +155,42 @@ func TestFigure1Output(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("Figure 1 output missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestFileExperimentFails checks the failure paths of a file-backed
+// experiment: a cell over its declared bound fails the experiment, and a
+// cell that errors stops it with the file's name.
+func TestFileExperimentFails(t *testing.T) {
+	err := registry.RegisterProtocol(registry.Protocol{
+		Name:  "test-greedy-bound-1",
+		Doc:   "test-only: greedy FIFO declaring a max load of 1",
+		Build: func(registry.Params) (sim.Protocol, error) { return baseline.NewGreedy(baseline.FIFO{}), nil },
+		Note:  "max load ≤ 1",
+		Bound: func(registry.Params, *network.Network, adversary.Bound, []network.NodeID) (int, bool) { return 1, true },
+	})
+	if err != nil && !strings.Contains(err.Error(), "duplicate") {
+		t.Fatal(err)
+	}
+	files := fstest.MapFS{
+		"x1-over.json": {Data: []byte(`{"name": "x1-over", "topology": {"name": "path", "params": {"n": 16}},
+			"protocol": {"name": "test-greedy-bound-1"}, "adversary": {"name": "burst"},
+			"bound": {"rho": "1", "sigma": 3}, "rounds": 100}`)},
+		"x2-error.json": {Data: []byte(`{"name": "x2-error", "topology": {"name": "path", "params": {"n": 10}},
+			"protocol": {"name": "hpts"}, "adversary": {"name": "random"},
+			"bound": {"rho": "1/2", "sigma": 1}, "rounds": 10}`)},
+	}
+	out, err := fromFiles(files, "X1", "over", "none").Run(context.Background(), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.OK || !strings.Contains(out.Tables[0].Rows[0][3], "✗") {
+		t.Errorf("a cell over its bound passed: OK = %v, row %q", out.OK, out.Tables[0].Rows[0])
+	}
+	if _, err := fromFiles(files, "X2", "error", "none").Run(context.Background(), io.Discard); err == nil || !strings.HasPrefix(err.Error(), "x2-error.json: ") {
+		t.Errorf("an erroring cell gave %v, want an error naming x2-error.json", err)
+	}
+	if _, err := fromFiles(files, "X3", "none", "none").Run(context.Background(), io.Discard); err == nil {
+		t.Error("an experiment without files ran")
 	}
 }

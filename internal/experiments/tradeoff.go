@@ -7,9 +7,7 @@ import (
 	"math"
 
 	"smallbuffers/internal/adversary"
-	"smallbuffers/internal/baseline"
 	"smallbuffers/internal/core"
-	"smallbuffers/internal/harness"
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/rat"
 	"smallbuffers/internal/sim"
@@ -72,70 +70,6 @@ func E6Tradeoff() Experiment {
 				Notes: []string{
 					"expected shape: the admissible space collapses exponentially in k — d at k=1, 2√d at k=2, …, ~2·log d at k=log d",
 					"interpretation (paper §1): multiplying destinations by α costs either ×α buffers or ×O(log α) bandwidth headroom",
-				}}
-			return out, emit(w, out)
-		},
-	}
-}
-
-// E7Greedy reproduces the introduction's motivation (citing [17]): greedy
-// policies are dragged to large buffers by multi-destination traffic that
-// PPTS handles within its 1+d+σ budget.
-func E7Greedy() Experiment {
-	return Experiment{
-		ID:    "E7",
-		Title: "greedy scheduling policies vs PPTS under d-destination stress",
-		Paper: "§1 (and [17]): greedy forwarding needs Ω(d) buffers for ρ > 1/2",
-		Run: func(ctx context.Context, w io.Writer) (*Outcome, error) {
-			ok := true
-			var tables []*stats.Table
-			const n = 64
-			// One parallel sweep per destination count: the whole protocol
-			// portfolio races the same crafted pattern concurrently.
-			protos := []harness.ProtocolSpec{
-				harness.Protocol("PPTS", func() sim.Protocol { return core.NewPPTS() }),
-			}
-			for _, g := range baseline.All() {
-				policy := policyOf(g)
-				protos = append(protos, harness.Protocol(g.Name(), func() sim.Protocol {
-					return baseline.NewGreedy(policy)
-				}))
-			}
-			for _, d := range []int{8, 16} {
-				d := d
-				table := stats.NewTable(
-					fmt.Sprintf("GreedyKiller workload: n=%d, d=%d, ρ=1, σ=1 (PPTS bound %d)", n, d, 1+d+1),
-					"protocol", "measured max load", "PPTS bound 1+d+σ", "within PPTS bound")
-				sweep := &harness.Sweep{
-					Protocols:  protos,
-					Topologies: []harness.TopologySpec{harness.Path(n)},
-					Bounds:     []adversary.Bound{{Rho: rat.One, Sigma: 1}},
-					Adversaries: []harness.AdversarySpec{
-						{Name: "greedykiller", New: func(nw *network.Network, bound adversary.Bound, _ int64, rounds int) (adversary.Adversary, error) {
-							return adversary.GreedyKiller(nw, bound, d, rounds)
-						}},
-					},
-					Rounds: []int{24 * n},
-				}
-				res, err := sweep.Run(ctx)
-				if err != nil {
-					return nil, err
-				}
-				if err := res.FirstErr(); err != nil {
-					return nil, err
-				}
-				for _, cell := range res.Cells {
-					within := cell.Result.MaxLoad <= 1+d+1
-					if cell.Cell.Protocol == "PPTS" {
-						ok = ok && within // the bound must hold for PPTS
-					}
-					table.AddRow(cell.Cell.Protocol, cell.Result.MaxLoad, 1+d+1, stats.CheckMark(within))
-				}
-				tables = append(tables, table)
-			}
-			out := &Outcome{Tables: tables, OK: ok,
-				Notes: []string{
-					"PPTS must stay within 1+d+σ; greedy policies may exceed it (their load is workload-dependent — the paper's Ω(d) is for a worst-case pattern)",
 				}}
 			return out, emit(w, out)
 		},

@@ -155,8 +155,8 @@ type CellResult struct {
 }
 
 // Sweep is a declarative cartesian grid of simulation runs. Protocols,
-// Topologies, Bounds, and Adversaries are required axes; Seeds defaults to
-// {1} and exactly one of Rounds or RoundsFor must be set.
+// Topologies, Bounds, Adversaries and Rounds are required axes; Seeds
+// defaults to {1}.
 type Sweep struct {
 	Protocols   []ProtocolSpec
 	Topologies  []TopologySpec
@@ -185,10 +185,6 @@ type Sweep struct {
 	// through a domain-separated sub-stream (internal/faults), so
 	// attaching one never perturbs the adversary's randomness.
 	Faults []FaultSpec
-
-	// RoundsFor derives the horizon from the cell's topology (e.g. 6·n);
-	// it replaces the Rounds axis.
-	RoundsFor func(nw *network.Network) int
 
 	// BaseSeed is folded into every cell's derived seed; vary it to re-draw
 	// the whole sweep's randomness at once.
@@ -267,11 +263,8 @@ func (s *Sweep) validate() error {
 		}
 		names["a:"+a.Name] = true
 	}
-	if len(s.Rounds) == 0 && s.RoundsFor == nil {
-		return fmt.Errorf("harness: sweep needs Rounds or RoundsFor")
-	}
-	if len(s.Rounds) > 0 && s.RoundsFor != nil {
-		return fmt.Errorf("harness: Rounds and RoundsFor are mutually exclusive")
+	if len(s.Rounds) == 0 {
+		return fmt.Errorf("harness: sweep has no rounds")
 	}
 	for _, b := range s.Bandwidths {
 		if b < 1 {
@@ -301,8 +294,7 @@ func (s *Sweep) validate() error {
 // order is a contract (see Cell.Index): it is what makes cell indices
 // global, so it must never depend on workers, sharding, or scheduling.
 // Cells ignores the shard (it always returns the whole expansion; see
-// CellsToRun); cells whose horizon comes from RoundsFor carry Rounds == 0
-// until execution resolves the topology.
+// CellsToRun).
 func (s *Sweep) Cells() ([]Cell, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
@@ -310,10 +302,6 @@ func (s *Sweep) Cells() ([]Cell, error) {
 	seeds := s.Seeds
 	if len(seeds) == 0 {
 		seeds = []int64{1}
-	}
-	rounds := s.Rounds
-	if len(rounds) == 0 {
-		rounds = []int{0} // resolved per topology by RoundsFor
 	}
 	bandwidths := s.Bandwidths
 	if len(bandwidths) == 0 {
@@ -326,7 +314,7 @@ func (s *Sweep) Cells() ([]Cell, error) {
 			faultNames[i] = f.Name
 		}
 	}
-	cells := make([]Cell, 0, len(s.Topologies)*len(s.Protocols)*len(s.Adversaries)*len(s.Bounds)*len(bandwidths)*len(faultNames)*len(seeds)*len(rounds))
+	cells := make([]Cell, 0, len(s.Topologies)*len(s.Protocols)*len(s.Adversaries)*len(s.Bounds)*len(bandwidths)*len(faultNames)*len(seeds)*len(s.Rounds))
 	for _, topo := range s.Topologies {
 		for _, proto := range s.Protocols {
 			for _, adv := range s.Adversaries {
@@ -334,7 +322,7 @@ func (s *Sweep) Cells() ([]Cell, error) {
 					for _, bw := range bandwidths {
 						for _, fname := range faultNames {
 							for _, seed := range seeds {
-								for _, r := range rounds {
+								for _, r := range s.Rounds {
 									c := Cell{
 										Index:     len(cells),
 										Protocol:  proto.Name,
@@ -468,33 +456,41 @@ func (s *Sweep) stream(ctx context.Context, cells []Cell) <-chan CellResult {
 	return out
 }
 
-// runCell materializes one cell (topology, protocol, adversary, horizon)
-// and executes it, reusing the worker's engine when possible.
-func (s *Sweep) runCell(ctx context.Context, eng **sim.Engine, c Cell) CellResult {
+// Build materializes one cell: its topology with the cell's bandwidth
+// imposed, a fresh protocol and a fresh adversary, as the cell's run
+// gets them.
+func (s *Sweep) Build(c Cell) (*network.Network, sim.Protocol, adversary.Adversary, error) {
 	proto, topo, adv, err := s.lookup(c)
 	if err != nil {
-		return CellResult{Cell: c, Err: err}
+		return nil, nil, nil, err
 	}
 	nw, err := topo.New()
 	if err != nil {
-		return CellResult{Cell: c, Err: fmt.Errorf("harness: %v: topology: %w", c, err)}
+		return nil, nil, nil, fmt.Errorf("harness: %v: topology: %w", c, err)
 	}
 	if c.Bandwidth > 0 {
 		nw, err = nw.WithBandwidths(network.WithUniformBandwidth(c.Bandwidth))
 		if err != nil {
-			return CellResult{Cell: c, Err: fmt.Errorf("harness: %v: bandwidth: %w", c, err)}
+			return nil, nil, nil, fmt.Errorf("harness: %v: bandwidth: %w", c, err)
 		}
-	}
-	if s.RoundsFor != nil {
-		c.Rounds = s.RoundsFor(nw)
 	}
 	p, err := proto.New()
 	if err != nil {
-		return CellResult{Cell: c, Err: fmt.Errorf("harness: %v: protocol: %w", c, err)}
+		return nil, nil, nil, fmt.Errorf("harness: %v: protocol: %w", c, err)
 	}
 	a, err := adv.New(nw, c.Bound, c.DerivedSeed, c.Rounds)
 	if err != nil {
-		return CellResult{Cell: c, Err: fmt.Errorf("harness: %v: adversary: %w", c, err)}
+		return nil, nil, nil, fmt.Errorf("harness: %v: adversary: %w", c, err)
+	}
+	return nw, p, a, nil
+}
+
+// runCell builds one cell and executes it, reusing the worker's engine
+// when possible.
+func (s *Sweep) runCell(ctx context.Context, eng **sim.Engine, c Cell) CellResult {
+	nw, p, a, err := s.Build(c)
+	if err != nil {
+		return CellResult{Cell: c, Err: err}
 	}
 	opts := make([]sim.Option, 0, 5)
 	if c.Faults != "" {

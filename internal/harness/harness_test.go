@@ -201,32 +201,6 @@ func TestStreamDeliversAllCells(t *testing.T) {
 	}
 }
 
-func TestRoundsForResolvesPerTopology(t *testing.T) {
-	s := &Sweep{
-		Protocols:   []ProtocolSpec{Protocol("FIFO", func() sim.Protocol { return baseline.NewGreedy(baseline.FIFO{}) })},
-		Topologies:  []TopologySpec{Path(8), Path(16)},
-		Bounds:      []adversary.Bound{{Rho: rat.One, Sigma: 0}},
-		Adversaries: []AdversarySpec{RandomAdversary(nil)},
-		RoundsFor:   func(nw *network.Network) int { return 3 * nw.Len() },
-	}
-	res, err := s.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != 2 {
-		t.Fatalf("completed %d cells: %v", res.Completed, res.FirstErr())
-	}
-	want := map[string]int{"path(8)": 24, "path(16)": 48}
-	for _, c := range res.Cells {
-		if c.Cell.Rounds != want[c.Cell.Topology] {
-			t.Errorf("%s ran %d rounds, want %d", c.Cell.Topology, c.Cell.Rounds, want[c.Cell.Topology])
-		}
-		if c.Result.Rounds != c.Cell.Rounds {
-			t.Errorf("%s: result says %d rounds, cell says %d", c.Cell.Topology, c.Result.Rounds, c.Cell.Rounds)
-		}
-	}
-}
-
 func TestSweepValidation(t *testing.T) {
 	cases := map[string]*Sweep{
 		"no protocols": {Topologies: []TopologySpec{Path(4)}, Bounds: []adversary.Bound{{Rho: rat.One}},

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"slices"
 
 	"smallbuffers/internal/adversary"
 	"smallbuffers/internal/baseline"
@@ -11,6 +12,7 @@ import (
 	"smallbuffers/internal/lowerbound"
 	"smallbuffers/internal/metrics"
 	"smallbuffers/internal/network"
+	"smallbuffers/internal/rat"
 	"smallbuffers/internal/sim"
 )
 
@@ -70,6 +72,13 @@ func registerTopologies() {
 	}))
 }
 
+// paperModel reports whether a run meets the hypotheses every paper bound
+// shares: rate ρ ≤ 1 on links of bandwidth 1.
+func paperModel(nw *network.Network, b adversary.Bound) bool {
+	bw, uniform := nw.UniformBandwidth()
+	return uniform && bw == 1 && b.Rho.LessEq(rat.One)
+}
+
 func registerProtocols() {
 	drain := Schema{{Name: "drain", Kind: Bool, Doc: "enable drain-when-idle", Default: false}}
 	mustRegister(RegisterProtocol(Protocol{
@@ -82,8 +91,9 @@ func registerProtocols() {
 			}
 			return core.NewPTS(), nil
 		},
-		Note: func(_ Params, b adversary.Bound) string {
-			return fmt.Sprintf("Proposition 3.1: max load ≤ 2+σ = %d", 2+b.Sigma)
+		Note: "Proposition 3.1: max load ≤ 2+σ",
+		Bound: func(_ Params, nw *network.Network, b adversary.Bound, _ []network.NodeID) (int, bool) {
+			return 2 + b.Sigma, paperModel(nw, b)
 		},
 	}))
 	mustRegister(RegisterProtocol(Protocol{
@@ -96,8 +106,10 @@ func registerProtocols() {
 			}
 			return core.NewPPTS(), nil
 		},
-		Note: func(Params, adversary.Bound) string {
-			return "Proposition 3.2: max load ≤ 1+d+σ (d = distinct destinations observed)"
+		Note: "Proposition 3.2: max load ≤ 1+d+σ",
+		Bound: func(_ Params, nw *network.Network, b adversary.Bound, dests []network.NodeID) (int, bool) {
+			d := len(slices.Compact(slices.Sorted(slices.Values(dests))))
+			return 1 + d + b.Sigma, d > 0 && paperModel(nw, b)
 		},
 	}))
 	mustRegister(RegisterProtocol(Protocol{
@@ -110,8 +122,9 @@ func registerProtocols() {
 			}
 			return core.NewTreePTS(), nil
 		},
-		Note: func(_ Params, b adversary.Bound) string {
-			return fmt.Sprintf("Proposition B.3: max load ≤ 2+σ = %d", 2+b.Sigma)
+		Note: "Proposition B.3: max load ≤ 2+σ",
+		Bound: func(_ Params, nw *network.Network, b adversary.Bound, _ []network.NodeID) (int, bool) {
+			return 2 + b.Sigma, paperModel(nw, b)
 		},
 	}))
 	mustRegister(RegisterProtocol(Protocol{
@@ -120,8 +133,9 @@ func registerProtocols() {
 		Build: func(Params) (sim.Protocol, error) {
 			return core.NewTreePPTS(), nil
 		},
-		Note: func(Params, adversary.Bound) string {
-			return "Proposition 3.5: max load ≤ 1+d′+σ"
+		Note: "Proposition 3.5: max load ≤ 1+d′+σ",
+		Bound: func(_ Params, nw *network.Network, b adversary.Bound, dests []network.NodeID) (int, bool) {
+			return 1 + core.DestinationDepth(nw, dests) + b.Sigma, len(dests) > 0 && paperModel(nw, b)
 		},
 	}))
 	mustRegister(RegisterProtocol(Protocol{
@@ -131,9 +145,14 @@ func registerProtocols() {
 		Build: func(p Params) (sim.Protocol, error) {
 			return core.NewHPTS(p.Int("ell")), nil
 		},
-		Note: func(p Params, _ adversary.Bound) string {
+		Note: "Theorem 4.1: max load ≤ ℓ·n^(1/ℓ)+σ+1",
+		Bound: func(p Params, nw *network.Network, b adversary.Bound, _ []network.NodeID) (int, bool) {
 			ell := p.Int("ell")
-			return fmt.Sprintf("Theorem 4.1: max load ≤ ℓ·n^(1/ℓ)+σ+1 (requires ρ ≤ 1/%d and n = m^%d)", ell, ell)
+			h, err := core.HierarchyFor(nw.Len(), ell)
+			if err != nil || !paperModel(nw, b) || !b.Rho.MulInt(int64(ell)).LessEq(rat.One) {
+				return 0, false
+			}
+			return core.HPTSSpaceBound(h, b.Sigma), true
 		},
 	}))
 	mustRegister(RegisterProtocol(Protocol{
@@ -142,9 +161,7 @@ func registerProtocols() {
 		Build: func(Params) (sim.Protocol, error) {
 			return local.NewDownhill(), nil
 		},
-		Note: func(Params, adversary.Bound) string {
-			return "naive local rule: Θ(n) staircase under full pressure (E10)"
-		},
+		Note: "naive local rule: Θ(n) staircase under full pressure (E10)",
 	}))
 	mustRegister(RegisterProtocol(Protocol{
 		Name: "oddeven",
@@ -152,9 +169,7 @@ func registerProtocols() {
 		Build: func(Params) (sim.Protocol, error) {
 			return local.NewOddEven(), nil
 		},
-		Note: func(Params, adversary.Bound) string {
-			return "parity-staggered local rule: sustains ρ ≤ 1/2 (E10)"
-		},
+		Note: "parity-staggered local rule: sustains ρ ≤ 1/2 (E10)",
 	}))
 	registerGreedy()
 }
@@ -183,9 +198,7 @@ func registerGreedy() {
 			Build: func(Params) (sim.Protocol, error) {
 				return baseline.NewGreedy(p), nil
 			},
-			Note: func(Params, adversary.Bound) string {
-				return "greedy baseline (no space guarantee; see E7)"
-			},
+			Note: "greedy baseline (no space guarantee; see E7)",
 		}))
 	}
 }
@@ -288,18 +301,22 @@ func registerAdversaries() {
 		},
 	}))
 	mustRegister(RegisterAdversary(Adversary{
-		Name:   "burst",
-		Doc:    "crafted near-tight burst for Propositions 3.1/3.2/3.5",
-		Params: Schema{{Name: "d", Kind: Int, Doc: "destination count (paths; ≤ 1 targets PTS)", Default: 1}},
+		Name: "burst",
+		Doc:  "crafted near-tight burst for Propositions 3.1/3.2/3.5",
+		Params: Schema{{Name: "d", Kind: Int, Default: 1,
+			Doc: "destination count: ≤ 1 targets the sink (PTS, tree PTS); on a path d ≥ 2 targets d nodes, on a tree the last d nodes of the deepest leaf's route"}},
 		Build: func(ctx AdversaryContext, p Params) (adversary.Adversary, error) {
 			d := p.Int("d")
-			if ctx.Net.IsPath() {
-				if d <= 1 {
-					return adversary.PTSBurst(ctx.Net, ctx.Bound, ctx.Rounds)
-				}
+			switch {
+			case ctx.Net.IsPath() && d <= 1:
+				return adversary.PTSBurst(ctx.Net, ctx.Bound, ctx.Rounds)
+			case ctx.Net.IsPath():
 				return adversary.PPTSBurst(ctx.Net, ctx.Bound, d, ctx.Rounds)
+			case d <= 1:
+				return adversary.TreeBurst(ctx.Net, ctx.Bound, nil, ctx.Rounds)
+			default:
+				return adversary.TreeBurst(ctx.Net, ctx.Bound, SpreadDestinations(ctx.Net, d), ctx.Rounds)
 			}
-			return adversary.TreeBurst(ctx.Net, ctx.Bound, nil, ctx.Rounds)
 		},
 	}))
 	mustRegister(RegisterAdversary(Adversary{

@@ -41,14 +41,19 @@ type Topology struct {
 	Build  func(p Params) (*network.Network, error)
 }
 
-// Protocol is a registered forwarding protocol. Note, when non-nil,
-// renders the paper's predicted-bound annotation for reports.
+// Protocol is a registered forwarding protocol. Note states the paper's
+// guarantee for reports ("Proposition 3.1: max load ≤ 2+σ"). Bound, when
+// non-nil, evaluates that guarantee for one run: the topology, the
+// declared (ρ,σ) bound and the adversary's destinations give the max load
+// the theorem allows, and false means the run is outside the theorem's
+// hypotheses. Protocols with no guarantee leave Bound nil.
 type Protocol struct {
 	Name   string
 	Doc    string
 	Params Schema
 	Build  func(p Params) (sim.Protocol, error)
-	Note   func(p Params, bound adversary.Bound) string
+	Note   string
+	Bound  func(p Params, nw *network.Network, bound adversary.Bound, dests []network.NodeID) (int, bool)
 }
 
 // AdversaryContext carries the scenario-level inputs an adversary

@@ -705,18 +705,24 @@ func (sc *Scenario) IsSingle() bool {
 		len(sc.Faults) <= 1
 }
 
-// Note returns the paper annotation of a one-point scenario's report: a
-// self-hosting adversary's own note (the Theorem 5.1 floor), else the
-// protocol's predicted bound under the effective bound.
-func (sc *Scenario) Note() (string, error) {
+// single validates the scenario and rejects a grid: Note and RunOne
+// describe one run.
+func (sc *Scenario) single() error {
 	if err := sc.Validate(); err != nil {
-		return "", err
+		return err
 	}
 	if !sc.IsSingle() {
-		return "", fmt.Errorf("scenario: %s describes a grid (list-valued axes or a shard), not one run", sc.label())
+		return fmt.Errorf("scenario: %s describes a grid (list-valued axes or a shard), not one run", sc.label())
 	}
-	bound, err := sc.bound(0)
-	if err != nil {
+	return nil
+}
+
+// Note returns the paper annotation of a one-point scenario's report: a
+// self-hosting adversary's own note (the Theorem 5.1 floor), else the
+// protocol's Note with the value of its bound for this run ("Proposition
+// 3.1: max load ≤ 2+σ = 5").
+func (sc *Scenario) Note() (string, error) {
+	if err := sc.single(); err != nil {
 		return "", err
 	}
 	adv, err := registry.LookupAdversary(sc.Adversaries[0].Name)
@@ -724,6 +730,10 @@ func (sc *Scenario) Note() (string, error) {
 		return "", fmt.Errorf("scenario: %w", err)
 	}
 	if adv.SelfHosting() {
+		bound, err := sc.bound(0)
+		if err != nil {
+			return "", err
+		}
 		p, err := resolved(sc.Adversaries[0], adv.Params)
 		if err != nil {
 			return "", fmt.Errorf("scenario: %w", err)
@@ -732,23 +742,106 @@ func (sc *Scenario) Note() (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("scenario: adversary %q: %w", adv.Name, err)
 		}
-		if prep.Note != "" {
-			return prep.Note, nil
-		}
-		bound = prep.Bound
+		return prep.Note, nil
 	}
 	proto, err := registry.LookupProtocol(sc.Protocols[0].Name)
 	if err != nil {
 		return "", fmt.Errorf("scenario: %w", err)
 	}
-	if proto.Note == nil {
-		return "", nil
-	}
-	p, err := resolved(sc.Protocols[0], proto.Params)
+	bounds, err := sc.CellBounds()
 	if err != nil {
-		return "", fmt.Errorf("scenario: %w", err)
+		return "", err
 	}
-	return proto.Note(p, bound), nil
+	if b, ok := bounds[0]; ok {
+		return fmt.Sprintf("%s = %d", proto.Note, b), nil
+	}
+	if proto.Bound != nil {
+		return proto.Note + " (hypotheses not met)", nil
+	}
+	return proto.Note, nil
+}
+
+// CellBounds returns the paper bound on max load of every cell that has
+// one, keyed by cell index: the bound the cell's protocol declares
+// (registry.Protocol.Bound), evaluated on the cell's topology and (ρ,σ)
+// bound and on the destinations its adversary hints, as the engine hands
+// them to Attach. Cells outside the theorem's hypotheses, faulted cells,
+// cells that fail to build and every cell of a self-hosting adversary get
+// none. A sharded scenario covers its shard's cells.
+func (sc *Scenario) CellBounds() (map[int]int, error) {
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	out := map[int]int{}
+	selfHosting, err := sc.selfHosting()
+	if err != nil || selfHosting {
+		return out, err
+	}
+	sw, err := sc.Sweep()
+	if err != nil {
+		return nil, err
+	}
+	type protocol struct {
+		entry  registry.Protocol
+		params registry.Params
+	}
+	protos := make(map[string]protocol, len(sc.Protocols))
+	for _, c := range sc.Protocols {
+		e, err := registry.LookupProtocol(c.Name)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
+		}
+		p, err := resolved(c, e.Params)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
+		}
+		protos[c.label()] = protocol{e, p}
+	}
+	cells, err := sw.CellsToRun()
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range cells {
+		pr := protos[c.Protocol]
+		if pr.entry.Bound == nil || c.Faults != "" {
+			continue
+		}
+		nw, _, adv, err := sw.Build(c)
+		if err != nil {
+			continue // the cell's run reports the error
+		}
+		var dests []network.NodeID
+		if h, ok := adv.(adversary.DestinationHinter); ok {
+			dests = h.Destinations()
+		}
+		if b, ok := pr.entry.Bound(pr.params, nw, c.Bound, dests); ok {
+			out[c.Index] = b
+		}
+	}
+	return out, nil
+}
+
+// RunOne runs a one-point scenario as its one-cell sweep with obs
+// attached, and returns the cell, its result and the network it ran on.
+func (sc *Scenario) RunOne(ctx context.Context, obs ...metrics.Observer) (harness.Cell, sim.Result, *network.Network, error) {
+	if err := sc.single(); err != nil {
+		return harness.Cell{}, sim.Result{}, nil, err
+	}
+	sw, err := sc.Sweep()
+	if err != nil {
+		return harness.Cell{}, sim.Result{}, nil, err
+	}
+	var nw *network.Network
+	sw.Observers = func(_ harness.Cell, n *network.Network) []sim.Observer {
+		nw = n
+		return obs
+	}
+	agg, err := sw.Run(ctx)
+	if err != nil {
+		return harness.Cell{}, sim.Result{}, nil, err
+	}
+	cr := agg.Cells[0]
+	return cr.Cell, cr.Result, nw, cr.Err
 }
 
 // buildInvariants materializes the scenario's invariant set against a

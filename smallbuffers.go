@@ -67,7 +67,9 @@ package smallbuffers
 
 import (
 	"context"
+	"embed"
 	"io"
+	"io/fs"
 	"time"
 
 	"smallbuffers/internal/adversary"
@@ -111,8 +113,6 @@ type (
 	// Sweep is a declarative cartesian grid of runs executed on a bounded
 	// worker pool (Tier 2 of the execution API).
 	Sweep = harness.Sweep
-	// SweepCell identifies one point of a sweep grid.
-	SweepCell = harness.Cell
 	// SweepProtocol is one point on a sweep's protocol axis.
 	SweepProtocol = harness.ProtocolSpec
 	// SweepTopology is one point on a sweep's topology axis.
@@ -479,11 +479,17 @@ func StoreEntryDir(root, scenarioDigest string) string {
 
 // --- Reproduction suite ---
 
-// Experiments returns the full reproduction suite (F1, E1–E13).
-func Experiments() []Experiment { return experiments.All() }
+// experimentFiles holds the scenario files of E1–E4, E7 and E12, built
+// into the binary so the suite runs from any directory.
+//
+//go:embed testdata/experiments/*.json
+var experimentFiles embed.FS
 
-// BandwidthExperiment returns the E12 space-vs-bandwidth experiment with a
-// custom link-bandwidth axis; the suite default is {1, 2, 4, 8}.
-func BandwidthExperiment(bandwidths ...int) Experiment {
-	return experiments.E12Bandwidth(bandwidths...)
+// Experiments returns the full reproduction suite (F1, E1–E13).
+func Experiments() []Experiment {
+	files, err := fs.Sub(experimentFiles, "testdata/experiments")
+	if err != nil {
+		panic(err) // the directory is embedded above
+	}
+	return experiments.All(files)
 }

@@ -10,7 +10,6 @@ import (
 	"smallbuffers/internal/adversary"
 	"smallbuffers/internal/baseline"
 	"smallbuffers/internal/core"
-	"smallbuffers/internal/experiments"
 	"smallbuffers/internal/opt"
 	"smallbuffers/internal/rat"
 )
@@ -212,9 +211,9 @@ func TestPublicAPIExperiments(t *testing.T) {
 	if got := len(sb.Experiments()); got != 14 {
 		t.Fatalf("Experiments = %d, want 14", got)
 	}
-	e, err := experiments.ByID("F1")
-	if err != nil {
-		t.Fatal(err)
+	e := sb.Experiments()[0]
+	if e.ID != "F1" {
+		t.Fatalf("first experiment is %s, want F1", e.ID)
 	}
 	var buf bytes.Buffer
 	out, err := e.Run(context.Background(), &buf)
