@@ -22,7 +22,8 @@ type Adaptive interface {
 	Adversary
 	// InjectAdaptive returns the round's injections given read access to
 	// the current occupancies. Engines call this instead of Inject when
-	// available.
+	// available. The result is owned as Inject's is: valid until the
+	// adversary's next call, and not to be modified.
 	InjectAdaptive(round int, loads Loads) []packet.Injection
 }
 
@@ -37,6 +38,9 @@ type HotSpot struct {
 	dests    []network.NodeID
 	excess   *Excess
 	attempts int
+	// scratch reused across rounds: the result and propose's candidates
+	out          []packet.Injection
+	beyond, srcs []network.NodeID
 }
 
 var _ Adaptive = (*HotSpot)(nil)
@@ -93,7 +97,7 @@ func (h *HotSpot) InjectAdaptive(round int, loads Loads) []packet.Injection {
 			hot = network.NodeID(v)
 		}
 	}
-	var out []packet.Injection
+	out := h.out[:0]
 	for a := 0; a < h.attempts; a++ {
 		in, ok := h.propose(hot)
 		if ok && h.excess.admit(in.Src, in.Dst) {
@@ -101,6 +105,7 @@ func (h *HotSpot) InjectAdaptive(round int, loads Loads) []packet.Injection {
 		}
 	}
 	h.excess.endRound()
+	h.out = out
 	return out
 }
 
@@ -108,22 +113,17 @@ func (h *HotSpot) InjectAdaptive(round int, loads Loads) []packet.Injection {
 // destination strictly beyond it and a source at or before it.
 func (h *HotSpot) propose(hot network.NodeID) (packet.Injection, bool) {
 	// Candidate destinations beyond the hot spot.
-	var beyond []network.NodeID
+	beyond := h.beyond[:0]
 	for _, d := range h.dests {
 		if d != hot && h.nw.Reaches(hot, d) {
 			beyond = append(beyond, d)
 		}
 	}
+	h.beyond = beyond
 	if len(beyond) == 0 {
 		// Hot spot is past every destination; fall back to any route.
 		d := h.dests[h.rng.Intn(len(h.dests))]
-		var srcs []network.NodeID
-		for v := 0; v < h.nw.Len(); v++ {
-			id := network.NodeID(v)
-			if id != d && h.nw.Reaches(id, d) {
-				srcs = append(srcs, id)
-			}
-		}
+		srcs := h.sourcesOf(d, d)
 		if len(srcs) == 0 {
 			return packet.Injection{}, false
 		}
@@ -135,15 +135,23 @@ func (h *HotSpot) propose(hot network.NodeID) (packet.Injection, bool) {
 	if h.rng.Intn(2) == 0 {
 		return packet.Injection{Src: hot, Dst: d}, true
 	}
-	var srcs []network.NodeID
-	for v := 0; v < h.nw.Len(); v++ {
-		id := network.NodeID(v)
-		if id != d && h.nw.Reaches(id, hot) {
-			srcs = append(srcs, id)
-		}
-	}
+	srcs := h.sourcesOf(hot, d)
 	if len(srcs) == 0 {
 		return packet.Injection{Src: hot, Dst: d}, true
 	}
 	return packet.Injection{Src: srcs[h.rng.Intn(len(srcs))], Dst: d}, true
+}
+
+// sourcesOf lists, in ascending order and in h.srcs, the nodes other than
+// d from which w is reachable.
+func (h *HotSpot) sourcesOf(w, d network.NodeID) []network.NodeID {
+	srcs := h.srcs[:0]
+	for v := 0; v < h.nw.Len(); v++ {
+		id := network.NodeID(v)
+		if id != d && h.nw.Reaches(id, w) {
+			srcs = append(srcs, id)
+		}
+	}
+	h.srcs = srcs
+	return srcs
 }

@@ -84,8 +84,9 @@ func (b Bound) validateAgainst(bmin int) error {
 
 // Adversary produces the injections of each round. Implementations may be
 // stateful; the engine calls Inject exactly once per round, in increasing
-// round order, starting at round 0. The returned slice is owned by the
-// caller.
+// round order, starting at round 0. The returned slice stays valid until
+// the adversary's next call: callers must not modify it, and a caller that
+// keeps injections across calls copies them.
 type Adversary interface {
 	// Bound returns the declared (ρ, σ) bound of the pattern.
 	Bound() Bound

@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -428,7 +429,7 @@ func TestQuickLemma25ReductionBound(t *testing.T) {
 		const T = 30
 		history := make([][]packet.Injection, T)
 		for t := 0; t < T; t++ {
-			history[t] = red.Inject(t)
+			history[t] = slices.Clone(red.Inject(t))
 		}
 		return NaiveBoundHolds(nw, red.Bound(), history)
 	}

@@ -42,14 +42,9 @@ func NewReplay(bound Bound, byRound map[int][]packet.Injection) *Replay {
 // Bound implements Adversary.
 func (r *Replay) Bound() Bound { return r.bound }
 
-// Inject implements Adversary.
-func (r *Replay) Inject(round int) []packet.Injection {
-	injs := r.byRound[round]
-	if len(injs) == 0 {
-		return nil
-	}
-	return append([]packet.Injection(nil), injs...)
-}
+// Inject implements Adversary. It returns the stored schedule, nil for a
+// round without injections; Replay is stateless, so a result stays valid.
+func (r *Replay) Inject(round int) []packet.Injection { return r.byRound[round] }
 
 // Destinations implements DestinationHinter.
 func (r *Replay) Destinations() []network.NodeID {
@@ -108,8 +103,7 @@ func (s *Schedule) Build(bound Bound) *Replay { return NewReplay(bound, s.byRoun
 // against the declared bound for `rounds` rounds.
 func (s *Schedule) BuildVerified(nw *network.Network, bound Bound, rounds int) (*Replay, error) {
 	r := s.Build(bound)
-	probe := NewReplay(bound, s.byRound) // fresh copy for consumption
-	if err := VerifyPrefix(nw, probe, rounds); err != nil {
+	if err := VerifyPrefix(nw, r, rounds); err != nil {
 		return nil, fmt.Errorf("adversary: schedule fails declared bound: %w", err)
 	}
 	return r, nil

@@ -23,6 +23,7 @@ type Random struct {
 	sources  [][]network.NodeID
 	excess   *Excess
 	attempts int
+	out      []packet.Injection // Inject's result, reused across rounds
 }
 
 var _ Adversary = (*Random)(nil)
@@ -105,7 +106,7 @@ func (r *Random) Destinations() []network.NodeID {
 // Inject implements Adversary.
 func (r *Random) Inject(round int) []packet.Injection {
 	_ = round // stateful: rounds are consumed in order by contract
-	var out []packet.Injection
+	out := r.out[:0]
 	for a := 0; a < r.attempts; a++ {
 		di := r.rng.Intn(len(r.dests))
 		if len(r.sources[di]) == 0 {
@@ -113,14 +114,11 @@ func (r *Random) Inject(round int) []packet.Injection {
 		}
 		src := r.sources[di][r.rng.Intn(len(r.sources[di]))]
 		if r.excess.admit(src, r.dests[di]) {
-			if out == nil {
-				// The round's one allocation: the remaining attempts fit.
-				out = make([]packet.Injection, 0, r.attempts-a)
-			}
 			out = append(out, packet.Injection{Src: src, Dst: r.dests[di]})
 		}
 	}
 	r.excess.endRound()
+	r.out = out
 	return out
 }
 
@@ -129,8 +127,9 @@ func (r *Random) Inject(round int) []packet.Injection {
 // perfectly smooth rate-ρ flow along a single route. It is (ρ,1)-bounded
 // (the +1 absorbs the rounding) and (ρ,0)-bounded when ρ = 1.
 type Stream struct {
-	bound    Bound
-	src, dst network.NodeID
+	bound Bound
+	// one is the single injection src→dst that every due round returns.
+	one []packet.Injection
 	// emitted counts packets so far; the next is due when budget ≥ emitted+1.
 	emitted int64
 }
@@ -140,21 +139,21 @@ var _ DestinationHinter = (*Stream)(nil)
 
 // NewStream returns a smooth rate-ρ stream src→dst.
 func NewStream(bound Bound, src, dst network.NodeID) *Stream {
-	return &Stream{bound: bound, src: src, dst: dst}
+	return &Stream{bound: bound, one: []packet.Injection{{Src: src, Dst: dst}}}
 }
 
 // Bound implements Adversary.
 func (s *Stream) Bound() Bound { return s.bound }
 
 // Destinations implements DestinationHinter.
-func (s *Stream) Destinations() []network.NodeID { return []network.NodeID{s.dst} }
+func (s *Stream) Destinations() []network.NodeID { return []network.NodeID{s.one[0].Dst} }
 
 // Inject implements Adversary.
 func (s *Stream) Inject(round int) []packet.Injection {
 	budget := s.bound.Rho.MulInt(int64(round + 1)).Floor()
 	if budget >= s.emitted+1 {
 		s.emitted++
-		return []packet.Injection{{Src: s.src, Dst: s.dst}}
+		return s.one
 	}
 	return nil
 }
@@ -168,6 +167,7 @@ type RoundRobin struct {
 	src     network.NodeID
 	dests   []network.NodeID
 	emitted int64
+	out     []packet.Injection // Inject's result, reused across rounds
 }
 
 var _ Adversary = (*RoundRobin)(nil)
@@ -189,7 +189,7 @@ func (rr *RoundRobin) Destinations() []network.NodeID {
 // Inject implements Adversary.
 func (rr *RoundRobin) Inject(round int) []packet.Injection {
 	budget := rr.bound.Rho.MulInt(int64(round + 1)).Floor()
-	var out []packet.Injection
+	out := rr.out[:0]
 	for budget >= rr.emitted+1 {
 		d := rr.dests[int(rr.emitted)%len(rr.dests)]
 		if d != rr.src {
@@ -197,5 +197,6 @@ func (rr *RoundRobin) Inject(round int) []packet.Injection {
 		}
 		rr.emitted++
 	}
+	rr.out = out
 	return out
 }

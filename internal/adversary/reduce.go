@@ -22,6 +22,7 @@ type Reduced struct {
 	ell   int
 	// nextSrc is the next unconsumed original round.
 	nextSrc int
+	out     []packet.Injection // Inject's result, reused across rounds
 }
 
 var _ Adversary = (*Reduced)(nil)
@@ -47,10 +48,11 @@ func (r *Reduced) Ell() int { return r.ell }
 // and including kℓ.
 func (r *Reduced) Inject(round int) []packet.Injection {
 	lastSrc := round * r.ell
-	var out []packet.Injection
+	out := r.out[:0]
 	for ; r.nextSrc <= lastSrc; r.nextSrc++ {
 		out = append(out, r.inner.Inject(r.nextSrc)...)
 	}
+	r.out = out
 	return out
 }
 

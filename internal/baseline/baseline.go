@@ -92,8 +92,10 @@ func (g *Greedy) Decide(v sim.View) ([]sim.Forward, error) {
 		}
 	}
 	g.out, g.scratch = out, scratch
-	// The caller owns the returned decisions; the scratch stays here.
-	return append([]sim.Forward(nil), out...), nil
+	if len(out) == 0 {
+		return nil, nil
+	}
+	return out, nil
 }
 
 // FIFO forwards the packet that arrived at the buffer earliest.

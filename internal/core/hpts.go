@@ -31,7 +31,8 @@ import (
 //
 // Each round classifies every buffered packet once, into a per-round index
 // of the level-λ pseudo-buffers (hptsView), so Decide costs O(P + ℓ·n) for
-// P buffered packets and allocates only the returned decisions.
+// P buffered packets and allocates nothing once its decision scratch has
+// grown.
 type HPTS struct {
 	ell          int
 	ablatePreBad bool
@@ -235,8 +236,10 @@ func (p *HPTS) Decide(v sim.View) ([]sim.Forward, error) {
 		p.sent[i] = len(out) - n0
 	}
 	p.out = out
-	// The caller owns the returned decisions; the scratch stays here.
-	return append([]sim.Forward(nil), out...), nil
+	if len(out) == 0 {
+		return nil, nil
+	}
+	return out, nil
 }
 
 // formPaths is Algorithm 4 on interval I_{λ,r}: a PPTS sweep over the

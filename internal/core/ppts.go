@@ -39,7 +39,7 @@ import (
 // pseudo-buffer, which is all the sweep asks (the activated intervals are
 // disjoint). Decide thus costs O(n + P) for P buffered packets, plus a sort
 // of the destinations present; its scratch is sized at Attach, and it
-// allocates only the returned decisions.
+// allocates nothing once its decision scratch has grown.
 type PPTS struct {
 	drainWhenIdle bool
 	nw            *network.Network
@@ -128,8 +128,10 @@ func (p *PPTS) Decide(v sim.View) ([]sim.Forward, error) {
 		out = p.scan(out, v, false)
 	}
 	p.out = out
-	// The caller owns the returned decisions; the scratch stays here.
-	return append([]sim.Forward(nil), out...), nil
+	if len(out) == 0 {
+		return nil, nil
+	}
+	return out, nil
 }
 
 // scan performs the right-to-left destination sweep. With bad=true it is

@@ -123,7 +123,7 @@ func (p *PTS) Decide(v sim.View) ([]sim.Forward, error) {
 		prevSent = len(out) - n0
 	}
 	p.out = out
-	return append([]sim.Forward(nil), out...), nil
+	return out, nil
 }
 
 // appendLIFOTop appends forwarding decisions for the min(len(pkts), b)

@@ -23,7 +23,7 @@ import (
 // analysis is unchanged.
 //
 // Decide costs O(n) per round over scratch sized at Attach, and allocates
-// only the returned decisions.
+// nothing once its decision scratch has grown.
 type TreePTS struct {
 	drainWhenIdle bool
 	nw            *network.Network
@@ -106,7 +106,10 @@ func (p *TreePTS) Decide(v sim.View) ([]sim.Forward, error) {
 		p.sent[node] = len(out) - n0
 	}
 	p.out = out
-	return append([]sim.Forward(nil), out...), nil
+	if len(out) == 0 {
+		return nil, nil
+	}
+	return out, nil
 }
 
 // sweep marks ancestors-or-self of every node with load ≥ threshold and
@@ -142,7 +145,7 @@ func (p *TreePTS) sweep(v sim.View, threshold int) bool {
 // toward its destination and stops at the first claimed node, so the walks
 // claim each node once. Decide thus costs O(n + P) for P buffered packets,
 // plus a sort of the bad pairs; its scratch is sized at Attach, and it
-// allocates only the returned decisions.
+// allocates nothing once its pair and decision scratch have grown.
 type TreePPTS struct {
 	nw   *network.Network
 	topo []network.NodeID
@@ -256,7 +259,10 @@ func (p *TreePPTS) Decide(v sim.View) ([]sim.Forward, error) {
 		p.sent[node] = len(out) - n0
 	}
 	p.out = out
-	return append([]sim.Forward(nil), out...), nil
+	if len(out) == 0 {
+		return nil, nil
+	}
+	return out, nil
 }
 
 // DestinationDepth returns d′(G, W): the maximum number of destinations on

@@ -157,6 +157,13 @@ func (c *client) submit(ctx context.Context, body []byte) (string, *service.Repo
 	}
 }
 
+// A shard stream's scanner starts with a buffer of streamBufInit bytes and
+// grows it, by doubling, for frames up to streamBufMax bytes.
+const (
+	streamBufInit = 4 << 10
+	streamBufMax  = 16 << 20
+)
+
 // stream follows a run's NDJSON stream, invoking onCell for every cell
 // record as its frame decodes whole, and returns the closing summary
 // report. An error means the stream broke before the summary: the cells
@@ -175,25 +182,24 @@ func (c *client) stream(ctx context.Context, runID string, onCell func(harness.C
 		return nil, decodeError(resp)
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 16<<20)
+	sc.Buffer(make([]byte, streamBufInit), streamBufMax)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		var probe struct {
+		// A cell frame decodes once, into its record; a summary frame's
+		// report fields are unknown here and decode below.
+		var frame struct {
 			Type string `json:"type"`
+			harness.CellRecord
 		}
-		if err := json.Unmarshal(line, &probe); err != nil {
+		if err := json.Unmarshal(line, &frame); err != nil {
 			return nil, fmt.Errorf("malformed stream frame: %w", err)
 		}
-		switch probe.Type {
+		switch frame.Type {
 		case "cell":
-			var rec harness.CellRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return nil, fmt.Errorf("malformed cell frame: %w", err)
-			}
-			onCell(rec)
+			onCell(frame.CellRecord)
 		case "summary":
 			var rep service.Report
 			if err := json.Unmarshal(line, &rep); err != nil {
@@ -201,7 +207,7 @@ func (c *client) stream(ctx context.Context, runID string, onCell func(harness.C
 			}
 			return &rep, nil
 		default:
-			return nil, fmt.Errorf("unknown stream frame type %q", probe.Type)
+			return nil, fmt.Errorf("unknown stream frame type %q", frame.Type)
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -99,7 +99,10 @@ func (p *Downhill) Decide(v sim.View) ([]sim.Forward, error) {
 		}
 	}
 	p.out = out
-	return append([]sim.Forward(nil), out...), nil
+	if len(out) == 0 {
+		return nil, nil
+	}
+	return out, nil
 }
 
 // OddEven is the parity-staggered downhill variant ("odd-even downhill" in
@@ -159,5 +162,8 @@ func (p *OddEven) Decide(v sim.View) ([]sim.Forward, error) {
 		}
 	}
 	p.out = out
-	return append([]sim.Forward(nil), out...), nil
+	if len(out) == 0 {
+		return nil, nil
+	}
+	return out, nil
 }

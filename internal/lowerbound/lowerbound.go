@@ -43,6 +43,7 @@ type Adversary struct {
 	// phase; reset at phase starts.
 	phaseOf int
 	emitted []int
+	out     []packet.Injection // Inject's result, reused across rounds
 }
 
 var _ adversary.Adversary = (*Adversary)(nil)
@@ -162,7 +163,7 @@ func (a *Adversary) Inject(round int) []packet.Injection {
 	if budget > a.perType {
 		budget = a.perType
 	}
-	var out []packet.Injection
+	out := a.out[:0]
 	for typ := 1; typ <= a.ell+1; typ++ {
 		for a.emitted[typ] < budget {
 			src, dst := a.Route(typ, round)
@@ -172,6 +173,7 @@ func (a *Adversary) Inject(round int) []packet.Injection {
 			a.emitted[typ]++
 		}
 	}
+	a.out = out
 	return out
 }
 

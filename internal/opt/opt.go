@@ -11,6 +11,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -138,7 +139,8 @@ func Solve(cfg Config) (Result, error) {
 	if s.maxBranch <= 0 {
 		s.maxBranch = 4096
 	}
-	// Pre-draw the injection schedule (adversaries are stateful).
+	// Pre-draw the injection schedule (adversaries are stateful), copying
+	// each round: an Inject result is valid only until the next call.
 	s.injections = make([][]packet.Injection, cfg.Rounds)
 	for t := 0; t < cfg.Rounds; t++ {
 		injs := cfg.Adversary.Inject(t)
@@ -147,7 +149,7 @@ func Solve(cfg Config) (Result, error) {
 				return Result{}, fmt.Errorf("opt: round %d: %w", t, err)
 			}
 		}
-		s.injections[t] = injs
+		s.injections[t] = slices.Clone(injs)
 	}
 	init := &state{dests: make([][]int16, cfg.Net.Len())}
 	opt, err := s.solve(0, init)

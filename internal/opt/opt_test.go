@@ -2,6 +2,9 @@ package opt
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"smallbuffers/internal/adversary"
@@ -146,7 +149,77 @@ func TestOptimumRespectsLowerBoundPattern(t *testing.T) {
 	if res.OptMaxLoad < floor {
 		t.Errorf("optimum %d below predicted floor %d", res.OptMaxLoad, floor)
 	}
-	t.Logf("exact optimum on m=2,ℓ=2 pattern: %d (floor %d, states %d)", res.OptMaxLoad, floor, res.StatesExplored)
+	// E9 prints the state count; a search over wrong injections can keep
+	// the optimum and still explore more states.
+	if res.StatesExplored != 52 {
+		t.Errorf("explored %d states, want 52", res.StatesExplored)
+	}
+}
+
+// overwriting wraps an adversary so that every call overwrites the result
+// it returned last time, the most an Inject result promises: a caller
+// that keeps results without copying them sees them change.
+type overwriting struct {
+	adversary.Adversary
+	out []packet.Injection
+}
+
+func (o *overwriting) Inject(round int) []packet.Injection {
+	clear(o.out[:cap(o.out)])
+	o.out = append(o.out[:0], o.Adversary.Inject(round)...)
+	return o.out
+}
+
+// TestCallersHonorInjectOwnership: every caller that reads injections,
+// Solve (which keeps them) included, answers the same over an adversary
+// that overwrites its previous result as over a replay, whose results stay
+// valid. The pattern is E9's Section 5 instance.
+func TestCallersHonorInjectOwnership(t *testing.T) {
+	lb, err := lowerbound.New(2, 2, rat.New(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, err := lb.Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := lb.Rounds()
+	schedule := make(map[int][]packet.Injection, rounds)
+	for r := range rounds {
+		schedule[r] = slices.Clone(lb.Inject(r))
+	}
+	sides := map[string]func() adversary.Adversary{
+		"replay":      func() adversary.Adversary { return adversary.NewReplay(lb.Bound(), schedule) },
+		"overwriting": func() adversary.Adversary { return &overwriting{Adversary: adversary.NewReplay(lb.Bound(), schedule)} },
+	}
+	type outcome struct {
+		solve   Result
+		merged  [][]packet.Injection
+		reduced [][]packet.Injection
+		verify  string
+		run     sim.Result
+	}
+	got := map[string]outcome{}
+	for name, mk := range sides {
+		var o outcome
+		if o.solve, err = Solve(Config{Net: nw, Adversary: mk(), Rounds: rounds}); err != nil {
+			t.Fatal(err)
+		}
+		merged := adversary.NewSchedule().Merge(mk(), rounds).Build(mk().Bound())
+		red := adversary.NewReduced(mk(), 2)
+		for r := range rounds {
+			o.merged = append(o.merged, merged.Inject(r))
+			o.reduced = append(o.reduced, slices.Clone(red.Inject(r)))
+		}
+		o.verify = fmt.Sprint(adversary.VerifyPrefix(nw, mk(), rounds))
+		if o.run, err = sim.Run(context.Background(), sim.NewSpec(nw, core.NewPPTS(), mk(), rounds)); err != nil {
+			t.Fatal(err)
+		}
+		got[name] = o
+	}
+	if !reflect.DeepEqual(got["overwriting"], got["replay"]) {
+		t.Errorf("over an overwriting adversary:\n%+v\nover a replay:\n%+v", got["overwriting"], got["replay"])
+	}
 }
 
 func TestBranchBudgetEnforced(t *testing.T) {

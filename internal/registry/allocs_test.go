@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"smallbuffers/internal/adversary"
+	"smallbuffers/internal/baseline"
+	"smallbuffers/internal/network"
 	"smallbuffers/internal/rat"
 	"smallbuffers/internal/sim"
 )
@@ -29,12 +31,10 @@ var allocSetups = []allocSetup{
 
 // TestProtocolAllocs is the allocation gate. Every registered protocol,
 // built with default params (and hpts at ℓ ∈ {1, 2, 4}) and run to a loaded
-// steady state on a cell it attaches to, allocates at most the returned
-// decisions per Decide, at every round offset of a phase, on the view the
-// engine hands it. A whole engine
-// round allocates at most three times: the adversary's injections, the
-// engine's packet slice and the decisions, so the forwarding step
-// allocates nothing.
+// steady state on a cell it attaches to, allocates nothing per Decide, at
+// every round offset of a phase, on the view the engine hands it: it
+// returns its decision scratch. A whole engine round allocates nothing
+// either: the adversary and the engine reuse their slices too.
 func TestProtocolAllocs(t *testing.T) {
 	type row struct {
 		name, protocol string
@@ -64,8 +64,8 @@ func TestProtocolAllocs(t *testing.T) {
 				}
 				probe.measure = false
 				for i, allocs := range probe.allocs {
-					if allocs > 1 {
-						t.Errorf("%s d=%d round offset %d: Decide makes %.0f allocations, want ≤ 1", s.topology, s.d, i, allocs)
+					if allocs != 0 {
+						t.Errorf("%s d=%d round offset %d: Decide makes %.0f allocations, want 0", s.topology, s.d, i, allocs)
 					}
 				}
 				if probe.decided == 0 {
@@ -76,8 +76,8 @@ func TestProtocolAllocs(t *testing.T) {
 						t.Fatal(err)
 					}
 				})
-				if allocs > 3 {
-					t.Errorf("%s d=%d: Engine.Step makes %.0f allocations, want ≤ 3", s.topology, s.d, allocs)
+				if allocs != 0 {
+					t.Errorf("%s d=%d: Engine.Step makes %.0f allocations, want 0", s.topology, s.d, allocs)
 				}
 				t.Logf("%s d=%d: Decide %v, Engine.Step %.0f allocations", s.topology, s.d, probe.allocs, allocs)
 			}
@@ -90,7 +90,9 @@ func TestProtocolAllocs(t *testing.T) {
 
 // allocProbe wraps a protocol so that, while measure is set, every Decide
 // also measures the protocol's allocations on the view the engine hands
-// it: the configuration after injection and before forwarding.
+// it: the configuration after injection and before forwarding. It measures
+// before the Decide whose result it returns, since a result is valid only
+// until the next Decide.
 type allocProbe struct {
 	sim.Protocol
 	measure bool
@@ -107,14 +109,16 @@ func (p *allocProbe) PhaseLength() int {
 }
 
 func (p *allocProbe) Decide(v sim.View) ([]sim.Forward, error) {
-	d, err := p.Protocol.Decide(v)
-	if p.measure && err == nil {
-		p.decided += len(d)
+	if p.measure {
 		p.allocs = append(p.allocs, testing.AllocsPerRun(20, func() {
 			if _, err := p.Protocol.Decide(v); err != nil {
 				panic(err)
 			}
 		}))
+	}
+	d, err := p.Protocol.Decide(v)
+	if p.measure {
+		p.decided += len(d)
 	}
 	return d, err
 }
@@ -169,4 +173,57 @@ func loadedEngine(t *testing.T, protocol string, params map[string]any, s allocS
 		}
 	}
 	return eng, probe, true
+}
+
+// TestAdversaryAllocs is the gate's adversary half. Every registered
+// adversary, built with default params at ρ = 1/2, σ = 2 on path(64) (a
+// self-hosting one on its own topology and horizon), drives greedy-fifo
+// through the first half of its horizon; after that an engine round
+// allocates nothing, the adversary's injections included.
+func TestAdversaryAllocs(t *testing.T) {
+	for _, name := range AdversaryNames() {
+		t.Run(name, func(t *testing.T) {
+			ae, err := LookupAdversary(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := ae.Params.Resolve(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bound := adversary.Bound{Rho: rat.New(1, 2), Sigma: 2}
+			nw, rounds := network.MustPath(64), 400
+			var adv adversary.Adversary
+			if ae.SelfHosting() {
+				prep, err := ae.Prepare(bound, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nw, adv, rounds = prep.Net, prep.Adversary, prep.Rounds
+			} else if adv, err = ae.Build(AdversaryContext{Net: nw, Bound: bound, Seed: 5, Rounds: rounds}, p); err != nil {
+				t.Fatal(err)
+			}
+			eng, err := sim.NewEngine(sim.NewSpec(nw, baseline.NewGreedy(baseline.FIFO{}), adv, rounds))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range rounds / 2 {
+				if _, err := eng.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := eng.Result().Injected
+			allocs := testing.AllocsPerRun(rounds/4, func() {
+				if _, err := eng.Step(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if eng.Result().Injected == before {
+				t.Fatal("no injections in the measured rounds")
+			}
+			if allocs != 0 {
+				t.Errorf("Engine.Step makes %.0f allocations, want 0", allocs)
+			}
+		})
+	}
 }

@@ -66,7 +66,9 @@ type Protocol interface {
 	Attach(nw *network.Network, bound adversary.Bound, dests []network.NodeID) error
 	// Decide returns the forwarding decisions for the current round. The
 	// engine validates feasibility; an infeasible decision aborts the run
-	// with an error. The engine reads the decisions only within the round.
+	// with an error. The result may be the protocol's own scratch: it stays
+	// valid until the next Decide, and callers must not modify it. The
+	// engine reads it only within the round.
 	Decide(v View) ([]Forward, error)
 }
 
@@ -199,10 +201,14 @@ type Engine struct {
 	nextID   packet.ID
 	res      Result
 
-	// Forwarding-step scratch, reused across rounds: per-node forward
-	// counts and the applied moves (hooks see moves only during the call).
+	// Round scratch, reused across rounds: the injected packets, per-node
+	// forward counts and the applied moves (hooks see packets and moves
+	// only during the call).
+	pkts  []packet.Packet
 	sent  []int
 	moves []metrics.Move
+	// loads is Load, bound once for adaptive adversaries.
+	loads adversary.Loads
 
 	// hooks is every observer the engine drives this run, in dispatch
 	// order: the spec-selected collectors, the internal max_load/latency
@@ -223,6 +229,7 @@ var (
 // NewEngine validates the spec and prepares a run.
 func NewEngine(spec Spec) (*Engine, error) {
 	e := &Engine{}
+	e.loads = e.Load
 	if err := e.Reset(spec); err != nil {
 		return nil, err
 	}
@@ -437,7 +444,7 @@ func (e *Engine) step(t int) error {
 	// post-forwarding occupancies.
 	var injs []packet.Injection
 	if ad, ok := e.spec.adversary.(adversary.Adaptive); ok {
-		injs = ad.InjectAdaptive(t, func(v network.NodeID) int { return e.buffers[v].Len() })
+		injs = ad.InjectAdaptive(t, e.loads)
 	} else {
 		injs = e.spec.adversary.Inject(t)
 	}
@@ -446,7 +453,7 @@ func (e *Engine) step(t int) error {
 			return err
 		}
 	}
-	newPkts := make([]packet.Packet, 0, len(injs))
+	newPkts := e.pkts[:0]
 	for _, in := range injs {
 		if err := in.Validate(e.spec.net); err != nil {
 			return err
@@ -455,6 +462,7 @@ func (e *Engine) step(t int) error {
 		e.nextID++
 		newPkts = append(newPkts, p)
 	}
+	e.pkts = newPkts
 	e.res.Injected += len(newPkts)
 	for _, h := range e.hooks {
 		h.OnInject(t, newPkts)
