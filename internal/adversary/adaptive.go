@@ -2,7 +2,6 @@ package adversary
 
 import (
 	"math/rand"
-	"sort"
 
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/packet"
@@ -36,7 +35,7 @@ type HotSpot struct {
 	bound    Bound
 	rng      *rand.Rand
 	dests    []network.NodeID
-	excess   *Excess
+	shaper   *shaper
 	attempts int
 	// scratch reused across rounds: the result and propose's candidates
 	out          []packet.Injection
@@ -47,17 +46,17 @@ var _ Adaptive = (*HotSpot)(nil)
 var _ DestinationHinter = (*HotSpot)(nil)
 
 // NewHotSpot returns a hot-spot adversary injecting toward the given
-// destinations (the sinks if none). Deterministic given the seed.
+// destinations (the sinks if none). Deterministic given the seed. A
+// destination that names no node of nw is an error.
 func NewHotSpot(nw *network.Network, bound Bound, dests []network.NodeID, seed int64) (*HotSpot, error) {
 	if err := bound.ValidateFor(nw); err != nil {
 		return nil, err
 	}
-	if len(dests) == 0 {
-		dests = nw.Sinks()
+	dests, err := sortedDests(nw, dests)
+	if err != nil {
+		return nil, err
 	}
-	dests = append([]network.NodeID(nil), dests...)
-	sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
-	excess, err := newShaper(nw, bound)
+	shaper, err := newShaper(nw, bound)
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +65,7 @@ func NewHotSpot(nw *network.Network, bound Bound, dests []network.NodeID, seed i
 		bound:    bound,
 		rng:      rand.New(rand.NewSource(seed)),
 		dests:    dests,
-		excess:   excess,
+		shaper:   shaper,
 		attempts: defaultAttempts(bound),
 	}, nil
 }
@@ -100,11 +99,11 @@ func (h *HotSpot) InjectAdaptive(round int, loads Loads) []packet.Injection {
 	out := h.out[:0]
 	for a := 0; a < h.attempts; a++ {
 		in, ok := h.propose(hot)
-		if ok && h.excess.admit(in.Src, in.Dst) {
+		if ok && h.shaper.admit(in.Src, in.Dst) {
 			out = append(out, in)
 		}
 	}
-	h.excess.endRound()
+	h.shaper.endRound()
 	h.out = out
 	return out
 }

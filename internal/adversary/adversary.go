@@ -9,12 +9,36 @@
 // at v never crosses that link. This reading makes the paper's edge-disjoint
 // injection sets (e.g. the Section 5 construction, whose consecutive routes
 // share an endpoint node) exactly rate-ρ, as intended.
+//
+// # The shaper
+//
+// The random and hotspot patterns are (ρ,σ)-bounded by construction: they
+// draw candidates and admit one only if every buffer v on its route keeps
+// ξ(v) ≤ σ under the token bucket ξ ← max(0, ξ + N − ρ) of Definition 2.2,
+// which by Lemma 2.3 is exactly (ρ,σ)-boundedness. With ρ = p/q in lowest
+// terms the shaper stores, per buffer, a value s(v) ≥ 0 and one offset off
+// ≤ 0 for all buffers, with q·ξ(v) = max(s(v) + off, 0) counting the
+// packets admitted so far this round. Ending a round is off −= p, because
+// max(max(s + off, 0) − p, 0) = max(s + off − p, 0). Admitting a packet
+// adds q at every buffer of its route: s ← max(s, −off) + q.
+//
+// The values sit at their buffers' positions in the network's heavy-chain
+// preorder, where a route is O(log n) position intervals (network.Span)
+// and a path route is one. They live in a lazy segment tree whose leaves
+// are blocks of 16 positions and whose tags are x ↦ max(x, c) + a. Such
+// tags compose, max(max(x, c₁) + a₁, c₂) + a₂ = max(x, c₁, c₂ − a₁) +
+// a₁ + a₂, and a range maximum commutes with them, since they are
+// monotone. An admission is one range maximum per interval, checked
+// against q·σ + p − q, then one range update per interval, each
+// O(16 + log n). Before off could overflow int64, it is folded into the
+// stored values in O(n).
 package adversary
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/packet"
@@ -94,6 +118,23 @@ type Adversary interface {
 	Inject(round int) []packet.Injection
 }
 
+// sortedDests returns a sorted copy of dests, or of nw's sinks when dests
+// is empty, after checking that every destination names a node of nw.
+// Repeats stay: a repeated destination is drawn more often.
+func sortedDests(nw *network.Network, dests []network.NodeID) ([]network.NodeID, error) {
+	if len(dests) == 0 {
+		dests = nw.Sinks()
+	}
+	for _, d := range dests {
+		if !nw.Valid(d) {
+			return nil, fmt.Errorf("adversary: destination %d out of range (network has %d nodes)", d, nw.Len())
+		}
+	}
+	out := slices.Clone(dests)
+	slices.Sort(out)
+	return out, nil
+}
+
 // DestinationHinter is an optional interface: adversaries that know their
 // destination set up front expose it so protocols like PPTS can size their
 // pseudo-buffer tables without discovery.
@@ -120,63 +161,20 @@ func Crosses(nw *network.Network, in packet.Injection, v network.NodeID) bool {
 // is as exact as rational arithmetic: a round adds q for every packet
 // crossing v and subtracts p, so q·ξ stays an integer. Overflow is checked
 // once per round, not per buffer: Absorb panics, as package rat does, when
-// the largest q·ξ plus q per injection could pass math.MaxInt64, and a
-// shaper checks its σ once, when it is built.
+// the largest q·ξ plus q per injection could pass math.MaxInt64.
 type Excess struct {
 	nw   *network.Network
 	p, q int64
-	// acc[v] is q·ξ_{t−1}(v) plus q for every packet charged to v in the
-	// round in progress; between rounds it is q·ξ(v).
+	// acc[v] is q·ξ(v); within Absorb it also counts q for every packet of
+	// the round charged to v.
 	acc []int64
 	// hi is the largest acc[v] at the last round boundary.
 	hi int64
-	// limit is q·σ + p for a shaper: a packet fits at v while
-	// acc[v] + q ≤ limit, that is, while ξ_{t−1}(v) + N_t(v) − ρ ≤ σ.
-	limit int64
 }
 
 // NewExcess returns a tracker with ξ ≡ 0 for the given network and rate.
 func NewExcess(nw *network.Network, rho rat.Rat) *Excess {
 	return &Excess{nw: nw, p: rho.Num(), q: rho.Den(), acc: make([]int64, nw.Len())}
-}
-
-// newShaper returns a tracker that admits packets one at a time so that
-// ξ never exceeds b.Sigma. Its acc values stay at most q·σ + p, so the
-// single construction-time check below rules out overflow.
-func newShaper(nw *network.Network, b Bound) (*Excess, error) {
-	e := NewExcess(nw, b.Rho)
-	if int64(b.Sigma) > (math.MaxInt64-e.p-e.q)/e.q {
-		return nil, fmt.Errorf("adversary: burst σ=%d too large at ρ=%v", b.Sigma, b.Rho)
-	}
-	e.limit = e.q*int64(b.Sigma) + e.p
-	return e, nil
-}
-
-// admit is the shaper: it charges one packet src→dst to the round in
-// progress if every buffer on the route keeps ξ ≤ σ, and reports whether
-// it did. dst must be reachable from src.
-func (e *Excess) admit(src, dst network.NodeID) bool {
-	for u := src; u != dst; u = e.nw.Next(u) {
-		if e.acc[u]+e.q > e.limit {
-			return false
-		}
-	}
-	for u := src; u != dst; u = e.nw.Next(u) {
-		e.acc[u] += e.q
-	}
-	return true
-}
-
-// endRound closes the round in progress at every buffer:
-// q·ξ ← max(0, q·ξ + q·N − p).
-func (e *Excess) endRound() {
-	hi := int64(0)
-	for v, a := range e.acc {
-		a = max(a-e.p, 0)
-		e.acc[v] = a
-		hi = max(hi, a)
-	}
-	e.hi = hi
 }
 
 // Absorb advances the tracker by one round with the given injections,
@@ -194,7 +192,13 @@ func (e *Excess) Absorb(injections []packet.Injection) {
 			e.acc[u] += e.q
 		}
 	}
-	e.endRound()
+	hi := int64(0)
+	for v, a := range e.acc {
+		a = max(a-e.p, 0)
+		e.acc[v] = a
+		hi = max(hi, a)
+	}
+	e.hi = hi
 }
 
 // At returns the current ξ(v).

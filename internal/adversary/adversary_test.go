@@ -3,6 +3,7 @@ package adversary
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -372,6 +373,143 @@ func TestRandomRejectsBadBound(t *testing.T) {
 	nw := network.MustPath(4)
 	if _, err := NewRandom(nw, Bound{Rho: rat.New(2, 1)}, nil, 1); err == nil {
 		t.Error("rate 2 accepted")
+	}
+}
+
+// TestRandomRejectsOutOfRangeDests checks that the shaped patterns refuse
+// a destination that names no node, naming it, and keep repeats, which
+// the pinned scenario files use to weight a destination.
+func TestRandomRejectsOutOfRangeDests(t *testing.T) {
+	nw := network.MustPath(64)
+	bound := Bound{Rho: rat.New(1, 2), Sigma: 2}
+	builders := []struct {
+		name  string
+		build func([]network.NodeID) error
+	}{
+		{"random", func(d []network.NodeID) error { _, err := NewRandom(nw, bound, d, 1); return err }},
+		{"hotspot", func(d []network.NodeID) error { _, err := NewHotSpot(nw, bound, d, 1); return err }},
+	}
+	cases := []struct {
+		name  string
+		dests []network.NodeID
+		bad   string // the node the error names; "" means legal
+	}{
+		{"past the end", []network.NodeID{70}, "70"},
+		{"negative", []network.NodeID{-3, 10}, "-3"},
+		{"one past the last node", []network.NodeID{10, 64}, "64"},
+		{"repeats", []network.NodeID{1, 2, 3, 3}, ""},
+		{"the sink", []network.NodeID{63}, ""},
+	}
+	for _, b := range builders {
+		for _, c := range cases {
+			err := b.build(c.dests)
+			switch {
+			case c.bad == "" && err != nil:
+				t.Errorf("%s %s: %v", b.name, c.name, err)
+			case c.bad != "" && err == nil:
+				t.Errorf("%s %s: dests %v accepted", b.name, c.name, c.dests)
+			case c.bad != "" && !strings.Contains(err.Error(), "destination "+c.bad+" "):
+				t.Errorf("%s %s: error %q does not name node %s", b.name, c.name, err, c.bad)
+			}
+		}
+	}
+}
+
+// listSampler is the random adversary's draw with explicit source lists:
+// one per destination, built by testing every node, and admission by
+// refExcess. It is the oracle for the sources Random draws from.
+type listSampler struct {
+	nw       *network.Network
+	rng      *rand.Rand
+	dests    []network.NodeID
+	sources  [][]network.NodeID
+	ref      *refExcess
+	sigma    int
+	attempts int
+}
+
+func newListSampler(nw *network.Network, b Bound, dests []network.NodeID, seed int64) *listSampler {
+	if len(dests) == 0 {
+		dests = nw.Sinks()
+	}
+	dests = slices.Sorted(slices.Values(dests))
+	sources := make([][]network.NodeID, len(dests))
+	for i, d := range dests {
+		for v := range nw.Len() {
+			if id := network.NodeID(v); id != d && nw.Reaches(id, d) {
+				sources[i] = append(sources[i], id)
+			}
+		}
+	}
+	return &listSampler{nw: nw, rng: rand.New(rand.NewSource(seed)), dests: dests, sources: sources,
+		ref: newRefExcess(nw, b.Rho), sigma: b.Sigma, attempts: defaultAttempts(b)}
+}
+
+func (s *listSampler) inject() []packet.Injection {
+	perRound := make([]int, s.nw.Len())
+	var out []packet.Injection
+	for range s.attempts {
+		di := s.rng.Intn(len(s.dests))
+		if len(s.sources[di]) == 0 {
+			continue
+		}
+		in := packet.Injection{Src: s.sources[di][s.rng.Intn(len(s.sources[di]))], Dst: s.dests[di]}
+		route := refCrossedBuffers(s.nw, in)
+		if slices.ContainsFunc(route, func(v network.NodeID) bool { return s.ref.WouldExceed(v, perRound[v], s.sigma) }) {
+			continue
+		}
+		out = append(out, in)
+		for _, v := range route {
+			perRound[v]++
+		}
+	}
+	s.ref.Absorb(out)
+	return out
+}
+
+// TestRandomDrawsMatchSourceLists checks, for 50 seeds, that Random injects
+// round for round what the list sampler injects: on a path, where the
+// sources of d are drawn as 0 … d−1, with a destination 0 that has none and
+// a repeated one; and on trees, with a leaf destination and repeats.
+func TestRandomDrawsMatchSourceLists(t *testing.T) {
+	tree, err := network.RandomTree(30, rand.New(rand.NewSource(22)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spider, err := network.SpiderTree(3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		nw    *network.Network
+		dests []network.NodeID
+	}{
+		{"path", network.MustPath(20), []network.NodeID{7, 0, 3, 19, 3}},
+		{"path sink", network.MustPath(9), nil},
+		{"tree", tree, []network.NodeID{tree.Leaves()[0], 29, 29, 28, tree.Next(5)}},
+		{"spider", spider, []network.NodeID{12, 2, 3, 12}},
+	}
+	bound := Bound{Rho: rat.New(2, 3), Sigma: 2}
+	for _, c := range cases {
+		injected := 0
+		for seed := int64(1); seed <= 50; seed++ {
+			adv, err := NewRandom(c.nw, bound, c.dests, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := newListSampler(c.nw, bound, c.dests, seed)
+			for round := range 30 {
+				got, want := adv.Inject(round), oracle.inject()
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s seed %d round %d: Inject = %v, list sampler = %v", c.name, seed, round, got, want)
+				}
+				injected += len(got)
+			}
+		}
+		if injected == 0 {
+			t.Errorf("%s: nothing injected", c.name)
+		}
 	}
 }
 

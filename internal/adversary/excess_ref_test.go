@@ -58,44 +58,86 @@ func (e *refExcess) WouldExceed(v network.NodeID, already int, sigma int) bool {
 	return rat.FromInt(int64(sigma)).Less(next)
 }
 
+// at returns the shaper's current ξ(v), charges of the round in progress
+// included. A sink's buffer is on no route.
+func (s *shaper) at(v network.NodeID) rat.Rat {
+	if s.nw.Next(v) == network.None {
+		return rat.Zero
+	}
+	pos, _, _ := s.nw.Span(v, s.nw.Next(v))
+	c, a := s.tagOf(s.nb + pos>>blockBits)
+	return rat.New(max(max(s.val[pos], c)+a+s.off, 0), s.q)
+}
+
 // TestShaperMatchesRefExcess drives the shaper and refExcess with the same
-// random candidate streams on paths and random trees. Every candidate must
-// get the same admit decision, and every buffer the same ξ after every
-// round. Alongside, Absorb and refExcess take every candidate unshaped,
-// so excesses above σ are compared too.
+// random candidate streams on paths, trees and a forest, whose routes
+// cross several heavy chains. Every candidate must get the same admit
+// decision, and every buffer the same ξ after every round. Alongside,
+// Absorb and refExcess take every candidate unshaped, so excesses above σ
+// are compared too.
 func TestShaperMatchesRefExcess(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
-	tree, err := network.RandomTree(40, rng)
-	if err != nil {
-		t.Fatal(err)
+	must := func(nw *network.Network, err error) *network.Network {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nw
 	}
-	tree2, err := network.RandomTree(40, rng, network.WithUniformBandwidth(2))
-	if err != nil {
-		t.Fatal(err)
+	tree := must(network.RandomTree(40, rng))
+	tree2 := must(network.RandomTree(40, rng, network.WithUniformBandwidth(2)))
+	// Two components: a random tree on 0…29 rooted at 29 and a caterpillar-like
+	// spine 30→…→39 with legs 40…49.
+	parent := make([]network.NodeID, 50)
+	for v := 0; v < 29; v++ {
+		parent[v] = network.NodeID(v + 1 + rng.Intn(29-v))
 	}
+	parent[29], parent[39] = network.None, network.None
+	for v := 30; v < 39; v++ {
+		parent[v] = network.NodeID(v + 1)
+	}
+	for v := 40; v < 50; v++ {
+		parent[v] = network.NodeID(30 + rng.Intn(9))
+	}
+	forest := must(network.NewForest(parent))
+	rhos := []rat.Rat{rat.One, rat.New(1, 2), rat.New(2, 3), rat.New(1, 7)}
 	nets := []struct {
 		name string
 		nw   *network.Network
 		rhos []rat.Rat
 	}{
-		{"path", network.MustPath(12), []rat.Rat{rat.One, rat.New(1, 2), rat.New(2, 3), rat.New(1, 7)}},
-		{"tree", tree, []rat.Rat{rat.One, rat.New(1, 2), rat.New(2, 3), rat.New(1, 7)}},
+		{"path", network.MustPath(12), rhos},
+		{"tree", tree, rhos},
 		{"path B=2", network.MustPath(12, network.WithUniformBandwidth(2)), []rat.Rat{rat.New(3, 2)}},
 		{"tree B=2", tree2, []rat.Rat{rat.New(3, 2)}},
+		{"path300", network.MustPath(300), []rat.Rat{rat.One, rat.New(2, 3)}},
+		{"binary5", must(network.BinaryTree(5)), []rat.Rat{rat.One, rat.New(2, 3)}},
+		{"spider4x6", must(network.SpiderTree(4, 6)), []rat.Rat{rat.One, rat.New(2, 3)}},
+		{"caterpillar", must(network.CaterpillarTree(12, 3)), []rat.Rat{rat.One, rat.New(2, 3)}},
+		{"forest", forest, []rat.Rat{rat.One, rat.New(2, 3)}},
 	}
 	for _, c := range nets {
 		for _, rho := range c.rhos {
 			for _, sigma := range []int{0, 1, 3} {
 				b := Bound{Rho: rho, Sigma: sigma}
 				t.Run(c.name+" "+b.String(), func(t *testing.T) {
-					diffShaper(t, c.nw, b, int64(sigma)+rho.Den())
+					diffShaper(t, c.nw, b, int64(sigma)+rho.Den(), -1)
 				})
 			}
 		}
 	}
+	// Folding off into the stored values mid-round changes no ξ.
+	for _, nw := range []*network.Network{tree, network.MustPath(300)} {
+		t.Run("rebase", func(t *testing.T) {
+			diffShaper(t, nw, Bound{Rho: rat.New(2, 3), Sigma: 1}, 5, 40)
+		})
+	}
 }
 
-func diffShaper(t *testing.T, nw *network.Network, b Bound, seed int64) {
+// diffShaper compares the shaper with refExcess over 80 rounds of random
+// candidates. At round rebaseAt (none if negative) the shaper rebases
+// after the round's first candidate.
+func diffShaper(t *testing.T, nw *network.Network, b Bound, seed int64, rebaseAt int) {
 	if err := b.ValidateFor(nw); err != nil {
 		t.Fatal(err)
 	}
@@ -124,6 +166,9 @@ func diffShaper(t *testing.T, nw *network.Network, b Bound, seed int64) {
 			if got := shaper.admit(in.Src, in.Dst); got != want {
 				t.Fatalf("round %d, candidate %d→%d: admit = %v, refExcess says %v", round, in.Src, in.Dst, got, want)
 			}
+			if round == rebaseAt && len(all) == 1 {
+				shaper.rebase()
+			}
 			if !want {
 				rejects++
 				continue
@@ -139,11 +184,24 @@ func diffShaper(t *testing.T, nw *network.Network, b Bound, seed int64) {
 		plain.Absorb(all)
 		refPlain.Absorb(all)
 		for v := network.NodeID(0); int(v) < nw.Len(); v++ {
-			if got, want := shaper.At(v), ref.At(v); !got.Equal(want) {
+			if got, want := shaper.at(v), ref.At(v); !got.Equal(want) {
 				t.Fatalf("round %d: shaped ξ(%d) = %v, refExcess has %v", round, v, got, want)
 			}
 			if got, want := plain.At(v), refPlain.At(v); !got.Equal(want) {
 				t.Fatalf("round %d: absorbed ξ(%d) = %v, refExcess has %v", round, v, got, want)
+			}
+		}
+		// The tree's maxima agree with the values beneath them.
+		for bl := range shaper.nb {
+			for br := bl; br < shaper.nb; br++ {
+				want := int64(0)
+				for pos := bl * blockLen; pos < min((br+1)*blockLen, nw.Len()); pos++ {
+					c, a := shaper.tagOf(shaper.nb + pos>>blockBits)
+					want = max(want, max(shaper.val[pos], c)+a)
+				}
+				if got := shaper.blocksMax(bl, br); got != want {
+					t.Fatalf("round %d: blocks %d..%d hold at most %d, the tree says %d", round, bl, br, want, got)
+				}
 			}
 		}
 	}
@@ -154,13 +212,19 @@ func diffShaper(t *testing.T, nw *network.Network, b Bound, seed int64) {
 	}
 }
 
-// randomRoute draws a source other than the sink of a one-sink network and
-// a destination strictly down its route.
+// randomRoute draws a source other than a sink and a destination strictly
+// down its route. On a one-sink network the source is uniform over the
+// other nodes.
 func randomRoute(nw *network.Network, rng *rand.Rand) packet.Injection {
-	sink := nw.Sinks()[0]
-	src := network.NodeID(rng.Intn(nw.Len() - 1))
-	if src >= sink {
-		src++
+	src := network.NodeID(rng.Intn(nw.Len() - len(nw.Sinks())))
+	for _, s := range nw.Sinks() { // ascending: skip past each sink
+		if src >= s {
+			src++
+		}
+	}
+	sink := src
+	for nw.Next(sink) != network.None {
+		sink = nw.Next(sink)
 	}
 	route, err := nw.Route(src, sink)
 	if err != nil {

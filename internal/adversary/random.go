@@ -2,7 +2,6 @@ package adversary
 
 import (
 	"math/rand"
-	"sort"
 
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/packet"
@@ -19,9 +18,13 @@ type Random struct {
 	bound Bound
 	rng   *rand.Rand
 	dests []network.NodeID
-	// sources[i] lists the valid injection sites for dests[i].
-	sources  [][]network.NodeID
-	excess   *Excess
+	// The sources of dests[i] are the nodes other than it whose route
+	// passes through it. On a path they are 0 … dests[i]−1, drawn
+	// directly; elsewhere they are sources[at[i]:at[i+1]], ascending.
+	path     bool
+	sources  []int32
+	at       []int32
+	shaper   *shaper
 	attempts int
 	out      []packet.Injection // Inject's result, reused across rounds
 }
@@ -58,26 +61,17 @@ func WithAttempts(n int) RandomOption {
 
 // NewRandom returns a shaped random adversary injecting toward the given
 // destinations (all sinks if none are provided). The generator is
-// deterministic given the seed.
+// deterministic given the seed. A destination that names no node of nw is
+// an error.
 func NewRandom(nw *network.Network, bound Bound, dests []network.NodeID, seed int64, opts ...RandomOption) (*Random, error) {
 	if err := bound.ValidateFor(nw); err != nil {
 		return nil, err
 	}
-	if len(dests) == 0 {
-		dests = nw.Sinks()
+	dests, err := sortedDests(nw, dests)
+	if err != nil {
+		return nil, err
 	}
-	dests = append([]network.NodeID(nil), dests...)
-	sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
-	sources := make([][]network.NodeID, len(dests))
-	for i, d := range dests {
-		for v := 0; v < nw.Len(); v++ {
-			id := network.NodeID(v)
-			if id != d && nw.Reaches(id, d) {
-				sources[i] = append(sources[i], id)
-			}
-		}
-	}
-	excess, err := newShaper(nw, bound)
+	shaper, err := newShaper(nw, bound)
 	if err != nil {
 		return nil, err
 	}
@@ -85,9 +79,25 @@ func NewRandom(nw *network.Network, bound Bound, dests []network.NodeID, seed in
 		bound:    bound,
 		rng:      rand.New(rand.NewSource(seed)),
 		dests:    dests,
-		sources:  sources,
-		excess:   excess,
+		path:     nw.IsPath(),
+		shaper:   shaper,
 		attempts: defaultAttempts(bound),
+	}
+	if !r.path {
+		r.at = make([]int32, len(dests)+1)
+		for i, d := range dests {
+			r.at[i+1] = r.at[i] + int32(nw.SubtreeSize(d)-1)
+		}
+		r.sources = make([]int32, r.at[len(dests)])
+		for i, d := range dests {
+			k := r.at[i]
+			for v := range nw.Len() {
+				if id := network.NodeID(v); id != d && nw.Reaches(id, d) {
+					r.sources[k] = int32(v)
+					k++
+				}
+			}
+		}
 	}
 	for _, o := range opts {
 		o(r)
@@ -103,21 +113,33 @@ func (r *Random) Destinations() []network.NodeID {
 	return append([]network.NodeID(nil), r.dests...)
 }
 
-// Inject implements Adversary.
+// Inject implements Adversary. Each candidate draws a destination, then
+// one of its sources uniformly; a destination without sources skips the
+// candidate.
 func (r *Random) Inject(round int) []packet.Injection {
 	_ = round // stateful: rounds are consumed in order by contract
 	out := r.out[:0]
 	for a := 0; a < r.attempts; a++ {
 		di := r.rng.Intn(len(r.dests))
-		if len(r.sources[di]) == 0 {
-			continue
+		dst := r.dests[di]
+		var src network.NodeID
+		if r.path {
+			if dst == 0 {
+				continue
+			}
+			src = network.NodeID(r.rng.Intn(int(dst)))
+		} else {
+			srcs := r.sources[r.at[di]:r.at[di+1]]
+			if len(srcs) == 0 {
+				continue
+			}
+			src = network.NodeID(srcs[r.rng.Intn(len(srcs))])
 		}
-		src := r.sources[di][r.rng.Intn(len(r.sources[di]))]
-		if r.excess.admit(src, r.dests[di]) {
-			out = append(out, packet.Injection{Src: src, Dst: r.dests[di]})
+		if r.shaper.admit(src, dst) {
+			out = append(out, packet.Injection{Src: src, Dst: dst})
 		}
 	}
-	r.excess.endRound()
+	r.shaper.endRound()
 	r.out = out
 	return out
 }

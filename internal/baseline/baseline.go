@@ -57,20 +57,17 @@ func (g *Greedy) Attach(nw *network.Network, _ adversary.Bound, _ []network.Node
 	return nil
 }
 
-// Decide implements sim.Protocol: each non-sink buffer forwards its
-// min(B(v), load) policy-preferred packets, selected greedily so that at
-// B = 1 the choice coincides with the classical single-packet rule.
+// Decide implements sim.Protocol: each non-empty non-sink buffer, in
+// ascending node order, forwards its min(B(v), load) policy-preferred
+// packets, selected greedily so that at B = 1 the choice coincides with
+// the classical single-packet rule.
 func (g *Greedy) Decide(v sim.View) ([]sim.Forward, error) {
 	out, scratch := g.out[:0], g.scratch
-	for i := 0; i < g.nw.Len(); i++ {
-		node := network.NodeID(i)
+	for _, node := range v.Occupied() {
 		if g.nw.Next(node) == network.None {
 			continue
 		}
 		pkts := v.Packets(node)
-		if len(pkts) == 0 {
-			continue
-		}
 		b := v.Bandwidth(node)
 		if b > len(pkts) {
 			b = len(pkts)

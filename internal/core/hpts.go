@@ -136,8 +136,9 @@ func (x *hptsView) build(v sim.View, lambda int) {
 	for g := 0; g < n/step; g++ {
 		x.firstBad[g], x.seen[g] = -1, -1
 	}
-	for i := 0; i < n; i++ {
-		pkts := v.Packets(network.NodeID(i))
+	for _, node := range v.Occupied() {
+		i := int(node)
+		pkts := v.Packets(node)
 		if len(pkts) < 2 {
 			continue
 		}

@@ -37,9 +37,11 @@ import (
 // Each round indexes the buffered packets once, recording for every
 // destination present its leftmost non-empty and leftmost bad
 // pseudo-buffer, which is all the sweep asks (the activated intervals are
-// disjoint). Decide thus costs O(n + P) for P buffered packets, plus a sort
-// of the destinations present; its scratch is sized at Attach, and it
-// allocates nothing once its decision scratch has grown.
+// disjoint). The index walks the occupied buffers only, so it costs O(P)
+// for P buffered packets, plus a sort of the destinations present; the
+// sweep then costs the length of the intervals it activates. The scratch
+// is sized at Attach, and Decide allocates nothing once its decision
+// scratch has grown.
 type PPTS struct {
 	drainWhenIdle bool
 	nw            *network.Network
@@ -102,8 +104,9 @@ func (p *PPTS) index(v sim.View) {
 		p.first[w], p.bad[w], p.seen[w] = -1, -1, -1
 	}
 	p.dests = p.dests[:0]
-	for i := range p.nw.Len() {
-		for _, pk := range v.Packets(network.NodeID(i)) {
+	for _, node := range v.Occupied() {
+		i := int(node)
+		for _, pk := range v.Packets(node) {
 			// Nodes are scanned left to right, so the first node seen twice
 			// for a destination is its leftmost bad one.
 			switch w := int(pk.Dst); {

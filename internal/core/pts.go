@@ -91,20 +91,20 @@ func (p *PTS) Attach(nw *network.Network, _ adversary.Bound, dests []network.Nod
 // Decide implements sim.Protocol.
 func (p *PTS) Decide(v sim.View) ([]sim.Forward, error) {
 	start := network.NodeID(-1)
-	// Left-most bad buffer (Algorithm 1 line 2).
-	for i := network.NodeID(0); i < p.dest; i++ {
+	// Left-most bad buffer (Algorithm 1 line 2), or with drain the
+	// left-most non-empty one: only occupied buffers qualify.
+	occupied := v.Occupied()
+	for _, i := range occupied {
+		if i >= p.dest {
+			break
+		}
 		if v.Load(i) >= 2 {
 			start = i
 			break
 		}
 	}
-	if start < 0 && p.drainWhenIdle {
-		for i := network.NodeID(0); i < p.dest; i++ {
-			if v.Load(i) >= 1 {
-				start = i
-				break
-			}
-		}
+	if start < 0 && p.drainWhenIdle && len(occupied) > 0 && occupied[0] < p.dest {
+		start = occupied[0]
 	}
 	if start < 0 {
 		return nil, nil

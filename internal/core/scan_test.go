@@ -31,6 +31,15 @@ func (f *fakeView) Net() *network.Network                    { return f.nw }
 func (f *fakeView) Packets(v network.NodeID) []packet.Packet { return f.pkts[v] }
 func (f *fakeView) Load(v network.NodeID) int                { return len(f.pkts[v]) }
 func (f *fakeView) Bandwidth(v network.NodeID) int           { return f.nw.Bandwidth(v) }
+func (f *fakeView) Occupied() []network.NodeID {
+	var out []network.NodeID
+	for v, pkts := range f.pkts {
+		if len(pkts) > 0 {
+			out = append(out, network.NodeID(v))
+		}
+	}
+	return out
+}
 
 // randomConfig populates a fake view with random packets on a path,
 // destinations strictly beyond their node.

@@ -196,8 +196,9 @@ func (p *TreePPTS) index(v sim.View) {
 		p.seen[w], p.badAt[w] = -1, -1
 	}
 	p.dests, p.pairs = p.dests[:0], p.pairs[:0]
-	for i := range p.nw.Len() {
-		for _, pk := range v.Packets(network.NodeID(i)) {
+	for _, node := range v.Occupied() {
+		i := int(node)
+		for _, pk := range v.Packets(node) {
 			// A node's packets are scanned together, so a destination's
 			// pseudo-buffer at i turns bad at its second packet there.
 			switch w := int(pk.Dst); {

@@ -78,16 +78,12 @@ func (p *Downhill) Attach(nw *network.Network, _ adversary.Bound, dests []networ
 // information model of [9, 17].
 func (p *Downhill) Decide(v sim.View) ([]sim.Forward, error) {
 	out := p.out[:0]
-	for i := 0; i < p.nw.Len(); i++ {
-		node := network.NodeID(i)
+	for _, node := range v.Occupied() {
 		next := p.nw.Next(node)
 		if next == network.None {
 			continue
 		}
 		pkts := v.Packets(node)
-		if len(pkts) == 0 {
-			continue
-		}
 		// Note: the sink's load is always 0 (the engine absorbs packets on
 		// arrival), so the gradient test is uniform across the line.
 		k := len(pkts) - v.Load(next) - p.Slack
@@ -139,19 +135,12 @@ func (p *OddEven) Attach(nw *network.Network, bound adversary.Bound, dests []net
 func (p *OddEven) Decide(v sim.View) ([]sim.Forward, error) {
 	parity := v.Round() % 2
 	out := p.out[:0]
-	for i := 0; i < p.nw.Len(); i++ {
-		node := network.NodeID(i)
+	for _, node := range v.Occupied() {
 		next := p.nw.Next(node)
-		if next == network.None {
-			continue
-		}
-		if p.nw.Depth(node)%2 != parity {
+		if next == network.None || p.nw.Depth(node)%2 != parity {
 			continue
 		}
 		pkts := v.Packets(node)
-		if len(pkts) == 0 {
-			continue
-		}
 		// Capacitated gradient rule, as in Downhill (slack 0).
 		k := len(pkts) - v.Load(next)
 		if b := v.Bandwidth(node); k > b {

@@ -35,25 +35,27 @@ func (c *MaxLoadCollector) Name() string { return NameMaxLoad }
 // OnSample implements Collector: fold the configuration's occupancies
 // into the maxima. Strictly-greater updates locate the *first* maximum
 // (lowest round, then lowest node), matching the engine's historical
-// behavior exactly.
+// behavior exactly. Only occupied nodes, visited in ascending order, can
+// raise a visible maximum; nodes holding staged packets alone are found
+// through the staged packets.
 func (c *MaxLoadCollector) OnSample(round int, _ Point, v View) {
-	n := v.Net().Len()
-	if len(c.perNode) < n {
+	if n := v.Net().Len(); len(c.perNode) < n {
 		c.perNode = append(c.perNode, make([]int, n-len(c.perNode))...)
 	}
-	for u := 0; u < n; u++ {
-		load := v.Load(network.NodeID(u))
+	for _, u := range v.Occupied() {
+		load := v.Load(u)
 		if load > c.perNode[u] {
 			c.perNode[u] = load
 		}
 		if load > c.maxLoad {
 			c.maxLoad = load
-			c.node = network.NodeID(u)
+			c.node = u
 			c.round = round
 		}
-		if phys := load + v.Staged(network.NodeID(u)); phys > c.maxPhysical {
-			c.maxPhysical = phys
-		}
+		c.maxPhysical = max(c.maxPhysical, load+v.Staged(u))
+	}
+	for _, p := range v.StagedPackets() {
+		c.maxPhysical = max(c.maxPhysical, v.Load(p.Src)+v.Staged(p.Src))
 	}
 }
 
@@ -115,13 +117,10 @@ func (c *LoadSeriesCollector) Name() string { return NameLoadSeries }
 
 // OnSample implements Collector.
 func (c *LoadSeriesCollector) OnSample(_ int, p Point, v View) {
-	n := v.Net().Len()
 	total := 0
-	for u := 0; u < n; u++ {
-		load := v.Load(network.NodeID(u))
-		if load > c.roundMax {
-			c.roundMax = load
-		}
+	for _, u := range v.Occupied() {
+		load := v.Load(u)
+		c.roundMax = max(c.roundMax, load)
 		total += load
 	}
 	if p == LT {
@@ -158,15 +157,18 @@ func NewLoadHist() *LoadHistCollector { return &LoadHistCollector{hist: NewHist(
 // Name implements Collector.
 func (c *LoadHistCollector) Name() string { return NameLoadHist }
 
-// OnSample implements Collector: fold every node's L_t occupancy.
+// OnSample implements Collector: fold every node's L_t occupancy, the
+// empty nodes as one count of zeros (a histogram does not depend on the
+// order of its observations).
 func (c *LoadHistCollector) OnSample(_ int, p Point, v View) {
 	if p != LT {
 		return
 	}
-	n := v.Net().Len()
-	for u := 0; u < n; u++ {
-		c.hist.Add(v.Load(network.NodeID(u)))
+	occupied := v.Occupied()
+	for _, u := range occupied {
+		c.hist.Add(v.Load(u))
 	}
+	c.hist.addZeros(v.Net().Len() - len(occupied))
 }
 
 // Summarize implements Collector.

@@ -60,6 +60,19 @@ func (h *Hist) Add(v int) {
 	h.log2[i]++
 }
 
+// addZeros folds k observations of 0.
+func (h *Hist) addZeros(k int) {
+	if k <= 0 {
+		return
+	}
+	if h.count == 0 {
+		h.max = 0
+	}
+	h.min = 0
+	h.count += k
+	h.exact[0] += k
+}
+
 // logBucket maps v ≥ HistExactLimit to its log2 bucket index:
 // bucket i covers [HistExactLimit·2^i, HistExactLimit·2^(i+1)).
 func logBucket(v int) int {

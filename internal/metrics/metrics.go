@@ -38,7 +38,7 @@ import (
 )
 
 // View is the read-only engine state every hook observes: sim.View (the
-// protocols' decision view) plus the staging count. *sim.Engine
+// protocols' decision view) plus the staged packets. *sim.Engine
 // satisfies it.
 type View interface {
 	// Round returns the current (0-based) round number.
@@ -52,9 +52,18 @@ type View interface {
 	Load(v network.NodeID) int
 	// Bandwidth returns B(v), the capacity of v's outgoing link.
 	Bandwidth(v network.NodeID) int
+	// Occupied returns the nodes that hold a visible packet, in ascending
+	// order; a collector that walks it costs O(occupied buffers) per
+	// round. Staged packets do not count. The slice is shared and stays
+	// valid until the engine next changes a buffer; callers must not
+	// modify it.
+	Occupied() []network.NodeID
 	// Staged returns the number of packets injected at v but not yet
 	// visible to a phased protocol (zero for unphased protocols).
 	Staged(v network.NodeID) int
+	// StagedPackets returns those packets in ID order (empty for unphased
+	// protocols). The slice is shared; callers must not modify it.
+	StagedPackets() []packet.Packet
 }
 
 // Point identifies an occupancy sample point within a round.

@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"sort"
-
-	"smallbuffers/internal/network"
-)
+import "sort"
 
 // Registry names of the windowed collectors (the live-observability
 // family: exact recent-history windows that stay meaningful while a run
@@ -127,11 +123,8 @@ func (c *WindowLoadCollector) Name() string { return NameWindowLoad }
 // OnSample implements Collector: track the round's maximum node
 // occupancy over both sample points, like load_series.
 func (c *WindowLoadCollector) OnSample(_ int, _ Point, v View) {
-	n := v.Net().Len()
-	for u := 0; u < n; u++ {
-		if load := v.Load(network.NodeID(u)); load > c.roundMax {
-			c.roundMax = load
-		}
+	for _, u := range v.Occupied() {
+		c.roundMax = max(c.roundMax, v.Load(u))
 	}
 }
 

@@ -59,7 +59,7 @@ func RandomTree(n int, rng *rand.Rand, opts ...Option) (*Network, error) {
 		parent[v] = NodeID(v + 1 + rng.Intn(n-1-v))
 	}
 	parent[n-1] = None
-	return NewTree(parent, opts...)
+	return newTree(parent, opts)
 }
 
 // CaterpillarTree returns a path 0→1→…→(spine−1) with `legs` extra leaves
@@ -82,7 +82,7 @@ func CaterpillarTree(spine, legs int, opts ...Option) (*Network, error) {
 			parent[leaf] = NodeID(s)
 		}
 	}
-	return NewTree(parent, opts...)
+	return newTree(parent, opts)
 }
 
 // BinaryTree returns a complete binary in-tree of the given height (height 0
@@ -101,7 +101,7 @@ func BinaryTree(height int, opts ...Option) (*Network, error) {
 		parent[n-1-i] = NodeID(n - 1 - (i-1)/2)
 	}
 	parent[n-1] = None
-	return NewTree(parent, opts...)
+	return newTree(parent, opts)
 }
 
 // SpiderTree returns `arms` disjoint directed paths of the given length all
@@ -126,5 +126,5 @@ func SpiderTree(arms, length int, opts ...Option) (*Network, error) {
 			}
 		}
 	}
-	return NewTree(parent, opts...)
+	return newTree(parent, opts)
 }

@@ -30,16 +30,21 @@ const None NodeID = -1
 // Construct one with NewPath, NewTree, or via Builder; the constructors
 // validate shape so that methods never fail at simulation time.
 type Network struct {
-	next      []NodeID   // next[v] = unique out-neighbor, None for sinks
-	children  [][]NodeID // reverse adjacency, sorted
-	depth     []int      // hop count to the sink of v's component
+	next []NodeID // next[v] = unique out-neighbor, None for sinks
+	// children[childAt[v]:childAt[v+1]] are v's in-neighbors, ascending.
+	children  []NodeID
+	childAt   []int32
+	depth     []int32 // hop count to the sink of v's component
 	sinks     []NodeID
 	isPath    bool
 	bandwidth []int // bandwidth[v] = capacity of the link out of v (sinks: 1, unused)
-	// One preorder numbering of the reversed forest, with a DFS started at
-	// every sink: v's subtree, the nodes whose route passes through v,
-	// holds exactly the positions [pre[v], end[v]).
-	pre, end []int32
+	// One preorder numbering of the reversed forest, one sink's tree after
+	// another, that visits each node's largest child subtree first: v's
+	// subtree, the nodes whose route passes through v, holds exactly the
+	// positions [pre[v], end[v]), and each heavy chain (a node, its largest
+	// child, that child's largest child, …) holds consecutive positions,
+	// starting at its head head[v], the chain's node nearest the sink.
+	pre, end, head []int32
 }
 
 // Option configures a Network under construction (today: link bandwidths).
@@ -131,7 +136,12 @@ func MustPath(n int, opts ...Option) *Network {
 // has parent[v] == None. It returns an error if the vector does not describe
 // a single rooted tree.
 func NewTree(parent []NodeID, opts ...Option) (*Network, error) {
-	nw, err := fromNext(append([]NodeID(nil), parent...), false, opts)
+	return newTree(append([]NodeID(nil), parent...), opts)
+}
+
+// newTree is NewTree on a parent vector the network may keep.
+func newTree(parent []NodeID, opts []Option) (*Network, error) {
+	nw, err := fromNext(parent, false, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -147,13 +157,17 @@ func NewForest(parent []NodeID, opts ...Option) (*Network, error) {
 	return fromNext(append([]NodeID(nil), parent...), false, opts)
 }
 
-// fromNext validates the next-hop vector: in range, acyclic, ≥ 1 sink.
+// fromNext validates the next-hop vector: in range, acyclic, ≥ 1 sink. It
+// costs O(n) and keeps next.
 func fromNext(next []NodeID, isPath bool, opts []Option) (*Network, error) {
 	n := len(next)
 	if n == 0 {
 		return nil, fmt.Errorf("network: empty node set")
 	}
-	children := make([][]NodeID, n)
+	// Children in one flat array: count them, turn the counts into each
+	// block's end, then fill every block from its end, so that childAt[v]
+	// ends at the block's start and each block is in ascending ID order.
+	childAt := make([]int32, n+1)
 	var sinks []NodeID
 	for v, p := range next {
 		switch {
@@ -164,53 +178,92 @@ func fromNext(next []NodeID, isPath bool, opts []Option) (*Network, error) {
 		case int(p) == v:
 			return nil, fmt.Errorf("network: node %d has a self-loop", v)
 		default:
-			children[p] = append(children[p], NodeID(v))
+			childAt[p]++
 		}
 	}
 	if len(sinks) == 0 {
 		return nil, fmt.Errorf("network: no sink (next-hop graph has a cycle)")
 	}
-	for _, c := range children {
-		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
+	for v := 1; v <= n; v++ {
+		childAt[v] += childAt[v-1]
 	}
-	// Depth and preorder positions via a DFS from each sink along reverse
-	// edges; unreached nodes are on a cycle. ^v on the stack marks where
-	// v's subtree ends.
-	depth := make([]int, n)
-	pre, end := make([]int32, n), make([]int32, n)
-	for i := range pre {
-		pre[i] = -1
+	children := make([]NodeID, childAt[n])
+	for v := n - 1; v >= 0; v-- {
+		if p := next[v]; p != None {
+			childAt[p]--
+			children[childAt[p]] = NodeID(v)
+		}
 	}
-	var stack []NodeID
-	pos := int32(0)
+
+	ints := make([]int32, 5*n)
+	depth, pre, end, head, order := ints[:n:n], ints[n:2*n:2*n], ints[2*n:3*n:3*n], ints[3*n:4*n:4*n], ints[4*n:4*n]
+	// Breadth first from the sinks along reverse edges: every node enters
+	// order once, after its next hop. Unreached nodes are on a cycle.
+	for v := range depth {
+		depth[v] = -1
+	}
 	for _, s := range sinks {
-		stack = append(stack, s)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if v < 0 {
-				end[^v] = pos
-				continue
-			}
-			pre[v] = pos
-			pos++
-			stack = append(stack, ^v)
-			for _, c := range children[v] {
-				depth[c] = depth[v] + 1
-				stack = append(stack, c)
+		depth[s] = 0
+		order = append(order, int32(s))
+	}
+	for i := 0; i < len(order); i++ {
+		v := order[i]
+		for _, c := range children[childAt[v]:childAt[v+1]] {
+			depth[c] = depth[v] + 1
+			order = append(order, int32(c))
+		}
+	}
+	if len(order) < n {
+		for v, d := range depth {
+			if d < 0 {
+				return nil, fmt.Errorf("network: node %d is on a directed cycle", v)
 			}
 		}
 	}
-	for v, p := range pre {
-		if p < 0 {
-			return nil, fmt.Errorf("network: node %d is on a directed cycle", v)
+	// Subtree sizes, held in end until positions are known.
+	for v := range end {
+		end[v] = 1
+	}
+	for i := n - 1; i >= 0; i-- {
+		if p := next[order[i]]; p != None {
+			end[p] += end[order[i]]
 		}
+	}
+	// Positions, parents first: v's block opens with v, then its largest
+	// child's block (ties to the lowest ID), which continues v's chain,
+	// then its other children's blocks in ascending ID order.
+	base := int32(0)
+	for _, v := range order {
+		if next[v] == None {
+			pre[v], head[v] = base, v
+			base += end[v]
+		}
+		kids := children[childAt[v]:childAt[v+1]]
+		heavy := NodeID(None)
+		for _, c := range kids {
+			if heavy == None || end[c] > end[heavy] {
+				heavy = c
+			}
+		}
+		at := pre[v] + 1
+		if heavy != None {
+			pre[heavy], head[heavy] = at, head[v]
+			at += end[heavy]
+		}
+		for _, c := range kids {
+			if c != heavy {
+				pre[c], head[c] = at, int32(c)
+				at += end[c]
+			}
+		}
+		end[v] += pre[v]
 	}
 	bw, err := resolveBandwidth(n, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Network{next: next, children: children, depth: depth, pre: pre, end: end, sinks: sinks, isPath: isPath, bandwidth: bw}, nil
+	return &Network{next: next, children: children, childAt: childAt, depth: depth, pre: pre, end: end, head: head,
+		sinks: sinks, isPath: isPath, bandwidth: bw}, nil
 }
 
 // Len returns the number of nodes.
@@ -221,10 +274,13 @@ func (nw *Network) Next(v NodeID) NodeID { return nw.next[v] }
 
 // Children returns the in-neighbors of v (nodes whose next hop is v). The
 // returned slice is shared; callers must not modify it.
-func (nw *Network) Children(v NodeID) []NodeID { return nw.children[v] }
+func (nw *Network) Children(v NodeID) []NodeID {
+	lo, hi := nw.childAt[v], nw.childAt[v+1]
+	return nw.children[lo:hi:hi]
+}
 
 // Depth returns the hop distance from v to the sink of its component.
-func (nw *Network) Depth(v NodeID) int { return nw.depth[v] }
+func (nw *Network) Depth(v NodeID) int { return int(nw.depth[v]) }
 
 // Sinks returns the sink nodes (the root, for a tree; node n−1, for a path).
 // The returned slice is shared; callers must not modify it.
@@ -306,6 +362,25 @@ func (nw *Network) Reaches(v, w NodeID) bool {
 	return nw.Valid(v) && nw.Valid(w) && nw.pre[w] <= nw.pre[v] && nw.pre[v] < nw.end[w]
 }
 
+// SubtreeSize returns the number of nodes whose route passes through v,
+// v included.
+func (nw *Network) SubtreeSize(v NodeID) int { return int(nw.end[v] - nw.pre[v]) }
+
+// Span returns the first stretch of the buffers on the route from src to
+// dst: src, Next(src), … up to the head of src's heavy chain or to dst's
+// child, whichever comes first. Their positions in the heavy-chain
+// preorder are exactly [lo, hi], and rest is where the route goes on: dst
+// when the stretch ends it. A route thus splits into O(log n) stretches,
+// and a path route is one. dst must be reachable from src and differ
+// from it.
+func (nw *Network) Span(src, dst NodeID) (lo, hi int, rest NodeID) {
+	h := nw.head[src]
+	if h == nw.head[dst] {
+		return int(nw.pre[dst]) + 1, int(nw.pre[src]), dst
+	}
+	return int(nw.pre[h]), int(nw.pre[src]), nw.next[h]
+}
+
 // Route returns the node sequence from src to dst following next hops,
 // inclusive of both endpoints. It returns an error if dst is not reachable
 // from src.
@@ -313,7 +388,7 @@ func (nw *Network) Route(src, dst NodeID) ([]NodeID, error) {
 	if !nw.Valid(src) || !nw.Valid(dst) {
 		return nil, fmt.Errorf("network: route %d→%d: node out of range", src, dst)
 	}
-	capHint := nw.depth[src] - nw.depth[dst] + 1
+	capHint := int(nw.depth[src]-nw.depth[dst]) + 1
 	if capHint < 1 {
 		capHint = 1
 	}
@@ -352,7 +427,7 @@ func (nw *Network) Subtree(v NodeID) []NodeID {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		out = append(out, u)
-		stack = append(stack, nw.children[u]...)
+		stack = append(stack, nw.Children(u)...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -362,7 +437,7 @@ func (nw *Network) Subtree(v NodeID) []NodeID {
 func (nw *Network) Leaves() []NodeID {
 	var out []NodeID
 	for v := range nw.next {
-		if len(nw.children[v]) == 0 {
+		if nw.childAt[v] == nw.childAt[v+1] {
 			out = append(out, NodeID(v))
 		}
 	}
@@ -388,11 +463,9 @@ func (nw *Network) TopoOrder() []NodeID {
 
 // MaxDepth returns the largest node depth (the height of the forest).
 func (nw *Network) MaxDepth() int {
-	m := 0
+	m := int32(0)
 	for _, d := range nw.depth {
-		if d > m {
-			m = d
-		}
+		m = max(m, d)
 	}
-	return m
+	return int(m)
 }

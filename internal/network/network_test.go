@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -188,6 +189,75 @@ func TestQuickReachesMatchesWalk(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestQuickSpansCoverRoutes checks Span on random forests: the stretches
+// of every route hold exactly the positions of its buffers, each stretch
+// is its heavy chain's consecutive positions, and there are at most
+// log₂ n + 1 of them; a path route is one stretch.
+func TestQuickSpansCoverRoutes(t *testing.T) {
+	check := func(nw *Network) bool {
+		n := nw.Len()
+		for src := NodeID(0); int(src) < n; src++ {
+			for dst := nw.Next(src); dst != None; dst = nw.Next(dst) {
+				want := map[int]bool{}
+				for u := src; u != dst; u = nw.Next(u) {
+					want[int(nw.pre[u])] = true
+				}
+				spans := 0
+				for u := src; u != dst; spans++ {
+					lo, hi, rest := nw.Span(u, dst)
+					for pos := lo; pos <= hi; pos++ {
+						if !want[pos] {
+							t.Logf("route %d→%d: span [%d,%d] holds position %d off the route or twice", src, dst, lo, hi, pos)
+							return false
+						}
+						delete(want, pos)
+					}
+					u = rest
+				}
+				if len(want) > 0 || spans > bits.Len(uint(n)) || (nw.IsPath() && spans != 1) {
+					t.Logf("route %d→%d: %d spans miss %d positions", src, dst, spans, len(want))
+					return false
+				}
+			}
+		}
+		return true
+	}
+	f := func(seed int64, sz uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + int(sz)%60
+		order := rng.Perm(n)
+		parent := make([]NodeID, n)
+		for i, v := range order {
+			parent[v] = None
+			if i >= 1 && rng.Intn(8) > 0 {
+				parent[v] = NodeID(order[rng.Intn(i)])
+			}
+		}
+		nw, err := NewForest(parent)
+		return err == nil && check(nw)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+	// A spine 16 → … → 31 whose nodes each also take a leaf, numbered
+	// below the spine: only a chain that follows the larger subtree keeps
+	// a spine route in few stretches.
+	parent := make([]NodeID, 32)
+	for i := range 16 {
+		parent[i], parent[16+i] = NodeID(16+i), NodeID(17+i)
+	}
+	parent[31] = None
+	broom, err := NewTree(parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nw := range []*Network{MustPath(2), MustPath(33), broom} {
+		if !check(nw) {
+			t.Errorf("%d nodes: spans do not cover routes", nw.Len())
+		}
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"smallbuffers/internal/adversary"
@@ -31,7 +32,7 @@ import (
 
 // View is the read-only interface protocols use to observe the
 // configuration. Hooks and invariants observe the wider metrics.View,
-// which adds the phased-staging count.
+// which adds the phased-staging counts and packets.
 type View interface {
 	// Round returns the current (0-based) round number.
 	Round() int
@@ -46,6 +47,12 @@ type View interface {
 	// Bandwidth returns B(v), the number of packets v may forward this
 	// round (the capacity of its outgoing link).
 	Bandwidth(v network.NodeID) int
+	// Occupied returns the nodes that hold a visible packet, in ascending
+	// order, so that a round costs O(occupied buffers), not O(n). Staged
+	// packets (Definition 2.4) do not count. The slice is shared and stays
+	// valid until the engine next changes a buffer; callers must not
+	// modify it.
+	Occupied() []network.NodeID
 }
 
 // Forward is one forwarding decision: node From sends the identified packet
@@ -191,8 +198,13 @@ func (r Result) AvgLatency() (float64, bool) {
 //
 // An Engine is not safe for concurrent use; run one engine per goroutine.
 type Engine struct {
-	spec     Spec
-	buffers  []buffer.Buffer
+	spec    Spec
+	buffers []buffer.Buffer
+	// occ has bit v set while buffers[v] is non-empty; occList lists those
+	// nodes in ascending order, rebuilt from occ when stale.
+	occ      []uint64
+	occList  []network.NodeID
+	occStale bool
 	staged   []packet.Packet // phased acceptance: injections awaiting the phase boundary, in ID order
 	stagedAt []int           // per node: how many of staged sit there
 	phaseLen int
@@ -285,6 +297,16 @@ func (e *Engine) Reset(spec Spec) error {
 	} else {
 		e.buffers = make([]buffer.Buffer, n)
 	}
+	if words := (n + 63) / 64; cap(e.occ) >= words {
+		e.occ = e.occ[:words]
+		clear(e.occ)
+	} else {
+		e.occ = make([]uint64, words)
+	}
+	if cap(e.occList) < n {
+		e.occList = make([]network.NodeID, 0, n)
+	}
+	e.occList, e.occStale = e.occList[:0], false
 	e.staged = e.staged[:0]
 	if cap(e.stagedAt) >= n {
 		e.stagedAt = e.stagedAt[:n]
@@ -367,9 +389,37 @@ func (e *Engine) Load(v network.NodeID) int { return e.buffers[v].Len() }
 // Bandwidth implements View.
 func (e *Engine) Bandwidth(v network.NodeID) int { return e.spec.net.Bandwidth(v) }
 
+// Occupied implements View. Rebuilding the list after a buffer turned
+// empty or non-empty costs O(n/64 + occupied).
+func (e *Engine) Occupied() []network.NodeID {
+	if e.occStale {
+		list := e.occList[:0]
+		for w, word := range e.occ {
+			for ; word != 0; word &= word - 1 {
+				list = append(list, network.NodeID(w*64+bits.TrailingZeros64(word)))
+			}
+		}
+		e.occList, e.occStale = list, false
+	}
+	return e.occList
+}
+
 // Staged returns the number of packets staged (injected but not yet
 // accepted) at v. Zero for unphased protocols.
 func (e *Engine) Staged(v network.NodeID) int { return e.stagedAt[v] }
+
+// StagedPackets returns the staged packets in ID order (empty for unphased
+// protocols). The slice is shared; callers must not modify it.
+func (e *Engine) StagedPackets() []packet.Packet { return e.staged }
+
+// add buffers p at v, marking v occupied if it was empty.
+func (e *Engine) add(v network.NodeID, p packet.Packet) {
+	if e.buffers[v].Len() == 0 {
+		e.occ[v/64] |= 1 << (v % 64)
+		e.occStale = true
+	}
+	e.buffers[v].Add(p)
+}
 
 // Step executes the next round and reports whether the run is complete.
 // It is the incremental driving primitive underneath Run: callers that
@@ -488,7 +538,7 @@ func (e *Engine) step(t int) error {
 	}
 	for _, p := range accepted {
 		p.Arrived = t
-		e.buffers[p.Src].Add(p)
+		e.add(p.Src, p)
 	}
 	for _, h := range e.hooks {
 		h.OnAccept(t, accepted)
@@ -573,6 +623,10 @@ func (e *Engine) apply(t int, decisions []Forward) ([]metrics.Move, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: node %d: %w", d.From, err)
 		}
+		if e.buffers[d.From].Len() == 0 {
+			e.occ[d.From/64] &^= 1 << (d.From % 64)
+			e.occStale = true
+		}
 		m := metrics.Move{Pkt: p, From: d.From, To: to}
 		if fm != nil && fm.Drops(t, d.From, int(p.ID)) {
 			m.Dropped = true
@@ -601,7 +655,7 @@ func (e *Engine) apply(t int, decisions []Forward) ([]metrics.Move, error) {
 		}
 		p := m.Pkt
 		p.Arrived = t + 1 // available at the receiver from the next round
-		e.buffers[m.To].Add(p)
+		e.add(m.To, p)
 	}
 	return moves, nil
 }

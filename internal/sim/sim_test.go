@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"smallbuffers/internal/adversary"
+	"smallbuffers/internal/faults"
 	"smallbuffers/internal/metrics"
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/packet"
@@ -439,4 +441,81 @@ func containsStr(s, sub string) bool {
 			}
 			return false
 		}())
+}
+
+// occupancyCheck compares the engine's occupancy index with a scan of
+// every buffer at every sample point and round end.
+type occupancyCheck struct {
+	metrics.NopObserver
+	t      *testing.T
+	checks int
+}
+
+func (o *occupancyCheck) check(round int, v metrics.View) {
+	var want []network.NodeID
+	for u := network.NodeID(0); int(u) < v.Net().Len(); u++ {
+		if v.Load(u) > 0 {
+			want = append(want, u)
+		}
+	}
+	if got := v.Occupied(); !slices.Equal(got, want) {
+		o.t.Fatalf("round %d: Occupied = %v, buffers hold packets at %v", round, got, want)
+	}
+	o.checks++
+}
+
+func (o *occupancyCheck) OnSample(round int, _ metrics.Point, v metrics.View) { o.check(round, v) }
+func (o *occupancyCheck) OnRoundEnd(round int, v metrics.View)                { o.check(round, v) }
+
+// TestOccupiedMatchesLoads drives one engine through runs that fill and
+// drain buffers (a tree, phased acceptance, lossy links) and checks the
+// occupancy index against every buffer after each change, across Reset.
+func TestOccupiedMatchesLoads(t *testing.T) {
+	tree, err := network.CaterpillarTree(6, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drop, err := faults.NewDrop(rat.New(1, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := network.MustPath(70) // more than one bitset word
+	if err := drop.Reset(path, 3); err != nil {
+		t.Fatal(err)
+	}
+	phased := &phasedGreedy{}
+	phased.phase = 3
+	runs := []struct {
+		nw    *network.Network
+		proto Protocol
+		opts  []Option
+	}{
+		{tree, &greedyOldest{}, nil},
+		{path, phased, nil},
+		{path, &greedyOldest{}, []Option{WithFaults(drop)}},
+	}
+	var eng *Engine
+	for i, r := range runs {
+		adv, err := adversary.NewRandom(r.nw, adversary.Bound{Rho: rat.New(2, 3), Sigma: 3}, nil, int64(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs := &occupancyCheck{t: t}
+		spec := NewSpec(r.nw, r.proto, adv, 150, append(r.opts, WithObservers(obs))...)
+		if eng == nil {
+			eng, err = NewEngine(spec)
+		} else {
+			err = eng.Reset(spec)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.MaxLoad == 0 || obs.checks != 3*150 {
+			t.Errorf("run %d: max load %d after %d checks", i, res.MaxLoad, obs.checks)
+		}
+	}
 }
