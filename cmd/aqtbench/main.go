@@ -11,8 +11,8 @@
 //	aqtbench -list                # list experiments
 //	aqtbench -scenarios testdata/scenarios    # run every scenario file in a directory
 //	aqtbench -scenarios e7.json -validate     # validate without running
-//	aqtbench -scenarios testdata/scenarios -server http://localhost:8080
-//	                                          # replay the corpus against aqtserve
+//	aqtbench -scenarios testdata/scenarios -fleet localhost:8080
+//	                                          # replay the corpus against one aqtserve
 //	aqtbench -scenarios testdata/scenarios -fleet localhost:8080,localhost:8081
 //	                                          # replay the corpus across an aqtserve fleet
 //
@@ -21,24 +21,21 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"sort"
-	"strings"
 	"syscall"
 	"time"
 
 	sb "smallbuffers"
 	"smallbuffers/internal/experiments"
-	"smallbuffers/internal/service"
+	"smallbuffers/internal/harness"
 	"smallbuffers/internal/store"
 )
 
@@ -59,8 +56,7 @@ func run(ctx context.Context, args []string) error {
 	asJSON := fs.Bool("json", false, "emit machine-readable JSON outcomes instead of text tables")
 	scenarios := fs.String("scenarios", "", "run scenario files instead of experiments (a .json file or a directory of them)")
 	validate := fs.Bool("validate", false, "with -scenarios: validate and round-trip the files without running them")
-	server := fs.String("server", "", "with -scenarios: POST each scenario to a running aqtserve at this base URL instead of simulating locally")
-	fleetArg := fs.String("fleet", "", "with -scenarios: shard each scenario across a fleet of aqtserve daemons (comma-separated endpoints, or @file with one per line)")
+	fleetArg := fs.String("fleet", "", "with -scenarios: run each scenario on aqtserve daemons instead of locally — one endpoint, a comma-separated fleet, or @file with one per line")
 	storeDir := fs.String("store", "", "with -scenarios (local runs): durable result store — scenarios whose stored records verify are skipped, fresh results persist")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -84,22 +80,16 @@ func run(ctx context.Context, args []string) error {
 		if *asJSON || *list || *id != "" {
 			return fmt.Errorf("-scenarios cannot be combined with -json, -list, or -run")
 		}
-		if *server != "" && *fleetArg != "" {
-			return fmt.Errorf("-server and -fleet are mutually exclusive")
-		}
-		if *server != "" || *fleetArg != "" {
+		if *fleetArg != "" {
 			if *validate {
-				return fmt.Errorf("-validate is local-only; drop it when using -server or -fleet")
+				return fmt.Errorf("-validate is local-only; drop it when using -fleet")
 			}
 			if *storeDir != "" {
-				return fmt.Errorf("-store is local-only; drop it when using -server or -fleet")
+				return fmt.Errorf("-store is local-only; drop it when using -fleet")
 			}
 		}
 		if *storeDir != "" && *validate {
 			return fmt.Errorf("-store runs scenarios; drop -validate")
-		}
-		if *server != "" {
-			return runScenariosRemote(ctx, w, *server, *scenarios)
 		}
 		if *fleetArg != "" {
 			return runScenariosFleet(ctx, w, *fleetArg, *scenarios)
@@ -108,9 +98,6 @@ func run(ctx context.Context, args []string) error {
 	}
 	if *validate {
 		return fmt.Errorf("-validate needs -scenarios")
-	}
-	if *server != "" {
-		return fmt.Errorf("-server needs -scenarios")
 	}
 	if *fleetArg != "" {
 		return fmt.Errorf("-fleet needs -scenarios")
@@ -182,7 +169,7 @@ func scenarioFiles(path string) ([]string, error) {
 // forEachScenarioFile expands the -scenarios operand and applies fn to
 // every file, printing FAIL lines and aggregating the failure count; on
 // success it prints the "<verb> all N scenario files" summary (with the
-// optional suffix, e.g. the remote base URL).
+// optional suffix, e.g. the fleet size).
 func forEachScenarioFile(ctx context.Context, w io.Writer, path, verb, suffix string, fn func(f string) error) error {
 	files, err := scenarioFiles(path)
 	if err != nil {
@@ -282,12 +269,8 @@ func runScenarioFile(ctx context.Context, w io.Writer, path string, validateOnly
 		return nil, fmt.Errorf("canonical form is not a marshal fixed point")
 	}
 
-	title := sc.Name
-	if title == "" {
-		title = filepath.Base(path)
-	}
 	if validateOnly {
-		_, err := fmt.Fprintf(w, "%-28s valid\n", title)
+		_, err := fmt.Fprintf(w, "%-28s valid\n", scenarioTitle(sc, path))
 		return nil, err
 	}
 	// -store keys each file's entry by its scenario digest over the whole
@@ -308,7 +291,7 @@ func runScenarioFile(ctx context.Context, w io.Writer, path string, validateOnly
 		if st != nil {
 			stored := st.RecordsDigest()
 			st.Close()
-			_, err := fmt.Fprintf(w, "%-28s stored (results %s)\n", title, stored)
+			_, err := fmt.Fprintf(w, "%-28s stored (results %s)\n", scenarioTitle(sc, path), stored)
 			return nil, err
 		}
 	}
@@ -317,28 +300,13 @@ func runScenarioFile(ctx context.Context, w io.Writer, path string, validateOnly
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(w, "\n%s — %s\n", title, path)
-	if sc.Doc != "" {
-		fmt.Fprintf(w, "%s\n", sc.Doc)
-	}
-	fmt.Fprintln(w)
-	for _, cr := range agg.Cells {
-		if cr.Err != nil {
-			fmt.Fprintf(w, "  %-70s error: %v\n", cr.Cell, cr.Err)
-			continue
-		}
-		fmt.Fprintf(w, "  %-70s max load %3d, delivered %6d\n", cr.Cell, cr.Result.MaxLoad, cr.Result.Delivered)
-	}
-	if agg.Failed > 0 {
-		return nil, fmt.Errorf("%d of %d cells failed: %v", agg.Failed, agg.Requested, agg.FirstErr())
-	}
-	var ms map[string]sb.MetricSummary
-	if len(sc.Metrics) > 0 {
-		ms = agg.Metrics
-		printMetricLines(w, "  ", ms)
+	recs := agg.Records()
+	ms, err := printScenarioRun(w, sc, path, recs, agg.Metrics)
+	if err != nil {
+		return nil, err
 	}
 	if storeDir != "" {
-		if err := store.Seal(storeDir, dig, span, agg.Records(), agg.Digest()); err != nil {
+		if err := store.Seal(storeDir, dig, span, recs, agg.Digest()); err != nil {
 			return ms, fmt.Errorf("persisting results: %w", err)
 		}
 	}
@@ -346,98 +314,53 @@ func runScenarioFile(ctx context.Context, w io.Writer, path string, validateOnly
 	return ms, err
 }
 
-// runScenariosRemote replays every scenario file against a running
-// aqtserve daemon: each file is validated locally, POSTed in canonical
-// form, and reported with the server's digests — so a corpus replay
-// doubles as a remote-vs-local reproducibility check (compare
-// results_digest with `aqtsim -scenario f -result-digest`).
-func runScenariosRemote(ctx context.Context, w io.Writer, baseURL, path string) error {
-	baseURL = strings.TrimRight(baseURL, "/")
-	client := &http.Client{}
-	var corpus []map[string]sb.MetricSummary
-	if err := forEachScenarioFile(ctx, w, path, "ran", " against "+baseURL, func(f string) error {
-		m, err := runScenarioRemote(ctx, w, client, baseURL, f)
-		if len(m) > 0 {
-			corpus = append(corpus, m)
-		}
-		return err
-	}); err != nil {
-		return err
+// scenarioTitle names a file's block: the scenario's name, else the
+// file name.
+func scenarioTitle(sc *sb.Scenario, path string) string {
+	if sc.Name != "" {
+		return sc.Name
 	}
-	return printCorpusMetrics(w, corpus)
+	return filepath.Base(path)
 }
 
-func runScenarioRemote(ctx context.Context, w io.Writer, client *http.Client, baseURL, path string) (map[string]sb.MetricSummary, error) {
-	sc, err := sb.LoadScenarioFile(path)
-	if err != nil {
-		return nil, err
+// printScenarioRun renders one file's run from its cell records, however
+// they were produced: a header, one line per cell, and — for a file that
+// selects metrics — the metric lines of ms, which it returns for the
+// corpus report. A failed cell fails the file before its metric lines.
+func printScenarioRun(w io.Writer, sc *sb.Scenario, path string, recs []harness.CellRecord, ms map[string]sb.MetricSummary) (map[string]sb.MetricSummary, error) {
+	fmt.Fprintf(w, "\n%s — %s\n", scenarioTitle(sc, path), path)
+	if sc.Doc != "" {
+		fmt.Fprintf(w, "%s\n", sc.Doc)
 	}
-	body, err := sc.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/runs", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return nil, err
-	}
-	var rep service.Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("bad response (%s): %w", resp.Status, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("server: %s: %s", resp.Status, rep.Error)
-	}
-
-	title := sc.Name
-	if title == "" {
-		title = filepath.Base(path)
-	}
-	from := "simulated"
-	if rep.Cached {
-		from = "served from cache"
-	}
-	fmt.Fprintf(w, "\n%s — %s (%s, run %s, %s)\n\n", title, path, rep.Digest, rep.ID, from)
-	for _, cell := range rep.Cells {
-		if cell.Err != "" {
-			fmt.Fprintf(w, "  %-70s error: %v\n", cell.Cell, cell.Err)
+	fmt.Fprintln(w)
+	failed, firstErr := 0, ""
+	for _, rec := range recs {
+		if rec.Err != "" {
+			if failed == 0 {
+				firstErr = rec.Err
+			}
+			failed++
+			fmt.Fprintf(w, "  %-70s error: %v\n", rec.Cell, rec.Err)
 			continue
 		}
-		fmt.Fprintf(w, "  %-70s max load %3d, delivered %6d\n", cell.Cell, cell.MaxLoad, cell.Delivered)
+		fmt.Fprintf(w, "  %-70s max load %3d, delivered %6d\n", rec.Cell, rec.MaxLoad, rec.Delivered)
 	}
-	if rep.Summary == nil {
-		return nil, fmt.Errorf("server report carries no summary (status %s)", rep.Status)
+	if failed > 0 {
+		return nil, fmt.Errorf("%d of %d cells failed: %s", failed, len(recs), firstErr)
 	}
-	if rep.Summary.Failed > 0 {
-		return nil, fmt.Errorf("%d of %d cells failed", rep.Summary.Failed, rep.Summary.Requested)
+	if len(sc.Metrics) == 0 || len(ms) == 0 {
+		return nil, nil
 	}
-	var ms map[string]sb.MetricSummary
-	if len(sc.Metrics) > 0 && len(rep.Summary.Metrics) > 0 {
-		ms = make(map[string]sb.MetricSummary, len(rep.Summary.Metrics))
-		for _, s := range rep.Summary.Metrics {
-			ms[s.Name] = s
-		}
-		printMetricLines(w, "  ", ms)
-	}
-	_, err = fmt.Fprintf(w, "  ok (%d cells, results %s)\n", rep.Summary.Completed, rep.ResultsDigest)
-	return ms, err
+	printMetricLines(w, "  ", ms)
+	return ms, nil
 }
 
-// runScenariosFleet replays every scenario file across a fleet of
-// aqtserve daemons via the coordinator: each grid is sharded, dispatched
-// with retry and work stealing, and merged — and the merged results
-// digest is printed next to the fleet timing so a corpus replay doubles
-// as the distributed-vs-local reproducibility check (compare with
-// `aqtsim -scenario f -result-digest`).
+// runScenariosFleet replays every scenario file on aqtserve daemons via
+// the fleet coordinator — one endpoint is a one-daemon fleet: each grid
+// is sharded, dispatched with retry and work stealing, and merged, and
+// the merged results digest is printed next to the fleet timing so a
+// corpus replay doubles as the served-vs-local reproducibility check
+// (compare with `aqtsim -scenario f -result-digest`).
 func runScenariosFleet(ctx context.Context, w io.Writer, fleetArg, path string) error {
 	endpoints, err := sb.ParseFleetEndpoints(fleetArg)
 	if err != nil {
@@ -467,29 +390,12 @@ func runScenarioFleet(ctx context.Context, w io.Writer, cfg sb.FleetConfig, path
 		return nil, err
 	}
 	sum := res.Summary
-
-	title := sc.Name
-	if title == "" {
-		title = filepath.Base(path)
+	ms := make(map[string]sb.MetricSummary, len(sum.Metrics))
+	for _, s := range sum.Metrics {
+		ms[s.Name] = s
 	}
-	fmt.Fprintf(w, "\n%s — %s\n\n", title, path)
-	for _, cell := range res.Records {
-		if cell.Err != "" {
-			fmt.Fprintf(w, "  %-70s error: %v\n", cell.Cell, cell.Err)
-			continue
-		}
-		fmt.Fprintf(w, "  %-70s max load %3d, delivered %6d\n", cell.Cell, cell.MaxLoad, cell.Delivered)
-	}
-	if sum.Failed > 0 {
-		return nil, fmt.Errorf("%d of %d cells failed", sum.Failed, sum.Requested)
-	}
-	var ms map[string]sb.MetricSummary
-	if len(sc.Metrics) > 0 && len(sum.Metrics) > 0 {
-		ms = make(map[string]sb.MetricSummary, len(sum.Metrics))
-		for _, s := range sum.Metrics {
-			ms[s.Name] = s
-		}
-		printMetricLines(w, "  ", ms)
+	if ms, err = printScenarioRun(w, sc, path, res.Records, ms); err != nil {
+		return nil, err
 	}
 	fmt.Fprintf(w, "  fleet: %d retries, %d steals, wall %v (ideal %v)\n",
 		sum.Retries, sum.Steals, sum.Wall.Round(time.Millisecond), sum.Ideal.Round(time.Millisecond))

@@ -125,9 +125,10 @@ func TestScenarioBadPath(t *testing.T) {
 	}
 }
 
-// TestScenariosAgainstServer replays a scenario against an in-process
-// aqtserve and checks the report (including the cache-hit path on the
-// second replay).
+// TestScenariosAgainstServer replays a scenario against one in-process
+// aqtserve through -fleet, a one-daemon fleet, and checks the report: its
+// cell and metric lines and the local results digest. A second replay,
+// whose shards the daemon already holds, must report the same.
 func TestScenariosAgainstServer(t *testing.T) {
 	svc := service.New(service.Config{Workers: 2})
 	ts := httptest.NewServer(svc)
@@ -136,47 +137,48 @@ func TestScenariosAgainstServer(t *testing.T) {
 		svc.Close()
 	}()
 
+	const file = "../../testdata/scenarios/metrics-full.json"
+	sc, err := sb.LoadScenarioFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := sc.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "out.txt")
-	args := []string{"-scenarios", "../../testdata/scenarios/e1-pts-burst.json", "-server", ts.URL, "-o", path}
-	if err := run(context.Background(), args); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"e1-pts-burst", "max load", "results sha256:", "simulated", "ran all 1 scenario files against"} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("remote report missing %q:\n%s", want, data)
+	args := []string{"-scenarios", file, "-fleet", ts.URL, "-o", path}
+	for replay := 1; replay <= 2; replay++ {
+		if err := run(context.Background(), args); err != nil {
+			t.Fatalf("replay %d: %v", replay, err)
 		}
-	}
-
-	// Second replay of the identical corpus is served from the cache.
-	if err := run(context.Background(), args); err != nil {
-		t.Fatal(err)
-	}
-	data, err = os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "served from cache") {
-		t.Errorf("second replay not served from cache:\n%s", data)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"metrics-full", "max load", "metric max_load:", "results " + agg.Digest(), "ran all 1 scenario files across 1 daemons"} {
+			if !strings.Contains(string(data), want) {
+				t.Errorf("replay %d: report missing %q:\n%s", replay, want, data)
+			}
+		}
 	}
 }
 
-func TestServerFlagErrors(t *testing.T) {
+// TestFleetFlagErrors: -fleet needs -scenarios and runs nothing locally,
+// and an unreachable daemon fails the replay instead of hanging it.
+func TestFleetFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
-		{"-server", "http://localhost:1"},
-		{"-scenarios", "../../testdata/scenarios", "-server", "http://x", "-validate"},
+		{"-fleet", "localhost:1"},
+		{"-scenarios", "../../testdata/scenarios", "-fleet", "localhost:1", "-validate"},
+		{"-scenarios", "../../testdata/scenarios", "-fleet", "localhost:1", "-store", t.TempDir()},
 	} {
 		if err := run(context.Background(), args); err == nil {
 			t.Errorf("%v accepted, want error", args)
 		}
 	}
-	// An unreachable server is a runtime failure, not a hang.
-	err := run(context.Background(), []string{"-scenarios", "../../testdata/scenarios/e1-pts-burst.json", "-server", "http://127.0.0.1:1"})
+	err := run(context.Background(), []string{"-scenarios", "../../testdata/scenarios/e1-pts-burst.json", "-fleet", "127.0.0.1:1", "-o", filepath.Join(t.TempDir(), "out.txt")})
 	if err == nil {
-		t.Error("unreachable server accepted")
+		t.Error("unreachable daemon accepted")
 	}
 }
 

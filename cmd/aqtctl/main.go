@@ -59,12 +59,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	fleetArg := fs.String("fleet", "", "comma-separated aqtserve endpoints (host:port,…), or @file with one per line")
 	scenarioPath := fs.String("scenario", "", "scenario file to execute across the fleet")
-	shards := fs.Int("shards", 2, "initial shards per daemon")
-	inflight := fs.Int("inflight", 2, "concurrent shard streams per daemon")
-	maxAttempts := fs.Int("max-attempts", 4, "dispatch attempts per shard before the run fails")
-	backoff := fs.Duration("backoff", 100*time.Millisecond, "base retry backoff (doubles per consecutive failure)")
-	backoffMax := fs.Duration("backoff-max", 2*time.Second, "retry backoff cap")
-	minSteal := fs.Int("min-steal", 4, "smallest shard piece work stealing may create")
 	storeDir := fs.String("store", "", "durable result-store directory: merged cells stream to disk (O(1) coordinator memory) and survive a killed run")
 	resume := fs.Bool("resume", false, "with -store, resume a partial entry: dispatch only the cells not yet on disk")
 	liveMode := fs.Bool("live", false, "monitor the fleet's in-flight runs instead of dispatching a sweep")
@@ -118,15 +112,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		w = f
 	}
 
-	cfg := sb.FleetConfig{
-		Endpoints:         endpoints,
-		ShardsPerDaemon:   *shards,
-		InFlightPerDaemon: *inflight,
-		MaxAttempts:       *maxAttempts,
-		BackoffBase:       *backoff,
-		BackoffMax:        *backoffMax,
-		MinStealCells:     *minSteal,
-	}
+	cfg := sb.FleetConfig{Endpoints: endpoints}
 	if !*quiet {
 		cfg.Logf = func(format string, args ...any) {
 			fmt.Fprintf(stderr, format+"\n", args...)

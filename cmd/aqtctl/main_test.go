@@ -9,8 +9,10 @@ import (
 	"strings"
 	"testing"
 
+	"smallbuffers/internal/harness"
 	"smallbuffers/internal/scenario"
 	"smallbuffers/internal/service"
+	"smallbuffers/internal/store"
 )
 
 func startDaemons(t *testing.T, n int) []string {
@@ -96,6 +98,59 @@ func TestAqtctlEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(out, want) {
 		t.Errorf("summary missing digest:\n%s", out)
+	}
+}
+
+// TestAqtctlResume checks -store against an entry that holds part of the
+// grid, as a killed coordinator leaves it: without -resume the run is
+// refused, and with it the remainder runs, the log says it is resuming,
+// and the printed digest is the local one.
+func TestAqtctlResume(t *testing.T) {
+	addrs := startDaemons(t, 2)
+	scPath := writeScenario(t)
+	data, err := os.ReadFile(scPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := scenario.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := sc.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dig, err := sc.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := store.Open(dir, dig, harness.IndexRange{Lo: 0, Hi: agg.Requested}, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range agg.Records()[:agg.Requested/2] {
+		if err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var stdout, stderr bytes.Buffer
+	args := []string{"-fleet", strings.Join(addrs, ","), "-scenario", scPath, "-store", dir, "-result-digest"}
+	if err := run(context.Background(), append(args, "-q"), &stdout, &stderr); err == nil || !strings.Contains(err.Error(), "-resume") {
+		t.Fatalf("partial entry without -resume: err = %v, want a refusal naming -resume", err)
+	}
+	if err := run(context.Background(), append(args, "-resume"), &stdout, &stderr); err != nil {
+		t.Fatalf("aqtctl -resume: %v\nstderr:\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "resuming") {
+		t.Errorf("resumed run never logged resuming:\n%s", stderr.String())
+	}
+	if got := strings.TrimSpace(stdout.String()); got != agg.Digest() {
+		t.Errorf("-resume printed %q, local digest %s", got, agg.Digest())
 	}
 }
 

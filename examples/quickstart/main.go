@@ -68,8 +68,9 @@ func main() {
 
 	// The paper's statements quantify over families of runs; the Sweep
 	// layer runs the family. 2 protocols × 2 path lengths × 4 seeds = 16
-	// cells, executed on a bounded worker pool with deterministic per-cell
-	// seeds (the same grid reproduces exactly at any worker count).
+	// cells, executed on a bounded worker pool; each cell's adversary gets
+	// the cell's seed (the same grid reproduces exactly at any worker
+	// count).
 	sweep := &sb.Sweep{
 		Protocols: []sb.SweepProtocol{
 			sb.NewSweepProtocol("PPTS", func() sb.Protocol { return sb.NewPPTS() }),

@@ -54,14 +54,15 @@ func E13Faults() Experiment {
 				load, dropped, delivered, goodput int
 				inadmissible                      bool
 			}
-			// run sweeps the drop axis × bandwidths under one bound and
+			// run sweeps the drop axis × bandwidths under one bound, every
+			// cell drawing its traffic and drop schedule from seed, and
 			// appends a row block per bandwidth. With capped it asserts the
 			// 2+σ cap and per-B headroom monotonicity in p (Prop 3.1's
 			// regime, ρ ≤ 1, where a dropped packet can only starve
 			// downstream); without, the direction column is observational —
 			// under standing backlog loss perturbs the forwarding schedule
 			// and exact coupling monotonicity no longer holds.
-			run := func(table *stats.Table, bound adversary.Bound, advSpec harness.AdversarySpec, bandwidths []int, capped bool) (bool, error) {
+			run := func(table *stats.Table, bound adversary.Bound, advSpec harness.AdversarySpec, seed int64, bandwidths []int, capped bool) (bool, error) {
 				sweep := &harness.Sweep{
 					Protocols: []harness.ProtocolSpec{
 						harness.Protocol("PTS", func() sim.Protocol { return core.NewPTS() }),
@@ -70,8 +71,8 @@ func E13Faults() Experiment {
 					Bounds:      []adversary.Bound{bound},
 					Adversaries: []harness.AdversarySpec{advSpec},
 					Bandwidths:  bandwidths,
+					Seeds:       []int64{seed},
 					Rounds:      []int{rounds},
-					BaseSeed:    1,
 					Faults:      faultAxis,
 					Metrics: func(harness.Cell, *network.Network) ([]metrics.Collector, error) {
 						return []metrics.Collector{metrics.NewGoodput(512, 64)}, nil
@@ -149,7 +150,9 @@ func E13Faults() Experiment {
 			t1 := stats.NewTable(
 				fmt.Sprintf("unit demand: PTS on path(%d), burst adversary, %v, %d rounds, identical injections per p", n, unit, rounds),
 				assertCols...)
-			ok1, err := run(t1, unit, burst, []int{1}, true)
+			// The two seeds are fixed; these values give the tables in
+			// EXPERIMENTS.md.
+			ok1, err := run(t1, unit, burst, 1318745973422671288, []int{1}, true)
 			if err != nil {
 				return nil, err
 			}
@@ -158,7 +161,7 @@ func E13Faults() Experiment {
 			t2 := stats.NewTable(
 				fmt.Sprintf("super-unit demand ρ=2 (needs B ≥ 2): PTS on path(%d), random adversary, %v, %d rounds, identical injections and drop schedules per (p,B) cell", n, super, rounds),
 				observeCols...)
-			ok2, err := run(t2, super, harness.RandomAdversary(nil), []int{1, 2, 4}, false)
+			ok2, err := run(t2, super, harness.RandomAdversary(nil), 877840929667839060, []int{1, 2, 4}, false)
 			if err != nil {
 				return nil, err
 			}

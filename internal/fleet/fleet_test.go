@@ -168,10 +168,7 @@ func TestFleetMatchesLocalDigest(t *testing.T) {
 	sc := gridScenario(t, "fleet-basic", 6, 60, 0)
 	want := localDigest(t, sc)
 
-	var eps []string
-	for i := 0; i < 3; i++ {
-		eps = append(eps, newDaemon(t, service.Config{Workers: 2, SweepWorkers: 2}).addr())
-	}
+	eps := startFleet(t, 3)
 	res, err := Run(context.Background(), Config{Endpoints: eps, Logf: t.Logf}, sc)
 	if err != nil {
 		t.Fatal(err)
@@ -215,34 +212,44 @@ var mergeModes = []struct {
 	{"store", func(t *testing.T, sc *scenario.Scenario) *store.Store { return openStoreFor(t, t.TempDir(), sc) }},
 }
 
-// TestFleetSurvivesDaemonDeath kills one daemon mid-stream (after it has
-// delivered a few cells) and requires the merged digest to still match
-// the local run in both merge modes: the cells the dead daemon delivered
-// stay merged, only the remainder is re-dispatched, and nothing is ever
-// double-merged.
+// killGrid is a 32-cell sweep, ppts on path(128): big enough that every
+// daemon of a 3-daemon fleet gets shards of several cells, so a victim
+// killed after a few stream lines always dies mid-shard.
+func killGrid(t *testing.T) *scenario.Scenario {
+	t.Helper()
+	seeds := make([]string, 32)
+	for i := range seeds {
+		seeds[i] = strconv.Itoa(i + 1)
+	}
+	sc, err := scenario.Parse([]byte(`{
+		"name": "fleet-kill",
+		"topology": {"name": "path", "params": {"n": 128}},
+		"protocol": {"name": "ppts"},
+		"adversary": {"name": "random", "params": {"d": 4}},
+		"bound": {"rho": "1/2", "sigma": 3},
+		"rounds": 400,
+		"seeds": [` + strings.Join(seeds, ", ") + `]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
+// TestFleetSurvivesDaemonDeath kills one daemon of three mid-stream
+// (after it has delivered a few cells) and requires the merged digest to
+// still match the local run in both merge modes: the cells the dead
+// daemon delivered stay merged, only the remainder is re-dispatched, and
+// nothing is ever double-merged. TestDigestMatrix's kill row runs the
+// same fleet over every pinned file.
 func TestFleetSurvivesDaemonDeath(t *testing.T) {
-	sc := gridScenario(t, "fleet-death", 8, 40, 2000)
+	sc := killGrid(t)
 	want := localDigest(t, sc)
+	healthy := startFleet(t, 2)
 	for _, mode := range mergeModes {
 		t.Run(mode.name, func(t *testing.T) {
 			st := mode.store(t, sc)
-			victim := newDaemon(t, service.Config{Workers: 2, SweepWorkers: 1})
-			victim.killAfter = 3 // die after three stream lines: mid-shard by construction
-			healthy1 := newDaemon(t, service.Config{Workers: 2, SweepWorkers: 2})
-			healthy2 := newDaemon(t, service.Config{Workers: 2, SweepWorkers: 2})
-
-			cfg := Config{
-				Endpoints:    []string{victim.addr(), healthy1.addr(), healthy2.addr()},
-				Store:        st,
-				BackoffBase:  time.Millisecond,
-				BackoffMax:   20 * time.Millisecond,
-				FailureLimit: 2,
-				Logf:         t.Logf,
-			}
-			res, err := Run(context.Background(), cfg, sc)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res, victim := runKillingFirst(t, sc, st, healthy)
 			if res.Summary.ResultsDigest != want {
 				t.Fatalf("fleet digest %s, local %s (retries=%d)", res.Summary.ResultsDigest, want, res.Summary.Retries)
 			}
@@ -261,11 +268,11 @@ func TestFleetSurvivesDaemonDeath(t *testing.T) {
 			if !quarantined {
 				t.Error("dead daemon not quarantined")
 			}
-			wantBuffered := 16
+			wantBuffered := 32
 			if st != nil {
 				wantBuffered = 0
 				if !st.Complete() {
-					t.Errorf("store incomplete: %d of 16", st.Count())
+					t.Errorf("store incomplete: %d of 32", st.Count())
 				}
 			}
 			if res.Summary.MaxBufferedCells != wantBuffered {

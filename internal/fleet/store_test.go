@@ -6,7 +6,6 @@ import (
 
 	"smallbuffers/internal/harness"
 	"smallbuffers/internal/scenario"
-	"smallbuffers/internal/service"
 	"smallbuffers/internal/store"
 )
 
@@ -37,10 +36,7 @@ func TestFleetStoreMatchesLocalDigest(t *testing.T) {
 	root := t.TempDir()
 	st := openStoreFor(t, root, sc)
 
-	var eps []string
-	for i := 0; i < 3; i++ {
-		eps = append(eps, newDaemon(t, service.Config{Workers: 2, SweepWorkers: 2}).addr())
-	}
+	eps := startFleet(t, 3)
 	res, err := Run(context.Background(), Config{Endpoints: eps, Store: st, Logf: t.Logf}, sc)
 	if err != nil {
 		t.Fatal(err)
@@ -106,11 +102,7 @@ func TestFleetStoreResume(t *testing.T) {
 	}
 
 	st := openStoreFor(t, root, sc)
-	eps := []string{
-		newDaemon(t, service.Config{Workers: 2, SweepWorkers: 2}).addr(),
-		newDaemon(t, service.Config{Workers: 2, SweepWorkers: 2}).addr(),
-	}
-	res, err := Run(context.Background(), Config{Endpoints: eps, Store: st, Logf: t.Logf}, sc)
+	res, err := Run(context.Background(), Config{Endpoints: startFleet(t, 2), Store: st, Logf: t.Logf}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

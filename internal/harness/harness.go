@@ -9,10 +9,10 @@
 // product on a bounded worker pool, streaming per-cell results over a
 // channel and folding them into an aggregated SweepResult.
 //
-// Reproducibility is structural: each cell derives its adversary seed
-// deterministically from the sweep's BaseSeed and the cell's coordinates,
-// never from worker identity or scheduling, so the same Sweep produces the
-// same per-cell results at any worker count. Cancellation is cooperative:
+// Reproducibility is structural: each cell hands its grid seed to its
+// adversary and fault model verbatim, never a value drawn from worker
+// identity or scheduling, so the same Sweep produces the same per-cell
+// results at any worker count. Cancellation is cooperative:
 // the engine honors ctx between rounds, so a cancelled sweep stops
 // promptly and returns the cells that completed.
 package harness
@@ -20,7 +20,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sort"
 	"sync"
@@ -60,7 +59,7 @@ func Path(n int) TopologySpec {
 }
 
 // AdversarySpec is one point on the adversary axis. New receives the cell's
-// topology, bound, derived seed, and horizon (crafted bursts are sized to
+// topology, bound, seed, and horizon (crafted bursts are sized to
 // the horizon; randomized patterns consume the seed).
 type AdversarySpec struct {
 	Name string
@@ -76,7 +75,7 @@ func RandomAdversary(dests []network.NodeID) AdversarySpec {
 }
 
 // FaultSpec is one point on the fault axis. New receives the cell's
-// topology and derived seed and must return a fresh model already bound
+// topology and seed and must return a fresh model already bound
 // via Model.Reset — fault models are stateless-per-coordinate but carry
 // their seed, and every cell gets its own instance.
 type FaultSpec struct {
@@ -123,12 +122,10 @@ type Cell struct {
 	// Faults names the cell's fault-axis entry; "" means the loss-free
 	// paper model (no fault axis, or none applied).
 	Faults string
-	// Seed is the grid seed; DerivedSeed is what the adversary factory
-	// receives — a deterministic hash of BaseSeed and the cell coordinates,
-	// so distinct cells never share an RNG stream even at equal grid seeds.
-	Seed        int64
-	DerivedSeed int64
-	Rounds      int
+	// Seed is the grid seed, which the cell's adversary and fault model
+	// receive verbatim.
+	Seed   int64
+	Rounds int
 }
 
 // String renders a compact cell label for tables and errors. Optional
@@ -168,27 +165,22 @@ type Sweep struct {
 	// Bandwidths is the optional link-capacity axis: each entry B ≥ 1 runs
 	// the cell's topology with every link's bandwidth set to B. Empty means
 	// "as built" (the topologies' own bandwidths, i.e. the paper's B = 1
-	// unless a topology spec configured otherwise). The bandwidth is NOT
-	// folded into the derived adversary seed: cells differing only in B
-	// replay identical traffic, so a bandwidth sweep is a paired comparison
-	// of the same demand under different link speeds.
+	// unless a topology spec configured otherwise). Cells differing only
+	// in B get the same seed and replay identical traffic, so a bandwidth
+	// sweep is a paired comparison of the same demand under different
+	// link speeds.
 	Bandwidths []int
 
 	// Faults is the optional fault axis: each entry attaches its model to
 	// every cell it expands into. Empty means every cell runs the
-	// loss-free paper model. Like Bandwidths, the fault name is NOT folded
-	// into the derived adversary seed — cells differing only in the fault
-	// entry replay identical traffic, so a fault sweep is a paired
+	// loss-free paper model. Like Bandwidths, cells differing only in the
+	// fault entry replay identical traffic, so a fault sweep is a paired
 	// comparison of the same demand under different loss processes (a
 	// loss-free baseline inside a fault sweep is the drop model at p=0).
-	// Fault models draw their schedules from the cell's derived seed
-	// through a domain-separated sub-stream (internal/faults), so
-	// attaching one never perturbs the adversary's randomness.
+	// Fault models draw their schedules from the cell's seed through a
+	// domain-separated sub-stream (internal/faults), so attaching one
+	// never perturbs the adversary's randomness.
 	Faults []FaultSpec
-
-	// BaseSeed is folded into every cell's derived seed; vary it to re-draw
-	// the whole sweep's randomness at once.
-	BaseSeed int64
 
 	// ShardOffset and ShardCount restrict execution to the contiguous
 	// cell-index range [ShardOffset, ShardOffset+ShardCount) of the
@@ -196,17 +188,10 @@ type Sweep struct {
 	// keep their global Index, so the records of disjoint shards of the
 	// same grid reassemble (sorted by index) into exactly the record set
 	// — and RecordsDigest — an unsharded run produces. The expansion,
-	// seed derivation, and horizon resolution are identical either way:
-	// a shard changes which cells run, never what any cell computes.
+	// seeds, and horizon resolution are identical either way: a shard
+	// changes which cells run, never what any cell computes.
 	ShardOffset int
 	ShardCount  int
-
-	// RawSeeds passes each cell's grid seed to its adversary verbatim
-	// instead of deriving a per-cell seed from BaseSeed and the cell
-	// coordinates. The scenario layer sets it so that a serialized seed
-	// pins exactly the traffic a single-run invocation with that seed
-	// would see; grids that want decorrelated cells leave it off.
-	RawSeeds bool
 
 	// Workers bounds the worker pool; ≤ 0 means GOMAXPROCS.
 	Workers int
@@ -323,7 +308,7 @@ func (s *Sweep) Cells() ([]Cell, error) {
 						for _, fname := range faultNames {
 							for _, seed := range seeds {
 								for _, r := range s.Rounds {
-									c := Cell{
+									cells = append(cells, Cell{
 										Index:     len(cells),
 										Protocol:  proto.Name,
 										Topology:  topo.Name,
@@ -333,13 +318,7 @@ func (s *Sweep) Cells() ([]Cell, error) {
 										Faults:    fname,
 										Seed:      seed,
 										Rounds:    r,
-									}
-									if s.RawSeeds {
-										c.DerivedSeed = seed
-									} else {
-										c.DerivedSeed = deriveSeed(s.BaseSeed, c)
-									}
-									cells = append(cells, c)
+									})
 								}
 							}
 						}
@@ -349,21 +328,6 @@ func (s *Sweep) Cells() ([]Cell, error) {
 		}
 	}
 	return cells, nil
-}
-
-// deriveSeed hashes the sweep base seed and the cell coordinates into the
-// seed handed to the cell's adversary. FNV-1a over the canonical cell label
-// is stable across runs, platforms, and worker counts. Bandwidth and the
-// fault entry are deliberately excluded: demand is a property of the
-// adversary, not the links or their failures, so cells along those axes
-// replay the same injections (fault schedules decorrelate from the
-// adversary via the domain-separated sub-stream instead).
-func deriveSeed(base int64, c Cell) int64 {
-	h := fnv.New64a()
-	hashWrite(h, fmt.Appendf(nil, "%d|%s|%s|%s|%v|%d|%d", base, c.Protocol, c.Topology, c.Adversary, c.Bound, c.Seed, c.Rounds))
-	// Clear the sign bit: adversary constructors treat seeds as plain
-	// numbers and negative seeds read poorly in reports.
-	return int64(h.Sum64() &^ (1 << 63))
 }
 
 // CellsToRun expands the grid (see Cells) and applies the configured
@@ -478,7 +442,7 @@ func (s *Sweep) Build(c Cell) (*network.Network, sim.Protocol, adversary.Adversa
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("harness: %v: protocol: %w", c, err)
 	}
-	a, err := adv.New(nw, c.Bound, c.DerivedSeed, c.Rounds)
+	a, err := adv.New(nw, c.Bound, c.Seed, c.Rounds)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("harness: %v: adversary: %w", c, err)
 	}
@@ -504,7 +468,7 @@ func (s *Sweep) runCell(ctx context.Context, eng **sim.Engine, c Cell) CellResul
 		if fs == nil {
 			return CellResult{Cell: c, Err: fmt.Errorf("harness: cell %v names unknown fault entry %q", c, c.Faults)}
 		}
-		fm, err := fs.New(nw, c.DerivedSeed)
+		fm, err := fs.New(nw, c.Seed)
 		if err != nil {
 			return CellResult{Cell: c, Err: fmt.Errorf("harness: %v: faults: %w", c, err)}
 		}

@@ -34,7 +34,6 @@ func acceptanceSweep(workers int) *Sweep {
 		Adversaries: []AdversarySpec{RandomAdversary(nil)},
 		Seeds:       []int64{1, 2, 3, 4},
 		Rounds:      []int{400},
-		BaseSeed:    99,
 		Workers:     workers,
 	}
 }
@@ -48,33 +47,10 @@ func TestCellsExpansion(t *testing.T) {
 	if len(cells) != 32 {
 		t.Fatalf("grid size %d, want 32", len(cells))
 	}
-	seen := make(map[int64]Cell)
 	for i, c := range cells {
 		if c.Index != i {
 			t.Errorf("cell %d carries index %d", i, c.Index)
 		}
-		if prev, dup := seen[c.DerivedSeed]; dup {
-			t.Errorf("cells %v and %v share derived seed %d", prev, c, c.DerivedSeed)
-		}
-		if c.DerivedSeed < 0 {
-			t.Errorf("negative derived seed on %v", c)
-		}
-		seen[c.DerivedSeed] = c
-	}
-}
-
-func TestDeriveSeedStable(t *testing.T) {
-	c := Cell{Protocol: "p", Topology: "t", Adversary: "a", Bound: adversary.Bound{Rho: rat.One, Sigma: 1}, Seed: 7}
-	if deriveSeed(1, c) != deriveSeed(1, c) {
-		t.Error("derivation not deterministic")
-	}
-	if deriveSeed(1, c) == deriveSeed(2, c) {
-		t.Error("base seed ignored")
-	}
-	c2 := c
-	c2.Seed = 8
-	if deriveSeed(1, c) == deriveSeed(1, c2) {
-		t.Error("grid seed ignored")
 	}
 }
 

@@ -68,7 +68,6 @@ func shardTestSweep() *Sweep {
 		Adversaries: []AdversarySpec{RandomAdversary(nil)},
 		Seeds:       []int64{1, 2, 3},
 		Rounds:      []int{40, 80},
-		BaseSeed:    7,
 	}
 }
 

@@ -10,12 +10,12 @@ import (
 // digestRootRE matches the names of functions that begin a digest or
 // canonical-wire path: content addressing (RecordsDigest, Scenario.Digest),
 // canonical marshalling (Marshal, appendCanonical, JSONMap, label),
-// wire-record construction (Record/Records, Summarize, Merge), seed
-// derivation (deriveSeed), and parameter canonicalization (Resolve).
+// wire-record construction (Record/Records, Summarize, Merge), and
+// parameter canonicalization (Resolve).
 // Everything statically reachable from such a function inside its package
 // is "digest path" for detmap, nofloat, and hasherr.
 var digestRootRE = regexp.MustCompile(
-	`Digest|digest|Canonical|canonical|Summarize|deriveSeed|` +
+	`Digest|digest|Canonical|canonical|Summarize|` +
 		`^(Marshal|MarshalJSON|Merge|MergeAll|Record|Records|RecordsSorted|JSONMap|Resolve|label)$`)
 
 // funcsOf indexes the package's function and method declarations by their

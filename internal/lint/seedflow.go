@@ -7,15 +7,15 @@ import (
 )
 
 // SeedFlow vets where RNG seeds come from in the deterministic packages.
-// Every random decision in a run must trace back to the cell's derived
-// seed (harness.deriveSeed → adversary constructors, faults.NewStream's
+// Every random decision in a run must trace back to the cell's seed
+// (harness.Cell.Seed → adversary constructors, faults.NewStream's
 // domain-tagged splitmix64): that is what makes digests identical at any
 // worker count and fault schedules nested across drop probabilities.
 //
 // A call to rand.NewSource / rand.New / rand.NewPCG / rand.NewChaCha8 is
 // therefore only legal when its seed argument visibly flows from outside
 // the function (a parameter, or a field of one — the caller got it from
-// the derivation) or from a keyed derivation helper (a callee whose name
+// the cell) or from a keyed derivation helper (a callee whose name
 // matches derive/mix/split/stream/fold/seed). Literal seeds, package
 // state, and locally invented values are flagged.
 var SeedFlow = &Analyzer{

@@ -167,11 +167,10 @@ func cellBytes(t *testing.T, topology string, topoParams map[string]any, protoco
 		Adversaries: []harness.AdversarySpec{{Name: "random", New: func(nw *network.Network, b adversary.Bound, seed int64, rounds int) (adversary.Adversary, error) {
 			return ae.Build(AdversaryContext{Net: nw, Bound: b, Seed: seed, Rounds: rounds}, ap)
 		}}},
-		Bounds:   []adversary.Bound{{Rho: rat.New(1, 2), Sigma: 2}},
-		Seeds:    []int64{7},
-		Rounds:   []int{200},
-		RawSeeds: true,
-		Workers:  1,
+		Bounds:  []adversary.Bound{{Rho: rat.New(1, 2), Sigma: 2}},
+		Seeds:   []int64{7},
+		Rounds:  []int{200},
+		Workers: 1,
 	}
 	run := func() {
 		res, err := sw.Run(context.Background())

@@ -19,8 +19,8 @@
 //
 // # Seeds
 //
-// A scenario's seeds are the adversaries' seeds, verbatim: the sweep is
-// lifted with RawSeeds. A scenario therefore pins exact traffic: the same
+// A scenario's seeds are the adversaries' seeds, verbatim, as every
+// sweep cell's seed is. A scenario therefore pins exact traffic: the same
 // file always replays the same injections, and a one-point scenario
 // reproduces precisely the run its flag-based CLI equivalent would
 // execute.
@@ -928,9 +928,9 @@ func (sc *Scenario) bound(i int) (adversary.Bound, error) {
 }
 
 // Sweep lifts the scenario to a harness.Sweep over the cartesian product
-// of its axes; it is the only scenario compiler. Seeds are passed to
-// adversaries verbatim (RawSeeds), so a one-point scenario's one cell is
-// exactly the run its flag-based CLI equivalent describes.
+// of its axes; it is the only scenario compiler. Seeds reach the
+// adversaries verbatim, so a one-point scenario's one cell is exactly the
+// run its flag-based CLI equivalent describes.
 func (sc *Scenario) Sweep() (*harness.Sweep, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -939,7 +939,6 @@ func (sc *Scenario) Sweep() (*harness.Sweep, error) {
 		Seeds:           sc.Seeds,
 		Rounds:          sc.Rounds,
 		Bandwidths:      sc.Bandwidths,
-		RawSeeds:        true,
 		VerifyAdversary: sc.Verify,
 	}
 	if sc.Shard != nil {

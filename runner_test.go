@@ -70,7 +70,6 @@ func TestFacadeSweep(t *testing.T) {
 			Adversaries: []sb.SweepAdversary{sb.SweepRandomAdversary(nil)},
 			Seeds:       []int64{1, 2},
 			Rounds:      []int{300},
-			BaseSeed:    7,
 		}
 	}
 	a, err := mk().Run(context.Background())

@@ -50,8 +50,9 @@
 //
 // Tier 2 runs whole families of scenarios: a Sweep names the axes of a
 // cartesian grid (protocols × topologies × bounds × adversaries × seeds ×
-// rounds) and executes it on a bounded worker pool with deterministic
-// per-cell seeds, streaming per-cell results and aggregating summaries:
+// rounds) and executes it on a bounded worker pool, handing each cell's
+// seed to its adversary verbatim, streaming per-cell results and
+// aggregating summaries:
 //
 //	sweep := &smallbuffers.Sweep{
 //		Protocols:   []smallbuffers.SweepProtocol{smallbuffers.NewSweepProtocol("PPTS", func() smallbuffers.Protocol { return smallbuffers.NewPPTS() })},
@@ -276,8 +277,8 @@ func NewSweepProtocol(name string, mk func() Protocol) SweepProtocol {
 func SweepPath(n int) SweepTopology { return harness.Path(n) }
 
 // SweepRandomAdversary is the adversary axis entry for the shaped random
-// pattern injecting toward dests (the sinks if nil); each cell draws its
-// own deterministically derived seed.
+// pattern injecting toward dests (the sinks if nil); each cell's adversary
+// gets the cell's seed.
 func SweepRandomAdversary(dests []NodeID) SweepAdversary {
 	return harness.RandomAdversary(dests)
 }
