@@ -36,6 +36,7 @@ import (
 	sb "smallbuffers"
 	"smallbuffers/internal/experiments"
 	"smallbuffers/internal/harness"
+	"smallbuffers/internal/live"
 	"smallbuffers/internal/store"
 )
 
@@ -355,6 +356,10 @@ func printScenarioRun(w io.Writer, sc *sb.Scenario, path string, recs []harness.
 	return ms, nil
 }
 
+// fleetClock is the fleet coordinator's clock; nil, the system clock,
+// outside tests, which swap in a fake one so retry backoff takes no time.
+var fleetClock live.Clock
+
 // runScenariosFleet replays every scenario file on aqtserve daemons via
 // the fleet coordinator — one endpoint is a one-daemon fleet: each grid
 // is sharded, dispatched with retry and work stealing, and merged, and
@@ -366,7 +371,7 @@ func runScenariosFleet(ctx context.Context, w io.Writer, fleetArg, path string) 
 	if err != nil {
 		return err
 	}
-	cfg := sb.FleetConfig{Endpoints: endpoints}
+	cfg := sb.FleetConfig{Endpoints: endpoints, Clock: fleetClock}
 	var corpus []map[string]sb.MetricSummary
 	if err := forEachScenarioFile(ctx, w, path, "ran", fmt.Sprintf(" across %d daemons", len(endpoints)), func(f string) error {
 		m, err := runScenarioFleet(ctx, w, cfg, f)

@@ -8,7 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	sb "smallbuffers"
 	"smallbuffers/internal/service"
@@ -164,8 +166,33 @@ func TestScenariosAgainstServer(t *testing.T) {
 	}
 }
 
+// fakeClock is a live.Clock whose Sleep returns at once and advances Now.
+type fakeClock struct {
+	mu    sync.Mutex
+	now   time.Time
+	slept time.Duration
+}
+
+func (c *fakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *fakeClock) Sleep(ctx context.Context, d time.Duration) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(d)
+	c.slept += d
+	return nil
+}
+
 // TestFleetFlagErrors: -fleet needs -scenarios and runs nothing locally,
-// and an unreachable daemon fails the replay instead of hanging it.
+// and an unreachable daemon fails the replay instead of hanging it. The
+// coordinator's retry backoff runs on a fake clock.
 func TestFleetFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-fleet", "localhost:1"},
@@ -176,9 +203,17 @@ func TestFleetFlagErrors(t *testing.T) {
 			t.Errorf("%v accepted, want error", args)
 		}
 	}
+	clk := &fakeClock{}
+	fleetClock = clk
+	defer func() { fleetClock = nil }()
 	err := run(context.Background(), []string{"-scenarios", "../../testdata/scenarios/e1-pts-burst.json", "-fleet", "127.0.0.1:1", "-o", filepath.Join(t.TempDir(), "out.txt")})
 	if err == nil {
 		t.Error("unreachable daemon accepted")
+	}
+	clk.mu.Lock()
+	defer clk.mu.Unlock()
+	if clk.slept == 0 {
+		t.Error("the coordinator's backoff did not go through the injected clock")
 	}
 }
 

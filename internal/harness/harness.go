@@ -373,6 +373,10 @@ func (s *Sweep) Stream(ctx context.Context) <-chan CellResult {
 	return s.stream(ctx, cells)
 }
 
+// engines holds the idle engines of finished sweep workers, released so
+// they pin no run (see sim.Engine.Release).
+var engines sync.Pool
+
 // stream fans the pre-expanded cells out to the worker pool.
 func (s *Sweep) stream(ctx context.Context, cells []Cell) <-chan CellResult {
 	out := make(chan CellResult)
@@ -401,8 +405,16 @@ func (s *Sweep) stream(ctx context.Context, cells []Cell) <-chan CellResult {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One engine per worker, reused across that worker's cells.
-			var eng *sim.Engine
+			// One engine per worker, reused across that worker's cells and,
+			// through the pool, across sweeps: the storage a cell grew
+			// serves the next cell of any sweep in the process.
+			eng, _ := engines.Get().(*sim.Engine)
+			defer func() {
+				if eng != nil {
+					eng.Release()
+					engines.Put(eng)
+				}
+			}()
 			for c := range jobs {
 				res := s.runCell(ctx, &eng, c)
 				select {

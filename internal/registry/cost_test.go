@@ -1,7 +1,8 @@
-package registry
+package registry_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -12,6 +13,8 @@ import (
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/packet"
 	"smallbuffers/internal/rat"
+	"smallbuffers/internal/registry"
+	"smallbuffers/internal/scenario"
 	"smallbuffers/internal/sim"
 )
 
@@ -84,7 +87,7 @@ func TestRoundCostFollowsOccupancy(t *testing.T) {
 		{"ppts", nil}, {"tree-ppts", nil}, {"hpts", map[string]any{"ell": 2}},
 	}
 	for _, c := range protocols {
-		pe, err := LookupProtocol(c.name)
+		pe, err := registry.LookupProtocol(c.name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +113,7 @@ func TestRoundCostFollowsOccupancy(t *testing.T) {
 	}
 
 	for _, name := range []string{metrics.NameMaxLoad, metrics.NameLoadSeries, metrics.NameLoadHist, metrics.NameWindowLoad} {
-		me, err := LookupMetric(name)
+		me, err := registry.LookupMetric(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +140,7 @@ func TestRoundCostFollowsOccupancy(t *testing.T) {
 // run allocates: the least over 20 runs after a warm-up, with one P.
 func cellBytes(t *testing.T, topology string, topoParams map[string]any, protocol string) uint64 {
 	t.Helper()
-	te, err := LookupTopology(topology)
+	te, err := registry.LookupTopology(topology)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +148,7 @@ func cellBytes(t *testing.T, topology string, topoParams map[string]any, protoco
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe, err := LookupProtocol(protocol)
+	pe, err := registry.LookupProtocol(protocol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +156,7 @@ func cellBytes(t *testing.T, topology string, topoParams map[string]any, protoco
 	if err != nil {
 		t.Fatal(err)
 	}
-	ae, err := LookupAdversary("random")
+	ae, err := registry.LookupAdversary("random")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,14 +168,14 @@ func cellBytes(t *testing.T, topology string, topoParams map[string]any, protoco
 		Protocols:  []harness.ProtocolSpec{{Name: protocol, New: func() (sim.Protocol, error) { return pe.Build(pp) }}},
 		Topologies: []harness.TopologySpec{{Name: topology, New: func() (*network.Network, error) { return te.Build(tp) }}},
 		Adversaries: []harness.AdversarySpec{{Name: "random", New: func(nw *network.Network, b adversary.Bound, seed int64, rounds int) (adversary.Adversary, error) {
-			return ae.Build(AdversaryContext{Net: nw, Bound: b, Seed: seed, Rounds: rounds}, ap)
+			return ae.Build(registry.AdversaryContext{Net: nw, Bound: b, Seed: seed, Rounds: rounds}, ap)
 		}}},
 		Bounds:  []adversary.Bound{{Rho: rat.New(1, 2), Sigma: 2}},
 		Seeds:   []int64{7},
 		Rounds:  []int{200},
 		Workers: 1,
 	}
-	run := func() {
+	return leastBytes(func() {
 		res, err := sw.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -180,7 +183,12 @@ func cellBytes(t *testing.T, topology string, topoParams map[string]any, protoco
 		if err := res.FirstErr(); err != nil {
 			t.Fatal(err)
 		}
-	}
+	})
+}
+
+// leastBytes returns the bytes one call of run allocates: the least over
+// 20 calls after a warm-up, with one P.
+func leastBytes(run func()) uint64 {
 	// One P keeps the runtime's own allocations (goroutine records) out
 	// of the count; the least of several runs drops whatever is left.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -220,6 +228,76 @@ func TestCellBytes(t *testing.T) {
 		t.Logf("%s on %s: %d B per cell (limit %d)", c.protocol, c.topology, got, c.limit)
 		if got > c.limit {
 			t.Errorf("%s on %s: one cell allocates %d B, want ≤ %d", c.protocol, c.topology, got, c.limit)
+		}
+	}
+}
+
+// opBytes returns the bytes one op of a local benchmark workload
+// allocates: its scenario documents run one after another on the user
+// path, scenario.Parse → Sweep → Run → Digest, each its own sweep (see
+// leastBytes).
+func opBytes(t *testing.T, docs ...string) uint64 {
+	t.Helper()
+	return leastBytes(func() {
+		for _, doc := range docs {
+			sc, err := scenario.Parse([]byte(doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sw, err := sc.Sweep()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sw.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := res.FirstErr(); err != nil {
+				t.Fatal(err)
+			}
+			if res.Digest() == "" {
+				t.Fatal("empty digest")
+			}
+		}
+	})
+}
+
+// TestSetupBytes is the byte gate on cell set-up: one op of the
+// bigpath-local and of the hpts-local benchmark workload allocates no
+// more than with engines pooled across sweeps and each topology built
+// once per process (measured with go1.24.0 on linux/amd64). A bigpath op
+// is one cell on path(4096) under the random adversary with d = 8, ρ = 1,
+// σ = 2 and 40 rounds; an hpts op is two cells in turn on path(256), hpts
+// at ℓ = 2, ρ = 1/2 and at ℓ = 4, ρ = 1/4, with d = 255 and 320 rounds.
+// Without the pool and the memo, every sweep paid for a fresh engine and
+// a fresh network: 684 KB per bigpath greedy-fifo op, 767 KB per bigpath
+// ppts op and 412 KB per hpts op. With them, 173 KB, 303 KB and 112 KB;
+// the race build allocates up to 33 KB more per op (max_load's per-node
+// maxima grow through a temporary there), and the limits hold on both.
+func TestSetupBytes(t *testing.T) {
+	doc := func(n int, protocol string, ell int, d int, rho string, rounds int) string {
+		params := ""
+		if ell > 0 {
+			params = fmt.Sprintf(`, "params": {"ell": %d}`, ell)
+		}
+		return fmt.Sprintf(`{"name": "setup", "topology": {"name": "path", "params": {"n": %d}},
+			"protocol": {"name": %q%s}, "adversary": {"name": "random", "params": {"d": %d}},
+			"bound": {"rho": %q, "sigma": 2}, "rounds": %d, "seed": 5}`, n, protocol, params, d, rho, rounds)
+	}
+	cases := []struct {
+		name  string
+		docs  []string
+		limit uint64
+	}{
+		{"bigpath greedy-fifo", []string{doc(4096, "greedy-fifo", 0, 8, "1", 40)}, 215_000},
+		{"bigpath ppts", []string{doc(4096, "ppts", 0, 8, "1", 40)}, 345_000},
+		{"hpts", []string{doc(256, "hpts", 2, 255, "1/2", 320), doc(256, "hpts", 4, 255, "1/4", 320)}, 125_000},
+	}
+	for _, c := range cases {
+		got := opBytes(t, c.docs...)
+		t.Logf("%s: %d B per op (limit %d)", c.name, got, c.limit)
+		if got > c.limit {
+			t.Errorf("%s: one op allocates %d B, want ≤ %d", c.name, got, c.limit)
 		}
 	}
 }

@@ -15,6 +15,7 @@
 package registry
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -29,10 +30,12 @@ import (
 )
 
 // Topology is a registered topology family: a named constructor with a
-// parameter schema. Build receives resolved canonical params. Bandwidths
-// are not a topology parameter — scenarios impose them uniformly on the
-// built network (the harness's bandwidth axis), keeping "shape" and "link
-// speed" independent axes.
+// parameter schema. Build receives resolved canonical params and must be a
+// pure function of them: BuildTopology shares one network among all cells
+// of the same family and params. Bandwidths are not a topology parameter —
+// scenarios impose them uniformly on a copy of the built network (the
+// harness's bandwidth axis), keeping "shape" and "link speed" independent
+// axes.
 type Topology struct {
 	Name string
 	Doc  string
@@ -244,6 +247,72 @@ func RegisterFault(f Fault) error {
 
 // LookupTopology resolves a topology by name.
 func LookupTopology(name string) (Topology, error) { return topologies.lookup(name) }
+
+// memoNodes bounds the topology memo: the networks it holds have at most
+// 1<<16 nodes in all, about 3 MB. That covers the traffic it serves many
+// times over: the 30 pinned scenario files use 11 distinct topologies and
+// the benchmark's workloads add path(4096), binary(3) and spider(3,5),
+// 4,630 nodes together. A network larger than the bound is built afresh
+// for every cell, as it was before the memo.
+const memoNodes = 1 << 16
+
+// memo holds the networks BuildTopology has built, by key; nodes sums
+// their sizes.
+var memo struct {
+	sync.Mutex
+	nets  map[string]*network.Network
+	nodes int
+}
+
+// BuildTopology returns the network the named topology family builds from
+// the resolved params p, built once per process. A Network is immutable,
+// so every cell of the same family and params shares one; the bandwidth
+// axis runs on a copy that replaces only the bandwidths. The memo is keyed
+// by the family name and the canonical JSON encoding of p, never by a
+// label a scenario chose, and holds at most memoNodes nodes: a network
+// that would overflow it empties it first.
+func BuildTopology(name string, p Params) (*network.Network, error) {
+	e, err := LookupTopology(name)
+	if err != nil {
+		return nil, err
+	}
+	enc, err := json.Marshal(p.JSONMap())
+	if err != nil {
+		return nil, fmt.Errorf("registry: topology %q: %w", name, err)
+	}
+	key := name + "\x00" + string(enc)
+	memo.Lock()
+	nw, ok := memo.nets[key]
+	memo.Unlock()
+	if ok {
+		return nw, nil
+	}
+	if nw, err = e.Build(p); err != nil {
+		return nil, err
+	}
+	remember(key, nw)
+	return nw, nil
+}
+
+// remember adds nw to the memo under key, emptying the memo first when nw
+// would overflow it. Two cells that built the same network at once keep
+// the first one's.
+func remember(key string, nw *network.Network) {
+	n := nw.Len()
+	if n > memoNodes {
+		return
+	}
+	memo.Lock()
+	defer memo.Unlock()
+	if _, ok := memo.nets[key]; ok {
+		return
+	}
+	if memo.nets == nil || memo.nodes+n > memoNodes {
+		memo.nets, memo.nodes = make(map[string]*network.Network), 0
+	}
+	memo.nets[key] = nw
+	memo.nodes += n
+}
 
 // LookupProtocol resolves a protocol by name.
 func LookupProtocol(name string) (Protocol, error) { return protocols.lookup(name) }

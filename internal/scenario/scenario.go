@@ -567,11 +567,12 @@ func (sc *Scenario) GridSize() (int, error) {
 // costs wherever it lands, so shards should balance total node count,
 // not cell count. Topology is the grid's outermost axis, so each
 // topology's weight fills a contiguous block of gridSize/len(topologies)
-// cells; each topology is built once here. Self-hosting scenarios carry
-// a single construction-dictated topology, so their weights are uniform
-// (weight 1 — a weighted partition of uniform weights is the plain
-// one). Weights feed work distribution only; they never change what any
-// cell computes, so result digests are independent of them.
+// cells; each topology's network comes from the registry's memo, which
+// the grid's cells then share. Self-hosting scenarios carry a single
+// construction-dictated topology, so their weights are uniform (weight 1
+// — a weighted partition of uniform weights is the plain one). Weights
+// feed work distribution only; they never change what any cell
+// computes, so result digests are independent of them.
 func (sc *Scenario) CellWeights() ([]int, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -598,7 +599,7 @@ func (sc *Scenario) CellWeights() ([]int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
 		}
-		nw, err := e.Build(p)
+		nw, err := registry.BuildTopology(e.Name, p)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: topology %s: %w", c.label(), err)
 		}
@@ -1021,10 +1022,10 @@ func (sc *Scenario) Sweep() (*harness.Sweep, error) {
 			if err != nil {
 				return nil, fmt.Errorf("scenario: %w", err)
 			}
-			entry := e
+			name := e.Name
 			sw.Topologies = append(sw.Topologies, harness.TopologySpec{
 				Name: c.label(),
-				New:  func() (*network.Network, error) { return entry.Build(p) },
+				New:  func() (*network.Network, error) { return registry.BuildTopology(name, p) },
 			})
 		}
 		for _, c := range sc.Adversaries {

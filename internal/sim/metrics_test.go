@@ -372,8 +372,9 @@ func TestObserverOrderingContract(t *testing.T) {
 // utilizations resolve to the lowest NodeID.
 func TestMaxLinkUtilizationTieBreak(t *testing.T) {
 	res := Result{
-		PerLinkForwards: []int{5, 5, 3},
-		linkCapacity:    []int{10, 10, 10},
+		Rounds:          10,
+		PerLinkForwards: []int{5, 5, 3, 0},
+		net:             network.MustPath(4),
 	}
 	v, util, ok := res.MaxLinkUtilization()
 	if !ok || v != 0 || util != 0.5 {

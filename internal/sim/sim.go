@@ -142,10 +142,10 @@ type Result struct {
 	// (WithMetrics), or the default {max_load, latency} pair whose
 	// scalars also populate the historical fields above.
 	Metrics map[string]metrics.Summary
-	// linkCapacity[v] = Rounds · B(v), the link's total transmission budget,
-	// captured at Reset so utilization survives the Result being detached
-	// from its engine.
-	linkCapacity []int
+	// net is the run's network, immutable and kept so that a link's total
+	// transmission budget, Rounds · B(v), survives the Result being
+	// detached from its engine.
+	net *network.Network
 }
 
 // LinkUtilization returns the fraction of link v's total transmission
@@ -153,10 +153,10 @@ type Result struct {
 // sinks, zero-round runs, and Results not produced by the engine (such as
 // a zero Result).
 func (r Result) LinkUtilization(v network.NodeID) (float64, bool) {
-	if int(v) >= len(r.PerLinkForwards) || int(v) >= len(r.linkCapacity) || r.linkCapacity[v] == 0 {
+	if r.net == nil || r.Rounds == 0 || int(v) >= len(r.PerLinkForwards) || r.net.Next(v) == network.None {
 		return 0, false
 	}
-	return float64(r.PerLinkForwards[v]) / float64(r.linkCapacity[v]), true
+	return float64(r.PerLinkForwards[v]) / float64(r.Rounds*r.net.Bandwidth(v)), true
 }
 
 // MaxLinkUtilization returns the busiest link and its utilization, or
@@ -191,9 +191,13 @@ func (r Result) AvgLatency() (float64, bool) {
 }
 
 // Engine executes runs. It implements View. An engine is reusable: after a
-// run completes (or is cancelled), Reset rebinds it to a new Spec while
-// retaining its buffer allocations, so sweeps can drive thousands of runs
-// without churning the allocator. It can also be single-stepped with Step
+// run completes (or is cancelled), Reset rebinds it to a new Spec. What
+// the engine keeps from run to run is storage only: the buffers' packet
+// arrays, the occupancy index, the staging counters, the round scratch and
+// the link counters behind Result, each regrown only when a larger
+// topology needs it, so sweeps drive thousands of runs without churning
+// the allocator. Release drops the references to the last run, which lets
+// an idle engine wait in a pool. It can also be single-stepped with Step
 // for incremental driving (debuggers, visualizers, interleaved engines).
 //
 // An Engine is not safe for concurrent use; run one engine per goroutine.
@@ -214,11 +218,14 @@ type Engine struct {
 	res      Result
 
 	// Round scratch, reused across rounds: the injected packets, per-node
-	// forward counts and the applied moves (hooks see packets and moves
-	// only during the call).
-	pkts  []packet.Packet
-	sent  []int
-	moves []metrics.Move
+	// forward counts, the applied moves and, for rounds whose moves need
+	// sorting, their sort keys and the sorted copy (hooks see packets and
+	// moves only during the call).
+	pkts   []packet.Packet
+	sent   []int
+	moves  []metrics.Move
+	keys   []uint64
+	sorted []metrics.Move
 	// loads is Load, bound once for adaptive adversaries.
 	loads adversary.Loads
 
@@ -249,9 +256,10 @@ func NewEngine(spec Spec) (*Engine, error) {
 }
 
 // Reset validates spec and rebinds the engine to it, discarding all state
-// of the previous run. Buffer storage and staging counters are retained
-// across resets, so repeated runs on same-sized topologies are
-// allocation-light.
+// of the previous run. It keeps the engine's storage (see Engine) and
+// allocates only where the new topology is larger than any before, so a
+// run on an engine that has served a same-sized topology allocates
+// nothing in the engine itself.
 func (e *Engine) Reset(spec Spec) error {
 	if spec.net == nil {
 		return fmt.Errorf("sim: nil network")
@@ -297,28 +305,14 @@ func (e *Engine) Reset(spec Spec) error {
 	} else {
 		e.buffers = make([]buffer.Buffer, n)
 	}
-	if words := (n + 63) / 64; cap(e.occ) >= words {
-		e.occ = e.occ[:words]
-		clear(e.occ)
-	} else {
-		e.occ = make([]uint64, words)
-	}
+	e.occ = zeroed(e.occ, (n+63)/64)
 	if cap(e.occList) < n {
 		e.occList = make([]network.NodeID, 0, n)
 	}
 	e.occList, e.occStale = e.occList[:0], false
 	e.staged = e.staged[:0]
-	if cap(e.stagedAt) >= n {
-		e.stagedAt = e.stagedAt[:n]
-		clear(e.stagedAt)
-	} else {
-		e.stagedAt = make([]int, n)
-	}
-	if cap(e.sent) >= n {
-		e.sent = e.sent[:n]
-	} else {
-		e.sent = make([]int, n)
-	}
+	e.stagedAt = zeroed(e.stagedAt, n)
+	e.sent = zeroed(e.sent, n)
 
 	e.spec = spec
 	e.phaseLen = phaseLen
@@ -333,7 +327,7 @@ func (e *Engine) Reset(spec Spec) error {
 	// single-run, so the spec must hand the engine fresh instances (the
 	// scenario and harness layers always do).
 	e.maxLoadC, e.latencyC = nil, nil
-	e.hooks = e.hooks[:0]
+	e.dropHooks()
 	for _, c := range spec.collectors {
 		e.hooks = append(e.hooks, c)
 		switch x := c.(type) {
@@ -357,21 +351,45 @@ func (e *Engine) Reset(spec Spec) error {
 	}
 	e.hooks = append(e.hooks, spec.observers...)
 
-	// The link counters are handed out inside the returned Result, so
-	// they cannot be recycled: fresh slices per run keep prior results
-	// immutable.
+	// Result hands out a copy of the link counters, so the engine keeps
+	// its own from run to run.
 	e.res = Result{
 		Protocol:        spec.protocol.Name(),
 		Rounds:          spec.rounds,
-		PerLinkForwards: make([]int, n),
-		linkCapacity:    make([]int, n),
-	}
-	for v := 0; v < n; v++ {
-		if spec.net.Next(network.NodeID(v)) != network.None {
-			e.res.linkCapacity[v] = spec.rounds * spec.net.Bandwidth(network.NodeID(v))
-		}
+		PerLinkForwards: zeroed(e.res.PerLinkForwards, n),
+		net:             spec.net,
 	}
 	return nil
+}
+
+// Release drops the engine's references to its last run: the spec with
+// its network, protocol, adversary, collectors, observers, invariants and
+// fault model, and the verifier. The storage stays, so an idle engine
+// kept for later runs pins no run's objects. A released engine must be
+// Reset before it runs again.
+func (e *Engine) Release() {
+	e.dropHooks()
+	e.spec, e.verifier = Spec{}, nil
+	e.maxLoadC, e.latencyC = nil, nil
+	e.res = Result{PerLinkForwards: e.res.PerLinkForwards}
+}
+
+// dropHooks empties the hook list, clearing its whole backing array so no
+// earlier run's observer stays reachable through it.
+func (e *Engine) dropHooks() {
+	clear(e.hooks[:cap(e.hooks)])
+	e.hooks = e.hooks[:0]
+}
+
+// zeroed returns s resized to n zero elements, reusing its storage when it
+// is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Round implements View.
@@ -439,8 +457,9 @@ func (e *Engine) Step() (done bool, err error) {
 
 // Result returns a snapshot of the run summary accumulated so far. After a
 // completed Run it is the final summary; after a cancelled run it covers
-// the rounds that executed. The snapshot is independent of the engine:
-// resuming the run does not mutate previously returned Results.
+// the rounds that executed. The snapshot is independent of the engine: its
+// slices are copies, so neither resuming the run nor resetting the engine
+// for another run mutates previously returned Results.
 //
 // The historical scalar fields are sourced from the run's always-on
 // max_load and latency collectors; Metrics carries the full summaries of
@@ -456,7 +475,7 @@ func (e *Engine) Result() Result {
 	res.Residual = res.Injected - res.Delivered - res.Dropped
 	res.PerNodeMax = make([]int, e.spec.net.Len())
 	copy(res.PerNodeMax, e.maxLoadC.PerNodeMax())
-	res.PerLinkForwards = append([]int(nil), e.res.PerLinkForwards...)
+	res.PerLinkForwards = slices.Clone(e.res.PerLinkForwards)
 	reported := e.spec.collectors
 	if len(reported) == 0 {
 		reported = []metrics.Collector{e.maxLoadC, e.latencyC}
@@ -636,10 +655,7 @@ func (e *Engine) apply(t int, decisions []Forward) ([]metrics.Move, error) {
 		moves = append(moves, m)
 	}
 	e.moves = moves
-	// Deterministic arrival order: by source node, then packet ID.
-	slices.SortFunc(moves, func(a, b metrics.Move) int {
-		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.Pkt.ID, b.Pkt.ID))
-	})
+	moves = e.arrivalOrder(moves)
 	// Insert phase. Latency accounting lives in the latency collector,
 	// whose OnForward receives these moves after apply returns.
 	for i := range moves {
@@ -658,6 +674,46 @@ func (e *Engine) apply(t int, decisions []Forward) ([]metrics.Move, error) {
 		e.add(m.To, p)
 	}
 	return moves, nil
+}
+
+// arrivalOrder returns the round's moves in the deterministic arrival
+// order: by source node, then packet ID. Most rounds arrive in it already.
+// Otherwise it sorts one key per move, the source node above the move's
+// index, orders each run of one source by packet ID (a node sends at most
+// its bandwidth's worth, so the runs are short) and gathers the moves once
+// into scratch.
+func (e *Engine) arrivalOrder(moves []metrics.Move) []metrics.Move {
+	inOrder := true
+	for i := 1; i < len(moves) && inOrder; i++ {
+		a, b := &moves[i-1], &moves[i]
+		inOrder = a.From < b.From || a.From == b.From && a.Pkt.ID < b.Pkt.ID
+	}
+	if inOrder {
+		return moves
+	}
+	keys := e.keys[:0]
+	for i := range moves {
+		keys = append(keys, uint64(moves[i].From)<<32|uint64(i))
+	}
+	slices.Sort(keys)
+	for lo := 0; lo < len(keys); {
+		hi := lo + 1
+		for hi < len(keys) && keys[hi]>>32 == keys[lo]>>32 {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(keys[lo:hi], func(a, b uint64) int {
+				return cmp.Compare(moves[uint32(a)].Pkt.ID, moves[uint32(b)].Pkt.ID)
+			})
+		}
+		lo = hi
+	}
+	sorted := e.sorted[:0]
+	for _, k := range keys {
+		sorted = append(sorted, moves[uint32(k)])
+	}
+	e.keys, e.sorted = keys, sorted
+	return sorted
 }
 
 // Run is the primary execution entry point: build an engine from spec and
