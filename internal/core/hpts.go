@@ -29,10 +29,13 @@ import (
 // B > 1 is a best-effort generalization (the phase-badness invariant of
 // Lemma 4.8 is only proven at B = 1).
 //
-// Each round classifies every buffered packet once, into a per-round index
-// of the level-λ pseudo-buffers (hptsView), so Decide costs O(P + ℓ·n) for
-// P buffered packets and allocates nothing once its decision scratch has
-// grown.
+// HPTS keeps an index of its bad pseudo-buffers (hptsView) current from
+// the round's delta, View.Accepted and View.Moved: each accepted packet
+// and each move re-reads the one or two buffers it changed. So Decide
+// costs O(ℓ·n) plus those reads, however many packets stand buffered,
+// and allocates nothing once its scratch has grown. Like every protocol
+// that keeps state between rounds, it relies on Decide seeing every round
+// of the run, in order, from Attach on.
 type HPTS struct {
 	ell          int
 	ablatePreBad bool
@@ -96,7 +99,10 @@ func (p *HPTS) Attach(nw *network.Network, bound adversary.Bound, _ []network.No
 	}
 	n := nw.Len()
 	p.h = h
-	p.idx = hptsView{h: h, firstBad: make([]int, n), seen: make([]int, n)}
+	p.idx = hptsView{h: h, firstBad: make([]int, n), bad: make([]int32, n), free: -1}
+	for i := range p.idx.bad {
+		p.idx.bad[i] = -1
+	}
 	p.actLevel = make([]int, n)
 	p.actW = make([]int, n)
 	p.sent = make([]int, n+1)
@@ -106,58 +112,106 @@ func (p *HPTS) Attach(nw *network.Network, bound adversary.Bound, _ []network.No
 	return nil
 }
 
-// hptsView is one round's index of the pseudo-buffers over the engine
-// view. The pseudo-buffer L_{j,k}(i) is named by its intermediate
-// destination w_k = lo + k·m^j, where lo is the left end of i's level-j
-// interval: it holds the packets at i headed for [w_k, w_k + m^j), and
-// exists only for i < w_k. build classifies every packet once, to find for
-// each level-λ interval and destination index the leftmost bad (≥ 2
-// packets) pseudo-buffer, which is all FormPaths asks. The remaining
-// queries, O(ℓ·n) per round from ActivatePreBad and the forwarding step,
-// each filter one node's packets by destination range. A round thus costs
-// O(P + ℓ·n) for P buffered packets, with O(n) scratch and no per-round
-// allocation.
+// hptsView is HPTS's index of its pseudo-buffers over the engine view.
+// The pseudo-buffer L_{j,k}(i) is named by its intermediate destination
+// w_k = lo + k·m^j, where lo is the left end of i's level-j interval: it
+// holds the packets at i headed for [w_k, w_k + m^j), and exists only for
+// i < w_k. Its class is g = ⌊w_k/m^j⌋ = r·m + k for i's level-j interval
+// r. The index lists, per node, the (level, class) of each of its bad
+// (≥ 2 packets) pseudo-buffers, threaded through one arena of records
+// with a free list: O(n) words plus one record per bad pseudo-buffer, of
+// which there are at most P/2 for P buffered packets, at any ℓ. track
+// keeps it current from the round's delta, and build reads from it, for
+// each level-λ class, the leftmost bad node, which is all FormPaths asks.
+// The remaining queries, O(ℓ·n) per round from ActivatePreBad and the
+// forwarding step, each filter one node's packets by destination range.
 type hptsView struct {
 	v sim.View
 	h *Hierarchy
-	// firstBad[r·m + k]: the leftmost node whose (λ,k)-pseudo-buffer in
-	// level-λ interval r is bad, −1 if none. The index r·m + k is ⌊w_k/m^λ⌋.
+	// firstBad[g]: the leftmost node whose level-λ pseudo-buffer of class
+	// g is bad, −1 if none.
 	firstBad []int
-	// seen[r·m + k]: the last node found holding a packet of that class.
-	seen []int
+	// bad[i]: the first record of node i's list, −1 if it has none.
+	bad []int32
+	// recs is the arena; free heads its free list, −1 if empty.
+	recs []badRec
+	free int32
 }
 
-// build indexes round v's bad level-λ pseudo-buffers.
-func (x *hptsView) build(v sim.View, lambda int) {
+// badRec records one bad pseudo-buffer: its level and class, and the
+// next record of its node's list (or of the free list), −1 at the end.
+type badRec struct{ level, class, next int32 }
+
+// track brings the index up to date with round v's delta: the buffers
+// changed by exactly the packets accepted this round and the moves of the
+// previous forwarding step, so only the pseudo-buffers those packets left
+// or entered can have turned bad or good.
+func (x *hptsView) track(v sim.View) {
 	x.v = v
-	step := x.h.Pow(lambda)
-	size := step * x.h.M()
-	n := x.h.N()
-	for g := 0; g < n/step; g++ {
-		x.firstBad[g], x.seen[g] = -1, -1
+	for _, pk := range v.Accepted() {
+		x.note(int(pk.Src), int(pk.Dst))
 	}
-	for _, node := range v.Occupied() {
-		i := int(node)
-		pkts := v.Packets(node)
-		if len(pkts) < 2 {
-			continue
+	for _, m := range v.Moved() {
+		x.note(int(m.From), int(m.Pkt.Dst))
+		if !m.Delivered && !m.Dropped {
+			x.note(int(m.To), int(m.Pkt.Dst))
 		}
-		// Level-λ packets at i are headed past i's own level-(λ−1)
-		// subinterval but stay inside its level-λ interval.
-		from, to := i-i%step+step, i-i%size+size
-		for _, pk := range pkts {
-			w := int(pk.Dst)
-			if w < from || w >= to {
-				continue
+	}
+}
+
+// note re-derives from node i's buffer whether its pseudo-buffer that
+// holds packets headed for w (i < w) is bad, and adds or removes its
+// record to match. The answer depends only on the buffer, so notes may
+// come in any order and repeat.
+func (x *hptsView) note(i, w int) {
+	j := x.h.Level(i, w)
+	step := x.h.Pow(j)
+	g := w / step
+	lo := g * step
+	count := 0
+	for _, pk := range x.v.Packets(network.NodeID(i)) {
+		if d := int(pk.Dst); d >= lo && d < lo+step {
+			if count++; count == 2 {
+				break
 			}
-			// Nodes are scanned left to right, so the first node seen twice
-			// for a class is its leftmost bad one.
-			switch g := w / step; {
-			case x.firstBad[g] >= 0:
-			case x.seen[g] == i:
-				x.firstBad[g] = i
-			default:
-				x.seen[g] = i
+		}
+	}
+	prev, r := int32(-1), x.bad[i]
+	for r >= 0 && (x.recs[r].level != int32(j) || x.recs[r].class != int32(g)) {
+		prev, r = r, x.recs[r].next
+	}
+	switch {
+	case count == 2 && r < 0:
+		if r = x.free; r >= 0 {
+			x.free = x.recs[r].next
+		} else {
+			r = int32(len(x.recs))
+			x.recs = append(x.recs, badRec{})
+		}
+		x.recs[r] = badRec{level: int32(j), class: int32(g), next: x.bad[i]}
+		x.bad[i] = r
+	case count < 2 && r >= 0:
+		if prev < 0 {
+			x.bad[i] = x.recs[r].next
+		} else {
+			x.recs[prev].next = x.recs[r].next
+		}
+		x.recs[r].next, x.free = x.free, r
+	}
+}
+
+// build indexes the bad level-λ pseudo-buffers for this round's FormPaths.
+func (x *hptsView) build(lambda int) {
+	firstBad := x.firstBad[:x.h.N()/x.h.Pow(lambda)]
+	for g := range firstBad {
+		firstBad[g] = -1
+	}
+	// Nodes are walked left to right, so a class's first sight is its
+	// leftmost bad node.
+	for _, node := range x.v.Occupied() {
+		for r := x.bad[node]; r >= 0; r = x.recs[r].next {
+			if rec := &x.recs[r]; int(rec.level) == lambda && firstBad[rec.class] < 0 {
+				firstBad[rec.class] = int(node)
 			}
 		}
 	}
@@ -204,7 +258,8 @@ func (p *HPTS) Decide(v sim.View) ([]sim.Forward, error) {
 	for i := range p.actLevel {
 		p.actLevel[i] = -1
 	}
-	p.idx.build(v, lambda)
+	p.idx.track(v)
+	p.idx.build(lambda)
 	// Lines 6–8: FormPaths on every level-λ interval.
 	for r := 0; r < p.h.IntervalCount(lambda); r++ {
 		p.formPaths(lambda, r)

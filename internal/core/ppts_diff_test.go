@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -16,16 +15,17 @@ import (
 )
 
 // requireSameDecisions drives got and want over random configurations,
-// each evolved by got's decisions for a few rounds, and requires the two
-// to decide exactly alike, element for element and in order.
+// each handed to both freshly attached and evolved by got's decisions for
+// a few rounds, and requires the two to decide exactly alike, element for
+// element and in order.
 func requireSameDecisions(t *testing.T, got, want sim.Protocol, nw *network.Network, rng *rand.Rand, config func(maxPerNode int) *fakeView) {
 	t.Helper()
-	for _, p := range []sim.Protocol{got, want} {
-		if err := p.Attach(nw, fullBound(2), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for trial := 0; trial < 40; trial++ {
+		for _, p := range []sim.Protocol{got, want} {
+			if err := p.Attach(nw, fullBound(2), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
 		view := config(1 + trial%6)
 		for step := 0; step < 4; step++ {
 			gd, err := got.Decide(view)
@@ -89,7 +89,7 @@ func randomTreeConfig(nw *network.Network, rng *rand.Rand, maxPerNode int, rootO
 			id++
 		}
 	}
-	return f
+	return f.acceptAll()
 }
 
 // testForest returns an in-forest on n nodes whose last roots nodes are
@@ -159,18 +159,9 @@ func TestPPTSExecutionMatchesReference(t *testing.T) {
 			dests[k] = network.NodeID(nw.Len() - d + k)
 		}
 		for _, seed := range []int64{1, 2} {
-			run := func(p sim.Protocol) []byte {
-				adv, err := adversary.NewRandom(nw, adversary.Bound{Rho: rat.One, Sigma: 2}, dests, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				d := &execLog{}
-				if _, err := sim.Run(context.Background(), sim.NewSpec(nw, p, adv, 40, sim.WithObservers(d))); err != nil {
-					t.Fatal(err)
-				}
-				return d.buf
-			}
-			if got, want := run(NewPPTS()), run(&refPPTS{}); !bytes.Equal(got, want) {
+			bound := adversary.Bound{Rho: rat.One, Sigma: 2}
+			got := transcript(t, nw, NewPPTS(), bound, dests, seed, 40, nil)
+			if want := transcript(t, nw, &refPPTS{}, bound, dests, seed, 40, nil); !bytes.Equal(got, want) {
 				t.Errorf("d=%d seed %d: execution diverges from the reference", d, seed)
 			}
 		}
@@ -191,6 +182,7 @@ func BenchmarkPPTSDecide(b *testing.B) {
 			id++
 		}
 	}
+	view.acceptAll()
 	p := NewPPTS()
 	if err := p.Attach(nw, fullBound(2), nil); err != nil {
 		b.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"smallbuffers/internal/adversary"
+	"smallbuffers/internal/metrics"
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/packet"
 	"smallbuffers/internal/rat"
@@ -17,11 +18,18 @@ func fullBound(sigma int) adversary.Bound {
 }
 
 // fakeView is a synthetic configuration for white-box tests of the
-// activation scans, bypassing the engine.
+// activation scans, bypassing the engine. Its delta is truthful: a built
+// configuration reports every packet as accepted (acceptAll), so its
+// first Decide must go to a freshly attached protocol, and applyForwards
+// reports the moves that produced the next configuration. Its buffers are
+// fixed once it is handed to a protocol: Occupied lists them on first use.
 type fakeView struct {
-	nw    *network.Network
-	round int
-	pkts  [][]packet.Packet
+	nw       *network.Network
+	round    int
+	pkts     [][]packet.Packet
+	accepted []packet.Packet
+	moved    []metrics.Move
+	occupied []network.NodeID
 }
 
 var _ sim.View = (*fakeView)(nil)
@@ -32,13 +40,25 @@ func (f *fakeView) Packets(v network.NodeID) []packet.Packet { return f.pkts[v] 
 func (f *fakeView) Load(v network.NodeID) int                { return len(f.pkts[v]) }
 func (f *fakeView) Bandwidth(v network.NodeID) int           { return f.nw.Bandwidth(v) }
 func (f *fakeView) Occupied() []network.NodeID {
-	var out []network.NodeID
-	for v, pkts := range f.pkts {
-		if len(pkts) > 0 {
-			out = append(out, network.NodeID(v))
+	if f.occupied == nil {
+		for v, pkts := range f.pkts {
+			if len(pkts) > 0 {
+				f.occupied = append(f.occupied, network.NodeID(v))
+			}
 		}
 	}
-	return out
+	return f.occupied
+}
+func (f *fakeView) Accepted() []packet.Packet { return f.accepted }
+func (f *fakeView) Moved() []metrics.Move     { return f.moved }
+
+// acceptAll reports every buffered packet as accepted this round, the
+// delta of a configuration built from empty buffers.
+func (f *fakeView) acceptAll() *fakeView {
+	for _, pkts := range f.pkts {
+		f.accepted = append(f.accepted, pkts...)
+	}
+	return f
 }
 
 // randomConfig populates a fake view with random packets on a path,
@@ -55,33 +75,33 @@ func randomConfig(nw *network.Network, rng *rand.Rand, maxPerNode int) *fakeView
 			id++
 		}
 	}
-	return f
+	return f.acceptAll()
 }
 
 // applyForwards simulates one simultaneous forwarding step on the fake
-// view, returning the next configuration (delivered packets vanish).
+// view, returning the next configuration (delivered packets vanish) with
+// the step's moves as its delta.
 func applyForwards(f *fakeView, decisions []sim.Forward) *fakeView {
 	next := &fakeView{nw: f.nw, round: f.round + 1, pkts: make([][]packet.Packet, len(f.pkts))}
 	moved := make(map[packet.ID]network.NodeID, len(decisions))
 	for _, d := range decisions {
 		moved[d.Pkt] = d.From
 	}
-	var arrivals []packet.Packet
 	for v := range f.pkts {
 		for _, p := range f.pkts[v] {
 			if from, ok := moved[p.ID]; ok && from == network.NodeID(v) {
-				if f.nw.Next(from) != p.Dst {
-					arrivals = append(arrivals, p) // in transit; placed below
-				}
-				continue // delivered packets vanish
+				to := f.nw.Next(from)
+				next.moved = append(next.moved, metrics.Move{Pkt: p, From: from, To: to, Delivered: to == p.Dst})
+				continue
 			}
 			next.pkts[v] = append(next.pkts[v], p)
 		}
 	}
 	// Place arrivals after survivors (they are the newest — LIFO order).
-	for _, p := range arrivals {
-		to := f.nw.Next(moved[p.ID])
-		next.pkts[to] = append(next.pkts[to], p)
+	for _, m := range next.moved {
+		if !m.Delivered {
+			next.pkts[m.To] = append(next.pkts[m.To], m.Pkt)
+		}
 	}
 	return next
 }
@@ -174,10 +194,10 @@ func TestQuickHPTSDecideFeasible(t *testing.T) {
 	}
 	nw := network.MustPath(h.N())
 	p := NewHPTS(3)
-	if err := p.Attach(nw, fullBound(2), nil); err != nil {
-		t.Fatal(err)
-	}
 	f := func(seed int64, roundRaw uint8) bool {
+		if err := p.Attach(nw, fullBound(2), nil); err != nil {
+			return false
+		}
 		rng := rand.New(rand.NewSource(seed))
 		view := randomConfig(nw, rng, 3)
 		view.round = int(roundRaw) % 6

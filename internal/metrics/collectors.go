@@ -13,17 +13,15 @@ const (
 
 // MaxLoadCollector reproduces the engine's historical headline scalars:
 // the maximum visible occupancy over all rounds and nodes (sampled at L_t
-// and post-forwarding), the first node/round attaining it, the physical
-// maximum including staged packets, and the per-node maxima. It is the
-// source of Result.MaxLoad and friends — always on, whether selected or
-// not.
+// and post-forwarding), the first node/round attaining it, and the
+// physical maximum including staged packets. It is the source of
+// Result.MaxLoad and friends — always on, whether selected or not.
 type MaxLoadCollector struct {
 	NopObserver
 	maxLoad     int
 	node        network.NodeID
 	round       int
 	maxPhysical int
-	perNode     []int
 }
 
 // NewMaxLoad returns an empty max_load collector.
@@ -33,29 +31,40 @@ func NewMaxLoad() *MaxLoadCollector { return &MaxLoadCollector{} }
 func (c *MaxLoadCollector) Name() string { return NameMaxLoad }
 
 // OnSample implements Collector: fold the configuration's occupancies
-// into the maxima. Strictly-greater updates locate the *first* maximum
-// (lowest round, then lowest node), matching the engine's historical
-// behavior exactly. Only occupied nodes, visited in ascending order, can
-// raise a visible maximum; nodes holding staged packets alone are found
-// through the staged packets.
-func (c *MaxLoadCollector) OnSample(round int, _ Point, v View) {
-	if n := v.Net().Len(); len(c.perNode) < n {
-		c.perNode = append(c.perNode, make([]int, n-len(c.perNode))...)
-	}
-	for _, u := range v.Occupied() {
+// into the maxima. Only a buffer the round's delta grew can beat the
+// incumbent (see View.Accepted), so a sample visits those alone — at L_t
+// the sources of the accepted packets, post-forwarding the receivers of
+// the moves that arrived — and costs O(delta), not O(occupied). It takes
+// the sample's largest load, the lowest node on ties, and replaces the
+// incumbent only when that load is strictly greater: the first maximum
+// (lowest round, then lowest node), exactly what an ascending scan of
+// every buffer names. Nodes holding staged packets are found through the
+// staged packets.
+func (c *MaxLoadCollector) OnSample(round int, p Point, v View) {
+	best, at := 0, network.NodeID(0)
+	visit := func(u network.NodeID) {
 		load := v.Load(u)
-		if load > c.perNode[u] {
-			c.perNode[u] = load
-		}
-		if load > c.maxLoad {
-			c.maxLoad = load
-			c.node = u
-			c.round = round
+		if load > best || load == best && u < at {
+			best, at = load, u
 		}
 		c.maxPhysical = max(c.maxPhysical, load+v.Staged(u))
 	}
-	for _, p := range v.StagedPackets() {
-		c.maxPhysical = max(c.maxPhysical, v.Load(p.Src)+v.Staged(p.Src))
+	if p == LT {
+		for _, pk := range v.Accepted() {
+			visit(pk.Src)
+		}
+	} else {
+		for _, m := range v.Moved() {
+			if !m.Delivered && !m.Dropped {
+				visit(m.To)
+			}
+		}
+	}
+	if best > c.maxLoad {
+		c.maxLoad, c.node, c.round = best, at, round
+	}
+	for _, pk := range v.StagedPackets() {
+		c.maxPhysical = max(c.maxPhysical, v.Load(pk.Src)+v.Staged(pk.Src))
 	}
 }
 
@@ -70,10 +79,6 @@ func (c *MaxLoadCollector) MaxLoadRound() int { return c.round }
 
 // MaxPhysicalLoad returns the maximum occupancy including staged packets.
 func (c *MaxLoadCollector) MaxPhysicalLoad() int { return c.maxPhysical }
-
-// PerNodeMax returns the per-node maxima (shared; callers must copy
-// before mutating).
-func (c *MaxLoadCollector) PerNodeMax() []int { return c.perNode }
 
 // Summarize implements Collector. The summary anchors node/round on
 // max_load, so cross-run merges keep the argmax position attributed to

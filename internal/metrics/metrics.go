@@ -64,6 +64,20 @@ type View interface {
 	// StagedPackets returns those packets in ID order (empty for unphased
 	// protocols). The slice is shared; callers must not modify it.
 	StagedPackets() []packet.Packet
+	// Accepted and Moved are the round's delta: the packets that became
+	// visible this round (the slice OnAccept receives) and the moves of
+	// the most recent forwarding step (the slice OnForward receives). At
+	// the L_t sample of round t they hold round t's acceptances and round
+	// t−1's moves; at the post-forward sample and at OnRoundEnd, Moved
+	// holds round t's moves. Only a buffer the delta grew can exceed its
+	// occupancy at the previous sample point, so a running maximum needs
+	// only those: at L_t the sources of the accepted packets, after
+	// forwarding the receivers of the moves that were neither delivered
+	// nor dropped. Both are empty after the engine's Reset. The slices
+	// are shared and stay valid until the engine's next step; callers
+	// must not modify them.
+	Accepted() []packet.Packet
+	Moved() []Move
 }
 
 // Point identifies an occupancy sample point within a round.

@@ -44,6 +44,8 @@ func (c *countingView) StagedPackets() []packet.Packet {
 	c.calls++
 	return c.View.StagedPackets()
 }
+func (c *countingView) Accepted() []packet.Packet { c.calls++; return c.View.Accepted() }
+func (c *countingView) Moved() []metrics.Move     { c.calls++; return c.View.Moved() }
 
 // idle forwards nothing, so the packets it is handed stay where they are.
 type idle struct{}
@@ -130,6 +132,114 @@ func TestRoundCostFollowsOccupancy(t *testing.T) {
 		t.Logf("%s OnSample: %d View calls", name, view.calls)
 		if view.calls > budget {
 			t.Errorf("%s: OnSample makes %d View calls, want ≤ %d", name, view.calls, budget)
+		}
+	}
+}
+
+// countedProtocol hands its protocol's Decide a countingView and adds up
+// the View calls. It passes the phase length on to the engine.
+type countedProtocol struct {
+	sim.Protocol
+	calls int
+}
+
+func (p *countedProtocol) PhaseLength() int { return p.Protocol.(sim.PhasedAcceptor).PhaseLength() }
+
+func (p *countedProtocol) Decide(v sim.View) ([]sim.Forward, error) {
+	cv := &countingView{View: v.(metrics.View)}
+	d, err := p.Protocol.Decide(cv)
+	p.calls += cv.calls
+	return d, err
+}
+
+// countedCollector hands its collector's OnSample a countingView and adds
+// up the View calls. Uncounted, it also sums the packets standing at L_t.
+type countedCollector struct {
+	metrics.Collector
+	calls, standing int
+}
+
+func (c *countedCollector) OnSample(round int, p metrics.Point, v metrics.View) {
+	if p == metrics.LT {
+		for _, u := range v.Occupied() {
+			c.standing += v.Load(u)
+		}
+	}
+	cv := &countingView{View: v}
+	c.Collector.OnSample(round, p, cv)
+	c.calls += cv.calls
+}
+
+// TestRoundCostAtFullOccupancy is the delta gate. On the two hpts-local
+// cells (path(256), random traffic to the last d = 255 nodes, σ = 2, 320
+// rounds; hpts at ℓ = 2, ρ = 1/2 and at ℓ = 4, ρ = 1/4) hundreds of
+// packets stand buffered while a round changes a dozen or so. HPTS's
+// Decide and max_load's OnSample read what the round's delta changed, so
+// their View calls per round stay far below what a rescan of every
+// occupied buffer makes: 227 and 193 per Decide and 752 and 686 per
+// round of OnSample with rescans, 70 and 46 and 41 and 38 with the delta.
+func TestRoundCostAtFullOccupancy(t *testing.T) {
+	const rounds = 320
+	nw := network.MustPath(256)
+	cases := []struct {
+		ell                  int
+		decideMax, sampleMax int
+	}{
+		{2, 90, 50},
+		{4, 60, 50},
+	}
+	for _, c := range cases {
+		pe, err := registry.LookupProtocol("hpts")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp, err := pe.Params.Resolve(map[string]any{"ell": c.ell})
+		if err != nil {
+			t.Fatal(err)
+		}
+		proto, err := pe.Build(pp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ae, err := registry.LookupAdversary("random")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ap, err := ae.Params.Resolve(map[string]any{"d": 255})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := adversary.Bound{Rho: rat.New(1, int64(c.ell)), Sigma: 2}
+		adv, err := ae.Build(registry.AdversaryContext{Net: nw, Bound: bound, Seed: 1, Rounds: rounds}, ap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		me, err := registry.LookupMetric(metrics.NameMaxLoad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mp, err := me.Params.Resolve(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col, err := me.Build(mp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, cc := &countedProtocol{Protocol: proto}, &countedCollector{Collector: col}
+		if _, err := sim.Run(context.Background(), sim.NewSpec(nw, cp, adv, rounds, sim.WithObservers(cc))); err != nil {
+			t.Fatal(err)
+		}
+		decide, sample, standing := cp.calls/rounds, cc.calls/rounds, cc.standing/rounds
+		t.Logf("ℓ=%d: %d packets standing at L_t, %d View calls per Decide, %d per round of OnSample", c.ell, standing, decide, sample)
+		if standing < 300 {
+			t.Errorf("ℓ=%d: %d packets standing at L_t, want a loaded path of ≥ 300", c.ell, standing)
+		}
+		if decide > c.decideMax {
+			t.Errorf("ℓ=%d: Decide makes %d View calls per round, want ≤ %d", c.ell, decide, c.decideMax)
+		}
+		if sample > c.sampleMax {
+			t.Errorf("ℓ=%d: max_load's OnSample makes %d View calls per round, want ≤ %d", c.ell, sample, c.sampleMax)
 		}
 	}
 }
@@ -271,9 +381,10 @@ func opBytes(t *testing.T, docs ...string) uint64 {
 // at ℓ = 2, ρ = 1/2 and at ℓ = 4, ρ = 1/4, with d = 255 and 320 rounds.
 // Without the pool and the memo, every sweep paid for a fresh engine and
 // a fresh network: 684 KB per bigpath greedy-fifo op, 767 KB per bigpath
-// ppts op and 412 KB per hpts op. With them, 173 KB, 303 KB and 112 KB;
-// the race build allocates up to 33 KB more per op (max_load's per-node
-// maxima grow through a temporary there), and the limits hold on both.
+// ppts op and 412 KB per hpts op. With them, 173 KB, 303 KB and 112 KB.
+// Without Result's copy of the per-node maxima and max_load's array
+// behind it, 107 KB, 238 KB and 102 KB; the race build allocates up to
+// 2 KB more per op, and the limits hold on both.
 func TestSetupBytes(t *testing.T) {
 	doc := func(n int, protocol string, ell int, d int, rho string, rounds int) string {
 		params := ""
@@ -289,9 +400,9 @@ func TestSetupBytes(t *testing.T) {
 		docs  []string
 		limit uint64
 	}{
-		{"bigpath greedy-fifo", []string{doc(4096, "greedy-fifo", 0, 8, "1", 40)}, 215_000},
-		{"bigpath ppts", []string{doc(4096, "ppts", 0, 8, "1", 40)}, 345_000},
-		{"hpts", []string{doc(256, "hpts", 2, 255, "1/2", 320), doc(256, "hpts", 4, 255, "1/4", 320)}, 125_000},
+		{"bigpath greedy-fifo", []string{doc(4096, "greedy-fifo", 0, 8, "1", 40)}, 113_000},
+		{"bigpath ppts", []string{doc(4096, "ppts", 0, 8, "1", 40)}, 250_000},
+		{"hpts", []string{doc(256, "hpts", 2, 255, "1/2", 320), doc(256, "hpts", 4, 255, "1/4", 320)}, 110_000},
 	}
 	for _, c := range cases {
 		got := opBytes(t, c.docs...)

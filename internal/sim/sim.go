@@ -53,6 +53,16 @@ type View interface {
 	// valid until the engine next changes a buffer; callers must not
 	// modify it.
 	Occupied() []network.NodeID
+	// Accepted returns the packets that became visible this round (the
+	// slice OnAccept receives), and Moved the moves of the most recent
+	// forwarding step (the slice OnForward receives). During Decide at
+	// round t they hold round t's acceptances and round t−1's moves (none
+	// on a run's first round). Between two Decide calls the buffers change
+	// by exactly these, so a protocol can keep an index current from them
+	// instead of rescanning every buffer. The slices are shared and stay
+	// valid until the engine's next step; callers must not modify them.
+	Accepted() []packet.Packet
+	Moved() []metrics.Move
 }
 
 // Forward is one forwarding decision: node From sends the identified packet
@@ -64,7 +74,10 @@ type Forward struct {
 
 // Protocol is a centralized online forwarding algorithm. An instance
 // serves one run at a time: Attach starts a run and may size per-run
-// scratch that Decide reuses round after round.
+// scratch that Decide reuses round after round. A protocol that keeps
+// state between rounds, such as an index kept current from View.Accepted
+// and View.Moved, relies on Decide seeing every round of the run, in
+// order, from Attach on; the engine guarantees this.
 type Protocol interface {
 	// Name identifies the protocol in reports.
 	Name() string
@@ -116,8 +129,6 @@ type Result struct {
 	// MaxPhysicalLoad additionally counts packets staged by phased
 	// acceptance (equals MaxLoad for unphased protocols).
 	MaxPhysicalLoad int
-	// PerNodeMax[v] is the maximum visible occupancy seen at v.
-	PerNodeMax []int
 
 	Injected  int
 	Delivered int
@@ -216,6 +227,10 @@ type Engine struct {
 	round    int
 	nextID   packet.ID
 	res      Result
+	// accepted and moved are the round's delta (Accepted, Moved): slice
+	// headers over the round scratch below, or over staged's array.
+	accepted []packet.Packet
+	moved    []metrics.Move
 
 	// Round scratch, reused across rounds: the injected packets, per-node
 	// forward counts, the applied moves and, for rounds whose moves need
@@ -319,6 +334,7 @@ func (e *Engine) Reset(spec Spec) error {
 	e.verifier = verifier
 	e.round = 0
 	e.nextID = 0
+	e.accepted, e.moved = nil, nil
 
 	// Bind the run's hooks: the spec's collectors run as-is, and the
 	// engine adds internal max_load/latency collectors when the spec does
@@ -430,6 +446,12 @@ func (e *Engine) Staged(v network.NodeID) int { return e.stagedAt[v] }
 // protocols). The slice is shared; callers must not modify it.
 func (e *Engine) StagedPackets() []packet.Packet { return e.staged }
 
+// Accepted implements View.
+func (e *Engine) Accepted() []packet.Packet { return e.accepted }
+
+// Moved implements View.
+func (e *Engine) Moved() []metrics.Move { return e.moved }
+
 // add buffers p at v, marking v occupied if it was empty.
 func (e *Engine) add(v network.NodeID, p packet.Packet) {
 	if e.buffers[v].Len() == 0 {
@@ -473,8 +495,6 @@ func (e *Engine) Result() Result {
 	res.MaxLatency = e.latencyC.MaxLatency()
 	res.TotalLatency = e.latencyC.TotalLatency()
 	res.Residual = res.Injected - res.Delivered - res.Dropped
-	res.PerNodeMax = make([]int, e.spec.net.Len())
-	copy(res.PerNodeMax, e.maxLoadC.PerNodeMax())
 	res.PerLinkForwards = slices.Clone(e.res.PerLinkForwards)
 	reported := e.spec.collectors
 	if len(reported) == 0 {
@@ -559,6 +579,7 @@ func (e *Engine) step(t int) error {
 		p.Arrived = t
 		e.add(p.Src, p)
 	}
+	e.accepted = accepted
 	for _, h := range e.hooks {
 		h.OnAccept(t, accepted)
 	}
@@ -577,6 +598,7 @@ func (e *Engine) step(t int) error {
 	if err != nil {
 		return err
 	}
+	e.moved = moves
 	for _, h := range e.hooks {
 		h.OnForward(t, moves)
 	}

@@ -411,23 +411,27 @@ func TestTreeMultipleReceivers(t *testing.T) {
 	}
 }
 
+// TestPerNodeMax: an observer that scans every buffer at both sample
+// points sees node 1 peak at 3 and node 0 stay empty, and the first
+// maximum is node 1 at round 0.
 func TestPerNodeMax(t *testing.T) {
 	nw := network.MustPath(4)
 	adv := adversary.NewReplay(fullRate(2), map[int][]packet.Injection{
 		0: {{Src: 1, Dst: 3}, {Src: 1, Dst: 3}, {Src: 1, Dst: 3}},
 	})
-	res, err := Run(context.Background(), NewSpec(nw, &greedyOldest{}, adv, 6))
+	obs := &occupancyCheck{t: t}
+	res, err := Run(context.Background(), NewSpec(nw, &greedyOldest{}, adv, 6, WithObservers(obs)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PerNodeMax[1] != 3 {
-		t.Errorf("PerNodeMax[1] = %d, want 3", res.PerNodeMax[1])
+	if obs.perNode[1] != 3 {
+		t.Errorf("node 1 peaks at %d, want 3", obs.perNode[1])
 	}
 	if res.MaxLoadNode != 1 || res.MaxLoadRound != 0 {
 		t.Errorf("max at node %d round %d, want node 1 round 0", res.MaxLoadNode, res.MaxLoadRound)
 	}
-	if res.PerNodeMax[0] != 0 {
-		t.Errorf("PerNodeMax[0] = %d, want 0", res.PerNodeMax[0])
+	if obs.perNode[0] != 0 {
+		t.Errorf("node 0 peaks at %d, want 0", obs.perNode[0])
 	}
 }
 
@@ -444,11 +448,18 @@ func containsStr(s, sub string) bool {
 }
 
 // occupancyCheck compares the engine's occupancy index with a scan of
-// every buffer at every sample point and round end.
+// every buffer at every sample point and round end, and checks that the
+// buffers changed since the previous sample point by exactly the round's
+// delta (Accepted at L_t, Moved after forwarding). It also keeps what an
+// ascending scan of every buffer at every sample point finds: per-node
+// maxima and max_load's scalars.
 type occupancyCheck struct {
 	metrics.NopObserver
 	t      *testing.T
 	checks int
+	// loads holds each node's load at the previous sample point.
+	loads, perNode                          []int
+	maxLoad, maxNode, maxRound, maxPhysical int
 }
 
 func (o *occupancyCheck) check(round int, v metrics.View) {
@@ -464,12 +475,44 @@ func (o *occupancyCheck) check(round int, v metrics.View) {
 	o.checks++
 }
 
-func (o *occupancyCheck) OnSample(round int, _ metrics.Point, v metrics.View) { o.check(round, v) }
-func (o *occupancyCheck) OnRoundEnd(round int, v metrics.View)                { o.check(round, v) }
+func (o *occupancyCheck) OnSample(round int, p metrics.Point, v metrics.View) {
+	o.check(round, v)
+	n := v.Net().Len()
+	if o.loads == nil {
+		o.loads, o.perNode = make([]int, n), make([]int, n)
+	}
+	if p == metrics.LT {
+		for _, pk := range v.Accepted() {
+			o.loads[pk.Src]++
+		}
+	} else {
+		for _, m := range v.Moved() {
+			o.loads[m.From]--
+			if !m.Delivered && !m.Dropped {
+				o.loads[m.To]++
+			}
+		}
+	}
+	for u := range n {
+		load := v.Load(network.NodeID(u))
+		if load != o.loads[u] {
+			o.t.Fatalf("round %d point %d: node %d holds %d packets, its previous load plus the delta %d", round, p, u, load, o.loads[u])
+		}
+		o.perNode[u] = max(o.perNode[u], load)
+		if load > o.maxLoad {
+			o.maxLoad, o.maxNode, o.maxRound = load, u, round
+		}
+		o.maxPhysical = max(o.maxPhysical, load+v.Staged(network.NodeID(u)))
+	}
+}
+
+func (o *occupancyCheck) OnRoundEnd(round int, v metrics.View) { o.check(round, v) }
 
 // TestOccupiedMatchesLoads drives one engine through runs that fill and
-// drain buffers (a tree, phased acceptance, lossy links) and checks the
-// occupancy index against every buffer after each change, across Reset.
+// drain buffers (a tree, phased acceptance, lossy links, downed links)
+// and checks the occupancy index and the round's delta against every
+// buffer after each change, across Reset, and max_load, which samples only
+// the buffers the delta grew, against a scan of every buffer.
 func TestOccupiedMatchesLoads(t *testing.T) {
 	tree, err := network.CaterpillarTree(6, 2)
 	if err != nil {
@@ -483,6 +526,13 @@ func TestOccupiedMatchesLoads(t *testing.T) {
 	if err := drop.Reset(path, 3); err != nil {
 		t.Fatal(err)
 	}
+	flap, err := faults.NewLinkFlap(rat.New(1, 2), 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := flap.Reset(path, 5); err != nil {
+		t.Fatal(err)
+	}
 	phased := &phasedGreedy{}
 	phased.phase = 3
 	runs := []struct {
@@ -493,6 +543,7 @@ func TestOccupiedMatchesLoads(t *testing.T) {
 		{tree, &greedyOldest{}, nil},
 		{path, phased, nil},
 		{path, &greedyOldest{}, []Option{WithFaults(drop)}},
+		{path, phased, []Option{WithFaults(flap)}},
 	}
 	var eng *Engine
 	for i, r := range runs {
@@ -516,6 +567,10 @@ func TestOccupiedMatchesLoads(t *testing.T) {
 		}
 		if res.MaxLoad == 0 || obs.checks != 3*150 {
 			t.Errorf("run %d: max load %d after %d checks", i, res.MaxLoad, obs.checks)
+		}
+		got := []int{res.MaxLoad, int(res.MaxLoadNode), res.MaxLoadRound, res.MaxPhysicalLoad}
+		if want := []int{obs.maxLoad, obs.maxNode, obs.maxRound, obs.maxPhysical}; !slices.Equal(got, want) {
+			t.Errorf("run %d: max load, node, round and physical %v, a scan of every buffer finds %v", i, got, want)
 		}
 	}
 }

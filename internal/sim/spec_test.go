@@ -200,7 +200,7 @@ func TestResetReuse(t *testing.T) {
 		t.Errorf("reused engine diverged:\n%+v\n%+v", first, again)
 	}
 	// The earlier result must not be clobbered by the reuse.
-	if first.Rounds != 200 || first.PerNodeMax == nil {
+	if first.Rounds != 200 || first.PerLinkForwards == nil {
 		t.Error("prior result mutated by Reset")
 	}
 
@@ -214,7 +214,7 @@ func TestResetReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bigRes.PerNodeMax) != 64 || bigRes.Injected != 100 {
+	if len(bigRes.PerLinkForwards) != 64 || bigRes.Injected != 100 {
 		t.Errorf("big run: %+v", bigRes)
 	}
 	fresh, err := Run(context.Background(), specFixture(t, 3))
