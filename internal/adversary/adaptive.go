@@ -63,11 +63,22 @@ func NewHotSpot(nw *network.Network, bound Bound, dests []network.NodeID, seed i
 	return &HotSpot{
 		nw:       nw,
 		bound:    bound,
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      newRand(seed),
 		dests:    dests,
 		shaper:   shaper,
 		attempts: defaultAttempts(bound),
 	}, nil
+}
+
+// Release hands the adversary's random source and shaper array back, as
+// Random.Release does.
+func (h *HotSpot) Release() {
+	if h.shaper == nil {
+		return
+	}
+	sources.Put(h.rng)
+	h.shaper.release()
+	h.rng, h.shaper = nil, nil
 }
 
 // Bound implements Adversary.

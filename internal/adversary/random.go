@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"math/rand"
+	"sync"
 
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/packet"
@@ -77,7 +78,7 @@ func NewRandom(nw *network.Network, bound Bound, dests []network.NodeID, seed in
 	}
 	r := &Random{
 		bound:    bound,
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      newRand(seed),
 		dests:    dests,
 		path:     nw.IsPath(),
 		shaper:   shaper,
@@ -103,6 +104,32 @@ func NewRandom(nw *network.Network, bound Bound, dests []network.NodeID, seed in
 		o(r)
 	}
 	return r, nil
+}
+
+// sources holds the random sources of released adversaries.
+var sources sync.Pool
+
+// newRand returns a generator seeded with seed. It reseeds a released
+// one when there is one, which draws the same stream as a new
+// rand.New(rand.NewSource(seed)) without allocating its 4.9 KB source.
+func newRand(seed int64) *rand.Rand {
+	if r, ok := sources.Get().(*rand.Rand); ok {
+		r.Seed(seed)
+		return r
+	}
+	return rand.New(rand.NewSource(seed))
+}
+
+// Release hands the adversary's random source and shaper array back for
+// the next cell's adversary to reuse. The harness calls it when the cell
+// ends; the adversary must not be used after.
+func (r *Random) Release() {
+	if r.shaper == nil {
+		return
+	}
+	sources.Put(r.rng)
+	r.shaper.release()
+	r.rng, r.shaper = nil, nil
 }
 
 // Bound implements Adversary.

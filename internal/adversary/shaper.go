@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"smallbuffers/internal/network"
 )
@@ -39,7 +40,12 @@ type shaper struct {
 	nb, h int // blocks, and the height above them: bits.Len(nb)
 	mx    []int64
 	c, a  []int64
+	vals  []int64 // the one array behind val, mx, c and a
 }
+
+// shaperArrays holds the arrays of released shapers (see release), so a
+// sweep's cells reuse one another's instead of allocating their own.
+var shaperArrays sync.Pool
 
 // newShaper returns a shaper with ξ ≡ 0 for bound b on nw.
 func newShaper(nw *network.Network, b Bound) (*shaper, error) {
@@ -49,9 +55,23 @@ func newShaper(nw *network.Network, b Bound) (*shaper, error) {
 	}
 	n := nw.Len()
 	nb := (n + blockLen - 1) / blockLen
-	vals := make([]int64, n+6*nb)
-	return &shaper{nw: nw, p: p, q: q, limit: q*int64(b.Sigma) + p, nb: nb, h: bits.Len(uint(nb)),
+	var vals []int64
+	if pooled, ok := shaperArrays.Get().(*[]int64); ok && cap(*pooled) >= n+6*nb {
+		vals = (*pooled)[:n+6*nb]
+		clear(vals)
+	} else {
+		vals = make([]int64, n+6*nb)
+	}
+	return &shaper{nw: nw, p: p, q: q, limit: q*int64(b.Sigma) + p, nb: nb, h: bits.Len(uint(nb)), vals: vals,
 		val: vals[:n:n], mx: vals[n : n+2*nb : n+2*nb], c: vals[n+2*nb : n+4*nb : n+4*nb], a: vals[n+4*nb:]}, nil
+}
+
+// release hands the shaper's array back for a later shaper to reuse. The
+// shaper must not be used after.
+func (s *shaper) release() {
+	vals := s.vals
+	shaperArrays.Put(&vals)
+	*s = shaper{}
 }
 
 // admit charges one packet src→dst to the round in progress if every

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"smallbuffers/internal/adversary"
 	"smallbuffers/internal/network"
@@ -40,8 +41,9 @@ import (
 // disjoint). The index walks the occupied buffers only, so it costs O(P)
 // for P buffered packets, plus a sort of the destinations present; the
 // sweep then costs the length of the intervals it activates. The scratch
-// is sized at Attach, and Decide allocates nothing once its decision
-// scratch has grown.
+// is sized at Attach, from a released run's when one is large enough
+// (see Release), and Decide allocates nothing once its decision scratch
+// has grown.
 type PPTS struct {
 	drainWhenIdle bool
 	nw            *network.Network
@@ -51,6 +53,8 @@ type PPTS struct {
 	seen  []int // last node found holding a packet for w
 	dests []int // the destinations present, ascending
 	out   []sim.Forward
+	// scratch is the one array behind first, bad, seen and dests.
+	scratch []int
 }
 
 var _ sim.Protocol = (*PPTS)(nil)
@@ -87,12 +91,31 @@ func (p *PPTS) Attach(nw *network.Network, _ adversary.Bound, _ []network.NodeID
 	}
 	n := nw.Len()
 	p.nw = nw
-	scratch := make([]int, 4*n)
-	p.first, p.bad, p.seen, p.dests = scratch[:n], scratch[n:2*n], scratch[2*n:3*n], scratch[3*n:3*n]
-	for i := range scratch[:3*n] {
-		scratch[i] = -1
+	if pooled, ok := pptsScratch.Get().(*[]int); ok && cap(*pooled) >= 4*n {
+		p.scratch = (*pooled)[:4*n]
+	} else {
+		p.scratch = make([]int, 4*n)
+	}
+	p.first, p.bad, p.seen, p.dests = p.scratch[:n], p.scratch[n:2*n], p.scratch[2*n:3*n], p.scratch[3*n:3*n]
+	for i := range p.scratch[:3*n] {
+		p.scratch[i] = -1
 	}
 	return nil
+}
+
+// pptsScratch holds the scratch of released PPTS instances.
+var pptsScratch sync.Pool
+
+// Release hands the scratch back for a later run's Attach to reuse. The
+// harness calls it when the cell ends; the protocol must be attached
+// again before its next Decide.
+func (p *PPTS) Release() {
+	if p.scratch == nil {
+		return
+	}
+	scratch := p.scratch
+	pptsScratch.Put(&scratch)
+	p.scratch, p.first, p.bad, p.seen, p.dests = nil, nil, nil, nil, nil
 }
 
 // index records, in one left-to-right pass over round v's packets, the

@@ -1,0 +1,115 @@
+package fleet
+
+import (
+	"context"
+	"math"
+	"runtime"
+	"testing"
+
+	"smallbuffers/internal/harness"
+	"smallbuffers/internal/scenario"
+	"smallbuffers/internal/service"
+	"smallbuffers/internal/store"
+)
+
+// recordGrid is the fleet-resume benchmark workload's grid shape: three
+// small topologies × four protocols × four seeds, 48 cells of 200
+// rounds.
+const recordGrid = `{"name": "fleet-grid",
+	"topologies": [{"name": "path", "params": {"n": 16}}, {"name": "binary", "params": {"height": 3}},
+		{"name": "spider", "params": {"arms": 3, "len": 5}}],
+	"protocols": [{"name": "greedy-fifo"}, {"name": "greedy-lis"}, {"name": "greedy-ntg"}, {"name": "tree-ppts"}],
+	"adversary": {"name": "random", "params": {"d": 2}},
+	"bound": {"rho": "1/2", "sigma": 2}, "rounds": 200, "seeds": [3, 5, 8, 13]}`
+
+// TestFleetRecordBytes is the byte gate on the record path: one op of
+// the fleet-resume workload — recordGrid run fresh on two in-process
+// daemons into a new store entry, then resumed into another entry
+// seeded with the first half of those records, each entry's digest
+// re-derived from disk — allocates, daemons and coordinator together, no
+// more than with each record encoded once on its way from the daemon's
+// engine to the store and folded once as it commits, and random sources
+// reseeded rather than allocated: 1.25 MB (measured with go1.24.0 on
+// linux/amd64). With a record marshalled for its frame, the daemon's
+// digest and the store, decoded again for the end-of-run digest and
+// fold, and a new random source per cell, the op allocated 1.69 MB.
+func TestFleetRecordBytes(t *testing.T) {
+	if raceEnabled {
+		// sync.Pool drops items at random under the race detector, and
+		// its instrumentation changes what allocates.
+		t.Skip("allocation gate: run without -race")
+	}
+	sc, err := scenario.Parse([]byte(recordGrid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dig, err := sc.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, err := sc.GridSize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := harness.IndexRange{Lo: 0, Hi: total}
+	var eps []string
+	for range 2 {
+		eps = append(eps, newDaemon(t, service.Config{Workers: 1, SweepWorkers: 1}).addr())
+	}
+	cfg := Config{Endpoints: eps, InFlightPerDaemon: 1}
+	run := func(root, from string) string {
+		st, err := store.Open(root, dig, span, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if from != "" {
+			src, err := store.Open(from, dig, span, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			if err := src.Scan(func(rec harness.CellRecord) error {
+				if rec.Index >= total/2 {
+					return nil
+				}
+				return st.Append(rec)
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cfg.Store = st
+		res, err := Run(context.Background(), cfg, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, err := st.Digest(); err != nil || d != res.Summary.ResultsDigest {
+			t.Fatalf("the store re-derives %s (%v), the fleet reported %s", d, err, res.Summary.ResultsDigest)
+		}
+		return res.Summary.ResultsDigest
+	}
+	op := func() {
+		fresh := t.TempDir()
+		if a, b := run(fresh, ""), run(t.TempDir(), fresh); a != b {
+			t.Fatalf("resumed digest %s, fresh %s", b, a)
+		}
+	}
+
+	// One P keeps the runtime's own allocations out of the count; the
+	// least of several ops drops whatever is left.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	op()
+	best := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for range 8 {
+		runtime.ReadMemStats(&before)
+		op()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	const limit = 1_300_000
+	t.Logf("%d B per op (limit %d)", best, limit)
+	if best > limit {
+		t.Errorf("one fleet-resume op allocates %d B, want ≤ %d", best, limit)
+	}
+}

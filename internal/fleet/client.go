@@ -166,9 +166,12 @@ const (
 
 // stream follows a run's NDJSON stream, invoking onCell for every cell
 // record as its frame decodes whole, and returns the closing summary
-// report. An error means the stream broke before the summary: the cells
-// already passed to onCell are sound, the rest of the run never arrived.
-func (c *client) stream(ctx context.Context, runID string, onCell func(harness.CellRecord)) (*service.Report, error) {
+// report. onCell also gets the record's canonical encoding, cut from the
+// frame (see service.CutCellFrame), or nil for a frame of another
+// layout; the bytes are valid only during the call. An error means the
+// stream broke before the summary: the cells already passed to onCell
+// are sound, the rest of the run never arrived.
+func (c *client) stream(ctx context.Context, runID string, onCell func(rec harness.CellRecord, line []byte)) (*service.Report, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/runs/"+runID+"/stream", nil)
 	if err != nil {
 		return nil, err
@@ -199,7 +202,8 @@ func (c *client) stream(ctx context.Context, runID string, onCell func(harness.C
 		}
 		switch frame.Type {
 		case "cell":
-			onCell(frame.CellRecord)
+			canonical, _ := service.CutCellFrame(line)
+			onCell(frame.CellRecord, canonical)
 		case "summary":
 			var rep service.Report
 			if err := json.Unmarshal(line, &rep); err != nil {

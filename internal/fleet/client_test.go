@@ -49,6 +49,7 @@ func TestStreamDecoder(t *testing.T) {
 		name  string
 		body  string
 		cells []harness.CellRecord
+		cut   int // how many cells come with their encoding cut from the frame
 		rep   *service.Report
 		err   string
 	}{
@@ -56,6 +57,13 @@ func TestStreamDecoder(t *testing.T) {
 			name:  "a frame wider than the initial buffer arrives whole",
 			body:  cellFrame(t, small) + cellFrame(t, wide) + summaryFrame(t, rep),
 			cells: []harness.CellRecord{small, wide},
+			cut:   2,
+			rep:   &rep,
+		},
+		{
+			name:  "a frame of another layout decodes without an encoding",
+			body:  `{"index":3,"cell":"n=8","max_load":2,"injected":40,"delivered":38,"residual":2,"type":"cell"}` + "\n" + summaryFrame(t, rep),
+			cells: []harness.CellRecord{small},
 			rep:   &rep,
 		},
 		{
@@ -63,18 +71,21 @@ func TestStreamDecoder(t *testing.T) {
 			body: cellFrame(t, small) + `{"type":"cell","cell":"` + strings.Repeat("x", streamBufMax) + "\"}\n" +
 				summaryFrame(t, rep),
 			cells: []harness.CellRecord{small},
+			cut:   1,
 			err:   "stream broke",
 		},
 		{
 			name:  "blank lines are skipped",
 			body:  "\n  \n" + cellFrame(t, small) + "\n\t\n" + summaryFrame(t, rep),
 			cells: []harness.CellRecord{small},
+			cut:   1,
 			rep:   &rep,
 		},
 		{
 			name:  "an unknown frame type is an error",
 			body:  cellFrame(t, small) + `{"type":"progress","cells_done":1}` + "\n" + summaryFrame(t, rep),
 			cells: []harness.CellRecord{small},
+			cut:   1,
 			err:   `unknown stream frame type "progress"`,
 		},
 		{
@@ -94,8 +105,16 @@ func TestStreamDecoder(t *testing.T) {
 			}))
 			defer ts.Close()
 			var cells []harness.CellRecord
-			got, err := newClient(ts.URL).stream(context.Background(), "r1-x", func(rec harness.CellRecord) {
+			cut := 0
+			got, err := newClient(ts.URL).stream(context.Background(), "r1-x", func(rec harness.CellRecord, line []byte) {
 				cells = append(cells, rec)
+				if line == nil {
+					return
+				}
+				cut++
+				if want, err := json.Marshal(rec); err != nil || string(line) != string(want) {
+					t.Errorf("cell %d: cut %s from its frame, want %s", rec.Index, line, want)
+				}
 			})
 			if tc.err != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.err) {
@@ -103,6 +122,9 @@ func TestStreamDecoder(t *testing.T) {
 				}
 			} else if err != nil {
 				t.Fatal(err)
+			}
+			if cut != tc.cut {
+				t.Errorf("%d cells came with their encoding, want %d", cut, tc.cut)
 			}
 			if !reflect.DeepEqual(cells, tc.cells) {
 				t.Errorf("onCell got %d cells %.200v, want %d", len(cells), cells, len(tc.cells))

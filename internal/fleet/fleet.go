@@ -74,16 +74,17 @@ type Config struct {
 	// twice this. Default 4.
 	MinStealCells int
 	// Store, when set, is the durable merge sink: every received record
-	// streams to disk as it arrives instead of accumulating in
-	// coordinator memory (the merge holds O(1) cells at any grid size —
-	// see Summary.MaxBufferedCells), cells the store already covers are
-	// not dispatched at all (checkpoint/resume — a killed run picks up
-	// where its store left off), and the final digest is re-derived by
-	// streaming the records back off disk in index order. The entry must
-	// be keyed by this scenario's digest and span its whole grid; the
-	// caller opens and closes it. Result.Records is nil in store mode.
-	// The merged digest is byte-identical with and without a store —
-	// persistence changes where records live, never what they contain.
+	// streams to disk as it arrives, as the bytes its daemon encoded it
+	// to, instead of accumulating in coordinator memory (the merge holds
+	// O(1) cells at any grid size — see Summary.MaxBufferedCells), cells
+	// the store already covers are not dispatched at all
+	// (checkpoint/resume — a killed run picks up where its store left
+	// off), and the final digest is re-derived from the stored bytes in
+	// index order, without decoding them. The entry must be keyed by this
+	// scenario's digest and span its whole grid; the caller opens and
+	// closes it. Result.Records is nil in store mode. The merged digest is
+	// byte-identical with and without a store — persistence changes where
+	// records live, never what they contain.
 	Store *store.Store
 	// Clock injects time for backoff, live-watch pacing and the summary's
 	// elapsed fields. Defaults to live.SystemClock(). Simulation results
@@ -137,8 +138,8 @@ type DaemonStats struct {
 }
 
 // Summary describes how a fleet run went: the merged result counters,
-// the grid-wide metric summaries (folded in cell-index order via
-// metrics.MergeAll, exactly as a local run would), and the distribution
+// the grid-wide metric summaries (folded by metrics.Fold as records
+// commit, exactly as a local run folds them), and the distribution
 // story — cells per daemon, retries, steals, and wall-clock against the
 // perfect-balance ideal.
 type Summary struct {
@@ -212,7 +213,6 @@ type merge interface {
 	Append(harness.CellRecord) error
 	Count() int
 	UncoveredIn(harness.IndexRange) []harness.IndexRange
-	Scan(func(harness.CellRecord) error) error
 	Digest() (string, error)
 }
 
@@ -231,6 +231,21 @@ type coordinator struct {
 	done    bool
 	retries int
 	steals  int
+	// The merged records' counters and metric fold, kept as records
+	// commit.
+	completed, failed int
+	fold              metrics.Fold
+}
+
+// tally counts one merged record and folds its metrics. Caller holds
+// co.mu, or owns co alone.
+func (co *coordinator) tally(rec harness.CellRecord) {
+	if rec.Err != "" {
+		co.failed++
+		return
+	}
+	co.completed++
+	co.fold.Add(rec.Index, rec.Metrics...)
 }
 
 // Run executes sc's whole sweep grid across the fleet and returns the
@@ -288,6 +303,16 @@ func Run(ctx context.Context, cfg Config, sc *scenario.Scenario) (*Result, error
 		return nil, err
 	}
 	resumed := merged.Count()
+	if resumed > 0 {
+		// The one read of the records already durable; the rest are
+		// tallied as they commit.
+		if err := cfg.Store.Scan(func(rec harness.CellRecord) error {
+			co.tally(rec)
+			return nil
+		}); err != nil {
+			return nil, fmt.Errorf("fleet: store scan: %w", err)
+		}
+	}
 	owed := merged.UncoveredIn(harness.IndexRange{Lo: 0, Hi: total})
 	for _, rng := range harness.PartitionRangesWeighted(owed, weights, len(cfg.Endpoints)*cfg.ShardsPerDaemon) {
 		co.pending = append(co.pending, shardItem{rng: rng})
@@ -342,54 +367,27 @@ func Run(ctx context.Context, cfg Config, sc *scenario.Scenario) (*Result, error
 
 	sum := Summary{
 		Requested: co.total,
+		Completed: co.completed,
+		Failed:    co.failed,
 		Retries:   co.retries,
 		Steals:    co.steals,
 		Resumed:   resumed,
 		Wall:      cfg.Clock.Now().Sub(start),
 	}
+	// Same policy as a local sweep's fold meeting a kind clash: drop the
+	// aggregate, keep the run.
+	if co.fold.Err() == nil {
+		sum.Metrics = metrics.Records(co.fold.Map())
+	}
 
-	// Stream the merged records back in index order: the digest and the
-	// metric fold go record by record, so a store-backed merge holds O(1)
-	// cells in memory, exactly like its append path.
+	// The digest streams the merged records in index order, so a
+	// store-backed merge holds O(1) cells in memory, exactly like its
+	// append path.
 	digest, err := merged.Digest()
 	if err != nil {
 		return nil, fmt.Errorf("fleet: merge digest: %w", err)
 	}
 	sum.ResultsDigest = digest
-	agg := make(map[string]metrics.Summary)
-	mergeable := true
-	err = merged.Scan(func(rec harness.CellRecord) error {
-		if rec.Err != "" {
-			sum.Failed++
-			return nil
-		}
-		sum.Completed++
-		if !mergeable {
-			return nil
-		}
-		for _, ms := range rec.Metrics {
-			prev, ok := agg[ms.Name]
-			if !ok {
-				agg[ms.Name] = ms
-				continue
-			}
-			m, err := metrics.Merge(prev, ms)
-			if err != nil {
-				// Same policy as a local sweep's MergeAll failing: drop
-				// the aggregate, keep the run.
-				mergeable = false
-				return nil
-			}
-			agg[ms.Name] = m
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("fleet: merge scan: %w", err)
-	}
-	if mergeable && len(agg) > 0 {
-		sum.Metrics = metrics.Records(agg)
-	}
 
 	var recs []harness.CellRecord
 	if cfg.Store != nil {
@@ -563,7 +561,7 @@ func (co *coordinator) runTask(ctx context.Context, d *daemonState, t *task) {
 			return
 		}
 		for _, rec := range cached.Cells {
-			co.appendCell(t, rec)
+			co.appendCell(t, rec, nil)
 		}
 		co.commitDone(d, t, co.cfg.Clock.Now().Sub(start))
 		return
@@ -574,7 +572,7 @@ func (co *coordinator) runTask(ctx context.Context, d *daemonState, t *task) {
 	d.stats.Dispatches++
 	co.mu.Unlock()
 
-	rep, err := d.client.stream(ctx, runID, func(rec harness.CellRecord) { co.appendCell(t, rec) })
+	rep, err := d.client.stream(ctx, runID, func(rec harness.CellRecord, line []byte) { co.appendCell(t, rec, line) })
 	elapsed := co.cfg.Clock.Now().Sub(start)
 	if err != nil {
 		// The stream broke before its summary: the daemon (or the network
@@ -610,20 +608,22 @@ func (co *coordinator) runTask(ctx context.Context, d *daemonState, t *task) {
 	}
 }
 
-// appendCell commits one received record to the merge. Records carrying
-// a context-cancellation error are scheduling artifacts — a cell
-// interrupted mid-simulation, not a result — and are dropped so their
-// indices stay uncovered and re-run. A record outside the task's shard,
-// one already merged, or a failed store append is fatal: either the
-// daemon or the disk under the merge is lying.
-func (co *coordinator) appendCell(t *task, rec harness.CellRecord) {
+// appendCell commits one received record to the merge, and tallies it.
+// line, when not nil, is the record's canonical encoding as its daemon
+// made it (see service.CutCellFrame), which a store keeps as it is.
+// Records carrying a context-cancellation error are scheduling artifacts
+// — a cell interrupted mid-simulation, not a result — and are dropped so
+// their indices stay uncovered and re-run. A record outside the task's
+// shard, one already merged, or a failed store append is fatal: either
+// the daemon or the disk under the merge is lying.
+func (co *coordinator) appendCell(t *task, rec harness.CellRecord, line []byte) {
 	if strings.Contains(rec.Err, context.Canceled.Error()) {
 		return
 	}
 	var err error
 	if rec.Index < t.item.rng.Lo || rec.Index >= t.item.rng.Hi {
 		err = fmt.Errorf("fleet: shard %s streamed out-of-range cell %d", t.item.rng, rec.Index)
-	} else if aerr := co.merged.Append(rec); aerr != nil {
+	} else if aerr := co.commit(rec, line); aerr != nil {
 		err = fmt.Errorf("fleet: merge cell %d of shard %s: %w", rec.Index, t.item.rng, aerr)
 	}
 	co.mu.Lock()
@@ -633,6 +633,16 @@ func (co *coordinator) appendCell(t *task, rec harness.CellRecord) {
 		return
 	}
 	t.appended++
+	co.tally(rec)
+}
+
+// commit appends one record to the merge: a store takes its encoding
+// when there is one, and encodes the record itself otherwise.
+func (co *coordinator) commit(rec harness.CellRecord, line []byte) error {
+	if st := co.cfg.Store; st != nil && line != nil {
+		return st.AppendEncoded(rec.Index, rec.Faults != "", line)
+	}
+	return co.merged.Append(rec)
 }
 
 // commitDone settles a cleanly finished shard. Its records are already

@@ -77,16 +77,6 @@ func (g *grid) records() []harness.CellRecord {
 	return out
 }
 
-// Scan calls fn on every merged record in index order.
-func (g *grid) Scan(fn func(harness.CellRecord) error) error {
-	for _, rec := range g.records() {
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Digest returns the records digest of the merged cells.
 func (g *grid) Digest() (string, error) {
 	return harness.RecordsDigest(g.records()), nil

@@ -69,8 +69,8 @@ type DaemonLive struct {
 
 // FleetLive is the merged fleet-wide progress/occupancy view: per-daemon
 // in-flight runs plus aggregates folded across every one of them —
-// cells summed, rates summed, and the metric summaries merged under
-// metrics.MergeAll (the same rules as final reports), so the fleet's
+// cells summed, rates summed, and the metric summaries folded under
+// metrics.Fold (the same rules as final reports), so the fleet's
 // recent-window occupancy reads like a single run's.
 type FleetLive struct {
 	Daemons           []DaemonLive      `json:"daemons"`
@@ -103,7 +103,7 @@ func LiveSnapshot(ctx context.Context, cfg Config) (*FleetLive, error) {
 		return nil, err
 	}
 	snap := &FleetLive{}
-	var perRun []map[string]metrics.Summary
+	var fold metrics.Fold
 	for _, ep := range cfg.Endpoints {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -133,18 +133,13 @@ func LiveSnapshot(ctx context.Context, cfg Config) (*FleetLive, error) {
 			snap.CellsDone += v.CellsDone
 			snap.CellsInFlight += v.CellsInFlight
 			snap.CellsPerSecMillis += v.CellsPerSecMillis
-			if len(v.Metrics) > 0 {
-				m := make(map[string]metrics.Summary, len(v.Metrics))
-				for _, s := range v.Metrics {
-					m[s.Name] = s
-				}
-				perRun = append(perRun, m)
-			}
+			// Runs fold as cells would, numbered in poll order.
+			fold.Add(snap.RunsInFlight, v.Metrics...)
 		}
 		snap.Daemons = append(snap.Daemons, d)
 	}
-	if merged, err := metrics.MergeAll(perRun); err == nil {
-		snap.Metrics = metrics.Records(merged)
+	if fold.Err() == nil {
+		snap.Metrics = metrics.Records(fold.Map())
 	}
 	return snap, nil
 }

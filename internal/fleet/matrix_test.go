@@ -149,7 +149,7 @@ func TestDigestMatrix(t *testing.T) {
 		}},
 		{name: "served", run: func(t *testing.T, f pinnedFile) string {
 			rep := postRun(t, served.ts.URL, f.body, "", http.StatusOK)
-			checkSummary(t, f.name, rep.Summary)
+			checkSummary(t, f, rep.Summary)
 			again := postRun(t, served.ts.URL, f.body, "", http.StatusOK)
 			servedFiles.Add(1)
 			if !again.Cached || again.ResultsDigest != rep.ResultsDigest {
@@ -165,11 +165,13 @@ func TestDigestMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkMetrics(t, f, res.Summary.Metrics)
 			return res.Summary.ResultsDigest
 		}},
 		{name: "kill", run: func(t *testing.T, f pinnedFile) string {
 			sc := f.parse(t)
 			res, _ := runKillingFirst(t, sc, openStoreFor(t, t.TempDir(), sc), healthy)
+			checkMetrics(t, f, res.Summary.Metrics)
 			return res.Summary.ResultsDigest
 		}},
 		{name: "resume", run: func(t *testing.T, f pinnedFile) string {
@@ -262,14 +264,22 @@ func resumeFromHalf(t *testing.T, f pinnedFile, eps []string) string {
 	if res.Summary.Resumed != half {
 		t.Errorf("resumed %d cells, want %d", res.Summary.Resumed, half)
 	}
+	checkMetrics(t, f, res.Summary.Metrics)
 	return res.Summary.ResultsDigest
 }
 
 // watchRun submits f without waiting, follows the run's SSE stream to its
 // summary and reads the run's /live view after every event, then returns
-// the finished run's digest.
+// the finished run's digest. Every cell frame must be the stream event
+// json.Marshal makes of the local run's record, and the bytes the
+// coordinator cuts from it that record's own encoding.
 func watchRun(t *testing.T, base string, f pinnedFile) string {
 	t.Helper()
+	agg, err := f.local()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := agg.Records()
 	id := postRun(t, base, f.body, "?wait=0", http.StatusAccepted).ID
 	req, err := http.NewRequest(http.MethodGet, base+"/v1/runs/"+id+"/stream", nil)
 	if err != nil {
@@ -289,6 +299,8 @@ func watchRun(t *testing.T, base string, f pinnedFile) string {
 		if event, ok := strings.CutPrefix(sc.Text(), "event: "); ok {
 			last = event
 			getJSON(t, base+"/v1/runs/"+id+"/live", &view)
+		} else if data, ok := bytes.CutPrefix(sc.Bytes(), []byte("data: ")); ok && last == "cell" {
+			checkCellFrame(t, recs, data)
 		}
 	}
 	if err := sc.Err(); err != nil || last != "summary" {
@@ -308,14 +320,45 @@ func watchRun(t *testing.T, base string, f pinnedFile) string {
 	return rep.ResultsDigest
 }
 
-// checkSummary checks what two corpus files exist to show beyond their
-// digest: metrics-full's merged summaries and faults-lossy's losses.
-func checkSummary(t *testing.T, name string, sum *service.Summary) {
+// checkCellFrame checks one cell frame against the local records: the
+// frame is json.Marshal of the stream event, and service.CutCellFrame
+// cuts json.Marshal of the record from it.
+func checkCellFrame(t *testing.T, recs []harness.CellRecord, frame []byte) {
+	t.Helper()
+	var ev struct {
+		Type string `json:"type"`
+		harness.CellRecord
+	}
+	if err := json.Unmarshal(frame, &ev); err != nil || ev.Index < 0 || ev.Index >= len(recs) {
+		t.Fatalf("cell frame %.200s: index %d of %d, %v", frame, ev.Index, len(recs), err)
+	}
+	ev.CellRecord = recs[ev.Index]
+	want, err := json.Marshal(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(frame, want) {
+		t.Errorf("cell %d's frame:\n %s\nwant\n %s", ev.Index, frame, want)
+	}
+	line, ok := service.CutCellFrame(frame)
+	if want, err = json.Marshal(recs[ev.Index]); err != nil {
+		t.Fatal(err)
+	}
+	if !ok || !bytes.Equal(line, want) {
+		t.Errorf("cell %d: cut %s from its frame, want %s", ev.Index, line, want)
+	}
+}
+
+// checkSummary checks a served summary's merged metrics (see
+// checkMetrics) and what two corpus files exist to show beyond their
+// digest: metrics-full's collectors and faults-lossy's losses.
+func checkSummary(t *testing.T, f pinnedFile, sum *service.Summary) {
 	t.Helper()
 	if sum == nil {
 		t.Fatal("report carries no summary")
 	}
-	switch name {
+	checkMetrics(t, f, sum.Metrics)
+	switch f.name {
 	case "scenarios/metrics-full.json":
 		if got, want := metricNames(sum.Metrics), "latency,link_util_series,load_hist,load_series,max_load"; got != want {
 			t.Errorf("summary metrics %s, want %s", got, want)
@@ -324,6 +367,28 @@ func checkSummary(t *testing.T, name string, sum *service.Summary) {
 		if sum.DroppedTotal <= 0 {
 			t.Errorf("dropped_total = %d for a lossy grid, want > 0", sum.DroppedTotal)
 		}
+	}
+}
+
+// checkMetrics checks a row's merged metric summaries against the local
+// run's, wire byte for wire byte: every path folds the same records to
+// the same aggregate.
+func checkMetrics(t *testing.T, f pinnedFile, got []metrics.Summary) {
+	t.Helper()
+	agg, err := f.local()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := json.Marshal(metrics.Records(agg.Metrics))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g, w) {
+		t.Errorf("merged metrics differ from the local run's:\n got %s\nwant %s", g, w)
 	}
 }
 

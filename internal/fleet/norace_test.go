@@ -1,0 +1,6 @@
+//go:build !race
+
+package fleet
+
+// raceEnabled reports a -race build.
+const raceEnabled = false

@@ -461,6 +461,10 @@ func (s *Sweep) Build(c Cell) (*network.Network, sim.Protocol, adversary.Adversa
 	return nw, p, a, nil
 }
 
+// releaser is a protocol or adversary holding pooled scratch, which it
+// hands back once its cell has ended (core.PPTS, adversary.Random).
+type releaser interface{ Release() }
+
 // runCell builds one cell and executes it, reusing the worker's engine
 // when possible.
 func (s *Sweep) runCell(ctx context.Context, eng **sim.Engine, c Cell) CellResult {
@@ -468,6 +472,14 @@ func (s *Sweep) runCell(ctx context.Context, eng **sim.Engine, c Cell) CellResul
 	if err != nil {
 		return CellResult{Cell: c, Err: err}
 	}
+	defer func() {
+		if r, ok := p.(releaser); ok {
+			r.Release()
+		}
+		if r, ok := a.(releaser); ok {
+			r.Release()
+		}
+	}()
 	opts := make([]sim.Option, 0, 5)
 	if c.Faults != "" {
 		var fs *FaultSpec
@@ -574,9 +586,9 @@ type SweepResult struct {
 	Delivered  stats.Summary
 
 	// Metrics aggregates the clean cells' metric summaries per collector
-	// name, folded in cell-index order (see metrics.Merge: histograms
-	// merge bucket-wise with re-derived quantiles, scalars merge by
-	// maximum except anchored argmax groups, series drop).
+	// name (see metrics.Fold: histograms merge bucket-wise with re-derived
+	// quantiles, scalars merge by maximum except anchored argmax groups,
+	// whose ties go to the lower cell index, and series drop).
 	Metrics map[string]metrics.Summary
 }
 
@@ -600,6 +612,7 @@ func (s *Sweep) Run(ctx context.Context) (*SweepResult, error) {
 		return nil, err
 	}
 	agg := &SweepResult{Requested: len(cells)}
+	var fold metrics.Fold
 	for cr := range s.stream(ctx, cells) {
 		agg.Cells = append(agg.Cells, cr)
 		if cr.Err != nil {
@@ -612,23 +625,16 @@ func (s *Sweep) Run(ctx context.Context) (*SweepResult, error) {
 		if avg, ok := cr.Result.AvgLatency(); ok {
 			agg.AvgLatency.Add(avg)
 		}
+		// The fold takes cells in completion order and resolves anchor
+		// ties by cell index, as the service and the fleet do.
+		fold.Add(cr.Cell.Index, metrics.Records(cr.Result.Metrics)...)
 	}
 	sort.Slice(agg.Cells, func(i, j int) bool { return agg.Cells[i].Cell.Index < agg.Cells[j].Cell.Index })
-	// Merge metric summaries in cell-index order — anchored merges break
-	// ties toward the earlier fold argument, so the order must be
-	// canonical (and match the service tier, which merges sorted
-	// records), never worker-completion order. Same-name summaries
-	// always merge cleanly (one collector per name per cell); an error
-	// would mean mixed kinds under one name, which the registry rules
-	// out — drop the aggregate rather than the sweep.
-	var perCell []map[string]metrics.Summary
-	for _, cr := range agg.Cells {
-		if cr.Err == nil && len(cr.Result.Metrics) > 0 {
-			perCell = append(perCell, cr.Result.Metrics)
-		}
-	}
-	if merged, err := metrics.MergeAll(perCell); err == nil {
-		agg.Metrics = merged
+	// One collector per name per cell, so same-name summaries fold
+	// cleanly; a kind clash would mean mixed kinds under one name, which
+	// the registry rules out — drop the aggregate rather than the sweep.
+	if fold.Err() == nil {
+		agg.Metrics = fold.Map()
 	}
 	if err := ctx.Err(); err != nil {
 		agg.Interrupted = true

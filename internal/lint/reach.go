@@ -10,12 +10,13 @@ import (
 // digestRootRE matches the names of functions that begin a digest or
 // canonical-wire path: content addressing (RecordsDigest, Scenario.Digest),
 // canonical marshalling (Marshal, appendCanonical, JSONMap, label),
-// wire-record construction (Record/Records, Summarize, Merge), and
-// parameter canonicalization (Resolve).
+// wire-record construction (Record/Records, Summarize, Merge, and the
+// metric fold's methods, matched by receiver-qualified name: Fold.Add,
+// Fold.Map), and parameter canonicalization (Resolve).
 // Everything statically reachable from such a function inside its package
 // is "digest path" for detmap, nofloat, and hasherr.
 var digestRootRE = regexp.MustCompile(
-	`Digest|digest|Canonical|canonical|Summarize|` +
+	`Digest|digest|Canonical|canonical|Summarize|^Fold\.|` +
 		`^(Marshal|MarshalJSON|Merge|MergeAll|Record|Records|RecordsSorted|JSONMap|Resolve|label)$`)
 
 // funcsOf indexes the package's function and method declarations by their
@@ -43,7 +44,7 @@ func digestReach(pass *Pass) map[*ast.FuncDecl]bool {
 	reached := map[*types.Func]bool{}
 	var queue []*types.Func
 	for fn := range decls {
-		if digestRootRE.MatchString(fn.Name()) {
+		if d := decls[fn]; digestRootRE.MatchString(fn.Name()) || d.Recv != nil && digestRootRE.MatchString(declName(d)) {
 			reached[fn] = true
 			queue = append(queue, fn)
 		}

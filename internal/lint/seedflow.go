@@ -12,11 +12,12 @@ import (
 // domain-tagged splitmix64): that is what makes digests identical at any
 // worker count and fault schedules nested across drop probabilities.
 //
-// A call to rand.NewSource / rand.New / rand.NewPCG / rand.NewChaCha8 is
-// therefore only legal when its seed argument visibly flows from outside
-// the function (a parameter, or a field of one — the caller got it from
-// the cell) or from a keyed derivation helper (a callee whose name
-// matches derive/mix/split/stream/fold/seed). Literal seeds, package
+// A call to rand.NewSource / rand.New / rand.NewPCG / rand.NewChaCha8, or
+// a reseed through Seed ((*rand.Rand).Seed, as a pooled generator is
+// reused), is therefore only legal when its seed argument visibly flows
+// from outside the function (a parameter, or a field of one — the caller
+// got it from the cell) or from a keyed derivation helper (a callee whose
+// name matches derive/mix/split/stream/fold/seed). Literal seeds, package
 // state, and locally invented values are flagged.
 var SeedFlow = &Analyzer{
 	Name: "seedflow",
@@ -28,10 +29,10 @@ var SeedFlow = &Analyzer{
 // from the keyed cell-seed hash.
 var seedDeriverRE = regexp.MustCompile(`(?i)derive|mix|split|stream|fold|seed`)
 
-// seededConstructors are the rand functions whose argument is (or wraps)
-// a seed.
+// seededConstructors are the rand functions and methods whose argument
+// is (or wraps) a seed.
 var seededConstructors = map[string]bool{
-	"NewSource": true, "New": true, "NewPCG": true, "NewChaCha8": true,
+	"NewSource": true, "New": true, "NewPCG": true, "NewChaCha8": true, "Seed": true,
 }
 
 func runSeedFlow(pass *Pass) error {

@@ -59,3 +59,25 @@ func CanonicalKeys(m map[string]bool) []string {
 	_ = seen
 	return keys
 }
+
+// Fold's methods are digest roots by their receiver-qualified name.
+type Fold struct{ m map[string]int }
+
+// Add is Fold.Add: its map loops are digest path.
+func (f *Fold) Add(k string) string {
+	for key := range f.m { // want "order-sensitive range over map in digest path Fold.Add"
+		k = k + key
+	}
+	return k
+}
+
+// tally's Add shares the name, not the receiver: not a root.
+type tally struct{ m map[string]int }
+
+func (t *tally) Add() int {
+	n := 0
+	for _, v := range t.m {
+		n += v
+	}
+	return n
+}

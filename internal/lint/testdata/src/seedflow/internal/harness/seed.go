@@ -33,3 +33,13 @@ func AdHocLiteral() *rand.Rand {
 func AdHocGlobal() rand.Source {
 	return rand.NewSource(baseline) // want "ad-hoc seed for rand.NewSource"
 }
+
+// Reseed reuses a pooled generator for a cell: the seed flows in, legal.
+func Reseed(r *rand.Rand, seed int64) {
+	r.Seed(seed)
+}
+
+// ReseedLiteral reseeds a pooled generator from a constant: flagged.
+func ReseedLiteral(r *rand.Rand) {
+	r.Seed(7) // want "ad-hoc seed for rand.Seed"
+}

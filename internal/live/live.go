@@ -84,8 +84,8 @@ type View struct {
 	CellsPerSecMillis int64 `json:"cells_per_sec_millis"`
 	ETAMillis         int64 `json:"eta_millis,omitempty"`
 	// Metrics is the merge-as-you-go summary set over every cell
-	// published so far, sorted by collector name. Merged under the same
-	// rules as final reports (metrics.Merge), so the windowed collectors'
+	// published so far, sorted by collector name. Folded under the same
+	// rules as final reports (metrics.Fold), so the windowed collectors'
 	// scalars read mid-sweep exactly like they will in the summary.
 	Metrics []metrics.Summary `json:"metrics,omitempty"`
 }
@@ -112,13 +112,12 @@ func (v View) MetricByName(name string) (metrics.Summary, bool) {
 
 // Accumulator folds published cell records into a live view of one run.
 // All methods are safe for concurrent use; Observe is O(metrics) per
-// cell and View copies the merged set, so a slow or stalled reader can
-// never hold up the publisher.
+// cell and View renders the fold's current aggregate, so a slow or
+// stalled reader can never hold up the publisher.
 //
-// Summaries merge in completion order, not cell-index order, so
-// anchored argmax *ties* may resolve differently than in the final
-// report — live views are observational and make no ordering promise
-// beyond what metrics.Merge gives any fold order.
+// Records arrive in completion order, and metrics.Fold resolves
+// anchored argmax ties by cell index whatever that order, so once every
+// cell is in the view's summaries equal the final report's.
 type Accumulator struct {
 	mu               sync.Mutex
 	id               string
@@ -131,7 +130,7 @@ type Accumulator struct {
 	done             int
 	failed           int
 	droppedSummaries int
-	merged           map[string]metrics.Summary
+	fold             metrics.Fold
 }
 
 // NewAccumulator returns an accumulator for a run of total cells
@@ -143,7 +142,7 @@ func NewAccumulator(id string, total, workers int, clock Clock) *Accumulator {
 	}
 	return &Accumulator{
 		id: id, total: total, workers: workers, clock: clock,
-		status: "queued", merged: map[string]metrics.Summary{},
+		status: "queued",
 	}
 }
 
@@ -163,19 +162,7 @@ func (a *Accumulator) Observe(rec harness.CellRecord) {
 	if rec.Err != "" {
 		a.failed++
 	}
-	for _, s := range rec.Metrics {
-		prev, ok := a.merged[s.Name]
-		if !ok {
-			a.merged[s.Name] = s
-			continue
-		}
-		m, err := metrics.Merge(prev, s)
-		if err != nil {
-			a.droppedSummaries++
-			continue
-		}
-		a.merged[s.Name] = m
-	}
+	a.droppedSummaries += a.fold.Add(rec.Index, rec.Metrics...)
 }
 
 // Finish seals the view with the run's terminal status and stamps its
@@ -195,10 +182,7 @@ func (a *Accumulator) View() View {
 		ID: a.id, Status: a.status,
 		CellsTotal: a.total, CellsDone: a.done, CellsFailed: a.failed,
 		DroppedSummaries: a.droppedSummaries,
-		Metrics:          make([]metrics.Summary, 0, len(a.merged)),
-	}
-	for _, name := range metrics.SortedNames(a.merged) {
-		v.Metrics = append(v.Metrics, a.merged[name])
+		Metrics:          metrics.Records(a.fold.Map()),
 	}
 	running := a.status == "running"
 	if running {

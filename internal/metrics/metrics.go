@@ -31,6 +31,8 @@ package metrics
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"smallbuffers/internal/network"
@@ -210,9 +212,8 @@ func (s Summary) SeriesByKey(key string) (SeriesRecord, bool) {
 }
 
 // Merge folds two same-name summaries from different runs into one
-// aggregate — the cross-cell aggregation the harness, the service
-// summary event, and aqtbench's corpus percentiles use. The rules are
-// deterministic per payload:
+// aggregate — the fold (see Fold) of a as cell 0 and b as cell 1, so an
+// anchor tie goes to a. The rules are deterministic per payload:
 //
 //   - histograms merge bucket-wise, and every quantile scalar (p50, p90,
 //     p99) plus count/sum/min/max is re-derived from the merged histogram;
@@ -221,9 +222,8 @@ func (s Summary) SeriesByKey(key string) (SeriesRecord, bool) {
 //     Anchor names a scalar, the run with the greater anchor value
 //     contributes the anchor and every Anchored key, so argmax-position
 //     scalars (max_load_node, max_load_round, busiest_link, …) stay
-//     attributed to the run the maximum actually occurred in; anchor
-//     ties keep the first argument, so callers must fold in a canonical
-//     order (the harness and service both fold in cell-index order);
+//     attributed to the run the maximum actually occurred in; an anchor
+//     tie goes to the lower cell index, whatever order the runs arrive in;
 //   - series are dropped — per-round series from different runs have no
 //     canonical alignment, so an aggregate carries none.
 //
@@ -232,81 +232,178 @@ func Merge(a, b Summary) (Summary, error) {
 	if a.Name != b.Name || a.Kind != b.Kind {
 		return Summary{}, fmt.Errorf("metrics: cannot merge %s/%s with %s/%s", a.Name, a.Kind, b.Name, b.Kind)
 	}
-	out := Summary{Name: a.Name, Kind: a.Kind, Anchor: a.Anchor, Anchored: a.Anchored}
-	if a.Hist != nil || b.Hist != nil {
-		h := &HistRecord{}
-		h.merge(a.Hist)
-		h.merge(b.Hist)
-		out.Hist = h
-		out.Scalars = histScalars(h, scalarKeys(a.Scalars, b.Scalars))
-		return out, nil
-	}
-	keys := scalarKeys(a.Scalars, b.Scalars)
-	if len(keys) > 0 {
-		out.Scalars = make(map[string]int, len(keys))
-		for _, k := range keys {
-			out.Scalars[k] = max(a.Scalars[k], b.Scalars[k])
+	var f Fold
+	f.Add(0, a)
+	f.Add(1, b)
+	return f.names[a.Name].summary(), nil
+}
+
+// MergeAll folds a set of same-shaped summary maps, run i as cell i, into
+// one aggregate map (see Fold). Runs that lack a name other runs carry
+// still contribute to the names they have.
+func MergeAll(runs []map[string]Summary) (map[string]Summary, error) {
+	var f Fold
+	for i, m := range runs {
+		for _, name := range SortedNames(m) {
+			f.Add(i, m[name])
 		}
 	}
-	if anchor := a.Anchor; anchor != "" && anchor == b.Anchor && len(out.Scalars) > 0 {
-		winner := a
-		if b.Scalars[anchor] > a.Scalars[anchor] {
-			winner = b
+	if err := f.Err(); err != nil {
+		return nil, err
+	}
+	return f.Map(), nil
+}
+
+// Fold aggregates the metric summaries of a grid's cells per collector
+// name, in place and in any order. Each Add updates one running
+// aggregate per name under Merge's rules, and every rule is
+// order-independent — maxima, histogram buckets, and an anchor winner
+// whose ties go to the lower cell index — so folding the same cells in
+// any order gives what Merge gives folded pairwise in cell-index order
+// (MergeAll). That holds for summaries that agree per name on their
+// kind, their anchor and on carrying a histogram, as one collector's do.
+// A name folded from one cell keeps that cell's summary as it is, series
+// included.
+//
+// The zero Fold is empty. A Fold is not safe for concurrent use; it
+// never modifies the summaries it is given, and what Map returns shares
+// nothing with its running state.
+type Fold struct {
+	names map[string]*folded
+	err   error
+}
+
+// folded is one name's running aggregate.
+type folded struct {
+	n        int     // summaries folded
+	first    Summary // the lowest-indexed one: the whole aggregate while n == 1
+	firstIdx int
+	// From the second summary on, the aggregate proper (see absorb).
+	hist    *HistRecord           // merged histogram, once any summary carries one
+	scalars map[string]foldScalar // per scalar key
+	anchor  string                // the anchor every summary names, or ""
+	win     Summary               // the anchor winner: greatest anchor value,
+	winIdx  int                   // then lowest cell index
+}
+
+// foldScalar is one scalar key's maximum over the summaries that carry
+// it, and how many do; a summary without the key counts as 0.
+type foldScalar struct{ max, n int }
+
+// Add folds the summaries of the cell with the given index. A summary
+// whose kind differs from the one its name already holds is not folded:
+// Add returns how many it dropped, and Err reports the first clash.
+func (f *Fold) Add(index int, ss ...Summary) (dropped int) {
+	if f.names == nil {
+		f.names = make(map[string]*folded)
+	}
+	for _, s := range ss {
+		e, ok := f.names[s.Name]
+		if !ok {
+			f.names[s.Name] = &folded{n: 1, first: s, firstIdx: index}
+			continue
 		}
-		for _, k := range append([]string{anchor}, winner.Anchored...) {
-			if v, ok := winner.Scalars[k]; ok {
+		if s.Kind != e.first.Kind {
+			if f.err == nil {
+				f.err = fmt.Errorf("metrics: cannot merge %s/%s with %s/%s", e.first.Name, e.first.Kind, s.Name, s.Kind)
+			}
+			dropped++
+			continue
+		}
+		if e.n == 1 {
+			e.absorb(e.firstIdx, e.first)
+		}
+		e.absorb(index, s)
+		e.n++
+		if index < e.firstIdx {
+			e.first, e.firstIdx = s, index
+		}
+	}
+	return dropped
+}
+
+// Err returns the first kind clash Add met, or nil.
+func (f *Fold) Err() error { return f.err }
+
+// Map returns the aggregate per name, or nil when nothing was folded.
+func (f *Fold) Map() map[string]Summary {
+	if len(f.names) == 0 {
+		return nil
+	}
+	out := make(map[string]Summary, len(f.names))
+	for _, name := range slices.Sorted(maps.Keys(f.names)) {
+		out[name] = f.names[name].summary()
+	}
+	return out
+}
+
+// absorb folds one summary into the aggregate proper.
+func (e *folded) absorb(index int, s Summary) {
+	if s.Hist != nil {
+		if e.hist == nil {
+			e.hist = &HistRecord{}
+		}
+		e.hist.merge(s.Hist)
+	}
+	if e.scalars == nil {
+		e.scalars = make(map[string]foldScalar, len(s.Scalars))
+		e.anchor, e.win, e.winIdx = s.Anchor, s, index
+	} else {
+		if s.Anchor != e.anchor {
+			e.anchor = ""
+		}
+		if a := e.anchor; a != "" {
+			if v, w := s.Scalars[a], e.win.Scalars[a]; v > w || v == w && index < e.winIdx {
+				e.win, e.winIdx = s, index
+			}
+		}
+	}
+	//aqtlint:allow detmap -- a key's maximum and count are the same whatever order the keys are visited in
+	for k, v := range s.Scalars {
+		sc, ok := e.scalars[k]
+		if !ok || v > sc.max {
+			sc.max = v
+		}
+		sc.n++
+		e.scalars[k] = sc
+	}
+}
+
+// summary renders the aggregate as a fresh Summary.
+func (e *folded) summary() Summary {
+	if e.n == 1 {
+		return e.first
+	}
+	out := Summary{Name: e.first.Name, Kind: e.first.Kind, Anchor: e.first.Anchor, Anchored: e.first.Anchored}
+	keys := slices.Sorted(maps.Keys(e.scalars))
+	if e.hist != nil {
+		h := *e.hist
+		h.Exact = slices.Clone(h.Exact)
+		h.Log2 = slices.Clone(h.Log2)
+		out.Hist = &h
+		out.Scalars = histScalars(&h, keys)
+		return out
+	}
+	if len(keys) == 0 {
+		return out
+	}
+	out.Scalars = make(map[string]int, len(keys))
+	for _, k := range keys {
+		sc := e.scalars[k]
+		if sc.n < e.n {
+			sc.max = max(sc.max, 0)
+		}
+		out.Scalars[k] = sc.max
+	}
+	if e.anchor != "" {
+		for _, k := range append([]string{e.anchor}, e.win.Anchored...) {
+			if v, ok := e.win.Scalars[k]; ok {
 				out.Scalars[k] = v
 			} else {
 				delete(out.Scalars, k)
 			}
 		}
 	}
-	return out, nil
-}
-
-// MergeAll folds a set of same-shaped summary maps (one per run) into one
-// aggregate map. Runs that lack a name other runs carry still contribute
-// to the names they have.
-func MergeAll(runs []map[string]Summary) (map[string]Summary, error) {
-	out := make(map[string]Summary)
-	for _, m := range runs {
-		// Fold names in sorted order: per-name folding is commutative
-		// across names, but the canonical iteration order keeps the fold
-		// deterministic by construction (and detmap-clean).
-		for _, name := range SortedNames(m) {
-			s := m[name]
-			prev, ok := out[name]
-			if !ok {
-				out[name] = s
-				continue
-			}
-			merged, err := Merge(prev, s)
-			if err != nil {
-				return nil, err
-			}
-			out[name] = merged
-		}
-	}
-	if len(out) == 0 {
-		return nil, nil
-	}
-	return out, nil
-}
-
-// scalarKeys is the sorted union of the two scalar key sets.
-func scalarKeys(a, b map[string]int) []string {
-	seen := make(map[string]bool, len(a)+len(b))
-	for k := range a {
-		seen[k] = true
-	}
-	for k := range b {
-		seen[k] = true
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"smallbuffers/internal/stats"
 )
@@ -44,7 +46,7 @@ func (r *HistRecord) Bars() []stats.HistBar {
 // order — the one-line form the CLIs print.
 func (s Summary) ScalarLine() string {
 	line := ""
-	for _, k := range scalarKeys(s.Scalars, nil) {
+	for _, k := range slices.Sorted(maps.Keys(s.Scalars)) {
 		if line != "" {
 			line += "  "
 		}

@@ -22,11 +22,12 @@ type reuseStep struct {
 	sc   *scenario.Scenario
 }
 
-// reuseSteps are sweeps whose cells leave state behind in an engine or
-// could pick up a wrong network: staged packets of a phased protocol,
-// bandwidth-axis copies of a memoized network, fault models, an adaptive
-// adversary bound to the engine's loads, a small path after a big one and
-// a tree after a path.
+// reuseSteps are sweeps whose cells leave state behind in an engine, in
+// handed-back scratch, or could pick up a wrong network: staged packets
+// of a phased protocol, bandwidth-axis copies of a memoized network,
+// fault models, an adaptive adversary bound to the engine's loads, a
+// small path after a big one (under greedy and under ppts) and a tree
+// after a path.
 func reuseSteps(t *testing.T) []reuseStep {
 	t.Helper()
 	parse := func(doc string) *scenario.Scenario {
@@ -60,6 +61,13 @@ func reuseSteps(t *testing.T) []reuseStep {
 			"topologies": [{"name": "path", "params": {"n": 4096}}, {"name": "path", "params": {"n": 16}}],
 			"protocol": {"name": "greedy-fifo"}, "adversary": {"name": "random", "params": {"d": 4}},
 			"bound": {"rho": "1", "sigma": 2}, "rounds": 40}`)},
+		// The path(16) cells attach to the scratch, shaper array and random
+		// source the path(64) cells handed back, whose destinations index
+		// the part of that scratch the path(16) cells use.
+		{"ppts path(64) then path(16)", parse(`{"name": "ppts-sizes",
+			"topologies": [{"name": "path", "params": {"n": 64}}, {"name": "path", "params": {"n": 16}}],
+			"protocol": {"name": "ppts"}, "adversary": {"name": "random", "params": {"d": 8}},
+			"bound": {"rho": "1", "sigma": 2}, "rounds": 300, "seeds": [1, 2]}`)},
 		{"tree after path", parse(`{"name": "shapes",
 			"topologies": [{"name": "path", "params": {"n": 16}}, {"name": "binary", "params": {"height": 3}}],
 			"protocol": {"name": "tree-ppts"}, "adversary": {"name": "random", "params": {"d": 2}},

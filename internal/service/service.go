@@ -13,7 +13,8 @@
 //	DELETE /v1/runs/{id}         cancel a run; streams then end with a
 //	                             "cancelled" summary (idempotent)
 //	GET    /v1/runs/{id}/stream  per-cell results as NDJSON (or SSE with
-//	                             Accept: text/event-stream), then a summary
+//	                             Accept: text/event-stream), each record
+//	                             encoded once, then a summary
 //	GET    /v1/runs/{id}/live    live snapshot: cells done/total, merged
 //	                             metric summaries so far, cells/sec, ETA
 //	GET    /v1/registry          the component catalog with param schemas
@@ -46,12 +47,15 @@
 package service
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -135,7 +139,7 @@ const (
 // Summary aggregates a finished run: grid counts, the results digest
 // (see harness.RecordsDigest), the headline statistics over clean cells,
 // and the merged metric summaries (per collector name, histograms merged
-// bucket-wise with re-derived quantiles — see metrics.Merge), so a
+// bucket-wise with re-derived quantiles — see metrics.Fold), so a
 // streaming client gets the grid-wide latency/occupancy distributions in
 // the summary event without refolding the cell frames.
 type Summary struct {
@@ -188,9 +192,13 @@ type run struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu       sync.Mutex
-	status   string
-	records  []harness.CellRecord
+	mu      sync.Mutex
+	status  string
+	records []harness.CellRecord
+	// lines[i] is records[i]'s canonical encoding, made once in publish
+	// for the stream frames and the digest; finish drops them, so a
+	// finished run keeps its records in one form.
+	lines    [][]byte
 	changed  chan struct{} // closed and replaced on every state change
 	finished bool
 	runErr   error
@@ -232,12 +240,14 @@ func (r *run) pin() {
 	r.mu.Unlock()
 }
 
-// publish appends one cell record and wakes subscribers. The live
-// accumulator is fed outside r.mu (it has its own lock), so a snapshot
-// reader never extends the publisher's critical section.
+// publish encodes one cell record, appends it and wakes subscribers.
+// The live accumulator is fed outside r.mu (it has its own lock), so a
+// snapshot reader never extends the publisher's critical section.
 func (r *run) publish(rec harness.CellRecord) {
+	line := encodeRecord(rec)
 	r.mu.Lock()
 	r.records = append(r.records, rec)
+	r.lines = append(r.lines, line)
 	close(r.changed)
 	r.changed = make(chan struct{})
 	r.mu.Unlock()
@@ -426,9 +436,10 @@ func (s *Server) finish(r *run, ctxErr error) {
 		return
 	}
 	r.finished = true
-	recs := harness.RecordsSorted(r.records)
-	sum := summarize(r.requested, recs)
+	sum := summarize(r.requested, r.records, r.lines)
 	r.summary = sum
+	r.lines = nil
+	recs := r.records
 	if ctxErr != nil {
 		r.status = StatusCancelled
 		r.runErr = fmt.Errorf("run cancelled after %d of %d cells: %w", len(recs), r.requested, ctxErr)
@@ -468,7 +479,8 @@ func (s *Server) finish(r *run, ctxErr error) {
 	if ctxErr == nil && s.cfg.CacheDir != "" && len(recs) > 0 {
 		// Best effort: the run is already served and cached in memory, so
 		// a persistence failure costs warmth after a restart, never
-		// correctness.
+		// correctness. Published records never change, so they are read
+		// outside r.mu.
 		_ = store.Seal(s.cfg.CacheDir, r.digest, r.span, recs, sum.ResultsDigest)
 	}
 
@@ -497,12 +509,28 @@ func (s *Server) loadFromDisk(digest string, span harness.IndexRange) []harness.
 	return recs
 }
 
-// summarize folds sorted records into a Summary.
-func summarize(requested int, recs []harness.CellRecord) *Summary {
-	sum := &Summary{Requested: requested, ResultsDigest: harness.RecordsDigest(recs)}
+// encodeRecord returns the record's canonical encoding, the bytes its
+// cell frame carries and the results digest hashes.
+func encodeRecord(rec harness.CellRecord) []byte {
+	line, err := json.Marshal(rec)
+	if err != nil {
+		// CellRecord is a flat struct of ints, strings and integer
+		// summaries; Marshal cannot fail on it.
+		panic(err)
+	}
+	return line
+}
+
+// summarize folds records, in any order, into a Summary. lines, when
+// not nil, holds each record's canonical encoding, which the digest
+// hashes as it is.
+func summarize(requested int, recs []harness.CellRecord, lines [][]byte) *Summary {
+	sum := &Summary{Requested: requested}
 	var loadSum, delivSum int
-	var perCell []map[string]metrics.Summary
-	for _, rec := range recs {
+	var fold metrics.Fold
+	order := make([]int, len(recs))
+	for i, rec := range recs {
+		order[i] = i
 		if rec.Err != "" {
 			sum.Failed++
 			continue
@@ -514,24 +542,33 @@ func summarize(requested int, recs []harness.CellRecord) *Summary {
 		if rec.MaxLoad > sum.MaxLoadMax {
 			sum.MaxLoadMax = rec.MaxLoad
 		}
-		if len(rec.Metrics) > 0 {
-			m := make(map[string]metrics.Summary, len(rec.Metrics))
-			for _, s := range rec.Metrics {
-				m[s.Name] = s
-			}
-			perCell = append(perCell, m)
-		}
+		fold.Add(rec.Index, rec.Metrics...)
 	}
 	if sum.Completed > 0 {
 		sum.MaxLoadMean = float64(loadSum) / float64(sum.Completed)
 		sum.DeliveredMeanMillis = delivSum * 1000 / sum.Completed
 	}
-	// One collector per name per cell, so same-name summaries merge
+	// One collector per name per cell, so same-name summaries fold
 	// cleanly; on the impossible mixed-kind error the aggregate is
 	// dropped, never the summary.
-	if merged, err := metrics.MergeAll(perCell); err == nil {
-		sum.Metrics = metrics.Records(merged)
+	if fold.Err() == nil {
+		sum.Metrics = metrics.Records(fold.Map())
 	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(recs[a].Index, recs[b].Index) })
+	d := harness.NewRecordsDigester()
+	for _, i := range order {
+		var line []byte
+		if lines != nil {
+			line = lines[i]
+		} else {
+			line = encodeRecord(recs[i])
+		}
+		if err := d.AddEncoded(recs[i].Index, recs[i].Faults != "", line); err != nil {
+			// A run's cells have distinct indices by construction.
+			panic(err)
+		}
+	}
+	sum.ResultsDigest = d.Sum()
 	return sum
 }
 
@@ -666,7 +703,7 @@ func (s *Server) serveWarmedLocked(w http.ResponseWriter, name, digest string, s
 		status:    StatusDone,
 		finished:  true,
 		records:   recs,
-		summary:   summarize(len(recs), recs),
+		summary:   summarize(len(recs), recs, nil),
 		changed:   make(chan struct{}),
 		done:      make(chan struct{}),
 	}
@@ -808,17 +845,40 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"runs": reps})
 }
 
-// streamEvent is one NDJSON/SSE frame: a cell record or the final
-// summary.
+// streamEvent is the shape of one NDJSON/SSE cell frame: the record
+// with a "type" field in front. The frames are written by splicing
+// CellFramePrefix onto the record's canonical encoding, which gives
+// json.Marshal(streamEvent{Type: "cell", CellRecord: rec}) byte for byte.
 type streamEvent struct {
 	Type string `json:"type"`
 	harness.CellRecord
 }
 
+// CellFramePrefix opens every cell frame of a run stream: the frame is
+// the record's canonical encoding with its opening brace replaced by
+// this prefix.
+const CellFramePrefix = `{"type":"cell",`
+
+// CutCellFrame returns the record's canonical encoding inside a cell
+// frame, cut in place: the byte before the record's first field becomes
+// its opening brace, so frame is modified. ok is false, and frame left
+// alone, when the frame does not start with CellFramePrefix.
+func CutCellFrame(frame []byte) (line []byte, ok bool) {
+	if !bytes.HasPrefix(frame, []byte(CellFramePrefix)) {
+		return nil, false
+	}
+	line = frame[len(CellFramePrefix)-1:]
+	line[0] = '{'
+	return line, true
+}
+
 // handleStream follows a run: already-completed cells replay first, live
 // cells follow as they finish, and a summary event closes the stream.
 // Content is NDJSON by default, SSE when the client asks for
-// text/event-stream. Disconnecting mid-stream detaches the client, which
+// text/event-stream. A cell frame is the record's canonical encoding
+// with CellFramePrefix spliced in front: the bytes publish made, which
+// the run's digest hashes too, or a new encoding of the record once the
+// run has finished. Disconnecting mid-stream detaches the client, which
 // cancels the run if nobody else is watching.
 func (s *Server) handleStream(w http.ResponseWriter, req *http.Request) {
 	r, ok := s.lookup(req.PathValue("id"))
@@ -849,17 +909,21 @@ func (s *Server) handleStream(w http.ResponseWriter, req *http.Request) {
 		heartbeat = ticker.C
 	}
 
-	emit := func(event string, v any) bool {
-		data, err := json.Marshal(v)
-		if err != nil {
-			return false
-		}
+	// emit writes one frame in one Write: the event's JSON is prefix
+	// followed by data.
+	var frame []byte
+	emit := func(event, prefix string, data []byte) bool {
+		frame = frame[:0]
 		if sse {
-			_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
-		} else {
-			_, err = fmt.Fprintf(w, "%s\n", data)
+			frame = append(append(append(frame, "event: "...), event...), "\ndata: "...)
 		}
-		if err != nil {
+		frame = append(append(frame, prefix...), data...)
+		if sse {
+			frame = append(frame, "\n\n"...)
+		} else {
+			frame = append(frame, '\n')
+		}
+		if _, err := w.Write(frame); err != nil {
 			return false
 		}
 		if flusher != nil {
@@ -870,23 +934,38 @@ func (s *Server) handleStream(w http.ResponseWriter, req *http.Request) {
 
 	next := 0
 	for {
+		// Published records and lines never change, so the pending
+		// slices are read outside r.mu. A finished run has dropped its
+		// lines; its records are encoded again.
 		r.mu.Lock()
-		pending := append([]harness.CellRecord(nil), r.records[next:]...)
+		pending := r.records[next:]
+		var lines [][]byte
+		if r.lines != nil {
+			lines = r.lines[next:]
+		}
 		changed := r.changed
 		finished := r.finished
 		r.mu.Unlock()
 		next += len(pending)
-		for _, rec := range pending {
-			if !emit("cell", streamEvent{Type: "cell", CellRecord: rec}) {
+		for i, rec := range pending {
+			var line []byte
+			if lines != nil {
+				line = lines[i]
+			} else {
+				line = encodeRecord(rec)
+			}
+			if !emit("cell", CellFramePrefix, line[1:]) {
 				return
 			}
 		}
 		if finished {
-			rep := r.report(false)
-			emit("summary", struct {
+			data, err := json.Marshal(struct {
 				Type string `json:"type"`
 				Report
-			}{Type: "summary", Report: rep})
+			}{Type: "summary", Report: r.report(false)})
+			if err == nil {
+				emit("summary", "", data)
+			}
 			return
 		}
 		select {

@@ -16,6 +16,8 @@ import (
 
 	"smallbuffers/internal/adversary"
 	"smallbuffers/internal/baseline"
+	"smallbuffers/internal/harness"
+	"smallbuffers/internal/metrics"
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/registry"
 	"smallbuffers/internal/scenario"
@@ -433,7 +435,10 @@ func TestClientDisconnectCancelsRun(t *testing.T) {
 }
 
 // TestStreamFollowsRun drives the NDJSON stream end to end: replayed
-// records, live records, and the closing summary event.
+// records, live records, and the closing summary event. Every cell frame,
+// spliced from the encoding publish made or, once the run has finished,
+// from a new one, is json.Marshal of its stream event, and CutCellFrame
+// cuts the record's own encoding from it.
 func TestStreamFollowsRun(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	body := scenarioBody("streamed", 5, 300, 100)
@@ -460,6 +465,7 @@ func TestStreamFollowsRun(t *testing.T) {
 		t.Errorf("stream content type %q", ct)
 	}
 	var cells int
+	var frames []string
 	var summary *Report
 	scn := bufio.NewScanner(sresp.Body)
 	for scn.Scan() {
@@ -472,6 +478,7 @@ func TestStreamFollowsRun(t *testing.T) {
 		switch probe.Type {
 		case "cell":
 			cells++
+			frames = append(frames, scn.Text())
 		case "summary":
 			var s struct {
 				Report
@@ -504,6 +511,63 @@ func TestStreamFollowsRun(t *testing.T) {
 	}
 	if got := strings.Count(string(replay), `"type":"cell"`); got != 5 {
 		t.Errorf("replayed stream carried %d cells, want 5", got)
+	}
+	for _, line := range strings.Split(string(replay), "\n") {
+		if strings.HasPrefix(line, CellFramePrefix) {
+			frames = append(frames, line)
+		}
+	}
+	fresp, err := http.Get(ts.URL + "/v1/runs/" + rep.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var final Report
+	err = json.NewDecoder(fresp.Body).Decode(&final)
+	fresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frame := range frames {
+		var ev streamEvent
+		if err := json.Unmarshal([]byte(frame), &ev); err != nil || ev.Index < 0 || ev.Index >= len(final.Cells) {
+			t.Fatalf("cell frame %s: %v", frame, err)
+		}
+		rec := final.Cells[ev.Index]
+		want, err := json.Marshal(streamEvent{Type: "cell", CellRecord: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if frame != string(want) {
+			t.Errorf("cell %d's frame:\n %s\nwant\n %s", rec.Index, frame, want)
+		}
+		line, ok := CutCellFrame([]byte(frame))
+		if want, err = json.Marshal(rec); err != nil {
+			t.Fatal(err)
+		}
+		if !ok || string(line) != string(want) {
+			t.Errorf("cell %d: cut %s, want %s", rec.Index, line, want)
+		}
+	}
+}
+
+// TestSummarizeKindClash pins summarize's policy on two kinds under one
+// collector name: the merged metrics are dropped and the rest of the
+// summary kept. Its digest is the records digest whether it hashes the
+// encodings publish made or encodes the records itself, and whatever
+// order the records completed in.
+func TestSummarizeKindClash(t *testing.T) {
+	recs := []harness.CellRecord{
+		{Index: 1, Cell: "b", MaxLoad: 3, Metrics: []metrics.Summary{{Name: "m", Kind: metrics.KindHist, Hist: &metrics.HistRecord{}}}},
+		{Index: 0, Cell: "a", MaxLoad: 2, Metrics: []metrics.Summary{{Name: "m", Kind: metrics.KindScalar, Scalars: map[string]int{"x": 1}}}},
+	}
+	for _, lines := range [][][]byte{nil, {encodeRecord(recs[0]), encodeRecord(recs[1])}} {
+		sum := summarize(2, recs, lines)
+		if sum.Metrics != nil || sum.Completed != 2 || sum.MaxLoadMax != 3 {
+			t.Errorf("summary %+v, want no metrics, 2 cells completed, max load 3", sum)
+		}
+		if want := harness.RecordsDigest(recs); sum.ResultsDigest != want {
+			t.Errorf("digest %s, want %s", sum.ResultsDigest, want)
+		}
 	}
 }
 

@@ -104,11 +104,13 @@ func encodeLine(line []byte) []byte {
 }
 
 // scannedRec locates one validated record inside a segment: its global
-// cell index, the offset and length of the JSON payload.
+// cell index, the offset and length of the JSON payload, and whether it
+// carries a fault entry.
 type scannedRec struct {
-	index int
-	off   int64
-	n     int
+	index   int
+	off     int64
+	n       int
+	faulted bool
 }
 
 // scanSegment walks a segment's bytes record by record, validating the
@@ -140,12 +142,13 @@ func scanSegment(data []byte) (recs []scannedRec, valid int64) {
 			break
 		}
 		var probe struct {
-			Index int `json:"index"`
+			Index  int    `json:"index"`
+			Faults string `json:"faults"`
 		}
 		if json.Unmarshal(body, &probe) != nil {
 			break
 		}
-		recs = append(recs, scannedRec{index: probe.Index, off: int64(off + bodyAt), n: n})
+		recs = append(recs, scannedRec{index: probe.Index, off: int64(off + bodyAt), n: n, faulted: probe.Faults != ""})
 		off += bodyAt + n + 1
 	}
 	return recs, int64(off)

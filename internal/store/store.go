@@ -17,9 +17,10 @@
 //
 // The store obeys the repo's determinism discipline end to end: record
 // bytes are the canonical json.Marshal encoding (identical to what
-// RecordsDigest hashes), the digest of a complete entry is re-derived
-// from the records themselves via harness.RecordsDigester in O(1)
-// memory, and the manifest carries only integers and strings.
+// RecordsDigest hashes, and what a caller holding them hands to
+// AppendEncoded), the digest of a complete entry is re-derived from the
+// stored bytes via harness.RecordsDigester in O(1) memory and without
+// decoding a record, and the manifest carries only integers and strings.
 package store
 
 import (
@@ -54,10 +55,14 @@ type Options struct {
 // recEntry locates one covered cell's record: the segment (index into
 // segs/files), and the offset and length of its JSON payload. n == 0
 // means the cell is not covered — a framed payload is never empty.
+// faulted records whether the record carries a fault entry, which picks
+// the digest's version (see harness.RecordsDigester), so Digest hashes
+// the stored bytes without decoding them.
 type recEntry struct {
-	seg int32
-	n   int32
-	off int64
+	seg     int32
+	n       int32
+	off     int64
+	faulted bool
 }
 
 // Store is one open entry. It is safe for concurrent use; Append may be
@@ -202,11 +207,16 @@ func (s *Store) recover(man *manifest) error {
 		}
 		// The manifest's committed prefix must hash to what the manifest
 		// recorded: appends only ever extend a segment, so a divergent
-		// prefix means the content changed underneath us — discard the
-		// segment, its cells get recomputed.
+		// prefix — or a negative length, which no sync writes — means the
+		// content changed underneath us: discard the segment, its cells
+		// get recomputed.
 		if meta != nil && meta.Bytes <= int64(len(data)) {
-			sum := sha256.Sum256(data[:meta.Bytes])
-			if "sha256:"+hex.EncodeToString(sum[:]) != meta.Digest {
+			intact := meta.Bytes >= 0
+			if intact {
+				sum := sha256.Sum256(data[:meta.Bytes])
+				intact = "sha256:"+hex.EncodeToString(sum[:]) == meta.Digest
+			}
+			if !intact {
 				if err := os.Remove(name); err != nil {
 					return err
 				}
@@ -239,7 +249,7 @@ func (s *Store) recover(man *manifest) error {
 			if e.n != 0 {
 				continue // duplicate: first copy wins
 			}
-			*e = recEntry{seg: segIdx, n: int32(r.n), off: r.off}
+			*e = recEntry{seg: segIdx, n: int32(r.n), off: r.off, faulted: r.faulted}
 			s.count++
 			kept++
 		}
@@ -344,16 +354,28 @@ func (s *Store) Append(rec harness.CellRecord) error {
 	if err != nil {
 		return fmt.Errorf("store: record %d: %w", rec.Index, err)
 	}
+	return s.AppendEncoded(rec.Index, rec.Faults != "", line)
+}
+
+// AppendEncoded is Append for a caller that holds the record's canonical
+// encoding: line is exactly what json.Marshal gives for the record with
+// the given index, and faulted tells whether it carries a fault entry.
+// The store frames and hashes those bytes as they are; it does not keep
+// line.
+func (s *Store) AppendEncoded(index int, faulted bool, line []byte) error {
+	if len(line) == 0 || len(line) > maxRecordBytes {
+		return fmt.Errorf("store: record %d encodes to %d bytes", index, len(line))
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("store: append to closed entry %s", s.dir)
 	}
-	if rec.Index < s.span.Lo || rec.Index >= s.span.Hi {
-		return fmt.Errorf("store: record index %d outside span %v", rec.Index, s.span)
+	if index < s.span.Lo || index >= s.span.Hi {
+		return fmt.Errorf("store: record index %d outside span %v", index, s.span)
 	}
-	if s.entries[rec.Index-s.span.Lo].n != 0 {
-		return fmt.Errorf("store: record %d appended twice", rec.Index)
+	if s.entries[index-s.span.Lo].n != 0 {
+		return fmt.Errorf("store: record %d appended twice", index)
 	}
 	if s.active == nil {
 		if err := s.startSegmentLocked(); err != nil {
@@ -370,7 +392,7 @@ func (s *Store) Append(rec harness.CellRecord) error {
 	meta.Bytes += int64(len(framed))
 	meta.Records++
 	meta.Digest = "sha256:" + hex.EncodeToString(s.activeHash.Sum(nil))
-	s.entries[rec.Index-s.span.Lo] = recEntry{seg: int32(len(s.segs) - 1), n: int32(len(line)), off: off}
+	s.entries[index-s.span.Lo] = recEntry{seg: int32(len(s.segs) - 1), n: int32(len(line)), off: off, faulted: faulted}
 	s.count++
 	s.unsynced++
 	if s.unsynced >= s.syncEvery {
@@ -465,7 +487,7 @@ func (s *Store) SetRecordsDigest(d string) error {
 // from its segment. Memory stays O(1) in cells: one record is alive at a
 // time.
 func (s *Store) Scan(fn func(harness.CellRecord) error) error {
-	return s.scanLines(func(line []byte) error {
+	return s.scanLines(func(_ int, _ recEntry, line []byte) error {
 		var rec harness.CellRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return fmt.Errorf("store: record decode: %w", err)
@@ -475,8 +497,8 @@ func (s *Store) Scan(fn func(harness.CellRecord) error) error {
 }
 
 // scanLines streams the covered records' raw canonical JSON lines in
-// global index order.
-func (s *Store) scanLines(fn func(line []byte) error) error {
+// global index order, each with its index and entry.
+func (s *Store) scanLines(fn func(index int, e recEntry, line []byte) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.activeW != nil {
@@ -497,7 +519,7 @@ func (s *Store) scanLines(fn func(line []byte) error) error {
 		if _, err := s.files[e.seg].ReadAt(b, e.off); err != nil {
 			return fmt.Errorf("store: segment %s: %w", s.segs[e.seg].File, err)
 		}
-		if err := fn(b); err != nil {
+		if err := fn(s.span.Lo+i, e, b); err != nil {
 			return err
 		}
 	}
@@ -506,21 +528,15 @@ func (s *Store) scanLines(fn func(line []byte) error) error {
 
 // Digest re-derives the records digest of the covered cells from the
 // stored bytes, streaming in index order through harness.RecordsDigester
-// — O(1) memory at any entry size. On a complete entry this is the
-// digest a fresh unsharded run of the scenario produces; callers holding
-// a manifest digest (RecordsDigest) compare the two and treat a mismatch
-// as corruption.
+// — O(1) memory at any entry size — without decoding a record: each
+// entry knows its index and whether it carries a fault entry. On a
+// complete entry this is the digest a fresh unsharded run of the
+// scenario produces; callers holding a manifest digest (RecordsDigest)
+// compare the two and treat a mismatch as corruption.
 func (s *Store) Digest() (string, error) {
 	d := harness.NewRecordsDigester()
-	err := s.scanLines(func(line []byte) error {
-		var probe struct {
-			Index  int    `json:"index"`
-			Faults string `json:"faults"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return fmt.Errorf("store: record decode: %w", err)
-		}
-		return d.AddEncoded(probe.Index, probe.Faults != "", line)
+	err := s.scanLines(func(index int, e recEntry, line []byte) error {
+		return d.AddEncoded(index, e.faulted, line)
 	})
 	if err != nil {
 		return "", err
