@@ -15,6 +15,7 @@ import (
 	"smallbuffers/internal/adversary"
 	"smallbuffers/internal/core"
 	"smallbuffers/internal/harness"
+	"smallbuffers/internal/metrics"
 	"smallbuffers/internal/network"
 )
 
@@ -177,30 +178,28 @@ func TestSuperUnitRateAdmissibility(t *testing.T) {
 	}
 }
 
+// TestLinkUtilizationReported reads a run's busiest link from a
+// link_util_series observer: never the sink, and at about half of its
+// rounds × B budget for a rate-1 stream over B = 2 links.
 func TestLinkUtilizationReported(t *testing.T) {
 	nw, err := sb.NewPath(8, sb.WithUniformBandwidth(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	adv := adversary.NewStream(sb.Bound{Rho: sb.NewRat(1, 1), Sigma: 1}, 0, 7)
+	links := metrics.NewLinkUtilSeries(16, 4)
 	res, err := sb.RunContext(context.Background(),
-		sb.NewSpec(nw, core.NewPTS(core.WithDrain()), adv, 200))
+		sb.NewSpec(nw, core.NewPTS(core.WithDrain()), adv, 200, sb.WithObservers(links)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := res.LinkUtilization(7); ok {
-		t.Error("sink reported a link utilization")
+	s := links.Summarize()
+	link, forwards, bandwidth := s.Scalar("busiest_link"), s.Scalar("busiest_forwards"), s.Scalar("busiest_bandwidth")
+	if link < 0 || link >= 7 || bandwidth != 2 {
+		t.Fatalf("busiest link %d at B = %d, want one of links 0…6 at B = 2 (the sink at 7 has none)", link, bandwidth)
 	}
-	util, ok := res.LinkUtilization(0)
-	if !ok {
-		t.Fatal("no utilization for link 0")
-	}
-	// A rate-1 stream over B=2 links uses about half the budget.
-	if util <= 0.2 || util >= 0.8 {
-		t.Errorf("link 0 utilization = %.2f, want ≈ 0.5 for a rate-1 stream on B=2", util)
-	}
-	if link, peak, ok := res.MaxLinkUtilization(); !ok || peak < util {
-		t.Errorf("MaxLinkUtilization = (%d, %.2f, %t), want ≥ link-0 utilization", link, peak, ok)
+	if util := float64(forwards) / float64(res.Rounds*bandwidth); util <= 0.2 || util >= 0.8 {
+		t.Errorf("busiest link %d utilization = %.2f, want ≈ 0.5 for a rate-1 stream on B=2", link, util)
 	}
 }
 

@@ -34,6 +34,8 @@ import (
 	"syscall"
 
 	sb "smallbuffers"
+	"smallbuffers/internal/metrics"
+	"smallbuffers/internal/network"
 )
 
 func main() {
@@ -228,7 +230,8 @@ func runSingle(ctx context.Context, o options, sc *sb.Scenario, w io.Writer) err
 	}
 	rec := sb.NewTraceRecorder()
 	rec.CaptureEvents = o.json
-	cell, res, nw, err := sc.RunOne(ctx, rec)
+	links := metrics.NewLinkUtilSeries(2, 0)
+	cell, res, nw, err := sc.RunOne(ctx, rec, links)
 	if err != nil {
 		return err
 	}
@@ -254,7 +257,7 @@ func runSingle(ctx context.Context, o options, sc *sb.Scenario, w io.Writer) err
 	if avg, okAvg := res.AvgLatency(); okAvg {
 		fmt.Fprintf(w, "latency:    avg %.1f, max %d\n", avg, res.MaxLatency)
 	}
-	if link, util, okUtil := res.MaxLinkUtilization(); okUtil {
+	if link, util, okUtil := busiestLink(links.Summarize(), nw, res.Rounds); okUtil {
 		fmt.Fprintf(w, "links:      busiest %d at %.0f%% of rounds×bandwidth\n", link, 100*util)
 	}
 	if note != "" {
@@ -272,6 +275,25 @@ func runSingle(ctx context.Context, o options, sc *sb.Scenario, w io.Writer) err
 		}
 	}
 	return nil
+}
+
+// busiestLink reads the busiest link and its share of rounds × bandwidth
+// from a link_util_series summary. A run that moved nothing names the
+// lowest node with a link, at 0%; a zero-round run or a topology without
+// links has no busiest link.
+func busiestLink(s sb.MetricSummary, nw *sb.Network, rounds int) (int, float64, bool) {
+	if rounds == 0 {
+		return 0, 0, false
+	}
+	if link := s.Scalar("busiest_link"); link >= 0 {
+		return link, float64(s.Scalar("busiest_forwards")) / float64(rounds*s.Scalar("busiest_bandwidth")), true
+	}
+	for v := range nw.Len() {
+		if nw.Next(network.NodeID(v)) != network.None {
+			return v, 0, true
+		}
+	}
+	return 0, 0, false
 }
 
 // printMetrics renders each collector summary: the scalar line, an ASCII

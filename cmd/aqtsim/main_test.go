@@ -297,3 +297,47 @@ func TestScenarioRejectsConflictingWorkloadFlags(t *testing.T) {
 		t.Errorf("-json with -scenario: %v", err)
 	}
 }
+
+// TestLinksLine pins the report's links: line, the busiest link and its
+// share of rounds × bandwidth, on a run where nothing moves (the lowest
+// node with a link, at 0%), at B = 2, and on a zero-round run, which
+// prints no line.
+func TestLinksLine(t *testing.T) {
+	pts := func(rho, rounds string) []string {
+		return []string{"-n", "8", "-protocol", "pts", "-adversary", "random",
+			"-rho", rho, "-sigma", "0", "-d", "1", "-rounds", rounds}
+	}
+	cases := []struct {
+		args []string
+		want string // "" means no links: line
+	}{
+		{pts("1", "10"), "busiest 4 at 50%"},
+		{pts("0", "10"), "busiest 0 at 0%"},
+		{[]string{"-topology", "spider", "-arms", "3", "-len", "2", "-protocol", "tree-ppts",
+			"-adversary", "random", "-rho", "1", "-sigma", "1", "-rounds", "50"}, "busiest 0 at 98%"},
+		{[]string{"-n", "16", "-bandwidth", "2", "-protocol", "ppts", "-adversary", "random",
+			"-rho", "3/2", "-sigma", "1", "-d", "2", "-rounds", "40"}, "busiest 14 at 38%"},
+		{pts("1", "0"), ""},
+	}
+	for _, tc := range cases {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			out, err := runCLI(t, tc.args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := ""
+			for _, line := range strings.Split(out, "\n") {
+				if strings.HasPrefix(line, "links:") {
+					got = line
+				}
+			}
+			want := ""
+			if tc.want != "" {
+				want = "links:      " + tc.want + " of rounds×bandwidth"
+			}
+			if got != want {
+				t.Errorf("links line %q, want %q:\n%s", got, want, out)
+			}
+		})
+	}
+}

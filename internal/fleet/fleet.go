@@ -41,38 +41,41 @@ import (
 	"smallbuffers/internal/store"
 )
 
+// The coordinator's fixed tuning.
+const (
+	// shardsPerDaemon sets the initial partition: the grid splits into
+	// len(Endpoints) × shardsPerDaemon index-range shards (clamped to the
+	// cell count). More shards per daemon smooth skewed grids at the cost
+	// of more submissions.
+	shardsPerDaemon = 2
+	// maxAttempts bounds how many times one shard may be dispatched after
+	// losing work (its daemon died mid-stream); reaching it fails the
+	// fleet run. Transient submit rejections (saturation, drain) consume
+	// no attempt: no work was lost.
+	maxAttempts = 4
+	// failureLimit quarantines a daemon after this many consecutive
+	// failures, for the rest of the run. When every daemon is quarantined
+	// the run fails.
+	failureLimit = 3
+	// backoffBase and backoffMax shape the capped exponential backoff a
+	// daemon serves after consecutive failures: min(backoffMax,
+	// backoffBase·2^(failures−1)).
+	backoffBase = 100 * time.Millisecond
+	backoffMax  = 2 * time.Second
+	// minStealCells is the smallest piece work stealing creates: a victim
+	// is only split while its uncovered remainder is at least twice this.
+	minStealCells = 4
+)
+
 // Config sizes the coordinator. Endpoints is required; every other field
 // has a production-lean default.
 type Config struct {
 	// Endpoints lists the aqtserve daemons ("host:port" or full URLs),
 	// each at most once: "a:1" and "http://a:1/" are the same daemon.
 	Endpoints []string
-	// ShardsPerDaemon sets the initial partition: the grid splits into
-	// len(Endpoints) × ShardsPerDaemon index-range shards (clamped to the
-	// cell count). More shards per daemon smooths skewed grids at the cost
-	// of more submissions. Default 2.
-	ShardsPerDaemon int
 	// InFlightPerDaemon caps concurrent shard streams per daemon.
 	// Default 2.
 	InFlightPerDaemon int
-	// MaxAttempts bounds how many times one shard may be dispatched after
-	// losing work (daemon died mid-stream); exceeding it fails the fleet
-	// run. Transient submit rejections (saturation, drain) do not consume
-	// attempts — no work was lost. Default 4.
-	MaxAttempts int
-	// FailureLimit quarantines a daemon after this many consecutive
-	// failures; quarantine is permanent for the run. When every daemon is
-	// quarantined the run fails. Default 3.
-	FailureLimit int
-	// BackoffBase and BackoffMax shape the capped exponential backoff a
-	// daemon serves after consecutive failures: min(BackoffMax,
-	// BackoffBase·2^(failures-1)). Defaults 100ms and 2s.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// MinStealCells is the smallest piece work stealing may create: a
-	// victim is only split while its uncovered remainder is at least
-	// twice this. Default 4.
-	MinStealCells int
 	// Store, when set, is the durable merge sink: every received record
 	// streams to disk as it arrives, as the bytes its daemon encoded it
 	// to, instead of accumulating in coordinator memory (the merge holds
@@ -96,26 +99,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.ShardsPerDaemon <= 0 {
-		c.ShardsPerDaemon = 2
-	}
 	if c.InFlightPerDaemon <= 0 {
 		c.InFlightPerDaemon = 2
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 4
-	}
-	if c.FailureLimit <= 0 {
-		c.FailureLimit = 3
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 100 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 2 * time.Second
-	}
-	if c.MinStealCells <= 0 {
-		c.MinStealCells = 4
 	}
 	if c.Clock == nil {
 		c.Clock = live.SystemClock()
@@ -314,7 +299,7 @@ func Run(ctx context.Context, cfg Config, sc *scenario.Scenario) (*Result, error
 		}
 	}
 	owed := merged.UncoveredIn(harness.IndexRange{Lo: 0, Hi: total})
-	for _, rng := range harness.PartitionRangesWeighted(owed, weights, len(cfg.Endpoints)*cfg.ShardsPerDaemon) {
+	for _, rng := range harness.PartitionRangesWeighted(owed, weights, len(cfg.Endpoints)*shardsPerDaemon) {
 		co.pending = append(co.pending, shardItem{rng: rng})
 	}
 	co.done = len(co.pending) == 0 && resumed == total
@@ -489,7 +474,7 @@ func (co *coordinator) stealVictimLocked() *task {
 		if t.stolen || t.runID == "" {
 			continue
 		}
-		if t.remaining() < 2*co.cfg.MinStealCells {
+		if t.remaining() < 2*minStealCells {
 			continue
 		}
 		if victim == nil || t.remaining() > victim.remaining() ||
@@ -508,7 +493,7 @@ func (co *coordinator) runTask(ctx context.Context, d *daemonState, t *task) {
 	fails := d.consecFails
 	co.mu.Unlock()
 	if fails > 0 {
-		if err := co.cfg.Clock.Sleep(ctx, co.backoff(fails)); err != nil {
+		if err := co.cfg.Clock.Sleep(ctx, backoff(fails)); err != nil {
 			co.requeue(t, false)
 			return
 		}
@@ -677,7 +662,7 @@ func (co *coordinator) commitStolen(d *daemonState, t *task, elapsed time.Durati
 	d.stats.Cells += t.appended
 	d.stats.Busy += elapsed
 	rest := co.merged.UncoveredIn(t.item.rng)
-	if len(rest) == 1 && rest[0].Count() >= 2*co.cfg.MinStealCells {
+	if len(rest) == 1 && rest[0].Count() >= 2*minStealCells {
 		mid := rest[0].Lo + rest[0].Count()/2
 		rest = []harness.IndexRange{{Lo: rest[0].Lo, Hi: mid}, {Lo: mid, Hi: rest[0].Hi}}
 	}
@@ -692,7 +677,7 @@ func (co *coordinator) commitStolen(d *daemonState, t *task, elapsed time.Durati
 // requeue settles a task that did not finish: the records it merged stay
 // merged and are credited to its daemon, and only the uncovered remainder
 // returns to the queue. lostWork consumes one of the shard's attempts,
-// and exceeding MaxAttempts fails the run; a shard whose every cell
+// and reaching maxAttempts fails the run; a shard whose every cell
 // arrived before the failure settles without consuming one.
 func (co *coordinator) requeue(t *task, lostWork bool) {
 	co.mu.Lock()
@@ -704,7 +689,7 @@ func (co *coordinator) requeue(t *task, lostWork bool) {
 		item.attempts++
 		co.retries++
 		t.daemon.stats.Failures++
-		if item.attempts >= co.cfg.MaxAttempts {
+		if item.attempts >= maxAttempts {
 			co.failLocked(t, fmt.Errorf("fleet: shard %s failed %d times, giving up", item.rng, item.attempts))
 			return
 		}
@@ -752,7 +737,7 @@ func (co *coordinator) daemonFailed(d *daemonState) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	d.consecFails++
-	if !d.quarantined && d.consecFails >= co.cfg.FailureLimit {
+	if !d.quarantined && d.consecFails >= failureLimit {
 		d.quarantined = true
 		co.healthy--
 		co.cfg.Logf("fleet: quarantining %s after %d consecutive failures", d.endpoint, d.consecFails)
@@ -765,16 +750,10 @@ func (co *coordinator) daemonFailed(d *daemonState) {
 
 // backoff is the capped exponential schedule served after consecutive
 // failures.
-func (co *coordinator) backoff(fails int) time.Duration {
-	d := co.cfg.BackoffBase
-	for i := 1; i < fails; i++ {
+func backoff(fails int) time.Duration {
+	d := backoffBase
+	for i := 1; i < fails && d < backoffMax; i++ {
 		d *= 2
-		if d >= co.cfg.BackoffMax {
-			return co.cfg.BackoffMax
-		}
 	}
-	if d > co.cfg.BackoffMax {
-		d = co.cfg.BackoffMax
-	}
-	return d
+	return min(d, backoffMax)
 }

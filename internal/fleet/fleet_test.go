@@ -98,6 +98,19 @@ type daemon struct {
 	// written that many stream lines (across all streams).
 	killAfter   int64
 	streamLines atomic.Int64
+
+	// before, when set, runs ahead of every request: it may block to hold
+	// the request until an event, or panic with http.ErrAbortHandler to
+	// drop it.
+	before func(r *http.Request)
+}
+
+// hold blocks request r until ch is closed or r's client gives up.
+func hold(r *http.Request, ch <-chan struct{}) {
+	select {
+	case <-ch:
+	case <-r.Context().Done():
+	}
 }
 
 func newDaemon(t *testing.T, cfg service.Config) *daemon {
@@ -122,6 +135,9 @@ func (d *daemon) kill() {
 func (d *daemon) serve(w http.ResponseWriter, r *http.Request) {
 	if d.dead.Load() {
 		panic(http.ErrAbortHandler)
+	}
+	if d.before != nil {
+		d.before(r)
 	}
 	if d.killAfter > 0 && strings.HasSuffix(r.URL.Path, "/stream") {
 		w = &killingWriter{d: d, inner: w}
@@ -283,24 +299,38 @@ func TestFleetSurvivesDaemonDeath(t *testing.T) {
 }
 
 // TestFleetCreditsCellsOfBrokenStream pins per-daemon accounting after a
-// broken stream: the victim's shard is 4 cells and it dies after
-// streaming 2, so it is credited with exactly those 2, the healthy daemon
-// runs its own 4 plus the victim's 2-cell remainder, and the per-daemon
-// cells sum to the grid.
+// broken stream: the 12-cell grid splits into four 3-cell shards, the
+// victim dies after streaming 2 cells of its first, so it is credited
+// with exactly those 2 (its later submits fail until it is quarantined),
+// the healthy daemon runs the other 10, and the per-daemon cells sum to
+// the grid.
 func TestFleetCreditsCellsOfBrokenStream(t *testing.T) {
-	sc := gridScenario(t, "fleet-broken-stream", 4, 40, 0)
+	sc := gridScenario(t, "fleet-broken-stream", 6, 4, 0)
 	want := localDigest(t, sc)
 	for _, mode := range mergeModes {
 		t.Run(mode.name, func(t *testing.T) {
 			victim := newDaemon(t, service.Config{Workers: 1, SweepWorkers: 1})
 			victim.killAfter = 3 // the third line is written but never flushed
 			healthy := newDaemon(t, service.Config{Workers: 1, SweepWorkers: 1})
+			// The healthy daemon starts once the victim streams, so the
+			// victim always holds a shard when it dies.
+			streaming := make(chan struct{})
+			var once sync.Once
+			victim.before = func(r *http.Request) {
+				if strings.HasSuffix(r.URL.Path, "/stream") {
+					once.Do(func() { close(streaming) })
+				}
+			}
+			healthy.before = func(r *http.Request) {
+				if r.Method == http.MethodPost {
+					hold(r, streaming)
+				}
+			}
 			cfg := Config{
 				Endpoints:         []string{victim.addr(), healthy.addr()},
 				Store:             mode.store(t, sc),
-				ShardsPerDaemon:   1,
 				InFlightPerDaemon: 1,
-				FailureLimit:      1,
+				Clock:             &fakeClock{},
 				Logf:              t.Logf,
 			}
 			res, err := Run(context.Background(), cfg, sc)
@@ -320,39 +350,99 @@ func TestFleetCreditsCellsOfBrokenStream(t *testing.T) {
 					t.Errorf("victim credited with %d cells, want the 2 it streamed", ds.Cells)
 				}
 			}
-			if cells != 8 {
-				t.Errorf("daemon cell counts sum to %d, want 8", cells)
+			if cells != 12 {
+				t.Errorf("daemon cell counts sum to %d, want 12", cells)
 			}
 		})
 	}
 }
 
-// TestFleetStealsFromSlowDaemon pairs a fast daemon with a deliberately
-// serial one: the fast daemon finishes its shard, goes idle, and must
-// steal from the straggler — and the merged digest still matches local.
+// TestFleetStealsFromSlowDaemon pairs a fast daemon with a serial one
+// whose first stream is held until its run is cancelled: the 32-cell grid
+// splits into four 8-cell shards, the fast daemon runs three of them and
+// goes idle while the straggler's shard is still wholly uncovered
+// (2·minStealCells), so it must steal from it, and the merged digest
+// still matches local. The fast daemon starts only once the straggler
+// streams, so the straggler's run is stealable before the fast daemon
+// can go idle.
 func TestFleetStealsFromSlowDaemon(t *testing.T) {
-	sc := gridScenario(t, "fleet-steal", 8, 30, 3000)
+	sc := gridScenario(t, "fleet-steal", 16, 10, 500)
 	want := localDigest(t, sc)
 
-	fast := newDaemon(t, service.Config{Workers: 2, SweepWorkers: 4})
+	fast := newDaemon(t, service.Config{Workers: 2, SweepWorkers: 8})
 	slow := newDaemon(t, service.Config{Workers: 1, SweepWorkers: 1})
+	streaming, cancelled := make(chan struct{}), make(chan struct{})
+	var streamOnce, cancelOnce sync.Once
+	slow.before = func(r *http.Request) {
+		switch {
+		case r.Method == http.MethodDelete:
+			cancelOnce.Do(func() { close(cancelled) })
+		case strings.HasSuffix(r.URL.Path, "/stream"):
+			streamOnce.Do(func() { close(streaming) })
+			hold(r, cancelled)
+		}
+	}
+	fast.before = func(r *http.Request) {
+		if r.Method == http.MethodPost {
+			hold(r, streaming)
+		}
+	}
 
 	cfg := Config{
 		Endpoints:         []string{fast.addr(), slow.addr()},
-		ShardsPerDaemon:   1, // one 8-cell shard each: maximal skew
 		InFlightPerDaemon: 1,
-		MinStealCells:     2,
 		Logf:              t.Logf,
 	}
-	res, err := Run(context.Background(), cfg, sc)
+	// Without a steal the straggler's stream stays held.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := Run(ctx, cfg, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Summary.ResultsDigest != want {
 		t.Fatalf("fleet digest %s, local %s", res.Summary.ResultsDigest, want)
 	}
-	if res.Summary.Steals == 0 {
-		t.Error("fast daemon never stole from the straggler")
+	if res.Summary.Steals != 1 {
+		t.Errorf("%d steals, want the fast daemon's one from the straggler", res.Summary.Steals)
+	}
+	for _, ds := range res.Summary.Daemons {
+		if ds.Endpoint == slow.addr() && ds.StolenFrom != 1 {
+			t.Errorf("straggler stolen from %d times, want 1", ds.StolenFrom)
+		}
+	}
+}
+
+// TestFleetGivesUpOnShard: a shard whose stream breaks maxAttempts times
+// fails the run with "giving up". Both daemons accept every submission
+// and drop every stream, and their caches are off, so no resubmission is
+// answered from a finished report; quarantining both would take
+// 2·failureLimit failures, more than maxAttempts.
+func TestFleetGivesUpOnShard(t *testing.T) {
+	sc, err := scenario.Parse([]byte(`{
+		"name": "fleet-give-up",
+		"topology": {"name": "path", "params": {"n": 16}},
+		"protocol": {"name": "ppts"},
+		"adversary": {"name": "random", "params": {"d": 2}},
+		"bound": {"rho": "1/2", "sigma": 2},
+		"rounds": 20
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eps []string
+	for range 2 {
+		d := newDaemon(t, service.Config{Workers: 1, CacheCells: -1})
+		d.before = func(r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/stream") {
+				panic(http.ErrAbortHandler)
+			}
+		}
+		eps = append(eps, d.addr())
+	}
+	_, err = Run(context.Background(), Config{Endpoints: eps, Clock: &fakeClock{}, Logf: t.Logf}, sc)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("failed %d times, giving up", maxAttempts)) {
+		t.Fatalf("err = %v, want the one-cell shard to give up after %d broken streams", err, maxAttempts)
 	}
 }
 
@@ -370,10 +460,9 @@ func TestFleetFailsWithoutHealthyDaemons(t *testing.T) {
 	sc := gridScenario(t, "fleet-dead", 4, 20, 0)
 	clk := &fakeClock{}
 	cfg := Config{
-		Endpoints:    dead,
-		FailureLimit: 2,
-		Clock:        clk,
-		Logf:         t.Logf,
+		Endpoints: dead,
+		Clock:     clk,
+		Logf:      t.Logf,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -427,7 +516,6 @@ func (c *fakeClock) Sleep(ctx context.Context, d time.Duration) error {
 
 // TestBackoffSchedule pins the capped exponential shape.
 func TestBackoffSchedule(t *testing.T) {
-	co := &coordinator{cfg: Config{BackoffBase: 100 * time.Millisecond, BackoffMax: 2 * time.Second}.withDefaults()}
 	want := []time.Duration{
 		100 * time.Millisecond,
 		200 * time.Millisecond,
@@ -438,7 +526,7 @@ func TestBackoffSchedule(t *testing.T) {
 		2 * time.Second,
 	}
 	for i, w := range want {
-		if got := co.backoff(i + 1); got != w {
+		if got := backoff(i + 1); got != w {
 			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w)
 		}
 	}

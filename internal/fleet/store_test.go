@@ -142,8 +142,9 @@ func TestFleetStoreAlreadyComplete(t *testing.T) {
 	prev.Close()
 
 	st := openStoreFor(t, root, sc)
-	// A dead endpoint: any dispatch would fail the run.
-	res, err := Run(context.Background(), Config{Endpoints: []string{"127.0.0.1:1"}, Store: st, FailureLimit: 1, Logf: t.Logf}, sc)
+	// A dead endpoint: any dispatch would fail the run, once its failures
+	// quarantine it.
+	res, err := Run(context.Background(), Config{Endpoints: []string{"127.0.0.1:1"}, Store: st, Clock: &fakeClock{}, Logf: t.Logf}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -339,8 +339,9 @@ func (s *Sweep) CellsToRun() ([]Cell, error) {
 		return nil, err
 	}
 	if s.ShardCount != 0 {
-		if s.ShardOffset+s.ShardCount > len(cells) {
-			return nil, fmt.Errorf("harness: shard [%d,%d) exceeds the %d-cell grid", s.ShardOffset, s.ShardOffset+s.ShardCount, len(cells))
+		// validate has rejected negative bounds; the sum can overflow.
+		if s.ShardCount > len(cells) || s.ShardOffset > len(cells)-s.ShardCount {
+			return nil, fmt.Errorf("harness: shard [%d,+%d) exceeds the %d-cell grid", s.ShardOffset, s.ShardCount, len(cells))
 		}
 		cells = cells[s.ShardOffset : s.ShardOffset+s.ShardCount]
 	}
@@ -579,11 +580,9 @@ type SweepResult struct {
 	// Interrupted is true when the sweep was cut short by cancellation.
 	Interrupted bool
 
-	// MaxLoad, AvgLatency, and Delivered summarize the clean cells
-	// (mean/max/percentiles via stats.Summary).
-	MaxLoad    stats.Summary
-	AvgLatency stats.Summary
-	Delivered  stats.Summary
+	// MaxLoad summarizes the clean cells' max loads (mean/max/percentiles
+	// via stats.Summary).
+	MaxLoad stats.Summary
 
 	// Metrics aggregates the clean cells' metric summaries per collector
 	// name (see metrics.Fold: histograms merge bucket-wise with re-derived
@@ -621,10 +620,6 @@ func (s *Sweep) Run(ctx context.Context) (*SweepResult, error) {
 		}
 		agg.Completed++
 		agg.MaxLoad.AddInt(cr.Result.MaxLoad)
-		agg.Delivered.AddInt(cr.Result.Delivered)
-		if avg, ok := cr.Result.AvgLatency(); ok {
-			agg.AvgLatency.Add(avg)
-		}
 		// The fold takes cells in completion order and resolves anchor
 		// ties by cell index, as the service and the fleet do.
 		fold.Add(cr.Cell.Index, metrics.Records(cr.Result.Metrics)...)

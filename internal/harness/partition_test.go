@@ -2,6 +2,8 @@ package harness
 
 import (
 	"context"
+	"math"
+	"strings"
 	"testing"
 
 	"smallbuffers/internal/adversary"
@@ -127,6 +129,13 @@ func TestShardValidation(t *testing.T) {
 	sw.ShardOffset, sw.ShardCount = 8, 5 // grid has 12 cells
 	if _, err := sw.Run(context.Background()); err == nil {
 		t.Error("out-of-range shard accepted")
+	}
+	// The shard's end overflows int, so only a check that avoids the sum
+	// rejects it before the grid is sliced.
+	sw = shardTestSweep()
+	sw.ShardOffset, sw.ShardCount = math.MaxInt, 1
+	if _, err := sw.CellsToRun(); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("shard past MaxInt: %v, want an error naming the grid", err)
 	}
 	// CellsToRun agrees with Cells on the unsharded grid.
 	sw = shardTestSweep()

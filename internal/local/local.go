@@ -28,27 +28,17 @@ import (
 // step can sustain a gradient of one packet per node, and the sink drains
 // one per round.
 type Downhill struct {
-	// Slack is the extra gradient required before forwarding: node v
-	// forwards when |L(v)| > |L(next)| + Slack. Slack 0 is the classic
-	// rule; larger slack trades buffer space for fewer forwards.
-	Slack int
-
 	nw  *network.Network
 	out []sim.Forward // decision scratch, reused across rounds
 }
 
 var _ sim.Protocol = (*Downhill)(nil)
 
-// NewDownhill returns the classic downhill protocol (slack 0).
+// NewDownhill returns the classic downhill protocol.
 func NewDownhill() *Downhill { return &Downhill{} }
 
 // Name implements sim.Protocol.
-func (p *Downhill) Name() string {
-	if p.Slack != 0 {
-		return fmt.Sprintf("Downhill(slack=%d)", p.Slack)
-	}
-	return "Downhill"
-}
+func (p *Downhill) Name() string { return "Downhill" }
 
 // Attach implements sim.Protocol. Downhill is single-destination: all
 // packets must be destined for their component's sink, which holds
@@ -71,7 +61,7 @@ func (p *Downhill) Attach(nw *network.Network, _ adversary.Bound, dests []networ
 }
 
 // Decide implements sim.Protocol: node v forwards from its LIFO top while
-// |L(v)| > |L(next(v))| + Slack, up to B(v) packets — the capacitated
+// |L(v)| > |L(next(v))|, up to B(v) packets — the capacitated
 // downhill rule sends min(B(v), gradient) packets, so at B = 1 it is the
 // classic single-packet rule. The comparison uses the pre-forwarding
 // configuration at both endpoints, which is exactly the locality-1
@@ -86,7 +76,7 @@ func (p *Downhill) Decide(v sim.View) ([]sim.Forward, error) {
 		pkts := v.Packets(node)
 		// Note: the sink's load is always 0 (the engine absorbs packets on
 		// arrival), so the gradient test is uniform across the line.
-		k := len(pkts) - v.Load(next) - p.Slack
+		k := len(pkts) - v.Load(next)
 		if b := v.Bandwidth(node); k > b {
 			k = b
 		}
@@ -141,7 +131,7 @@ func (p *OddEven) Decide(v sim.View) ([]sim.Forward, error) {
 			continue
 		}
 		pkts := v.Packets(node)
-		// Capacitated gradient rule, as in Downhill (slack 0).
+		// Capacitated gradient rule, as in Downhill.
 		k := len(pkts) - v.Load(next)
 		if b := v.Bandwidth(node); k > b {
 			k = b

@@ -37,9 +37,6 @@ func TestNames(t *testing.T) {
 	if got := NewDownhill().Name(); got != "Downhill" {
 		t.Errorf("Name = %q", got)
 	}
-	if got := (&Downhill{Slack: 2}).Name(); got != "Downhill(slack=2)" {
-		t.Errorf("Name = %q", got)
-	}
 	if got := NewOddEven().Name(); got != "OddEvenDownhill" {
 		t.Errorf("Name = %q", got)
 	}
@@ -126,26 +123,6 @@ func TestDownhillStaircase(t *testing.T) {
 		if down.MaxLoad != n-1 {
 			t.Errorf("n=%d: downhill staircase height = %d, want n−1 = %d", n, down.MaxLoad, n-1)
 		}
-	}
-}
-
-// TestDownhillSlackTradeoff: more slack, more stored packets.
-func TestDownhillSlackTradeoff(t *testing.T) {
-	nw := network.MustPath(32)
-	load := make([]int, 0, 3)
-	for _, slack := range []int{0, 1, 2} {
-		adv, err := adversary.NewRandom(nw, fullRate(1), []network.NodeID{31}, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sim.Run(context.Background(), sim.NewSpec(nw, &Downhill{Slack: slack}, adv, 400))
-		if err != nil {
-			t.Fatal(err)
-		}
-		load = append(load, res.MaxLoad)
-	}
-	if !(load[0] <= load[1] && load[1] <= load[2]) {
-		t.Errorf("slack should not reduce max load: %v", load)
 	}
 }
 

@@ -319,7 +319,7 @@ func (c *LatencyCollector) Summarize() Summary {
 // series (packets forwarded per round, summed when downsampled, so every
 // point is an exact interval total) plus the busiest link by utilization
 // (total forwards relative to the link's rounds × bandwidth budget; ties
-// break to the lowest NodeID, matching Result.MaxLinkUtilization).
+// break to the lowest NodeID).
 //
 // An optional exact window (NewLinkUtilSeriesWindowed) additionally
 // tracks forwards over the last N rounds plus a decayed maximum of

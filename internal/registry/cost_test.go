@@ -385,8 +385,10 @@ func opBytes(t *testing.T, docs ...string) uint64 {
 // Without Result's copy of the per-node maxima and max_load's array
 // behind it, 107 KB, 238 KB and 102 KB. With the random adversary's
 // source and shaper array and PPTS's scratch handed back at the end of a
-// cell and reused by the next, 54 KB, 53 KB and 88 KB; the race build
-// allocates up to 7 KB more per op, and the limits hold on both.
+// cell and reused by the next, 54 KB, 53 KB and 88 KB. Without the
+// engine's per-link forward counters and Result's copy of them, 21 KB,
+// 20 KB and 83 KB; the race build allocates up to 6 KB more per op, and
+// the limits hold on both.
 func TestSetupBytes(t *testing.T) {
 	doc := func(n int, protocol string, ell int, d int, rho string, rounds int) string {
 		params := ""
@@ -402,9 +404,9 @@ func TestSetupBytes(t *testing.T) {
 		docs  []string
 		limit uint64
 	}{
-		{"bigpath greedy-fifo", []string{doc(4096, "greedy-fifo", 0, 8, "1", 40)}, 58_000},
-		{"bigpath ppts", []string{doc(4096, "ppts", 0, 8, "1", 40)}, 58_000},
-		{"hpts", []string{doc(256, "hpts", 2, 255, "1/2", 320), doc(256, "hpts", 4, 255, "1/4", 320)}, 100_000},
+		{"bigpath greedy-fifo", []string{doc(4096, "greedy-fifo", 0, 8, "1", 40)}, 23_000},
+		{"bigpath ppts", []string{doc(4096, "ppts", 0, 8, "1", 40)}, 23_000},
+		{"hpts", []string{doc(256, "hpts", 2, 255, "1/2", 320), doc(256, "hpts", 4, 255, "1/4", 320)}, 92_000},
 	}
 	for _, c := range cases {
 		got := opBytes(t, c.docs...)

@@ -84,24 +84,21 @@ func TestFaultAxisSingularKeyCollapses(t *testing.T) {
 	}
 }
 
+// badFaultAxes are fault axes that Parse or the cell's model build must
+// reject, keyed by what is wrong.
+var badFaultAxes = map[string]string{
+	"unknown name":      `"faults": [{"name": "meteor"}]`,
+	"unknown param":     `"faults": [{"name": "drop", "params": {"p": "1/2", "q": 1}}]`,
+	"missing required":  `"faults": [{"name": "drop"}]`,
+	"p out of range":    `"faults": [{"name": "drop", "params": {"p": "3/2"}}]`,
+	"duplicate fault":   `"faults": [{"name": "drop", "params": {"p": "1/2"}}, {"name": "drop", "params": {"p": "2/4"}}]`,
+	"singular + plural": `"fault": {"name": "drop", "params": {"p": "1/2"}}, "faults": [{"name": "drop", "params": {"p": "1/4"}}]`,
+}
+
 func TestFaultAxisValidation(t *testing.T) {
-	for name, body := range map[string]string{
-		"unknown name":      `"faults": [{"name": "meteor"}]`,
-		"unknown param":     `"faults": [{"name": "drop", "params": {"p": "1/2", "q": 1}}]`,
-		"missing required":  `"faults": [{"name": "drop"}]`,
-		"p out of range":    `"faults": [{"name": "drop", "params": {"p": "3/2"}}]`,
-		"duplicate fault":   `"faults": [{"name": "drop", "params": {"p": "1/2"}}, {"name": "drop", "params": {"p": "2/4"}}]`,
-		"singular + plural": `"fault": {"name": "drop", "params": {"p": "1/2"}}, "faults": [{"name": "drop", "params": {"p": "1/4"}}]`,
-	} {
+	for name, body := range badFaultAxes {
 		t.Run(name, func(t *testing.T) {
-			src := `{
-				"topology": {"name": "path"},
-				"protocol": {"name": "pts"},
-				"adversary": {"name": "stream"},
-				"bound": {"rho": "1/2", "sigma": 1},
-				"rounds": 20,
-				` + body + `}`
-			sc, err := Parse([]byte(src))
+			sc, err := Parse([]byte(withAxis(body)))
 			if err != nil {
 				return // rejected at Parse/Validate
 			}

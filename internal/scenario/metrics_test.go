@@ -73,22 +73,30 @@ func TestMetricsAxisSingularKey(t *testing.T) {
 	}
 }
 
+// badMetricsAxes are malformed metrics axes, keyed by what is wrong.
+var badMetricsAxes = map[string]string{
+	"unknown name":      `"metrics": [{"name": "nope"}]`,
+	"unknown param":     `"metrics": [{"name": "latency", "params": {"cap": 8}}]`,
+	"duplicate metric":  `"metrics": [{"name": "latency"}, {"name": "latency"}]`,
+	"singular + plural": `"metric": {"name": "latency"}, "metrics": [{"name": "load_hist"}]`,
+}
+
+// withAxis is a one-point stream scenario on the default path with body
+// as its last keys.
+func withAxis(body string) string {
+	return `{
+		"topology": {"name": "path"},
+		"protocol": {"name": "pts"},
+		"adversary": {"name": "stream"},
+		"bound": {"rho": "1/2", "sigma": 1},
+		"rounds": 20,
+		` + body + `}`
+}
+
 func TestMetricsAxisValidation(t *testing.T) {
-	for name, body := range map[string]string{
-		"unknown name":      `"metrics": [{"name": "nope"}]`,
-		"unknown param":     `"metrics": [{"name": "latency", "params": {"cap": 8}}]`,
-		"duplicate metric":  `"metrics": [{"name": "latency"}, {"name": "latency"}]`,
-		"singular + plural": `"metric": {"name": "latency"}, "metrics": [{"name": "load_hist"}]`,
-	} {
+	for name, body := range badMetricsAxes {
 		t.Run(name, func(t *testing.T) {
-			src := `{
-				"topology": {"name": "path"},
-				"protocol": {"name": "pts"},
-				"adversary": {"name": "stream"},
-				"bound": {"rho": "1/2", "sigma": 1},
-				"rounds": 20,
-				` + body + `}`
-			if _, err := Parse([]byte(src)); err == nil {
+			if _, err := Parse([]byte(withAxis(body))); err == nil {
 				t.Errorf("scenario with %s validated", name)
 			}
 		})

@@ -328,7 +328,9 @@ func axisJSON[T any](list []T) (json.RawMessage, json.RawMessage, error) {
 // Validate checks the scenario against the registry and normalizes it in
 // place: component parameters are resolved (unknown names and parameters
 // fail with suggestions) and rewritten canonically, rationals are reduced,
-// and defaulted axes (seeds) are materialized. Validate is idempotent.
+// and defaulted axes (seeds) are materialized. A grid of more than
+// maxGridCells cells, and a shard reaching outside the grid, are
+// rejected. Validate is idempotent.
 func (sc *Scenario) Validate() error {
 	if sc.validated {
 		return nil
@@ -518,15 +520,16 @@ func (sc *Scenario) Validate() error {
 		seenBounds[b] = true
 	}
 
+	total := sc.gridSize()
+	if total > maxGridCells {
+		return fmt.Errorf("scenario: the grid has more than %d cells", maxGridCells)
+	}
 	// A shard must name a non-empty range inside the grid; validating it
 	// here means a sharded scenario file is rejected at load time when
 	// its range cannot exist, not when a remote daemon tries to run it.
 	if sh := sc.Shard; sh != nil {
-		if sh.Offset < 0 || sh.Count < 1 {
-			return fmt.Errorf("scenario: shard needs offset ≥ 0 and count ≥ 1, got [%d,+%d)", sh.Offset, sh.Count)
-		}
-		if total := sc.gridSize(); sh.Offset+sh.Count > total {
-			return fmt.Errorf("scenario: shard [%d,%d) exceeds the %d-cell grid", sh.Offset, sh.Offset+sh.Count, total)
+		if err := checkShard(sh.Offset, sh.Count, total); err != nil {
+			return err
 		}
 	}
 
@@ -534,19 +537,45 @@ func (sc *Scenario) Validate() error {
 	return nil
 }
 
+// maxGridCells bounds a grid's row-major expansion. Every run, sharded
+// or not, expands its whole grid to index its cells, so a larger grid is
+// rejected when it is validated rather than when a daemon's worker
+// expands it.
+const maxGridCells = 1 << 24
+
 // gridSize computes the row-major grid size from the axis lengths;
 // optional axes count as one point (the harness expands them the same
-// way). Callers must have materialized defaulted axes (Validate does).
+// way). A grid past maxGridCells reads as maxGridCells+1, so the product
+// never overflows. Callers must have materialized defaulted axes
+// (Validate does).
 func (sc *Scenario) gridSize() int {
-	dim := func(n int) int {
+	size := 1
+	for _, n := range [...]int{
+		len(sc.Topologies), len(sc.Protocols), len(sc.Adversaries), len(sc.Bounds),
+		len(sc.Bandwidths), len(sc.Faults), len(sc.Seeds), len(sc.Rounds),
+	} {
 		if n == 0 {
-			return 1
+			continue
 		}
-		return n
+		if size > maxGridCells/n {
+			return maxGridCells + 1
+		}
+		size *= n
 	}
-	return dim(len(sc.Topologies)) * dim(len(sc.Protocols)) * dim(len(sc.Adversaries)) *
-		dim(len(sc.Bounds)) * dim(len(sc.Bandwidths)) * dim(len(sc.Faults)) *
-		dim(len(sc.Seeds)) * dim(len(sc.Rounds))
+	return size
+}
+
+// checkShard rejects a shard [offset, offset+count) that is empty or
+// reaches past a total-cell grid, comparing without the sum, which can
+// overflow.
+func checkShard(offset, count, total int) error {
+	if offset < 0 || count < 1 {
+		return fmt.Errorf("scenario: shard needs offset ≥ 0 and count ≥ 1, got [%d,+%d)", offset, count)
+	}
+	if count > total || offset > total-count {
+		return fmt.Errorf("scenario: shard [%d,+%d) exceeds the %d-cell grid", offset, count, total)
+	}
+	return nil
 }
 
 // GridSize returns the number of cells in the scenario's sweep grid —
@@ -634,11 +663,8 @@ func (sc *Scenario) Slice(offset, count int) (*Scenario, error) {
 	// checking here. Skipping the full re-validation is also what makes
 	// Slice safe to call concurrently: Validate materializes defaults
 	// into the shared parameter maps.
-	if offset < 0 || count < 1 {
-		return nil, fmt.Errorf("scenario: shard needs offset ≥ 0 and count ≥ 1, got [%d,+%d)", offset, count)
-	}
-	if total := sc.gridSize(); offset+count > total {
-		return nil, fmt.Errorf("scenario: shard [%d,%d) exceeds the %d-cell grid", offset, offset+count, total)
+	if err := checkShard(offset, count, sc.gridSize()); err != nil {
+		return nil, err
 	}
 	out := *sc
 	out.Shard = &Shard{Offset: offset, Count: count}

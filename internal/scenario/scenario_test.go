@@ -403,78 +403,81 @@ func TestLowerBoundScenario(t *testing.T) {
 	}
 }
 
+// validationErrorCases are malformed scenario documents, each with a
+// fragment of the error Parse must return.
+var validationErrorCases = []struct {
+	name, src, want string
+}{
+	{"unknown protocol suggests", `{
+		"topology": {"name": "path"}, "protocol": {"name": "ptss"},
+		"adversary": {"name": "stream"}, "bound": {"rho": "1", "sigma": 1}, "rounds": 10
+	}`, `did you mean "pts"?`},
+	{"unknown topology", `{
+		"topology": {"name": "ring"}, "protocol": {"name": "pts"},
+		"adversary": {"name": "stream"}, "bound": {"rho": "1", "sigma": 1}, "rounds": 10
+	}`, "unknown topology"},
+	{"unknown param suggests", `{
+		"topology": {"name": "path", "params": {"m": 8}}, "protocol": {"name": "pts"},
+		"adversary": {"name": "stream"}, "bound": {"rho": "1", "sigma": 1}, "rounds": 10
+	}`, `did you mean "n"?`},
+	{"bad rho", `{
+		"topology": {"name": "path"}, "protocol": {"name": "pts"},
+		"adversary": {"name": "stream"}, "bound": {"rho": "fast", "sigma": 1}, "rounds": 10
+	}`, "bad"},
+	{"rate denominator above the cap", `{
+		"topology": {"name": "path"}, "protocol": {"name": "pts"},
+		"adversary": {"name": "random"}, "bound": {"rho": "1/4611686018427387904", "sigma": 2}, "rounds": 10
+	}`, "denominator above"},
+	{"missing rounds", `{
+		"topology": {"name": "path"}, "protocol": {"name": "pts"},
+		"adversary": {"name": "stream"}, "bound": {"rho": "1", "sigma": 1}
+	}`, "no rounds"},
+	{"lowerbound rejects topology", `{
+		"topology": {"name": "path"}, "protocol": {"name": "ppts"},
+		"adversary": {"name": "lowerbound"}, "bound": {"rho": "1/2", "sigma": 1}
+	}`, "dictates its own topology"},
+	{"lowerbound rejects a seeds axis", `{
+		"protocol": {"name": "ppts"}, "seeds": [1, 2, 3],
+		"adversary": {"name": "lowerbound"}, "bound": {"rho": "1/2", "sigma": 1}
+	}`, "drop seeds"},
+	{"lowerbound rejects rounds", `{
+		"protocol": {"name": "ppts"},
+		"adversary": {"name": "lowerbound"}, "bound": {"rho": "1/2", "sigma": 1}, "rounds": 10
+	}`, "dictates its own horizon"},
+	{"singular and plural clash", `{
+		"topology": {"name": "path"}, "topologies": [{"name": "path"}],
+		"protocol": {"name": "pts"},
+		"adversary": {"name": "stream"}, "bound": {"rho": "1", "sigma": 1}, "rounds": 10
+	}`, "use one"},
+	{"unknown top-level key", `{
+		"topology": {"name": "path"}, "protocol": {"name": "pts"}, "rho": "1",
+		"adversary": {"name": "stream"}, "bound": {"rho": "1", "sigma": 1}, "rounds": 10
+	}`, "unknown field"},
+	{"duplicate axis entry", `{
+		"topology": {"name": "path"}, "protocols": [{"name": "pts"}, {"name": "pts"}],
+		"adversary": {"name": "stream"}, "bound": {"rho": "1", "sigma": 1}, "rounds": 10
+	}`, "duplicate protocol"},
+	{"duplicate seed", `{
+		"topology": {"name": "path"}, "protocol": {"name": "pts"}, "seeds": [7, 7],
+		"adversary": {"name": "stream"}, "bound": {"rho": "1", "sigma": 1}, "rounds": 10
+	}`, "duplicate seed"},
+	{"duplicate bound after reduction", `{
+		"topology": {"name": "path"}, "protocol": {"name": "pts"},
+		"adversary": {"name": "stream"}, "bounds": [{"rho": "2/4", "sigma": 1}, {"rho": "1/2", "sigma": 1}],
+		"rounds": 10
+	}`, "duplicate bound"},
+	{"duplicate bandwidth", `{
+		"topology": {"name": "path"}, "protocol": {"name": "pts"}, "bandwidths": [2, 2],
+		"adversary": {"name": "stream"}, "bound": {"rho": "1", "sigma": 1}, "rounds": 10
+	}`, "duplicate bandwidths"},
+	{"zero bandwidth", `{
+		"topology": {"name": "path"}, "protocol": {"name": "pts"}, "bandwidth": 0,
+		"adversary": {"name": "stream"}, "bound": {"rho": "1", "sigma": 1}, "rounds": 10
+	}`, "bandwidth"},
+}
+
 func TestValidationErrors(t *testing.T) {
-	cases := []struct {
-		name, src, want string
-	}{
-		{"unknown protocol suggests", `{
-			"topology": {"name": "path"}, "protocol": {"name": "ptss"},
-			"adversary": {"name": "stream"}, "bound": {"rho": "1", "sigma": 1}, "rounds": 10
-		}`, `did you mean "pts"?`},
-		{"unknown topology", `{
-			"topology": {"name": "ring"}, "protocol": {"name": "pts"},
-			"adversary": {"name": "stream"}, "bound": {"rho": "1", "sigma": 1}, "rounds": 10
-		}`, "unknown topology"},
-		{"unknown param suggests", `{
-			"topology": {"name": "path", "params": {"m": 8}}, "protocol": {"name": "pts"},
-			"adversary": {"name": "stream"}, "bound": {"rho": "1", "sigma": 1}, "rounds": 10
-		}`, `did you mean "n"?`},
-		{"bad rho", `{
-			"topology": {"name": "path"}, "protocol": {"name": "pts"},
-			"adversary": {"name": "stream"}, "bound": {"rho": "fast", "sigma": 1}, "rounds": 10
-		}`, "bad"},
-		{"rate denominator above the cap", `{
-			"topology": {"name": "path"}, "protocol": {"name": "pts"},
-			"adversary": {"name": "random"}, "bound": {"rho": "1/4611686018427387904", "sigma": 2}, "rounds": 10
-		}`, "denominator above"},
-		{"missing rounds", `{
-			"topology": {"name": "path"}, "protocol": {"name": "pts"},
-			"adversary": {"name": "stream"}, "bound": {"rho": "1", "sigma": 1}
-		}`, "no rounds"},
-		{"lowerbound rejects topology", `{
-			"topology": {"name": "path"}, "protocol": {"name": "ppts"},
-			"adversary": {"name": "lowerbound"}, "bound": {"rho": "1/2", "sigma": 1}
-		}`, "dictates its own topology"},
-		{"lowerbound rejects a seeds axis", `{
-			"protocol": {"name": "ppts"}, "seeds": [1, 2, 3],
-			"adversary": {"name": "lowerbound"}, "bound": {"rho": "1/2", "sigma": 1}
-		}`, "drop seeds"},
-		{"lowerbound rejects rounds", `{
-			"protocol": {"name": "ppts"},
-			"adversary": {"name": "lowerbound"}, "bound": {"rho": "1/2", "sigma": 1}, "rounds": 10
-		}`, "dictates its own horizon"},
-		{"singular and plural clash", `{
-			"topology": {"name": "path"}, "topologies": [{"name": "path"}],
-			"protocol": {"name": "pts"},
-			"adversary": {"name": "stream"}, "bound": {"rho": "1", "sigma": 1}, "rounds": 10
-		}`, "use one"},
-		{"unknown top-level key", `{
-			"topology": {"name": "path"}, "protocol": {"name": "pts"}, "rho": "1",
-			"adversary": {"name": "stream"}, "bound": {"rho": "1", "sigma": 1}, "rounds": 10
-		}`, "unknown field"},
-		{"duplicate axis entry", `{
-			"topology": {"name": "path"}, "protocols": [{"name": "pts"}, {"name": "pts"}],
-			"adversary": {"name": "stream"}, "bound": {"rho": "1", "sigma": 1}, "rounds": 10
-		}`, "duplicate protocol"},
-		{"duplicate seed", `{
-			"topology": {"name": "path"}, "protocol": {"name": "pts"}, "seeds": [7, 7],
-			"adversary": {"name": "stream"}, "bound": {"rho": "1", "sigma": 1}, "rounds": 10
-		}`, "duplicate seed"},
-		{"duplicate bound after reduction", `{
-			"topology": {"name": "path"}, "protocol": {"name": "pts"},
-			"adversary": {"name": "stream"}, "bounds": [{"rho": "2/4", "sigma": 1}, {"rho": "1/2", "sigma": 1}],
-			"rounds": 10
-		}`, "duplicate bound"},
-		{"duplicate bandwidth", `{
-			"topology": {"name": "path"}, "protocol": {"name": "pts"}, "bandwidths": [2, 2],
-			"adversary": {"name": "stream"}, "bound": {"rho": "1", "sigma": 1}, "rounds": 10
-		}`, "duplicate bandwidths"},
-		{"zero bandwidth", `{
-			"topology": {"name": "path"}, "protocol": {"name": "pts"}, "bandwidth": 0,
-			"adversary": {"name": "stream"}, "bound": {"rho": "1", "sigma": 1}, "rounds": 10
-		}`, "bandwidth"},
-	}
-	for _, tc := range cases {
+	for _, tc := range validationErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Parse([]byte(tc.src))
 			if err == nil {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -173,7 +174,9 @@ func TestShardedRunsReassemble(t *testing.T) {
 	}
 }
 
-// TestShardValidationErrors pins the error paths for malformed shards.
+// TestShardValidationErrors pins the error paths for malformed shards,
+// among them shards whose end overflows int, and for a grid too large to
+// index.
 func TestShardValidationErrors(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -183,6 +186,16 @@ func TestShardValidationErrors(t *testing.T) {
 		{"negative offset", func(sc *Scenario) { sc.Shard = &Shard{Offset: -1, Count: 2} }, "offset"},
 		{"zero count", func(sc *Scenario) { sc.Shard = &Shard{Offset: 0, Count: 0} }, "count"},
 		{"past the grid", func(sc *Scenario) { sc.Shard = &Shard{Offset: 10, Count: 3} }, "exceeds"},
+		{"end past MaxInt", func(sc *Scenario) { sc.Shard = &Shard{Offset: math.MaxInt, Count: 1} }, "exceeds"},
+		{"count past MaxInt", func(sc *Scenario) { sc.Shard = &Shard{Offset: 1, Count: math.MaxInt} }, "exceeds"},
+		{"grid past maxGridCells", func(sc *Scenario) {
+			// 2 protocols × 2^12 rounds × 2^12 seeds = 2^25 cells.
+			sc.Rounds = make([]int, 1<<12)
+			sc.Seeds = make([]int64, 1<<12)
+			for i := range sc.Seeds {
+				sc.Rounds[i], sc.Seeds[i] = i+1, int64(i)
+			}
+		}, "more than"},
 	}
 	for _, tc := range cases {
 		sc, err := Parse(shardGridSrc())
@@ -203,6 +216,9 @@ func TestShardValidationErrors(t *testing.T) {
 	}
 	if _, err := sc.Slice(6, 7); err == nil {
 		t.Error("out-of-range slice accepted")
+	}
+	if _, err := sc.Slice(math.MaxInt, 1); err == nil {
+		t.Error("a slice ending past MaxInt accepted")
 	}
 	sub, err := sc.Slice(0, 6)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -231,6 +232,59 @@ func TestShardedSubmissions(t *testing.T) {
 	}
 	if got := harness.RecordsDigest(harness.RecordsSorted(recs)); got != wholeRep.ResultsDigest {
 		t.Errorf("merged shard digest %s, want %s", got, wholeRep.ResultsDigest)
+	}
+}
+
+// TestCellSpanMatchesCellsToRun: a submission's requested count and its
+// CacheDir span, read from the scenario's grid size and shard, are what
+// expanding the grid gives, on every pinned file and on slices of each.
+func TestCellSpanMatchesCellsToRun(t *testing.T) {
+	var files []string
+	for _, dir := range []string{"scenarios", "experiments"} {
+		m, err := filepath.Glob(filepath.Join("..", "..", "testdata", dir, "*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, m...)
+	}
+	if len(files) != 30 {
+		t.Fatalf("%d pinned files, want 30", len(files))
+	}
+	for _, f := range files {
+		sc, err := scenario.LoadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total, err := sc.GridSize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs := []*scenario.Scenario{sc}
+		for _, sl := range [][2]int{{0, 1}, {total - 1, 1}, {total / 3, (total - total/3 + 1) / 2}} {
+			sub, err := sc.Slice(sl[0], sl[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			subs = append(subs, sub)
+		}
+		for _, sub := range subs {
+			span, err := cellSpan(sub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sw, err := sub.Sweep()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells, err := sw.CellsToRun()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if span.Count() != len(cells) || span.Lo != cells[0].Index || span.Hi != cells[len(cells)-1].Index+1 {
+				t.Errorf("%s shard %+v: span %v, the expanded grid runs %d cells from %d",
+					f, sub.Shard, span, len(cells), cells[0].Index)
+			}
+		}
 	}
 }
 

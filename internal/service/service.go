@@ -182,12 +182,11 @@ type Report struct {
 // subscribers follow appends via the changed-channel-swap idiom (grab the
 // current channel under the lock, wait for it to close).
 type run struct {
-	id        string
-	digest    string
-	name      string
-	sweep     *harness.Sweep
-	requested int
-	span      harness.IndexRange // global index range of the run's cells
+	id     string
+	digest string
+	name   string
+	sweep  *harness.Sweep
+	span   harness.IndexRange // global index range of the run's cells
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -436,13 +435,13 @@ func (s *Server) finish(r *run, ctxErr error) {
 		return
 	}
 	r.finished = true
-	sum := summarize(r.requested, r.records, r.lines)
+	sum := summarize(r.span.Count(), r.records, r.lines)
 	r.summary = sum
 	r.lines = nil
 	recs := r.records
 	if ctxErr != nil {
 		r.status = StatusCancelled
-		r.runErr = fmt.Errorf("run cancelled after %d of %d cells: %w", len(recs), r.requested, ctxErr)
+		r.runErr = fmt.Errorf("run cancelled after %d of %d cells: %w", len(recs), r.span.Count(), ctxErr)
 	} else {
 		r.status = StatusDone
 	}
@@ -612,22 +611,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	sw.Workers = s.cfg.SweepWorkers
-	// CellsToRun honours a scenario shard: a sharded submission executes
-	// (and is billed for) exactly its index range, with global indices.
-	cells, err := sw.CellsToRun()
+	span, err := cellSpan(sc)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
-	}
-	span := harness.IndexRange{}
-	if len(cells) > 0 {
-		span = harness.IndexRange{Lo: cells[0].Index, Hi: cells[len(cells)-1].Index + 1}
 	}
 
 	// Probe the durable cache outside the lock (it reads and verifies the
 	// whole entry); the re-check below keeps single-flight intact.
 	var warmed []harness.CellRecord
-	if s.cfg.CacheDir != "" && len(cells) > 0 {
+	if s.cfg.CacheDir != "" {
 		warmed = s.loadFromDisk(digest, span)
 	}
 
@@ -648,20 +641,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	s.seq++
 	runCtx, cancel := context.WithCancel(s.baseCtx)
 	r := &run{
-		id:        fmt.Sprintf("r%d-%s", s.seq, strings.TrimPrefix(digest, scenario.DigestPrefix)[:12]),
-		digest:    digest,
-		name:      sc.Name,
-		sweep:     sw,
-		requested: len(cells),
-		span:      span,
-		ctx:       runCtx,
-		cancel:    cancel,
-		status:    StatusQueued,
-		changed:   make(chan struct{}),
-		done:      make(chan struct{}),
-		watchers:  1, // the submitter, detached by respondJoined
+		id:       fmt.Sprintf("r%d-%s", s.seq, strings.TrimPrefix(digest, scenario.DigestPrefix)[:12]),
+		digest:   digest,
+		name:     sc.Name,
+		sweep:    sw,
+		span:     span,
+		ctx:      runCtx,
+		cancel:   cancel,
+		status:   StatusQueued,
+		changed:  make(chan struct{}),
+		done:     make(chan struct{}),
+		watchers: 1, // the submitter, detached by respondJoined
 	}
-	r.live = live.NewAccumulator(r.id, len(cells), s.cfg.SweepWorkers, s.cfg.Clock)
+	r.live = live.NewAccumulator(r.id, span.Count(), s.cfg.SweepWorkers, s.cfg.Clock)
 	s.runs[r.id] = r
 	s.byDigest[digest] = r
 	s.metrics.runsStarted.Add(1)
@@ -684,6 +676,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	s.respondJoined(w, req, r, wait)
 }
 
+// cellSpan is the global index range of the cells a submission runs, and
+// is billed for: its scenario's shard, or else the whole grid, never
+// empty. Both come from the validated scenario, so the grid is expanded
+// only once, when the run's sweep starts. Validate has already rejected
+// duplicate axis labels, a grid past its cell bound and a shard reaching
+// outside the grid, so the range is one the worker's expansion can run.
+func cellSpan(sc *scenario.Scenario) (harness.IndexRange, error) {
+	total, err := sc.GridSize()
+	if err != nil {
+		return harness.IndexRange{}, err
+	}
+	if sh := sc.Shard; sh != nil {
+		return harness.IndexRange{Lo: sh.Offset, Hi: sh.Offset + sh.Count}, nil
+	}
+	return harness.IndexRange{Hi: total}, nil
+}
+
 // serveWarmedLocked installs a digest-verified disk entry as a finished
 // cached run — indexed, LRU-governed, and streamable exactly like a run
 // this process executed — and serves it as a cache hit. Must be entered
@@ -693,19 +702,18 @@ func (s *Server) serveWarmedLocked(w http.ResponseWriter, name, digest string, s
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // sealed from birth: nothing to abandon
 	r := &run{
-		id:        fmt.Sprintf("r%d-%s", s.seq, strings.TrimPrefix(digest, scenario.DigestPrefix)[:12]),
-		digest:    digest,
-		name:      name,
-		requested: len(recs),
-		span:      span,
-		ctx:       ctx,
-		cancel:    cancel,
-		status:    StatusDone,
-		finished:  true,
-		records:   recs,
-		summary:   summarize(len(recs), recs, nil),
-		changed:   make(chan struct{}),
-		done:      make(chan struct{}),
+		id:       fmt.Sprintf("r%d-%s", s.seq, strings.TrimPrefix(digest, scenario.DigestPrefix)[:12]),
+		digest:   digest,
+		name:     name,
+		span:     span,
+		ctx:      ctx,
+		cancel:   cancel,
+		status:   StatusDone,
+		finished: true,
+		records:  recs,
+		summary:  summarize(len(recs), recs, nil),
+		changed:  make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	close(r.done)
 	r.live = live.NewAccumulator(r.id, len(recs), s.cfg.SweepWorkers, s.cfg.Clock)

@@ -686,6 +686,55 @@ func TestHostileRateRejected(t *testing.T) {
 	}
 }
 
+// TestHostileGridRejected posts grids whose cell indices overflow int: a
+// shard ending past MaxInt, and axes whose product no slice can hold.
+// Validate's offset+count and the grid's size once wrapped round, so both
+// validated, were queued, and panicked when the worker expanded the grid,
+// killing the daemon. Each POST must get a 400, and the daemon must keep
+// serving.
+func TestHostileGridRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	axis := func(n int) string {
+		vals := make([]string, n)
+		for i := range vals {
+			vals[i] = strconv.Itoa(i + 1)
+		}
+		return "[" + strings.Join(vals, ",") + "]"
+	}
+	for _, tc := range []struct{ name, body, want string }{
+		{"shard past MaxInt", `{
+			"topology": {"name": "path", "params": {"n": 8}},
+			"protocol": {"name": "ppts"},
+			"adversary": {"name": "random"},
+			"bound": {"rho": "1/2", "sigma": 1},
+			"rounds": 10,
+			"shard": {"offset": 9223372036854775807, "count": 1}
+		}`, "exceeds"},
+		{"grid past MaxInt", `{
+			"topology": {"name": "path", "params": {"n": 8}},
+			"protocol": {"name": "ppts"},
+			"adversary": {"name": "random"},
+			"bound": {"rho": "1/2", "sigma": 1},
+			"rounds": ` + axis(20000) + `,
+			"bandwidths": ` + axis(20000) + `,
+			"seeds": ` + axis(20000) + `
+		}`, "cells"},
+	} {
+		code, rep := post(t, ts.URL, tc.body)
+		if code != http.StatusBadRequest || !strings.Contains(rep.Error, tc.want) {
+			t.Errorf("%s: %d %+v, want a 400 containing %q", tc.name, code, rep, tc.want)
+		}
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatalf("%s: the daemon stopped serving: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("healthz after %s: %d, want 200", tc.name, resp.StatusCode)
+		}
+	}
+}
+
 // TestCacheEviction bounds the cache at a few cells and checks old
 // digests re-simulate after eviction.
 func TestCacheEviction(t *testing.T) {

@@ -60,8 +60,10 @@ func TestDropConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	links := newLinkForwards(12) // faultSpec's path(12)
 	res, err := Run(context.Background(), faultSpec(t, dm,
-		WithMetrics(metrics.NewDelivery(), metrics.NewGoodput(64, 16), metrics.NewDropRate(64, 16))))
+		WithMetrics(metrics.NewDelivery(), metrics.NewGoodput(64, 16), metrics.NewDropRate(64, 16)),
+		WithObservers(links)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,18 +97,14 @@ func TestDropConservation(t *testing.T) {
 		t.Errorf("drop_rate.dropped = %d, want %d", got, res.Dropped)
 	}
 	// Dropped packets consume their link: total forwards covers them.
-	totalForwards := 0
-	for _, f := range res.PerLinkForwards {
-		totalForwards += f
-	}
-	if got := dr.Scalar("forwards"); got != totalForwards {
+	if got, totalForwards := dr.Scalar("forwards"), links.total(); got != totalForwards {
 		t.Errorf("drop_rate.forwards = %d, want %d", got, totalForwards)
 	}
 }
 
 // TestNodeCrashNullifiesForwards checks that a crashed node forwards
-// nothing during its window (its link counter freezes) and that the run
-// still makes progress elsewhere.
+// nothing during its window (an OnForward observer sees no move from it)
+// and that the run still makes progress elsewhere.
 func TestNodeCrashNullifiesForwards(t *testing.T) {
 	nw := network.MustPath(6)
 	adv, err := adversary.NewRandom(nw, adversary.Bound{Rho: rat.New(1, 2), Sigma: 2}, nil, 3)
@@ -120,7 +118,8 @@ func TestNodeCrashNullifiesForwards(t *testing.T) {
 	if err := crash.Reset(nw, 3); err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(NewSpec(nw, &greedyOldest{}, adv, 50, WithFaults(crash)))
+	links := newLinkForwards(nw.Len())
+	e, err := NewEngine(NewSpec(nw, &greedyOldest{}, adv, 50, WithFaults(crash), WithObservers(links)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +127,14 @@ func TestNodeCrashNullifiesForwards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PerLinkForwards[2] != 0 {
-		t.Fatalf("crashed node forwarded %d packets during its outage", res.PerLinkForwards[2])
+	if links.perLink[2] != 0 {
+		t.Fatalf("crashed node forwarded %d packets during its outage", links.perLink[2])
 	}
 	if res.Dropped != 0 {
 		t.Fatalf("node_crash dropped %d packets in transit", res.Dropped)
 	}
 	// The node upstream of the crash keeps forwarding into it.
-	if res.PerLinkForwards[1] == 0 {
+	if links.perLink[1] == 0 {
 		t.Fatal("upstream of the crashed node forwarded nothing")
 	}
 }

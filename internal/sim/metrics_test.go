@@ -33,6 +33,45 @@ func (l *legacyLatency) OnForward(round int, moves []metrics.Move) {
 	}
 }
 
+// linkForwards counts forwards per link through OnForward, dropped
+// packets included (a dropped packet consumes its link): the independent
+// reference the link_util_series collector is checked against.
+type linkForwards struct {
+	metrics.NopObserver
+	perLink []int
+}
+
+func newLinkForwards(n int) *linkForwards { return &linkForwards{perLink: make([]int, n)} }
+
+func (l *linkForwards) OnForward(_ int, moves []metrics.Move) {
+	for _, m := range moves {
+		l.perLink[m.From]++
+	}
+}
+
+func (l *linkForwards) total() int {
+	sum := 0
+	for _, f := range l.perLink {
+		sum += f
+	}
+	return sum
+}
+
+// busiest returns the link with the largest share of its rounds × B(v)
+// budget, the lowest node on ties, or -1 when nothing was forwarded.
+func (l *linkForwards) busiest(nw *network.Network, rounds int) int {
+	best, arg := 0.0, -1
+	for v, f := range l.perLink {
+		if f == 0 || nw.Next(network.NodeID(v)) == network.None {
+			continue
+		}
+		if u := float64(f) / float64(rounds*nw.Bandwidth(network.NodeID(v))); arg < 0 || u > best {
+			best, arg = u, v
+		}
+	}
+	return arg
+}
+
 // TestDefaultMetricsShimEquivalence is the acceptance gate: a run with no
 // WithMetrics option reports the default {max_load, latency} collector
 // set, and every historical scalar field matches both the collectors'
@@ -135,9 +174,11 @@ func TestFullCollectorSetConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	const rounds = 300
+	links := newLinkForwards(nw.Len())
 	res, err := Run(context.Background(), NewSpec(nw, &greedyOldest{}, adv, rounds,
 		WithMetrics(metrics.NewMaxLoad(), metrics.NewLoadSeries(64, 16), metrics.NewLoadHist(),
-			metrics.NewLatency(), metrics.NewLinkUtilSeries(64, 16))))
+			metrics.NewLatency(), metrics.NewLinkUtilSeries(64, 16)),
+		WithObservers(links)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,16 +207,14 @@ func TestFullCollectorSetConsistency(t *testing.T) {
 	}
 
 	lu := res.Metrics[metrics.NameLinkUtilSeries]
-	totalForwards := 0
-	for _, f := range res.PerLinkForwards {
-		totalForwards += f
-	}
+	totalForwards := links.total()
 	if lu.Scalar("total_forwards") != totalForwards {
-		t.Errorf("link_util total_forwards = %d, engine counted %d", lu.Scalar("total_forwards"), totalForwards)
+		t.Errorf("link_util total_forwards = %d, an OnForward observer counted %d", lu.Scalar("total_forwards"), totalForwards)
 	}
-	busiest, _, utilOK := res.MaxLinkUtilization()
-	if utilOK && lu.Scalar("busiest_link") != int(busiest) {
-		t.Errorf("busiest_link = %d, MaxLinkUtilization says %d", lu.Scalar("busiest_link"), busiest)
+	busiest := links.busiest(nw, rounds)
+	if busiest < 0 || lu.Scalar("busiest_link") != busiest || lu.Scalar("busiest_forwards") != links.perLink[busiest] {
+		t.Errorf("busiest_link = %d with %d forwards, the observer's counts say %d",
+			lu.Scalar("busiest_link"), lu.Scalar("busiest_forwards"), busiest)
 	}
 	fw, ok := lu.SeriesByKey("forwards")
 	if !ok {
@@ -368,17 +407,40 @@ func TestObserverOrderingContract(t *testing.T) {
 	}
 }
 
-// TestMaxLinkUtilizationTieBreak pins the documented tie-break: equal
-// utilizations resolve to the lowest NodeID.
+// TestMaxLinkUtilizationTieBreak pins link_util_series' tie-break:
+// equal utilizations f/B(v) resolve to the lowest node, whichever link
+// forwarded more packets.
 func TestMaxLinkUtilizationTieBreak(t *testing.T) {
-	res := Result{
-		Rounds:          10,
-		PerLinkForwards: []int{5, 5, 3, 0},
-		net:             network.MustPath(4),
-	}
-	v, util, ok := res.MaxLinkUtilization()
-	if !ok || v != 0 || util != 0.5 {
-		t.Errorf("MaxLinkUtilization = %d,%v,%v; want node 0 at 0.5", v, util, ok)
+	for _, tc := range []struct {
+		name    string
+		fast    network.NodeID // the one link at B = 2
+		perLink []int
+		want    int
+	}{
+		{"the lower node forwarded fewer", 1, []int{5, 10, 3}, 0},
+		{"the higher node forwarded more", 2, []int{3, 5, 10}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw := network.MustPath(4, network.WithLinkBandwidth(tc.fast, 2))
+			e, err := NewEngine(NewSpec(nw, &greedyOldest{}, adversary.Empty{}, 10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := metrics.NewLinkUtilSeries(16, 4)
+			c.OnSample(0, metrics.LT, e)
+			var moves []metrics.Move
+			for v, f := range tc.perLink {
+				for range f {
+					moves = append(moves, metrics.Move{From: network.NodeID(v), To: network.NodeID(v + 1)})
+				}
+			}
+			c.OnForward(0, moves)
+			s := c.Summarize()
+			link, f, b := s.Scalar("busiest_link"), s.Scalar("busiest_forwards"), s.Scalar("busiest_bandwidth")
+			if link != tc.want || f != tc.perLink[tc.want] || 2*f != 10*b {
+				t.Errorf("busiest link %d with %d forwards at B = %d; want node %d at 1/2 of 10 rounds", link, f, b, tc.want)
+			}
+		})
 	}
 }
 
@@ -394,13 +456,11 @@ func TestMaxLinkUtilizationAllSinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := res.MaxLinkUtilization(); ok {
-		t.Error("MaxLinkUtilization reports a busiest link on an all-sink forest")
-	}
-	if _, ok := res.LinkUtilization(0); ok {
-		t.Error("LinkUtilization ok for a sink")
-	}
-	if got := res.Metrics[metrics.NameLinkUtilSeries].Scalar("busiest_link"); got != -1 {
+	lu := res.Metrics[metrics.NameLinkUtilSeries]
+	if got := lu.Scalar("busiest_link"); got != -1 {
 		t.Errorf("link_util busiest_link = %d, want -1", got)
+	}
+	if _, ok := lu.Scalars["busiest_bandwidth"]; ok {
+		t.Error("link_util reports a busiest link's bandwidth on an all-sink forest")
 	}
 }

@@ -144,52 +144,11 @@ type Result struct {
 	MaxLatency   int
 	TotalLatency int
 
-	// PerLinkForwards[v] counts packets forwarded over the link out of v
-	// during the run; with the run's bandwidths it yields per-link
-	// utilization (see LinkUtilization).
-	PerLinkForwards []int
 	// Metrics holds the distilled summaries of the run's metric
 	// collectors, keyed by collector name: the spec-selected set
 	// (WithMetrics), or the default {max_load, latency} pair whose
 	// scalars also populate the historical fields above.
 	Metrics map[string]metrics.Summary
-	// net is the run's network, immutable and kept so that a link's total
-	// transmission budget, Rounds · B(v), survives the Result being
-	// detached from its engine.
-	net *network.Network
-}
-
-// LinkUtilization returns the fraction of link v's total transmission
-// budget (rounds × bandwidth) actually used, in [0, 1]. ok is false for
-// sinks, zero-round runs, and Results not produced by the engine (such as
-// a zero Result).
-func (r Result) LinkUtilization(v network.NodeID) (float64, bool) {
-	if r.net == nil || r.Rounds == 0 || int(v) >= len(r.PerLinkForwards) || r.net.Next(v) == network.None {
-		return 0, false
-	}
-	return float64(r.PerLinkForwards[v]) / float64(r.Rounds*r.net.Bandwidth(v)), true
-}
-
-// MaxLinkUtilization returns the busiest link and its utilization, or
-// ok=false when no link has a transmission budget at all (all-sink
-// forests, zero-round runs, Results not produced by the engine). A run
-// whose links have budget but forwarded nothing reports the first link
-// at utilization 0 with ok=true.
-//
-// On equal utilization the lowest NodeID wins. The tie-break is part of
-// the API contract — nodes are scanned in ascending order and only a
-// strictly greater utilization displaces the incumbent — so on runs
-// that forwarded at least one packet this names the same busiest link
-// as the link_util_series collector (which reports busiest_link=-1 for
-// all-idle runs instead).
-func (r Result) MaxLinkUtilization() (network.NodeID, float64, bool) {
-	best, arg, ok := 0.0, network.NodeID(0), false
-	for v := range r.PerLinkForwards {
-		if u, valid := r.LinkUtilization(network.NodeID(v)); valid && (!ok || u > best) {
-			best, arg, ok = u, network.NodeID(v), true
-		}
-	}
-	return arg, best, ok
 }
 
 // AvgLatency returns the mean delivery latency, or 0 with ok=false if
@@ -204,12 +163,12 @@ func (r Result) AvgLatency() (float64, bool) {
 // Engine executes runs. It implements View. An engine is reusable: after a
 // run completes (or is cancelled), Reset rebinds it to a new Spec. What
 // the engine keeps from run to run is storage only: the buffers' packet
-// arrays, the occupancy index, the staging counters, the round scratch and
-// the link counters behind Result, each regrown only when a larger
-// topology needs it, so sweeps drive thousands of runs without churning
-// the allocator. Release drops the references to the last run, which lets
-// an idle engine wait in a pool. It can also be single-stepped with Step
-// for incremental driving (debuggers, visualizers, interleaved engines).
+// arrays, the occupancy index, the staging counters and the round
+// scratch, each regrown only when a larger topology needs it, so sweeps
+// drive thousands of runs without churning the allocator. Release drops
+// the references to the last run, which lets an idle engine wait in a
+// pool. It can also be single-stepped with Step for incremental driving
+// (debuggers, visualizers, interleaved engines).
 //
 // An Engine is not safe for concurrent use; run one engine per goroutine.
 type Engine struct {
@@ -367,14 +326,7 @@ func (e *Engine) Reset(spec Spec) error {
 	}
 	e.hooks = append(e.hooks, spec.observers...)
 
-	// Result hands out a copy of the link counters, so the engine keeps
-	// its own from run to run.
-	e.res = Result{
-		Protocol:        spec.protocol.Name(),
-		Rounds:          spec.rounds,
-		PerLinkForwards: zeroed(e.res.PerLinkForwards, n),
-		net:             spec.net,
-	}
+	e.res = Result{Protocol: spec.protocol.Name(), Rounds: spec.rounds}
 	return nil
 }
 
@@ -387,7 +339,7 @@ func (e *Engine) Release() {
 	e.dropHooks()
 	e.spec, e.verifier = Spec{}, nil
 	e.maxLoadC, e.latencyC = nil, nil
-	e.res = Result{PerLinkForwards: e.res.PerLinkForwards}
+	e.res = Result{}
 }
 
 // dropHooks empties the hook list, clearing its whole backing array so no
@@ -479,9 +431,9 @@ func (e *Engine) Step() (done bool, err error) {
 
 // Result returns a snapshot of the run summary accumulated so far. After a
 // completed Run it is the final summary; after a cancelled run it covers
-// the rounds that executed. The snapshot is independent of the engine: its
-// slices are copies, so neither resuming the run nor resetting the engine
-// for another run mutates previously returned Results.
+// the rounds that executed. The snapshot is independent of the engine:
+// neither resuming the run nor resetting the engine for another run
+// mutates previously returned Results.
 //
 // The historical scalar fields are sourced from the run's always-on
 // max_load and latency collectors; Metrics carries the full summaries of
@@ -495,7 +447,6 @@ func (e *Engine) Result() Result {
 	res.MaxLatency = e.latencyC.MaxLatency()
 	res.TotalLatency = e.latencyC.TotalLatency()
 	res.Residual = res.Injected - res.Delivered - res.Dropped
-	res.PerLinkForwards = slices.Clone(e.res.PerLinkForwards)
 	reported := e.spec.collectors
 	if len(reported) == 0 {
 		reported = []metrics.Collector{e.maxLoadC, e.latencyC}
@@ -682,7 +633,6 @@ func (e *Engine) apply(t int, decisions []Forward) ([]metrics.Move, error) {
 	// whose OnForward receives these moves after apply returns.
 	for i := range moves {
 		m := &moves[i]
-		e.res.PerLinkForwards[m.From]++
 		if m.Dropped {
 			e.res.Dropped++
 			continue

@@ -199,27 +199,28 @@ func TestResetReuse(t *testing.T) {
 	if !reflect.DeepEqual(first, again) {
 		t.Errorf("reused engine diverged:\n%+v\n%+v", first, again)
 	}
-	// The earlier result must not be clobbered by the reuse.
-	if first.Rounds != 200 || first.PerLinkForwards == nil {
-		t.Error("prior result mutated by Reset")
-	}
-
 	// Rebind to a larger topology, then a smaller one.
 	big := network.MustPath(64)
 	adv := adversary.NewStream(adversary.Bound{Rho: rat.One, Sigma: 0}, 0, 63)
-	if err := eng.Reset(NewSpec(big, &greedyOldest{}, adv, 100)); err != nil {
+	links := newLinkForwards(big.Len())
+	if err := eng.Reset(NewSpec(big, &greedyOldest{}, adv, 100, WithObservers(links))); err != nil {
 		t.Fatal(err)
 	}
 	bigRes, err := eng.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bigRes.PerLinkForwards) != 64 || bigRes.Injected != 100 {
-		t.Errorf("big run: %+v", bigRes)
+	// Link v forwards the packets injected up to round 99 − v.
+	if links.perLink[0] != 100 || links.perLink[62] != 38 || bigRes.Injected != 100 {
+		t.Errorf("big run: %+v, forwards per link %v", bigRes, links.perLink)
 	}
 	fresh, err := Run(context.Background(), specFixture(t, 3))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The earlier result must not be clobbered by the reuse.
+	if !reflect.DeepEqual(first, fresh) {
+		t.Errorf("prior result mutated by the engine's reuse:\n%+v\n%+v", first, fresh)
 	}
 	if err := eng.Reset(specFixture(t, 3)); err != nil {
 		t.Fatal(err)

@@ -385,8 +385,9 @@ func ScenarioFromFlags(f ScenarioFlags) (*Scenario, error) { return scenario.Fro
 // around it.
 
 type (
-	// FleetConfig names the daemons and shapes sharding, retry backoff,
-	// and work stealing; only Endpoints is required.
+	// FleetConfig names the daemons and sets how many shard streams each
+	// runs at once, the merge store, the clock and the progress log; only
+	// Endpoints is required.
 	FleetConfig = fleet.Config
 	// FleetResult is a completed fleet run: every cell record in global
 	// index order plus the fleet summary.
