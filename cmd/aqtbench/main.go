@@ -307,7 +307,11 @@ func runScenarioFile(ctx context.Context, w io.Writer, path string, validateOnly
 		return nil, err
 	}
 	if storeDir != "" {
-		if err := store.Seal(storeDir, dig, span, recs, agg.Digest()); err != nil {
+		lines := make([]json.RawMessage, len(recs))
+		for i, rec := range recs {
+			lines[i], _ = json.Marshal(rec) // a CellRecord always marshals
+		}
+		if err := store.Seal(storeDir, dig, span, lines, agg.Digest()); err != nil {
 			return ms, fmt.Errorf("persisting results: %w", err)
 		}
 	}

@@ -222,16 +222,22 @@ func buildScenario(o options) (*sb.Scenario, error) {
 }
 
 // runSingle executes a one-point scenario as its one-cell sweep and prints
-// the classic report.
+// the classic report. The trace recorder, which keeps one n-int row per
+// round, is attached only for -json and -heatmap, which print it.
 func runSingle(ctx context.Context, o options, sc *sb.Scenario, w io.Writer) error {
 	note, err := sc.Note()
 	if err != nil {
 		return err
 	}
-	rec := sb.NewTraceRecorder()
-	rec.CaptureEvents = o.json
 	links := metrics.NewLinkUtilSeries(2, 0)
-	cell, res, nw, err := sc.RunOne(ctx, rec, links)
+	obs := []sb.Observer{links}
+	var rec *sb.TraceRecorder
+	if o.json || o.heatmap {
+		rec = sb.NewTraceRecorder()
+		rec.CaptureEvents = o.json
+		obs = []sb.Observer{rec, links}
+	}
+	cell, res, nw, err := sc.RunOne(ctx, obs...)
 	if err != nil {
 		return err
 	}

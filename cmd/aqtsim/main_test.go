@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -339,5 +342,34 @@ func TestLinksLine(t *testing.T) {
 				t.Errorf("links line %q, want %q:\n%s", got, want, out)
 			}
 		})
+	}
+}
+
+// TestReportBytesWithoutTrace gates what a one-run report keeps when
+// nothing prints a trace: without -json or -heatmap no trace recorder is
+// attached, so a 1,000-round run on path(4096) allocates no per-round
+// occupancy rows and stays at 191 KB (measured with go1.24.0 on
+// linux/amd64). With the recorder attached to every report, one n-int
+// row per round, it allocated 33.0 MB.
+func TestReportBytesWithoutTrace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate: run without -race")
+	}
+	args := []string{"-n", "4096", "-protocol", "ppts", "-adversary", "random", "-d", "4", "-rounds", "1000"}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	best := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for range 3 {
+		runtime.ReadMemStats(&before)
+		if err := run(context.Background(), args, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	const limit = 200_000
+	t.Logf("%d B per report (limit %d)", best, limit)
+	if best > limit {
+		t.Errorf("a path(4096) one-run report of 1,000 rounds allocates %d B, want ≤ %d", best, limit)
 	}
 }

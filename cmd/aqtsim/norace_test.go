@@ -1,0 +1,6 @@
+//go:build !race
+
+package main
+
+// raceEnabled reports a -race build.
+const raceEnabled = false

@@ -22,7 +22,8 @@ func maxBurst(b Bound) int {
 
 // smoother emits a rate-ρ stream with credit capped at one packet, so the
 // emission count over any window of w rounds is at most ρ·w + 1 and a pause
-// never causes a catch-up burst.
+// never causes a catch-up burst. It emits at most once a round: h rounds
+// schedule at most h stream packets.
 type smoother struct {
 	rho    rat.Rat
 	credit rat.Rat
@@ -71,7 +72,7 @@ func PTSBurst(nw *network.Network, bound Bound, horizon int) (*Replay, error) {
 	}
 	burstRound := horizon / 2
 	quiet := quietWindow(bound.Rho)
-	s := NewSchedule()
+	s := newSchedule(horizon, horizon+maxBurst(bound))
 	sm := smoother{rho: bound.Rho}
 	for t := 0; t < horizon; t++ {
 		if t >= burstRound-quiet && t <= burstRound {
@@ -110,7 +111,7 @@ func PPTSBurst(nw *network.Network, bound Bound, d, horizon int) (*Replay, error
 	}
 	burstRound := horizon / 2
 	quiet := quietWindow(bound.Rho)
-	s := NewSchedule()
+	s := newSchedule(horizon, horizon+maxBurst(bound))
 	sm := smoother{rho: bound.Rho}
 	emitted := 0
 	for t := 0; t < horizon; t++ {
@@ -160,7 +161,7 @@ func TreeBurst(nw *network.Network, bound Bound, dests []network.NodeID, horizon
 	burstRound := horizon / 2
 	quiet := quietWindow(bound.Rho)
 	last := dests[len(dests)-1]
-	s := NewSchedule()
+	s := newSchedule(horizon, horizon+maxBurst(bound))
 	sm := smoother{rho: bound.Rho}
 	emitted := 0
 	for t := 0; t < horizon; t++ {
@@ -206,7 +207,7 @@ func GreedyKiller(nw *network.Network, bound Bound, d, horizon int) (*Replay, er
 	for k := 0; k < d; k++ {
 		dests[k] = network.NodeID(n - 2*d + 2*k + 1)
 	}
-	s := NewSchedule()
+	s := newSchedule(horizon, horizon)
 	sm := smoother{rho: bound.Rho}
 	emitted := 0
 	for t := 0; t < horizon; t++ {

@@ -1,8 +1,9 @@
 package adversary
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/packet"
@@ -10,81 +11,88 @@ import (
 
 // Replay is an adversary that plays back an explicit injection schedule.
 // It is the vehicle for crafted worst-case patterns (this package) and the
-// Section 5 lower-bound construction (package lowerbound).
+// Section 5 lower-bound construction (package lowerbound). The schedule is
+// flat and round-indexed, as Schedule writes it: round t's injections are
+// injs[start[t]:start[t+1]], and the last round's run to the end of injs.
 type Replay struct {
-	bound   Bound
-	byRound map[int][]packet.Injection
-	dests   []network.NodeID
+	bound Bound
+	injs  []packet.Injection
+	start []int32
 }
 
 var _ Adversary = (*Replay)(nil)
 var _ DestinationHinter = (*Replay)(nil)
-
-// NewReplay builds a replay adversary from a schedule. The declared bound
-// is trusted here; use VerifyPrefix or Schedule.Verify to check it.
-func NewReplay(bound Bound, byRound map[int][]packet.Injection) *Replay {
-	destSet := make(map[network.NodeID]bool)
-	copied := make(map[int][]packet.Injection, len(byRound))
-	for r, injs := range byRound {
-		copied[r] = append([]packet.Injection(nil), injs...)
-		for _, in := range injs {
-			destSet[in.Dst] = true
-		}
-	}
-	dests := make([]network.NodeID, 0, len(destSet))
-	for d := range destSet {
-		dests = append(dests, d)
-	}
-	sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
-	return &Replay{bound: bound, byRound: copied, dests: dests}
-}
 
 // Bound implements Adversary.
 func (r *Replay) Bound() Bound { return r.bound }
 
 // Inject implements Adversary. It returns the stored schedule, nil for a
 // round without injections; Replay is stateless, so a result stays valid.
-func (r *Replay) Inject(round int) []packet.Injection { return r.byRound[round] }
+func (r *Replay) Inject(round int) []packet.Injection {
+	if round < 0 || round >= len(r.start) {
+		return nil
+	}
+	lo, hi := int(r.start[round]), len(r.injs)
+	if round+1 < len(r.start) {
+		hi = int(r.start[round+1])
+	}
+	if lo == hi {
+		return nil
+	}
+	return r.injs[lo:hi:hi]
+}
 
 // Destinations implements DestinationHinter.
 func (r *Replay) Destinations() []network.NodeID {
-	return append([]network.NodeID(nil), r.dests...)
+	var dests []network.NodeID
+	for _, in := range r.injs {
+		if i, ok := slices.BinarySearch(dests, in.Dst); !ok {
+			dests = slices.Insert(dests, i, in.Dst)
+		}
+	}
+	return dests
 }
 
 // LastRound returns the largest round with a scheduled injection, or -1.
-func (r *Replay) LastRound() int {
-	last := -1
-	for t := range r.byRound {
-		if t > last {
-			last = t
-		}
-	}
-	return last
-}
+func (r *Replay) LastRound() int { return len(r.start) - 1 }
 
 // TotalInjections returns the number of scheduled packets.
-func (r *Replay) TotalInjections() int {
-	total := 0
-	for _, injs := range r.byRound {
-		total += len(injs)
-	}
-	return total
-}
+func (r *Replay) TotalInjections() int { return len(r.injs) }
 
-// Schedule is a fluent builder for replay adversaries.
+// Schedule is a fluent builder for replay adversaries. Injections added in
+// nondecreasing round order, as every crafted pattern adds them, go
+// straight into the flat layout Replay plays back; one added for an
+// earlier round than the latest waits in late, as a packet injected at
+// its round, until Build.
 type Schedule struct {
-	byRound map[int][]packet.Injection
+	injs  []packet.Injection
+	start []int32 // start[t] indexes round t's first injection; the last round is never empty
+	late  []packet.Packet
 }
 
 // NewSchedule returns an empty schedule.
-func NewSchedule() *Schedule {
-	return &Schedule{byRound: make(map[int][]packet.Injection)}
+func NewSchedule() *Schedule { return &Schedule{} }
+
+// newSchedule returns an empty schedule with room for rounds [0, rounds)
+// and for n injections.
+func newSchedule(rounds, n int) *Schedule {
+	return &Schedule{injs: make([]packet.Injection, 0, max(n, 0)), start: make([]int32, 0, max(rounds, 0))}
 }
 
-// At schedules an injection src→dst at the given round and returns the
-// schedule for chaining.
+// At schedules an injection src→dst at the given round (≥ 0) and returns
+// the schedule for chaining.
 func (s *Schedule) At(round int, src, dst network.NodeID) *Schedule {
-	s.byRound[round] = append(s.byRound[round], packet.Injection{Src: src, Dst: dst})
+	switch {
+	case round < 0:
+		panic(fmt.Sprintf("adversary: schedule round %d < 0", round))
+	case round < len(s.start)-1:
+		s.late = append(s.late, packet.Packet{Src: src, Dst: dst, Inject: round})
+		return s
+	}
+	for len(s.start) <= round {
+		s.start = append(s.start, int32(len(s.injs)))
+	}
+	s.injs = append(s.injs, packet.Injection{Src: src, Dst: dst})
 	return s
 }
 
@@ -96,8 +104,28 @@ func (s *Schedule) AtN(round, n int, src, dst network.NodeID) *Schedule {
 	return s
 }
 
-// Build returns the replay adversary with the declared bound.
-func (s *Schedule) Build(bound Bound) *Replay { return NewReplay(bound, s.byRound) }
+// Build returns the replay adversary with the declared bound. The declared
+// bound is trusted here; use BuildVerified to check it. The replay takes
+// the schedule's arrays as they are, after one stable sort by round has
+// placed any injection added out of order behind its round's earlier ones.
+func (s *Schedule) Build(bound Bound) *Replay {
+	if len(s.late) > 0 {
+		flat := &Replay{injs: s.injs, start: s.start}
+		all := make([]packet.Packet, 0, len(s.injs)+len(s.late))
+		for t := range s.start {
+			for _, in := range flat.Inject(t) {
+				all = append(all, packet.Packet{Src: in.Src, Dst: in.Dst, Inject: t})
+			}
+		}
+		all = append(all, s.late...)
+		slices.SortStableFunc(all, func(a, b packet.Packet) int { return cmp.Compare(a.Inject, b.Inject) })
+		*s = Schedule{}
+		for _, p := range all {
+			s.At(p.Inject, p.Src, p.Dst)
+		}
+	}
+	return &Replay{bound: bound, injs: s.injs, start: s.start}
+}
 
 // BuildVerified returns the replay adversary after checking the schedule
 // against the declared bound for `rounds` rounds.
@@ -115,7 +143,9 @@ func (s *Schedule) BuildVerified(nw *network.Network, bound Bound, rounds int) (
 // merged routes are disjoint.
 func (s *Schedule) Merge(adv Adversary, rounds int) *Schedule {
 	for t := 0; t < rounds; t++ {
-		s.byRound[t] = append(s.byRound[t], adv.Inject(t)...)
+		for _, in := range adv.Inject(t) {
+			s.At(t, in.Src, in.Dst)
+		}
 	}
 	return s
 }

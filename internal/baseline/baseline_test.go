@@ -96,9 +96,7 @@ func TestGreedyAttachNil(t *testing.T) {
 func TestGreedyDeterministicTieBreak(t *testing.T) {
 	// Two packets identical under FIFO (same arrival): lowest ID wins.
 	nw := network.MustPath(4)
-	adv := adversary.NewReplay(adversary.Bound{Rho: rat.One, Sigma: 1}, map[int][]packet.Injection{
-		0: {{Src: 0, Dst: 3}, {Src: 0, Dst: 2}},
-	})
+	adv := adversary.NewSchedule().At(0, 0, 3).At(0, 0, 2).Build(adversary.Bound{Rho: rat.One, Sigma: 1})
 	g := NewGreedy(FIFO{})
 	var firstMove packet.ID
 	obs := &moveRecorder{first: &firstMove}

@@ -5,7 +5,6 @@ import (
 
 	"smallbuffers/internal/adversary"
 	"smallbuffers/internal/network"
-	"smallbuffers/internal/packet"
 	"smallbuffers/internal/rat"
 )
 
@@ -18,20 +17,16 @@ import (
 func TestBoundCheckTrackerDecaysOnIdleRounds(t *testing.T) {
 	nw := network.MustPath(8)
 	rho := rat.New(1, 2)
-	sched := map[int][]packet.Injection{
-		0: {{Src: 0, Dst: 7}, {Src: 0, Dst: 7}},
-		1: {{Src: 2, Dst: 7}},
-		9: {{Src: 1, Dst: 7}},
-	}
+	adv := adversary.NewSchedule().AtN(0, 2, 0, 7).At(1, 2, 7).At(9, 1, 7).Build(adversary.Bound{Rho: rho, Sigma: 2})
 	const rounds = 16
 	check := NewPathBoundCheck(nw, rho)
-	runChecked(t, check, nw, NewPTS(), adversary.NewReplay(adversary.Bound{Rho: rho, Sigma: 2}, sched), rounds)
+	runChecked(t, check, nw, NewPTS(), adv, rounds)
 
 	every, busy := adversary.NewExcess(nw, rho), adversary.NewExcess(nw, rho)
 	for r := 0; r < rounds; r++ {
-		every.Absorb(sched[r])
-		if len(sched[r]) > 0 {
-			busy.Absorb(sched[r])
+		every.Absorb(adv.Inject(r))
+		if len(adv.Inject(r)) > 0 {
+			busy.Absorb(adv.Inject(r))
 		}
 	}
 	differs := false

@@ -27,6 +27,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -191,11 +192,10 @@ type daemonState struct {
 }
 
 // merge is where the coordinator commits records as they arrive: the
-// caller's store, or an in-memory grid without one. Append refuses an
-// index outside the grid or one already merged — the structural
-// guarantee that nothing is ever double-merged.
+// caller's store, or an in-memory grid without one (see commit). Each
+// refuses an index outside the grid or one already merged — the
+// structural guarantee that nothing is ever double-merged.
 type merge interface {
-	Append(harness.CellRecord) error
 	Count() int
 	UncoveredIn(harness.IndexRange) []harness.IndexRange
 	Digest() (string, error)
@@ -621,13 +621,16 @@ func (co *coordinator) appendCell(t *task, rec harness.CellRecord, line []byte) 
 	co.tally(rec)
 }
 
-// commit appends one record to the merge: a store takes its encoding
-// when there is one, and encodes the record itself otherwise.
+// commit appends one record and its canonical encoding to the merge. A
+// record from a cached report has no encoding and is encoded here, once.
 func (co *coordinator) commit(rec harness.CellRecord, line []byte) error {
-	if st := co.cfg.Store; st != nil && line != nil {
+	if line == nil {
+		line, _ = json.Marshal(rec) // a CellRecord always marshals
+	}
+	if st := co.cfg.Store; st != nil {
 		return st.AppendEncoded(rec.Index, rec.Faults != "", line)
 	}
-	return co.merged.Append(rec)
+	return co.merged.(*grid).Append(rec, line)
 }
 
 // commitDone settles a cleanly finished shard. Its records are already

@@ -184,13 +184,10 @@ func TestCallersHonorInjectOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	rounds := lb.Rounds()
-	schedule := make(map[int][]packet.Injection, rounds)
-	for r := range rounds {
-		schedule[r] = slices.Clone(lb.Inject(r))
-	}
+	schedule := adversary.NewSchedule().Merge(lb, rounds)
 	sides := map[string]func() adversary.Adversary{
-		"replay":      func() adversary.Adversary { return adversary.NewReplay(lb.Bound(), schedule) },
-		"overwriting": func() adversary.Adversary { return &overwriting{Adversary: adversary.NewReplay(lb.Bound(), schedule)} },
+		"replay":      func() adversary.Adversary { return schedule.Build(lb.Bound()) },
+		"overwriting": func() adversary.Adversary { return &overwriting{Adversary: schedule.Build(lb.Bound())} },
 	}
 	type outcome struct {
 		solve   Result
@@ -251,7 +248,7 @@ func TestStateBudgetEnforced(t *testing.T) {
 
 func TestSolveRejectsInvalidInjection(t *testing.T) {
 	nw := network.MustPath(4)
-	adv := adversary.NewReplay(fullRate(1), map[int][]packet.Injection{0: {{Src: 3, Dst: 0}}})
+	adv := adversary.NewSchedule().At(0, 3, 0).Build(fullRate(1))
 	if _, err := Solve(Config{Net: nw, Adversary: adv, Rounds: 1}); err == nil {
 		t.Error("backward injection accepted")
 	}

@@ -177,10 +177,9 @@ type Report struct {
 	Cells         []harness.CellRecord `json:"cells,omitempty"`
 }
 
-// run is one submitted scenario's lifecycle. Records accumulate in
-// completion order and are re-sorted by index for reports and digests;
-// subscribers follow appends via the changed-channel-swap idiom (grab the
-// current channel under the lock, wait for it to close).
+// run is one submitted scenario's lifecycle. Records publish in index
+// order; subscribers follow appends via the changed-channel-swap idiom
+// (grab the current channel under the lock, wait for it to close).
 type run struct {
 	id     string
 	digest string
@@ -191,13 +190,14 @@ type run struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu      sync.Mutex
-	status  string
-	records []harness.CellRecord
-	// lines[i] is records[i]'s canonical encoding, made once in publish
-	// for the stream frames and the digest; finish drops them, so a
-	// finished run keeps its records in one form.
-	lines    [][]byte
+	mu     sync.Mutex
+	status string
+	// lines holds each published record's canonical encoding, made once
+	// in publish, in index order: the bytes of the run's cell frames,
+	// reports, digest and disk seal alike. The records themselves are
+	// folded into tally as they publish and are not kept.
+	lines    []json.RawMessage
+	tally    tally         // the executor's alone until finish
 	changed  chan struct{} // closed and replaced on every state change
 	finished bool
 	runErr   error
@@ -239,18 +239,16 @@ func (r *run) pin() {
 	r.mu.Unlock()
 }
 
-// publish encodes one cell record, appends it and wakes subscribers.
-// The live accumulator is fed outside r.mu (it has its own lock), so a
-// snapshot reader never extends the publisher's critical section.
+// publish encodes one cell record, folds it into the tally, appends its
+// line and wakes subscribers. Records publish in index order.
 func (r *run) publish(rec harness.CellRecord) {
 	line := encodeRecord(rec)
+	r.tally.add(rec, line)
 	r.mu.Lock()
-	r.records = append(r.records, rec)
 	r.lines = append(r.lines, line)
 	close(r.changed)
 	r.changed = make(chan struct{})
 	r.mu.Unlock()
-	r.live.Observe(rec)
 }
 
 // setStatus transitions the lifecycle state and wakes subscribers.
@@ -262,9 +260,8 @@ func (r *run) setStatus(status string) {
 	r.mu.Unlock()
 }
 
-// report snapshots the run in wire form; includeCells controls whether
-// the per-cell records ride along.
-func (r *run) report(includeCells bool) Report {
+// report snapshots the run in wire form, without its cells.
+func (r *run) report() Report {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rep := Report{ID: r.id, Name: r.name, Digest: r.digest, Status: r.status}
@@ -276,10 +273,14 @@ func (r *run) report(includeCells bool) Report {
 		rep.Summary = &s
 		rep.ResultsDigest = s.ResultsDigest
 	}
-	if includeCells {
-		rep.Cells = harness.RecordsSorted(r.records)
-	}
 	return rep
+}
+
+// cells returns the lines of the cells published so far, in index order.
+func (r *run) cells() []json.RawMessage {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.lines
 }
 
 // Server is the scenario-execution service. Create it with New, mount it
@@ -419,9 +420,26 @@ func (s *Server) execute(r *run) {
 	}
 	r.setStatus(StatusRunning)
 	r.live.Start()
+	// Cells finish in any order and publish in index order: held keeps,
+	// by index, the cells that finished ahead of an earlier one. The
+	// live accumulator (it has its own lock) sees each cell as it
+	// finishes.
+	var held []harness.CellRecord
+	next := r.span.Lo
 	for cr := range r.sweep.Stream(r.ctx) {
-		r.publish(cr.Record())
+		rec := cr.Record()
+		r.live.Observe(rec)
 		s.metrics.cellsCompleted.Add(1)
+		i, _ := slices.BinarySearchFunc(held, rec.Index, func(h harness.CellRecord, index int) int { return cmp.Compare(h.Index, index) })
+		held = slices.Insert(held, i, rec)
+		for ; len(held) > 0 && held[0].Index == next; next++ {
+			r.publish(held[0])
+			held = slices.Delete(held, 0, 1)
+		}
+	}
+	// A cancelled run's cells past the first that never finished.
+	for _, rec := range held {
+		r.publish(rec)
 	}
 	s.finish(r, r.ctx.Err())
 }
@@ -435,13 +453,12 @@ func (s *Server) finish(r *run, ctxErr error) {
 		return
 	}
 	r.finished = true
-	sum := summarize(r.span.Count(), r.records, r.lines)
-	r.summary = sum
-	r.lines = nil
-	recs := r.records
+	sum := r.tally.summary(r.span.Count())
+	r.summary, r.tally = sum, tally{}
+	lines := r.lines
 	if ctxErr != nil {
 		r.status = StatusCancelled
-		r.runErr = fmt.Errorf("run cancelled after %d of %d cells: %w", len(recs), r.span.Count(), ctxErr)
+		r.runErr = fmt.Errorf("run cancelled after %d of %d cells: %w", len(lines), r.span.Count(), ctxErr)
 	} else {
 		r.status = StatusDone
 	}
@@ -472,40 +489,47 @@ func (s *Server) finish(r *run, ctxErr error) {
 	// Complete runs — including ones with deterministic per-cell failures,
 	// which re-running would reproduce — enter the cache at one cell of
 	// cost per record. The eviction callback prunes the indexes.
-	s.cache.add(r.digest, r, len(recs))
+	s.cache.add(r.digest, r, len(lines))
 	s.mu.Unlock()
 
-	if ctxErr == nil && s.cfg.CacheDir != "" && len(recs) > 0 {
+	if ctxErr == nil && s.cfg.CacheDir != "" && len(lines) > 0 {
 		// Best effort: the run is already served and cached in memory, so
 		// a persistence failure costs warmth after a restart, never
-		// correctness. Published records never change, so they are read
+		// correctness. Published lines never change, so they are read
 		// outside r.mu.
-		_ = store.Seal(s.cfg.CacheDir, r.digest, r.span, recs, sum.ResultsDigest)
+		_ = store.Seal(s.cfg.CacheDir, r.digest, r.span, lines, sum.ResultsDigest)
 	}
 
 	s.metrics.runsInFlight.Add(-1)
 	s.inRuns.Done()
 }
 
-// loadFromDisk returns the records of the durable cache's sealed entry
-// for digest, or nil; store.OpenSealed decides what is servable and
-// evicts what is corrupt.
-func (s *Server) loadFromDisk(digest string, span harness.IndexRange) []harness.CellRecord {
+// loadFromDisk returns the lines of the durable cache's sealed entry
+// for digest as stored, and their summary, or nil; store.OpenSealed
+// decides what is servable and evicts what is corrupt.
+func (s *Server) loadFromDisk(digest string, span harness.IndexRange) ([]json.RawMessage, *Summary) {
 	// OpenSealed's error is a failed eviction: the entry is not served
 	// either way, and the next Seal replaces it.
 	st, _ := store.OpenSealed(s.cfg.CacheDir, digest, span)
 	if st == nil {
-		return nil
+		return nil, nil
 	}
 	defer st.Close()
-	recs := make([]harness.CellRecord, 0, span.Count())
-	if st.Scan(func(rec harness.CellRecord) error {
-		recs = append(recs, rec)
+	t := tally{digest: harness.NewRecordsDigester()}
+	lines := make([]json.RawMessage, 0, span.Count())
+	if st.ScanEncoded(func(line []byte) error {
+		var rec harness.CellRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
+		}
+		line = bytes.Clone(line)
+		t.add(rec, line)
+		lines = append(lines, line)
 		return nil
 	}) != nil {
-		return nil
+		return nil, nil
 	}
-	return recs
+	return lines, t.summary(len(lines))
 }
 
 // encodeRecord returns the record's canonical encoding, the bytes its
@@ -520,55 +544,49 @@ func encodeRecord(rec harness.CellRecord) []byte {
 	return line
 }
 
-// summarize folds records, in any order, into a Summary. lines, when
-// not nil, holds each record's canonical encoding, which the digest
-// hashes as it is.
-func summarize(requested int, recs []harness.CellRecord, lines [][]byte) *Summary {
-	sum := &Summary{Requested: requested}
-	var loadSum, delivSum int
-	var fold metrics.Fold
-	order := make([]int, len(recs))
-	for i, rec := range recs {
-		order[i] = i
-		if rec.Err != "" {
-			sum.Failed++
-			continue
-		}
-		sum.Completed++
-		loadSum += rec.MaxLoad
-		delivSum += rec.Delivered
-		sum.DroppedTotal += rec.Dropped
-		if rec.MaxLoad > sum.MaxLoadMax {
-			sum.MaxLoadMax = rec.MaxLoad
-		}
-		fold.Add(rec.Index, rec.Metrics...)
+// tally folds a run's records, given in index order, into its Summary.
+// The digest hashes each record's line as it was encoded.
+type tally struct {
+	sum               Summary
+	loadSum, delivSum int
+	fold              metrics.Fold
+	digest            *harness.RecordsDigester
+}
+
+func (t *tally) add(rec harness.CellRecord, line []byte) {
+	if err := t.digest.AddEncoded(rec.Index, rec.Faults != "", line); err != nil {
+		// A run publishes distinct indices in increasing order.
+		panic(err)
 	}
+	if rec.Err != "" {
+		t.sum.Failed++
+		return
+	}
+	t.sum.Completed++
+	t.loadSum += rec.MaxLoad
+	t.delivSum += rec.Delivered
+	t.sum.DroppedTotal += rec.Dropped
+	t.sum.MaxLoadMax = max(t.sum.MaxLoadMax, rec.MaxLoad)
+	t.fold.Add(rec.Index, rec.Metrics...)
+}
+
+// summary returns the Summary of a run of requested cells whose records
+// the tally folded.
+func (t *tally) summary(requested int) *Summary {
+	sum := t.sum
+	sum.Requested = requested
 	if sum.Completed > 0 {
-		sum.MaxLoadMean = float64(loadSum) / float64(sum.Completed)
-		sum.DeliveredMeanMillis = delivSum * 1000 / sum.Completed
+		sum.MaxLoadMean = float64(t.loadSum) / float64(sum.Completed)
+		sum.DeliveredMeanMillis = t.delivSum * 1000 / sum.Completed
 	}
 	// One collector per name per cell, so same-name summaries fold
 	// cleanly; on the impossible mixed-kind error the aggregate is
 	// dropped, never the summary.
-	if fold.Err() == nil {
-		sum.Metrics = metrics.Records(fold.Map())
+	if t.fold.Err() == nil {
+		sum.Metrics = metrics.Records(t.fold.Map())
 	}
-	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(recs[a].Index, recs[b].Index) })
-	d := harness.NewRecordsDigester()
-	for _, i := range order {
-		var line []byte
-		if lines != nil {
-			line = lines[i]
-		} else {
-			line = encodeRecord(recs[i])
-		}
-		if err := d.AddEncoded(recs[i].Index, recs[i].Faults != "", line); err != nil {
-			// A run's cells have distinct indices by construction.
-			panic(err)
-		}
-	}
-	sum.ResultsDigest = d.Sum()
-	return sum
+	sum.ResultsDigest = t.digest.Sum()
+	return &sum
 }
 
 // handleSubmit accepts a scenario, dedupes it against the digest index,
@@ -619,9 +637,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 
 	// Probe the durable cache outside the lock (it reads and verifies the
 	// whole entry); the re-check below keeps single-flight intact.
-	var warmed []harness.CellRecord
+	var warmed []json.RawMessage
+	var warmedSum *Summary
 	if s.cfg.CacheDir != "" {
-		warmed = s.loadFromDisk(digest, span)
+		warmed, warmedSum = s.loadFromDisk(digest, span)
 	}
 
 	s.mu.Lock()
@@ -634,28 +653,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if warmed != nil {
-		s.serveWarmedLocked(w, sc.Name, digest, span, warmed)
+		s.serveWarmedLocked(w, sc.Name, digest, span, warmed, warmedSum)
 		return
 	}
 	s.metrics.cacheMisses.Add(1)
-	s.seq++
-	runCtx, cancel := context.WithCancel(s.baseCtx)
-	r := &run{
-		id:       fmt.Sprintf("r%d-%s", s.seq, strings.TrimPrefix(digest, scenario.DigestPrefix)[:12]),
-		digest:   digest,
-		name:     sc.Name,
-		sweep:    sw,
-		span:     span,
-		ctx:      runCtx,
-		cancel:   cancel,
-		status:   StatusQueued,
-		changed:  make(chan struct{}),
-		done:     make(chan struct{}),
-		watchers: 1, // the submitter, detached by respondJoined
-	}
-	r.live = live.NewAccumulator(r.id, span.Count(), s.cfg.SweepWorkers, s.cfg.Clock)
-	s.runs[r.id] = r
-	s.byDigest[digest] = r
+	r := s.newRunLocked(s.baseCtx, sc.Name, digest, span)
+	r.sweep, r.watchers = sw, 1 // the submitter, detached by respondJoined
 	s.metrics.runsStarted.Add(1)
 	s.metrics.runsInFlight.Add(1)
 	s.inRuns.Add(1)
@@ -693,40 +696,46 @@ func cellSpan(sc *scenario.Scenario) (harness.IndexRange, error) {
 	return harness.IndexRange{Hi: total}, nil
 }
 
+// newRunLocked registers a queued run of span's cells for digest, under
+// a context of its own below parent. Must be called holding s.mu.
+func (s *Server) newRunLocked(parent context.Context, name, digest string, span harness.IndexRange) *run {
+	s.seq++
+	ctx, cancel := context.WithCancel(parent)
+	r := &run{
+		id:      fmt.Sprintf("r%d-%s", s.seq, strings.TrimPrefix(digest, scenario.DigestPrefix)[:12]),
+		digest:  digest,
+		name:    name,
+		span:    span,
+		ctx:     ctx,
+		cancel:  cancel,
+		status:  StatusQueued,
+		tally:   tally{digest: harness.NewRecordsDigester()},
+		changed: make(chan struct{}),
+		done:    make(chan struct{}),
+	}
+	r.live = live.NewAccumulator(r.id, span.Count(), s.cfg.SweepWorkers, s.cfg.Clock)
+	s.runs[r.id] = r
+	s.byDigest[digest] = r
+	return r
+}
+
 // serveWarmedLocked installs a digest-verified disk entry as a finished
 // cached run — indexed, LRU-governed, and streamable exactly like a run
 // this process executed — and serves it as a cache hit. Must be entered
 // holding s.mu; always releases it.
-func (s *Server) serveWarmedLocked(w http.ResponseWriter, name, digest string, span harness.IndexRange, recs []harness.CellRecord) {
-	s.seq++
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // sealed from birth: nothing to abandon
-	r := &run{
-		id:       fmt.Sprintf("r%d-%s", s.seq, strings.TrimPrefix(digest, scenario.DigestPrefix)[:12]),
-		digest:   digest,
-		name:     name,
-		span:     span,
-		ctx:      ctx,
-		cancel:   cancel,
-		status:   StatusDone,
-		finished: true,
-		records:  recs,
-		summary:  summarize(len(recs), recs, nil),
-		changed:  make(chan struct{}),
-		done:     make(chan struct{}),
-	}
+func (s *Server) serveWarmedLocked(w http.ResponseWriter, name, digest string, span harness.IndexRange, lines []json.RawMessage, sum *Summary) {
+	r := s.newRunLocked(context.Background(), name, digest, span)
+	r.cancel() // sealed from birth: nothing to abandon
+	r.status, r.finished, r.lines, r.summary = StatusDone, true, lines, sum
 	close(r.done)
-	r.live = live.NewAccumulator(r.id, len(recs), s.cfg.SweepWorkers, s.cfg.Clock)
 	r.live.Finish(StatusDone)
-	s.runs[r.id] = r
-	s.byDigest[digest] = r
-	s.cache.add(digest, r, len(recs))
+	s.cache.add(digest, r, len(lines))
 	s.metrics.cacheHits.Add(1)
 	s.metrics.runsCached.Add(1)
 	s.mu.Unlock()
-	rep := r.report(true)
+	rep := r.report()
 	rep.Cached = true
-	writeJSON(w, http.StatusOK, rep)
+	writeReport(w, http.StatusOK, rep, lines)
 }
 
 // serveExistingLocked serves the submission from an already-known digest
@@ -751,9 +760,9 @@ func (s *Server) serveExistingLocked(w http.ResponseWriter, req *http.Request, d
 		s.metrics.runsCached.Add(1)
 		s.cache.get(digest) // refresh recency
 		s.mu.Unlock()
-		rep := existing.report(true)
+		rep := existing.report()
 		rep.Cached = true
-		writeJSON(w, http.StatusOK, rep)
+		writeReport(w, http.StatusOK, rep, existing.cells())
 		return true
 	}
 	s.metrics.runsJoined.Add(1)
@@ -770,7 +779,7 @@ func (s *Server) respondJoined(w http.ResponseWriter, req *http.Request, r *run,
 	if !wait {
 		r.pin()
 		r.detach()
-		writeJSON(w, http.StatusAccepted, r.report(false))
+		writeJSON(w, http.StatusAccepted, r.report())
 		return
 	}
 	defer r.detach()
@@ -780,12 +789,12 @@ func (s *Server) respondJoined(w http.ResponseWriter, req *http.Request, r *run,
 		// Client gone; detach (possibly cancelling the run) and stop.
 		return
 	}
-	rep := r.report(true)
+	rep := r.report()
 	code := http.StatusOK
 	if rep.Status == StatusCancelled {
 		code = http.StatusInternalServerError
 	}
-	writeJSON(w, code, rep)
+	writeReport(w, code, rep, r.cells())
 }
 
 // lookup finds a run by id, refreshing its cache recency.
@@ -805,7 +814,7 @@ func (s *Server) handleGet(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown run %q", req.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, r.report(true))
+	writeReport(w, http.StatusOK, r.report(), r.cells())
 }
 
 // handleCancel cancels a run by id: its streams drain the cells already
@@ -824,11 +833,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, req *http.Request) {
 	finished := r.finished
 	r.mu.Unlock()
 	if finished {
-		writeJSON(w, http.StatusOK, r.report(false))
+		writeJSON(w, http.StatusOK, r.report())
 		return
 	}
 	r.cancel()
-	writeJSON(w, http.StatusAccepted, r.report(false))
+	writeJSON(w, http.StatusAccepted, r.report())
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
@@ -840,7 +849,7 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.mu.Unlock()
 	for _, r := range runs {
-		reps = append(reps, r.report(false))
+		reps = append(reps, r.report())
 	}
 	// Stable order for clients: by id. Ids are "r<seq>-…", so shorter ids
 	// sort first and equal lengths sort lexically — creation order.
@@ -880,14 +889,14 @@ func CutCellFrame(frame []byte) (line []byte, ok bool) {
 	return line, true
 }
 
-// handleStream follows a run: already-completed cells replay first, live
-// cells follow as they finish, and a summary event closes the stream.
+// handleStream follows a run: already-published cells replay first, the
+// rest follow as they publish, in index order, and a summary event
+// closes the stream.
 // Content is NDJSON by default, SSE when the client asks for
 // text/event-stream. A cell frame is the record's canonical encoding
 // with CellFramePrefix spliced in front: the bytes publish made, which
-// the run's digest hashes too, or a new encoding of the record once the
-// run has finished. Disconnecting mid-stream detaches the client, which
-// cancels the run if nobody else is watching.
+// the run's digest hashes too. Disconnecting mid-stream detaches the
+// client, which cancels the run if nobody else is watching.
 func (s *Server) handleStream(w http.ResponseWriter, req *http.Request) {
 	r, ok := s.lookup(req.PathValue("id"))
 	if !ok {
@@ -942,26 +951,15 @@ func (s *Server) handleStream(w http.ResponseWriter, req *http.Request) {
 
 	next := 0
 	for {
-		// Published records and lines never change, so the pending
-		// slices are read outside r.mu. A finished run has dropped its
-		// lines; its records are encoded again.
+		// Published lines never change, so the pending ones are read
+		// outside r.mu.
 		r.mu.Lock()
-		pending := r.records[next:]
-		var lines [][]byte
-		if r.lines != nil {
-			lines = r.lines[next:]
-		}
+		pending := r.lines[next:]
 		changed := r.changed
 		finished := r.finished
 		r.mu.Unlock()
 		next += len(pending)
-		for i, rec := range pending {
-			var line []byte
-			if lines != nil {
-				line = lines[i]
-			} else {
-				line = encodeRecord(rec)
-			}
+		for _, line := range pending {
 			if !emit("cell", CellFramePrefix, line[1:]) {
 				return
 			}
@@ -970,7 +968,7 @@ func (s *Server) handleStream(w http.ResponseWriter, req *http.Request) {
 			data, err := json.Marshal(struct {
 				Type string `json:"type"`
 				Report
-			}{Type: "summary", Report: r.report(false)})
+			}{Type: "summary", Report: r.report()})
 			if err == nil {
 				emit("summary", "", data)
 			}
@@ -1072,6 +1070,16 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeReport writes rep with lines, its records' canonical encodings,
+// as its cells: what writeJSON writes for rep with the lines decoded
+// into Cells.
+func writeReport(w http.ResponseWriter, code int, rep Report, lines []json.RawMessage) {
+	writeJSON(w, code, struct {
+		Report
+		Cells []json.RawMessage `json:"cells,omitempty"`
+	}{rep, lines})
 }
 
 // apiError is the wire form of every error response. Retryable marks

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -436,9 +437,8 @@ func TestClientDisconnectCancelsRun(t *testing.T) {
 
 // TestStreamFollowsRun drives the NDJSON stream end to end: replayed
 // records, live records, and the closing summary event. Every cell frame,
-// spliced from the encoding publish made or, once the run has finished,
-// from a new one, is json.Marshal of its stream event, and CutCellFrame
-// cuts the record's own encoding from it.
+// spliced from the encoding publish made, is json.Marshal of its stream
+// event, and CutCellFrame cuts the record's own encoding from it.
 func TestStreamFollowsRun(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	body := scenarioBody("streamed", 5, 300, 100)
@@ -550,24 +550,25 @@ func TestStreamFollowsRun(t *testing.T) {
 	}
 }
 
-// TestSummarizeKindClash pins summarize's policy on two kinds under one
+// TestSummarizeKindClash pins the tally's policy on two kinds under one
 // collector name: the merged metrics are dropped and the rest of the
-// summary kept. Its digest is the records digest whether it hashes the
-// encodings publish made or encodes the records itself, and whatever
-// order the records completed in.
+// summary kept. Its digest is the records digest, hashed from the
+// encodings publish made.
 func TestSummarizeKindClash(t *testing.T) {
 	recs := []harness.CellRecord{
-		{Index: 1, Cell: "b", MaxLoad: 3, Metrics: []metrics.Summary{{Name: "m", Kind: metrics.KindHist, Hist: &metrics.HistRecord{}}}},
 		{Index: 0, Cell: "a", MaxLoad: 2, Metrics: []metrics.Summary{{Name: "m", Kind: metrics.KindScalar, Scalars: map[string]int{"x": 1}}}},
+		{Index: 1, Cell: "b", MaxLoad: 3, Metrics: []metrics.Summary{{Name: "m", Kind: metrics.KindHist, Hist: &metrics.HistRecord{}}}},
 	}
-	for _, lines := range [][][]byte{nil, {encodeRecord(recs[0]), encodeRecord(recs[1])}} {
-		sum := summarize(2, recs, lines)
-		if sum.Metrics != nil || sum.Completed != 2 || sum.MaxLoadMax != 3 {
-			t.Errorf("summary %+v, want no metrics, 2 cells completed, max load 3", sum)
-		}
-		if want := harness.RecordsDigest(recs); sum.ResultsDigest != want {
-			t.Errorf("digest %s, want %s", sum.ResultsDigest, want)
-		}
+	tl := tally{digest: harness.NewRecordsDigester()}
+	for _, rec := range recs {
+		tl.add(rec, encodeRecord(rec))
+	}
+	sum := tl.summary(2)
+	if sum.Metrics != nil || sum.Completed != 2 || sum.MaxLoadMax != 3 {
+		t.Errorf("summary %+v, want no metrics, 2 cells completed, max load 3", sum)
+	}
+	if want := harness.RecordsDigest(recs); sum.ResultsDigest != want {
+		t.Errorf("digest %s, want %s", sum.ResultsDigest, want)
 	}
 }
 
@@ -687,7 +688,8 @@ func TestHostileRateRejected(t *testing.T) {
 }
 
 // TestHostileGridRejected posts grids whose cell indices overflow int: a
-// shard ending past MaxInt, and axes whose product no slice can hold.
+// shard ending past MaxInt (whichever word size int has), and axes whose
+// product no slice can hold.
 // Validate's offset+count and the grid's size once wrapped round, so both
 // validated, were queued, and panicked when the worker expanded the grid,
 // killing the daemon. Each POST must get a 400, and the daemon must keep
@@ -708,7 +710,7 @@ func TestHostileGridRejected(t *testing.T) {
 			"adversary": {"name": "random"},
 			"bound": {"rho": "1/2", "sigma": 1},
 			"rounds": 10,
-			"shard": {"offset": 9223372036854775807, "count": 1}
+			"shard": {"offset": ` + strconv.Itoa(math.MaxInt) + `, "count": 1}
 		}`, "exceeds"},
 		{"grid past MaxInt", `{
 			"topology": {"name": "path", "params": {"n": 8}},

@@ -319,10 +319,7 @@ func TestObserverOrderingContract(t *testing.T) {
 	// Two packets 0 → 5, at rounds 0 and 5: rounds 1–4 and 6–11 inject
 	// nothing, and rounds 10–11 move nothing.
 	gappy := func() adversary.Adversary {
-		return adversary.NewReplay(fullRate(1), map[int][]packet.Injection{
-			0: {{Src: 0, Dst: 5}},
-			5: {{Src: 0, Dst: 5}},
-		})
+		return adversary.NewSchedule().At(0, 0, 5).At(5, 0, 5).Build(fullRate(1))
 	}
 	for _, tc := range []struct {
 		name  string

@@ -135,9 +135,7 @@ func TestAvgLatencyEmpty(t *testing.T) {
 
 func TestCapacityViolationDetected(t *testing.T) {
 	nw := network.MustPath(3)
-	adv := adversary.NewReplay(fullRate(1), map[int][]packet.Injection{
-		0: {{Src: 0, Dst: 2}, {Src: 0, Dst: 2}},
-	})
+	adv := adversary.NewSchedule().AtN(0, 2, 0, 2).Build(fullRate(1))
 	proto := &badProtocol{decide: func(v View) ([]Forward, error) {
 		pkts := v.Packets(0)
 		if len(pkts) < 2 {
@@ -159,9 +157,7 @@ func TestCapacityRespectsBandwidth(t *testing.T) {
 	// With B = 2 the same two-packet decision is legal; a third forward is
 	// rejected with the actual capacity in the message.
 	nw := network.MustPath(3, network.WithUniformBandwidth(2))
-	adv := adversary.NewReplay(fullRate(1), map[int][]packet.Injection{
-		0: {{Src: 0, Dst: 2}, {Src: 0, Dst: 2}, {Src: 0, Dst: 2}},
-	})
+	adv := adversary.NewSchedule().AtN(0, 3, 0, 2).Build(fullRate(1))
 	forwardK := func(k int) *badProtocol {
 		return &badProtocol{decide: func(v View) ([]Forward, error) {
 			var out []Forward
@@ -177,9 +173,7 @@ func TestCapacityRespectsBandwidth(t *testing.T) {
 	if _, err := Run(context.Background(), NewSpec(nw, forwardK(2), adv, 1)); err != nil {
 		t.Errorf("two forwards at B=2: unexpected error %v", err)
 	}
-	adv2 := adversary.NewReplay(fullRate(1), map[int][]packet.Injection{
-		0: {{Src: 0, Dst: 2}, {Src: 0, Dst: 2}, {Src: 0, Dst: 2}},
-	})
+	adv2 := adversary.NewSchedule().AtN(0, 3, 0, 2).Build(fullRate(1))
 	_, err := Run(context.Background(), NewSpec(nw, forwardK(3), adv2, 1))
 	if err == nil || !containsStr(err.Error(), "link bandwidth is 2") {
 		t.Errorf("err = %v, want capacity violation naming bandwidth 2", err)
@@ -232,9 +226,7 @@ func TestProtocolDecideErrorPropagates(t *testing.T) {
 
 func TestInvalidInjectionAborts(t *testing.T) {
 	nw := network.MustPath(3)
-	adv := adversary.NewReplay(fullRate(0), map[int][]packet.Injection{
-		0: {{Src: 2, Dst: 0}}, // backward
-	})
+	adv := adversary.NewSchedule().At(0, 2, 0).Build(fullRate(0)) // backward
 	_, err := Run(context.Background(), NewSpec(nw, &greedyOldest{}, adv, 1))
 	if err == nil {
 		t.Error("backward injection accepted")
@@ -244,17 +236,13 @@ func TestInvalidInjectionAborts(t *testing.T) {
 func TestVerifyAdversaryCatchesViolation(t *testing.T) {
 	nw := network.MustPath(4)
 	// Declared (1,0)-bounded but injects 2 packets crossing buffer 0.
-	adv := adversary.NewReplay(fullRate(0), map[int][]packet.Injection{
-		0: {{Src: 0, Dst: 3}, {Src: 0, Dst: 3}},
-	})
+	adv := adversary.NewSchedule().AtN(0, 2, 0, 3).Build(fullRate(0))
 	_, err := Run(context.Background(), NewSpec(nw, &greedyOldest{}, adv, 1, WithVerifyAdversary()))
 	if err == nil {
 		t.Error("bound violation not caught")
 	}
 	// Without verification the run proceeds.
-	adv2 := adversary.NewReplay(fullRate(0), map[int][]packet.Injection{
-		0: {{Src: 0, Dst: 3}, {Src: 0, Dst: 3}},
-	})
+	adv2 := adversary.NewSchedule().AtN(0, 2, 0, 3).Build(fullRate(0))
 	if _, err := Run(context.Background(), NewSpec(nw, &greedyOldest{}, adv2, 1)); err != nil {
 		t.Errorf("unverified run failed: %v", err)
 	}
@@ -399,9 +387,7 @@ func TestTreeMultipleReceivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv := adversary.NewReplay(fullRate(1), map[int][]packet.Injection{
-		0: {{Src: 0, Dst: 2}, {Src: 1, Dst: 2}},
-	})
+	adv := adversary.NewSchedule().At(0, 0, 2).At(0, 1, 2).Build(fullRate(1))
 	res, err := Run(context.Background(), NewSpec(tree, &greedyOldest{}, adv, 3))
 	if err != nil {
 		t.Fatal(err)
@@ -416,9 +402,7 @@ func TestTreeMultipleReceivers(t *testing.T) {
 // maximum is node 1 at round 0.
 func TestPerNodeMax(t *testing.T) {
 	nw := network.MustPath(4)
-	adv := adversary.NewReplay(fullRate(2), map[int][]packet.Injection{
-		0: {{Src: 1, Dst: 3}, {Src: 1, Dst: 3}, {Src: 1, Dst: 3}},
-	})
+	adv := adversary.NewSchedule().AtN(0, 3, 1, 3).Build(fullRate(2))
 	obs := &occupancyCheck{t: t}
 	res, err := Run(context.Background(), NewSpec(nw, &greedyOldest{}, adv, 6, WithObservers(obs)))
 	if err != nil {

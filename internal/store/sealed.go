@@ -1,22 +1,24 @@
 package store
 
 import (
+	"encoding/json"
 	"os"
 
 	"smallbuffers/internal/harness"
 )
 
-// Seal writes a sealed entry: recs, the complete record set of span, go
-// into the entry for scenarioDigest under root together with their
-// results digest. Records the entry already holds (an earlier,
-// interrupted Seal) are skipped. An entry that will not open (a format
-// bump or a span clash) is stale by contract, so Seal wipes it and starts
-// over. Sealing fails unless recs cover the whole span.
+// Seal writes a sealed entry: lines, the canonical encodings of the
+// complete record set of span (what AppendEncoded takes), go into the
+// entry for scenarioDigest under root together with their results
+// digest. Records the entry already holds (an earlier, interrupted Seal)
+// are skipped. An entry that will not open (a format bump or a span
+// clash) is stale by contract, so Seal wipes it and starts over. Sealing
+// fails unless lines cover the whole span.
 //
 // Seal and OpenSealed are the durable result caches' whole protocol (the
 // service's CacheDir and aqtbench -store), so every cache agrees on when
 // an entry is servable and when it is evicted.
-func Seal(root, scenarioDigest string, span harness.IndexRange, recs []harness.CellRecord, resultsDigest string) error {
+func Seal(root, scenarioDigest string, span harness.IndexRange, lines []json.RawMessage, resultsDigest string) error {
 	st, err := Open(root, scenarioDigest, span, Options{})
 	if err != nil {
 		if err := Remove(root, scenarioDigest); err != nil {
@@ -27,11 +29,12 @@ func Seal(root, scenarioDigest string, span harness.IndexRange, recs []harness.C
 		}
 	}
 	defer st.Close()
-	for _, rec := range recs {
-		if st.Has(rec.Index) {
-			continue
+	for _, line := range lines {
+		index, faulted, err := probeLine(line)
+		if err == nil && !st.Has(index) {
+			err = st.AppendEncoded(index, faulted, line)
 		}
-		if err := st.Append(rec); err != nil {
+		if err != nil {
 			return err
 		}
 	}

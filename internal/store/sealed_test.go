@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"os"
 	"testing"
 
@@ -12,6 +13,13 @@ func TestSealedEntryProtocol(t *testing.T) {
 	span := harness.IndexRange{Lo: 0, Hi: 6}
 	recs := allRecs(6)
 	want := harness.RecordsDigest(recs)
+	lines := make([]json.RawMessage, len(recs))
+	for i, rec := range recs {
+		var err error
+		if lines[i], err = json.Marshal(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
 	mustSealed := func(wantSealed bool) {
 		t.Helper()
 		st, err := OpenSealed(root, testDigest, span)
@@ -37,17 +45,20 @@ func TestSealedEntryProtocol(t *testing.T) {
 
 	// A partial record set does not seal, and the partial entry is kept
 	// for a later Seal to finish.
-	if err := Seal(root, testDigest, span, recs[:4], want); err == nil {
+	if err := Seal(root, testDigest, span, lines[:4], want); err == nil {
 		t.Fatal("sealed an incomplete record set")
 	}
+	if err := Seal(root, testDigest, span, []json.RawMessage{json.RawMessage("not a record")}, want); err == nil {
+		t.Fatal("sealed a line that is not a record")
+	}
 	mustSealed(false)
-	if err := Seal(root, testDigest, span, recs, want); err != nil {
+	if err := Seal(root, testDigest, span, lines, want); err != nil {
 		t.Fatal(err)
 	}
 	mustSealed(true)
 
 	// A recorded digest the records do not re-derive is evicted.
-	if err := Seal(root, testDigest, span, recs, "sha256:bogus"); err != nil {
+	if err := Seal(root, testDigest, span, lines, "sha256:bogus"); err != nil {
 		t.Fatal(err)
 	}
 	mustSealed(false)
@@ -56,10 +67,10 @@ func TestSealedEntryProtocol(t *testing.T) {
 	}
 
 	// An entry written for another span will not open: Seal wipes it.
-	if err := Seal(root, testDigest, harness.IndexRange{Lo: 0, Hi: 3}, recs[:3], harness.RecordsDigest(recs[:3])); err != nil {
+	if err := Seal(root, testDigest, harness.IndexRange{Lo: 0, Hi: 3}, lines[:3], harness.RecordsDigest(recs[:3])); err != nil {
 		t.Fatal(err)
 	}
-	if err := Seal(root, testDigest, span, recs, want); err != nil {
+	if err := Seal(root, testDigest, span, lines, want); err != nil {
 		t.Fatal(err)
 	}
 	mustSealed(true)

@@ -141,17 +141,25 @@ func scanSegment(data []byte) (recs []scannedRec, valid int64) {
 		if !bytes.Equal(rest[sp+1:sp+1+16], []byte(hex.EncodeToString(sum[:8]))) {
 			break
 		}
-		var probe struct {
-			Index  int    `json:"index"`
-			Faults string `json:"faults"`
-		}
-		if json.Unmarshal(body, &probe) != nil {
+		index, faulted, err := probeLine(body)
+		if err != nil {
 			break
 		}
-		recs = append(recs, scannedRec{index: probe.Index, off: int64(off + bodyAt), n: n, faulted: probe.Faults != ""})
+		recs = append(recs, scannedRec{index: index, off: int64(off + bodyAt), n: n, faulted: faulted})
 		off += bodyAt + n + 1
 	}
 	return recs, int64(off)
+}
+
+// probeLine reads a record's index, and whether it carries a fault
+// entry, from its canonical encoding.
+func probeLine(line []byte) (index int, faulted bool, err error) {
+	var probe struct {
+		Index  int    `json:"index"`
+		Faults string `json:"faults"`
+	}
+	err = json.Unmarshal(line, &probe)
+	return probe.Index, probe.Faults != "", err
 }
 
 // hashWrite feeds b to the hash and checks the error, like the harness's

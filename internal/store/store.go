@@ -487,13 +487,19 @@ func (s *Store) SetRecordsDigest(d string) error {
 // from its segment. Memory stays O(1) in cells: one record is alive at a
 // time.
 func (s *Store) Scan(fn func(harness.CellRecord) error) error {
-	return s.scanLines(func(_ int, _ recEntry, line []byte) error {
+	return s.ScanEncoded(func(line []byte) error {
 		var rec harness.CellRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return fmt.Errorf("store: record decode: %w", err)
 		}
 		return fn(rec)
 	})
+}
+
+// ScanEncoded is Scan without the decoding: it streams each covered
+// record's canonical encoding as stored, valid only during the call.
+func (s *Store) ScanEncoded(fn func(line []byte) error) error {
+	return s.scanLines(func(_ int, _ recEntry, line []byte) error { return fn(line) })
 }
 
 // scanLines streams the covered records' raw canonical JSON lines in
