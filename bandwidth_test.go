@@ -187,7 +187,7 @@ func TestLinkUtilizationReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	adv := adversary.NewStream(sb.Bound{Rho: sb.NewRat(1, 1), Sigma: 1}, 0, 7)
-	links := metrics.NewLinkUtilSeries(16, 4)
+	links := metrics.NewLinkUtilSeries(16, 4, 200)
 	res, err := sb.RunContext(context.Background(),
 		sb.NewSpec(nw, core.NewPTS(core.WithDrain()), adv, 200, sb.WithObservers(links)))
 	if err != nil {

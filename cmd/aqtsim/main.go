@@ -229,7 +229,7 @@ func runSingle(ctx context.Context, o options, sc *sb.Scenario, w io.Writer) err
 	if err != nil {
 		return err
 	}
-	links := metrics.NewLinkUtilSeries(2, 0)
+	links := metrics.NewLinkUtilSeries(2, 0, 0)
 	obs := []sb.Observer{links}
 	var rec *sb.TraceRecorder
 	if o.json || o.heatmap {

@@ -241,7 +241,7 @@ func TestFacadeSurface(t *testing.T) {
 		err = registry.RegisterMetric(registry.Metric{
 			Name: "facade-test-rounds",
 			Doc:  "registered in a test",
-			Build: func(registry.Params) (metrics.Collector, error) {
+			Build: func(registry.Params, int) (metrics.Collector, error) {
 				return &roundCounter{}, nil
 			},
 		})
@@ -302,7 +302,7 @@ func newMetric(t *testing.T, name string, params map[string]any) metrics.Collect
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := e.Build(p)
+	c, err := e.Build(p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

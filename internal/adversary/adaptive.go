@@ -76,7 +76,7 @@ func (h *HotSpot) Release() {
 	if h.shaper == nil {
 		return
 	}
-	sources.Put(h.rng)
+	sources.Put(h.rng, 1)
 	h.shaper.release()
 	h.rng, h.shaper = nil, nil
 }

@@ -74,9 +74,11 @@ type Schedule struct {
 func NewSchedule() *Schedule { return &Schedule{} }
 
 // newSchedule returns an empty schedule with room for rounds [0, rounds)
-// and for n injections.
+// and for n injections, presized for at most 2^16 rounds: a crafted
+// pattern with a longer horizon grows its slab past that as it schedules.
 func newSchedule(rounds, n int) *Schedule {
-	return &Schedule{injs: make([]packet.Injection, 0, max(n, 0)), start: make([]int32, 0, max(rounds, 0))}
+	over := max(rounds-1<<16, 0)
+	return &Schedule{injs: make([]packet.Injection, 0, max(n-over, 0)), start: make([]int32, 0, max(rounds-over, 0))}
 }
 
 // At schedules an injection src→dst at the given round (≥ 0) and returns

@@ -2,8 +2,8 @@ package adversary
 
 import (
 	"math/rand"
-	"sync"
 
+	"smallbuffers/internal/freelist"
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/packet"
 )
@@ -107,13 +107,13 @@ func NewRandom(nw *network.Network, bound Bound, dests []network.NodeID, seed in
 }
 
 // sources holds the random sources of released adversaries.
-var sources sync.Pool
+var sources freelist.List[*rand.Rand]
 
 // newRand returns a generator seeded with seed. It reseeds a released
 // one when there is one, which draws the same stream as a new
 // rand.New(rand.NewSource(seed)) without allocating its 4.9 KB source.
 func newRand(seed int64) *rand.Rand {
-	if r, ok := sources.Get().(*rand.Rand); ok {
+	if r, ok := sources.Get(); ok {
 		r.Seed(seed)
 		return r
 	}
@@ -127,7 +127,7 @@ func (r *Random) Release() {
 	if r.shaper == nil {
 		return
 	}
-	sources.Put(r.rng)
+	sources.Put(r.rng, 1)
 	r.shaper.release()
 	r.rng, r.shaper = nil, nil
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
+	"smallbuffers/internal/freelist"
 	"smallbuffers/internal/network"
 )
 
@@ -45,7 +45,7 @@ type shaper struct {
 
 // shaperArrays holds the arrays of released shapers (see release), so a
 // sweep's cells reuse one another's instead of allocating their own.
-var shaperArrays sync.Pool
+var shaperArrays freelist.List[[]int64]
 
 // newShaper returns a shaper with ξ ≡ 0 for bound b on nw.
 func newShaper(nw *network.Network, b Bound) (*shaper, error) {
@@ -56,8 +56,8 @@ func newShaper(nw *network.Network, b Bound) (*shaper, error) {
 	n := nw.Len()
 	nb := (n + blockLen - 1) / blockLen
 	var vals []int64
-	if pooled, ok := shaperArrays.Get().(*[]int64); ok && cap(*pooled) >= n+6*nb {
-		vals = (*pooled)[:n+6*nb]
+	if pooled, ok := shaperArrays.Get(); ok && cap(pooled) >= n+6*nb {
+		vals = pooled[:n+6*nb]
 		clear(vals)
 	} else {
 		vals = make([]int64, n+6*nb)
@@ -69,8 +69,7 @@ func newShaper(nw *network.Network, b Bound) (*shaper, error) {
 // release hands the shaper's array back for a later shaper to reuse. The
 // shaper must not be used after.
 func (s *shaper) release() {
-	vals := s.vals
-	shaperArrays.Put(&vals)
+	shaperArrays.Put(s.vals, cap(s.vals))
 	*s = shaper{}
 }
 

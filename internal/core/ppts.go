@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"smallbuffers/internal/adversary"
+	"smallbuffers/internal/freelist"
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/packet"
 	"smallbuffers/internal/sim"
@@ -91,8 +91,8 @@ func (p *PPTS) Attach(nw *network.Network, _ adversary.Bound, _ []network.NodeID
 	}
 	n := nw.Len()
 	p.nw = nw
-	if pooled, ok := pptsScratch.Get().(*[]int); ok && cap(*pooled) >= 4*n {
-		p.scratch = (*pooled)[:4*n]
+	if pooled, ok := pptsScratch.Get(); ok && cap(pooled) >= 4*n {
+		p.scratch = pooled[:4*n]
 	} else {
 		p.scratch = make([]int, 4*n)
 	}
@@ -104,7 +104,7 @@ func (p *PPTS) Attach(nw *network.Network, _ adversary.Bound, _ []network.NodeID
 }
 
 // pptsScratch holds the scratch of released PPTS instances.
-var pptsScratch sync.Pool
+var pptsScratch freelist.List[[]int]
 
 // Release hands the scratch back for a later run's Attach to reuse. The
 // harness calls it when the cell ends; the protocol must be attached
@@ -113,8 +113,7 @@ func (p *PPTS) Release() {
 	if p.scratch == nil {
 		return
 	}
-	scratch := p.scratch
-	pptsScratch.Put(&scratch)
+	pptsScratch.Put(p.scratch, cap(p.scratch)/4)
 	p.scratch, p.first, p.bad, p.seen, p.dests = nil, nil, nil, nil, nil
 }
 

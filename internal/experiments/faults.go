@@ -74,8 +74,8 @@ func E13Faults() Experiment {
 					Seeds:       []int64{seed},
 					Rounds:      []int{rounds},
 					Faults:      faultAxis,
-					Metrics: func(harness.Cell, *network.Network) ([]metrics.Collector, error) {
-						return []metrics.Collector{metrics.NewGoodput(512, 64)}, nil
+					Metrics: func(c harness.Cell, _ *network.Network) ([]metrics.Collector, error) {
+						return []metrics.Collector{metrics.NewGoodput(512, 64, c.Rounds)}, nil
 					},
 				}
 				res, err := sweep.Run(ctx)

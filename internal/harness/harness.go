@@ -26,6 +26,7 @@ import (
 
 	"smallbuffers/internal/adversary"
 	"smallbuffers/internal/faults"
+	"smallbuffers/internal/freelist"
 	"smallbuffers/internal/metrics"
 	"smallbuffers/internal/network"
 	"smallbuffers/internal/rat"
@@ -375,8 +376,8 @@ func (s *Sweep) Stream(ctx context.Context) <-chan CellResult {
 }
 
 // engines holds the idle engines of finished sweep workers, released so
-// they pin no run (see sim.Engine.Release).
-var engines sync.Pool
+// they pin no run (see sim.Engine.Release), each sized by its node count.
+var engines freelist.List[*sim.Engine]
 
 // stream fans the pre-expanded cells out to the worker pool.
 func (s *Sweep) stream(ctx context.Context, cells []Cell) <-chan CellResult {
@@ -407,13 +408,13 @@ func (s *Sweep) stream(ctx context.Context, cells []Cell) <-chan CellResult {
 		go func() {
 			defer wg.Done()
 			// One engine per worker, reused across that worker's cells and,
-			// through the pool, across sweeps: the storage a cell grew
+			// through the free list, across sweeps: the storage a cell grew
 			// serves the next cell of any sweep in the process.
-			eng, _ := engines.Get().(*sim.Engine)
+			eng, _ := engines.Get()
 			defer func() {
 				if eng != nil {
 					eng.Release()
-					engines.Put(eng)
+					engines.Put(eng, eng.Nodes())
 				}
 			}()
 			for c := range jobs {

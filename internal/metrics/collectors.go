@@ -109,11 +109,12 @@ type LoadSeriesCollector struct {
 }
 
 // NewLoadSeries returns a load_series collector bounded to capPoints
-// downsampled points and a tailCap-round exact tail per series.
-func NewLoadSeries(capPoints, tailCap int) *LoadSeriesCollector {
+// downsampled points and a tailCap-round exact tail per series, sized
+// for a run of rounds rounds.
+func NewLoadSeries(capPoints, tailCap, rounds int) *LoadSeriesCollector {
 	return &LoadSeriesCollector{
-		maxSeries:   NewBoundedSeries("max", AggMax, capPoints, tailCap),
-		totalSeries: NewBoundedSeries("total", AggMax, capPoints, tailCap),
+		maxSeries:   NewBoundedSeries("max", AggMax, capPoints, tailCap, rounds),
+		totalSeries: NewBoundedSeries("total", AggMax, capPoints, tailCap, rounds),
 	}
 }
 
@@ -340,9 +341,10 @@ type LinkUtilCollector struct {
 }
 
 // NewLinkUtilSeries returns a link_util_series collector bounded to
-// capPoints downsampled points and a tailCap-round exact tail.
-func NewLinkUtilSeries(capPoints, tailCap int) *LinkUtilCollector {
-	return &LinkUtilCollector{series: NewBoundedSeries("forwards", AggSum, capPoints, tailCap)}
+// capPoints downsampled points and a tailCap-round exact tail, sized for
+// a run of rounds rounds.
+func NewLinkUtilSeries(capPoints, tailCap, rounds int) *LinkUtilCollector {
+	return &LinkUtilCollector{series: NewBoundedSeries("forwards", AggSum, capPoints, tailCap, rounds)}
 }
 
 // NewLinkUtilSeriesWindowed returns a link_util_series collector that
@@ -350,8 +352,8 @@ func NewLinkUtilSeries(capPoints, tailCap int) *LinkUtilCollector {
 // windowRounds rounds, with the beyond-window decayed maximum retaining
 // decayPermille/1000 per subsequent round. windowRounds < 1 disables
 // the window entirely (identical to NewLinkUtilSeries).
-func NewLinkUtilSeriesWindowed(capPoints, tailCap, windowRounds, decayPermille int) *LinkUtilCollector {
-	c := NewLinkUtilSeries(capPoints, tailCap)
+func NewLinkUtilSeriesWindowed(capPoints, tailCap, windowRounds, decayPermille, rounds int) *LinkUtilCollector {
+	c := NewLinkUtilSeries(capPoints, tailCap, rounds)
 	if windowRounds < 1 {
 		return c
 	}

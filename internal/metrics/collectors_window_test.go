@@ -66,7 +66,7 @@ func TestLatencyWindowOffIdentical(t *testing.T) {
 }
 
 func TestLinkUtilWindowedScalars(t *testing.T) {
-	c := NewLinkUtilSeriesWindowed(16, 8, 2, 1000)
+	c := NewLinkUtilSeriesWindowed(16, 8, 2, 1000, 3)
 	forwards := func(r, n int) {
 		c.OnForward(r, make([]Move, n))
 		c.OnRoundEnd(r, nil)
@@ -93,7 +93,7 @@ func TestLinkUtilWindowedScalars(t *testing.T) {
 }
 
 func TestLinkUtilWindowOffIdentical(t *testing.T) {
-	off, plain := NewLinkUtilSeriesWindowed(16, 8, 0, 990), NewLinkUtilSeries(16, 8)
+	off, plain := NewLinkUtilSeriesWindowed(16, 8, 0, 990, 3), NewLinkUtilSeries(16, 8, 3)
 	for r, n := range []int{3, 0, 5} {
 		off.OnForward(r, make([]Move, n))
 		plain.OnForward(r, make([]Move, n))

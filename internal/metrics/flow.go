@@ -37,9 +37,10 @@ type DropRateCollector struct {
 }
 
 // NewDropRate returns a drop_rate collector bounded to capPoints
-// downsampled points and a tailCap-round exact tail.
-func NewDropRate(capPoints, tailCap int) *DropRateCollector {
-	return &DropRateCollector{series: NewBoundedSeries("drops", AggSum, capPoints, tailCap)}
+// downsampled points and a tailCap-round exact tail, sized for a run of
+// rounds rounds.
+func NewDropRate(capPoints, tailCap, rounds int) *DropRateCollector {
+	return &DropRateCollector{series: NewBoundedSeries("drops", AggSum, capPoints, tailCap, rounds)}
 }
 
 // Name implements Collector.
@@ -91,11 +92,12 @@ type GoodputCollector struct {
 }
 
 // NewGoodput returns a goodput collector bounded to capPoints downsampled
-// points and a tailCap-round exact tail per series.
-func NewGoodput(capPoints, tailCap int) *GoodputCollector {
+// points and a tailCap-round exact tail per series, sized for a run of
+// rounds rounds.
+func NewGoodput(capPoints, tailCap, rounds int) *GoodputCollector {
 	return &GoodputCollector{
-		injSeries: NewBoundedSeries("injected", AggSum, capPoints, tailCap),
-		delSeries: NewBoundedSeries("delivered", AggSum, capPoints, tailCap),
+		injSeries: NewBoundedSeries("injected", AggSum, capPoints, tailCap, rounds),
+		delSeries: NewBoundedSeries("delivered", AggSum, capPoints, tailCap, rounds),
 	}
 }
 

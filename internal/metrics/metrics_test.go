@@ -25,33 +25,60 @@ func naiveDownsample(vals []int, stride int, agg string) []int {
 	return out
 }
 
+// TestBoundedSeriesMatchesNaiveDownsample checks a series against a naive
+// downsample of everything appended, whatever run length it was sized
+// for: exactly its own (the record then holds the series' arrays), none,
+// half or more. A record taken halfway stays as it was when the run goes
+// on, and a second final record equals the first.
 func TestBoundedSeriesMatchesNaiveDownsample(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, agg := range []string{AggMax, AggSum} {
 		for _, n := range []int{0, 1, 7, 8, 9, 64, 1000, 12345} {
-			s := NewBoundedSeries("k", agg, 8, 4)
-			full := make([]int, n)
-			for i := range full {
-				full[i] = rng.Intn(100)
-				s.Append(full[i])
-			}
-			rec := s.Record()
-			if rec.Rounds != n {
-				t.Fatalf("agg=%s n=%d: Rounds=%d", agg, n, rec.Rounds)
-			}
-			want := naiveDownsample(full, rec.Stride, agg)
-			if !reflect.DeepEqual(rec.Values, want) && !(len(want) == 0 && len(rec.Values) == 0) {
-				t.Fatalf("agg=%s n=%d stride=%d: values=%v want %v", agg, n, rec.Stride, rec.Values, want)
-			}
-			wantTail := full
-			if len(wantTail) > 4 {
-				wantTail = wantTail[len(wantTail)-4:]
-			}
-			if len(wantTail) > 0 && !reflect.DeepEqual(rec.Tail, wantTail) {
-				t.Fatalf("agg=%s n=%d: tail=%v want %v", agg, n, rec.Tail, wantTail)
+			for _, sized := range []int{n, 0, n / 2, n + 5} {
+				checkSeries(t, rng, agg, n, sized)
 			}
 		}
 	}
+}
+
+func checkSeries(t *testing.T, rng *rand.Rand, agg string, n, sized int) {
+	t.Helper()
+	s := NewBoundedSeries("k", agg, 8, 4, sized)
+	full := make([]int, n)
+	var half SeriesRecord
+	for i := range full {
+		if i == n/2 {
+			half = s.Record()
+		}
+		full[i] = rng.Intn(100)
+		s.Append(full[i])
+	}
+	if n > 0 && (!reflect.DeepEqual(half.Values, naiveDownsample(full[:n/2], half.Stride, agg)) && len(half.Values) > 0 ||
+		!reflect.DeepEqual(half.Tail, naiveTail(full[:n/2], 4))) {
+		t.Fatalf("agg=%s n=%d sized=%d: the halfway record changed: %+v", agg, n, sized, half)
+	}
+	rec := s.Record()
+	if again := s.Record(); !reflect.DeepEqual(rec, again) {
+		t.Fatalf("agg=%s n=%d sized=%d: a second record differs: %+v, %+v", agg, n, sized, rec, again)
+	}
+	if rec.Rounds != n {
+		t.Fatalf("agg=%s n=%d: Rounds=%d", agg, n, rec.Rounds)
+	}
+	want := naiveDownsample(full, rec.Stride, agg)
+	if !reflect.DeepEqual(rec.Values, want) && !(len(want) == 0 && len(rec.Values) == 0) {
+		t.Fatalf("agg=%s n=%d stride=%d: values=%v want %v", agg, n, rec.Stride, rec.Values, want)
+	}
+	if wantTail := naiveTail(full, 4); !reflect.DeepEqual(rec.Tail, wantTail) {
+		t.Fatalf("agg=%s n=%d: tail=%v want %v", agg, n, rec.Tail, wantTail)
+	}
+}
+
+// naiveTail is the last k values of full, nil when there are none.
+func naiveTail(full []int, k int) []int {
+	if len(full) == 0 {
+		return nil
+	}
+	return full[max(len(full)-k, 0):]
 }
 
 // TestBoundedSeriesMemoryBound pins the acceptance criterion: a 10⁶-round
@@ -59,7 +86,7 @@ func TestBoundedSeriesMatchesNaiveDownsample(t *testing.T) {
 // memory is O(cap) regardless of horizon.
 func TestBoundedSeriesMemoryBound(t *testing.T) {
 	const capPoints, tailCap, rounds = 512, 64, 1_000_000
-	s := NewBoundedSeries("max", AggMax, capPoints, tailCap)
+	s := NewBoundedSeries("max", AggMax, capPoints, tailCap, rounds)
 	for i := 0; i < rounds; i++ {
 		s.Append(i % 37)
 	}

@@ -1,6 +1,6 @@
 package metrics
 
-import "fmt"
+import "slices"
 
 // Aggregation names for downsampled series points.
 const (
@@ -26,53 +26,53 @@ type SeriesRecord struct {
 // a stride-doubling downsampled view of the whole run (when the buffer
 // fills, adjacent points merge pairwise and the stride doubles — the
 // simulator's own small-buffers discipline) plus an exact ring-buffer
-// tail of the most recent rounds. Appending is amortized O(1) and never
-// allocates after construction, so a 10⁶-round run costs the same memory
-// as a 10³-round one.
+// tail of the most recent rounds. A series is sized to its run: for a run
+// of r rounds it allocates min(cap, r+1) points and a tail of
+// min(tailCap, r) rounds, while cap and tailCap stay the logical bounds,
+// so its record is the same whatever it was sized for. Appending is
+// amortized O(1) and allocates nothing after construction while the run
+// is no longer than declared, so a 10⁶-round run costs the same memory as
+// a 10³-round one. Its collector appends once per round, so once the
+// run's last round is in, Record hands the series' own arrays over
+// instead of copying them; an Append after that copies them first.
 type BoundedSeries struct {
-	key    string
-	agg    string
-	cap    int
-	stride int
-	vals   []int
-	pend   int // accumulator for the in-progress point
-	pendN  int // rounds folded into pend
-	n      int // total values appended
-	tail   []int
-	tailN  int // values in the ring (≤ cap(tail))
-	tailAt int // next write position
+	key     string
+	agg     string
+	cap     int
+	tailCap int
+	rounds  int // the run's declared length
+	stride  int
+	vals    []int
+	pend    int // accumulator for the in-progress point
+	pendN   int // rounds folded into pend
+	n       int // total values appended
+	tail    []int
+	tailAt  int  // once the tail is full, its oldest value and next write position
+	handed  bool // a record holds vals and tail
 }
 
 // NewBoundedSeries returns a bounded series with at most cap downsampled
 // points (rounded up to the next even number, minimum 2) and an exact
-// tail of tailCap rounds (0 disables the tail).
-func NewBoundedSeries(key, agg string, capPoints, tailCap int) *BoundedSeries {
-	if capPoints < 2 {
-		capPoints = 2
-	}
-	if capPoints%2 == 1 {
-		capPoints++
-	}
-	if tailCap < 0 {
-		tailCap = 0
-	}
-	s := &BoundedSeries{key: key, agg: agg, cap: capPoints, stride: 1,
-		vals: make([]int, 0, capPoints)}
-	if tailCap > 0 {
-		s.tail = make([]int, tailCap)
-	}
-	return s
+// tail of tailCap rounds (0 disables the tail), sized for a run of rounds
+// rounds.
+func NewBoundedSeries(key, agg string, capPoints, tailCap, rounds int) *BoundedSeries {
+	capPoints = max(capPoints+capPoints%2, 2)
+	tailCap, rounds = max(tailCap, 0), max(rounds, 0)
+	return &BoundedSeries{key: key, agg: agg, cap: capPoints, tailCap: tailCap, rounds: rounds, stride: 1,
+		vals: make([]int, 0, min(capPoints, rounds+1)), tail: make([]int, 0, min(tailCap, rounds))}
 }
 
 // Append folds the next round's value into the series.
 func (s *BoundedSeries) Append(v int) {
+	if s.handed {
+		s.vals, s.tail, s.handed = slices.Clone(s.vals), slices.Clone(s.tail), false
+	}
 	s.n++
-	if s.tail != nil {
+	if len(s.tail) < s.tailCap {
+		s.tail = append(s.tail, v)
+	} else if s.tailCap > 0 {
 		s.tail[s.tailAt] = v
-		s.tailAt = (s.tailAt + 1) % len(s.tail)
-		if s.tailN < len(s.tail) {
-			s.tailN++
-		}
+		s.tailAt = (s.tailAt + 1) % s.tailCap
 	}
 	if s.pendN == 0 {
 		s.pend = v
@@ -102,35 +102,31 @@ func (s *BoundedSeries) fold(a, b int) int {
 	return max(a, b)
 }
 
-// Len returns the number of values appended so far.
-func (s *BoundedSeries) Len() int { return s.n }
-
 // Record renders the series in canonical wire form. The in-progress
 // partial point (covering the trailing n mod stride rounds) is included
 // as the final value, so the record is a pure function of the appended
-// sequence.
+// sequence. Once the run's declared rounds are all appended, the record
+// holds the series' own arrays; a record taken while the run continues
+// holds copies.
 func (s *BoundedSeries) Record() SeriesRecord {
 	rec := SeriesRecord{Key: s.key, Agg: s.agg, Stride: s.stride, Rounds: s.n}
-	rec.Values = make([]int, 0, len(s.vals)+1)
-	rec.Values = append(rec.Values, s.vals...)
+	if s.n == s.rounds {
+		if s.tailAt > 0 { // rotate the ring into order, in place
+			slices.Reverse(s.tail[:s.tailAt])
+			slices.Reverse(s.tail[s.tailAt:])
+			slices.Reverse(s.tail)
+			s.tailAt = 0
+		}
+		rec.Values, rec.Tail, s.handed = s.vals, s.tail, true
+	} else {
+		rec.Values = append(make([]int, 0, len(s.vals)+1), s.vals...)
+		rec.Tail = append(append(make([]int, 0, len(s.tail)), s.tail[s.tailAt:]...), s.tail[:s.tailAt]...)
+	}
 	if s.pendN > 0 {
 		rec.Values = append(rec.Values, s.pend)
 	}
-	if s.tailN > 0 {
-		rec.Tail = make([]int, s.tailN)
-		start := (s.tailAt - s.tailN + len(s.tail)) % len(s.tail)
-		for i := 0; i < s.tailN; i++ {
-			rec.Tail[i] = s.tail[(start+i)%len(s.tail)]
-		}
+	if len(rec.Tail) == 0 {
+		rec.Tail = nil
 	}
 	return rec
-}
-
-// Cap returns the configured point bound (records never carry more than
-// Cap values plus the partial point).
-func (s *BoundedSeries) Cap() int { return s.cap }
-
-// String renders a compact description for debugging.
-func (s *BoundedSeries) String() string {
-	return fmt.Sprintf("series(%s/%s: %d rounds, stride %d, %d points)", s.key, s.agg, s.n, s.stride, len(s.vals))
 }

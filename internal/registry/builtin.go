@@ -430,7 +430,7 @@ func registerMetrics() {
 	mustRegister(RegisterMetric(Metric{
 		Name: metrics.NameMaxLoad,
 		Doc:  "the historical headline scalars: maximum visible/physical occupancy and its first node/round",
-		Build: func(Params) (metrics.Collector, error) {
+		Build: func(Params, int) (metrics.Collector, error) {
 			return metrics.NewMaxLoad(), nil
 		},
 	}))
@@ -438,18 +438,18 @@ func registerMetrics() {
 		Name:   metrics.NameLoadSeries,
 		Doc:    "per-round max/total occupancy as a bounded series (stride-doubling + exact tail)",
 		Params: seriesSchema,
-		Build: func(p Params) (metrics.Collector, error) {
+		Build: func(p Params, rounds int) (metrics.Collector, error) {
 			capPoints, tail, err := seriesParams(p)
 			if err != nil {
 				return nil, err
 			}
-			return metrics.NewLoadSeries(capPoints, tail), nil
+			return metrics.NewLoadSeries(capPoints, tail, rounds), nil
 		},
 	}))
 	mustRegister(RegisterMetric(Metric{
 		Name: metrics.NameLoadHist,
 		Doc:  "occupancy distribution over all nodes and rounds at L_t (exact low buckets + log2 tail)",
-		Build: func(Params) (metrics.Collector, error) {
+		Build: func(Params, int) (metrics.Collector, error) {
 			return metrics.NewLoadHist(), nil
 		},
 	}))
@@ -457,7 +457,7 @@ func registerMetrics() {
 		Name:   metrics.NameLatency,
 		Doc:    "delivery-latency distribution with p50/p90/p99/max; optional exact recent-latency window",
 		Params: optionalWindowSchema,
-		Build: func(p Params) (metrics.Collector, error) {
+		Build: func(p Params, _ int) (metrics.Collector, error) {
 			win, decay, err := optionalWindowParams(p)
 			if err != nil {
 				return nil, err
@@ -469,7 +469,7 @@ func registerMetrics() {
 		Name:   metrics.NameLinkUtilSeries,
 		Doc:    "packets forwarded per round as a bounded series, plus the busiest link by utilization; optional exact recent-forwards window",
 		Params: append(append(Schema{}, seriesSchema...), optionalWindowSchema...),
-		Build: func(p Params) (metrics.Collector, error) {
+		Build: func(p Params, rounds int) (metrics.Collector, error) {
 			capPoints, tail, err := seriesParams(p)
 			if err != nil {
 				return nil, err
@@ -478,37 +478,37 @@ func registerMetrics() {
 			if err != nil {
 				return nil, err
 			}
-			return metrics.NewLinkUtilSeriesWindowed(capPoints, tail, win, decay), nil
+			return metrics.NewLinkUtilSeriesWindowed(capPoints, tail, win, decay, rounds), nil
 		},
 	}))
 	mustRegister(RegisterMetric(Metric{
 		Name:   metrics.NameDropRate,
 		Doc:    "packets lost in transit by the fault model: totals, drop permille, per-round drop series",
 		Params: seriesSchema,
-		Build: func(p Params) (metrics.Collector, error) {
+		Build: func(p Params, rounds int) (metrics.Collector, error) {
 			capPoints, tail, err := seriesParams(p)
 			if err != nil {
 				return nil, err
 			}
-			return metrics.NewDropRate(capPoints, tail), nil
+			return metrics.NewDropRate(capPoints, tail, rounds), nil
 		},
 	}))
 	mustRegister(RegisterMetric(Metric{
 		Name:   metrics.NameGoodput,
 		Doc:    "delivered-versus-injected flow: exact totals, goodput permille, per-round bounded series of both",
 		Params: seriesSchema,
-		Build: func(p Params) (metrics.Collector, error) {
+		Build: func(p Params, rounds int) (metrics.Collector, error) {
 			capPoints, tail, err := seriesParams(p)
 			if err != nil {
 				return nil, err
 			}
-			return metrics.NewGoodput(capPoints, tail), nil
+			return metrics.NewGoodput(capPoints, tail, rounds), nil
 		},
 	}))
 	mustRegister(RegisterMetric(Metric{
 		Name: metrics.NameDelivery,
 		Doc:  "the packet ledger: delivered/dropped/in-flight counts that always sum to injected",
-		Build: func(Params) (metrics.Collector, error) {
+		Build: func(Params, int) (metrics.Collector, error) {
 			return metrics.NewDelivery(), nil
 		},
 	}))
@@ -520,7 +520,7 @@ func registerMetrics() {
 			Doc:     "per-round retention of the beyond-window decayed tail, in permille 0..1000",
 			Default: 990,
 		}),
-		Build: func(p Params) (metrics.Collector, error) {
+		Build: func(p Params, _ int) (metrics.Collector, error) {
 			win, err := windowParam(p)
 			if err != nil {
 				return nil, err
@@ -536,7 +536,7 @@ func registerMetrics() {
 		Name:   metrics.NameGoodputWindow,
 		Doc:    "recent delivered-versus-injected flow: exact last-N-round counts and windowed goodput/drop permille",
 		Params: windowSchema,
-		Build: func(p Params) (metrics.Collector, error) {
+		Build: func(p Params, _ int) (metrics.Collector, error) {
 			win, err := windowParam(p)
 			if err != nil {
 				return nil, err
@@ -547,7 +547,7 @@ func registerMetrics() {
 	mustRegister(RegisterMetric(Metric{
 		Name: metrics.NameInjectionConcentration,
 		Doc:  "adversary spatial profile via the OnInject hook: distinct sources and the hottest source's share",
-		Build: func(Params) (metrics.Collector, error) {
+		Build: func(Params, int) (metrics.Collector, error) {
 			return metrics.NewInjectionConcentration(), nil
 		},
 	}))

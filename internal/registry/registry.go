@@ -120,12 +120,13 @@ type Invariant struct {
 // by name (the "metrics" axis) and every selected run gets a fresh
 // collector instance, whose Summary rides Result.Metrics, cell records,
 // and result digests. Build must return a new collector per call —
-// collectors are stateful and single-run.
+// collectors are stateful and single-run — and gets the run's rounds, to
+// size what the collector keeps per round.
 type Metric struct {
 	Name   string
 	Doc    string
 	Params Schema
-	Build  func(p Params) (metrics.Collector, error)
+	Build  func(p Params, rounds int) (metrics.Collector, error)
 }
 
 // Fault is a registered fault-injection model: scenarios attach one by
@@ -253,7 +254,8 @@ func LookupTopology(name string) (Topology, error) { return topologies.lookup(na
 // times over: the 30 pinned scenario files use 11 distinct topologies and
 // the benchmark's workloads add path(4096), binary(3) and spider(3,5),
 // 4,630 nodes together. A network larger than the bound is built afresh
-// for every cell, as it was before the memo.
+// for every cell, as it was before the memo. Each free list of the scratch
+// cells hand back (freelist.Nodes) has the same budget.
 const memoNodes = 1 << 16
 
 // memo holds the networks BuildTopology has built, by key; nodes sums

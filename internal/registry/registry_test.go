@@ -46,7 +46,7 @@ func TestBuiltinCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c, err := m.Build(p); err != nil || c.Name() != "load_series" {
+	if c, err := m.Build(p, 100); err != nil || c.Name() != "load_series" {
 		t.Errorf("Build(load_series) = %v, %v", c, err)
 	}
 	// cap/tail size allocations and arrive over the network: oversized
@@ -55,7 +55,7 @@ func TestBuiltinCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Build(huge); err == nil {
+	if _, err := m.Build(huge, 100); err == nil {
 		t.Error("Build accepted a 2^30-round tail")
 	}
 }
@@ -237,7 +237,7 @@ func TestWindowParamsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c, err := m.Build(p); err != nil || c.Name() != "window_load" {
+	if c, err := m.Build(p, 100); err != nil || c.Name() != "window_load" {
 		t.Fatalf("Build(window_load) = %v, %v", c, err)
 	}
 	for _, bad := range []map[string]any{
@@ -250,7 +250,7 @@ func TestWindowParamsBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Build(p); err == nil {
+		if _, err := m.Build(p, 100); err == nil {
 			t.Errorf("Build accepted %v", bad)
 		}
 	}
@@ -262,7 +262,7 @@ func TestWindowParamsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gw.Build(p); err == nil {
+	if _, err := gw.Build(p, 100); err == nil {
 		t.Error("goodput_window accepted a 2^20-round window")
 	}
 }
@@ -281,14 +281,14 @@ func TestOptionalWindowParamsBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c, err := m.Build(p); err != nil || c.Name() != name {
+		if c, err := m.Build(p, 100); err != nil || c.Name() != name {
 			t.Fatalf("Build(%s) with defaults = %v, %v", name, c, err)
 		}
 		p, err = m.Params.Resolve(map[string]any{"window": 64, "decay": 500})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c, err := m.Build(p); err != nil || c.Name() != name {
+		if c, err := m.Build(p, 100); err != nil || c.Name() != name {
 			t.Fatalf("Build(%s) windowed = %v, %v", name, c, err)
 		}
 		for _, bad := range []map[string]any{
@@ -301,7 +301,7 @@ func TestOptionalWindowParamsBounded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := m.Build(p); err == nil {
+			if _, err := m.Build(p, 100); err == nil {
 				t.Errorf("%s accepted %v", name, bad)
 			}
 		}

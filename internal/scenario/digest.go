@@ -1,10 +1,5 @@
 package scenario
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-)
-
 // DigestPrefix tags scenario and result digests with the hash they carry,
 // so digests are self-describing when they travel through logs, HTTP
 // responses, and CI gates.
@@ -15,12 +10,11 @@ const DigestPrefix = "sha256:"
 // a fixed point, every JSON spelling of the same workload — singular or
 // plural axes, omitted defaults, unreduced rationals — digests to the same
 // value, so the digest is a stable cache key for "this exact family of
-// runs". Digest validates the scenario first and fails on invalid ones.
+// runs". Digest validates the scenario first and fails on invalid ones;
+// it is computed once, with the canonical bytes, and kept.
 func (sc *Scenario) Digest() (string, error) {
-	data, err := sc.Marshal()
-	if err != nil {
+	if _, err := sc.Marshal(); err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(data)
-	return DigestPrefix + hex.EncodeToString(sum[:]), nil
+	return sc.canon.digest, nil
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -96,5 +97,62 @@ func TestDigestRejectsInvalid(t *testing.T) {
 	sc := &Scenario{} // no protocol/adversary/bound
 	if _, err := sc.Digest(); err == nil {
 		t.Error("digest of an invalid scenario succeeded")
+	}
+}
+
+// TestDigestKeptAcrossGoroutines asks one compiled scenario for its
+// digest, canonical bytes and slices from several goroutines at once, as
+// a fleet coordinator slices its parent: every caller gets the bytes and
+// digest made once, and each slice its own (run it under -race).
+func TestDigestKeptAcrossGoroutines(t *testing.T) {
+	sc, err := Parse(shardGridSrc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := sc.GridSize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sc.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, _ = Parse(shardGridSrc()) // a fresh scenario: nothing made yet
+	var wg sync.WaitGroup
+	digests := make([]string, 2*grid)
+	for i := range digests {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i < grid {
+				sub, err := sc.Slice(i, 1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				digests[i], err = sub.Digest()
+				if err != nil {
+					t.Error(err)
+				}
+				return
+			}
+			if _, err := sc.Marshal(); err != nil {
+				t.Error(err)
+			}
+			digests[i], _ = sc.Digest()
+		}()
+	}
+	wg.Wait()
+	seen := map[string]bool{want: true}
+	for i, d := range digests {
+		if i >= grid && d != want {
+			t.Errorf("caller %d got digest %s, want %s", i, d, want)
+		}
+		if i < grid {
+			if seen[d] {
+				t.Errorf("slice %d repeats digest %s", i, d)
+			}
+			seen[d] = true
+		}
 	}
 }

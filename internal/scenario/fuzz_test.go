@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,7 +15,10 @@ import (
 // bytes, the scenario's shard lies inside its grid, and its canonical
 // Marshal output parses back to the same scenario, field for field (a
 // field Marshal dropped would still be a fixed point of the bytes), and
-// marshals to the same bytes. The seeds
+// marshals to the same bytes. The compiled scenario's kept digest and grid
+// size are those of its canonical bytes parsed afresh, and a slice of it
+// keeps its own bytes and digest, which parse back to themselves and
+// leave the parent's alone. The seeds
 // are the 30 pinned files, the malformed documents the tests feed Parse
 // and two shards, one inside the grid and one past MaxInt.
 func FuzzScenarioParse(f *testing.F) {
@@ -84,7 +89,56 @@ func FuzzScenarioParse(f *testing.F) {
 		if !bytes.Equal(first, second) {
 			t.Fatalf("Marshal∘Parse is not a fixed point:\n--- first\n%s\n--- second\n%s", first, second)
 		}
+		digest, grid := keptDigestAndGrid(t, sc, first)
+		if d, g := keptDigestAndGrid(t, again, second); d != digest || g != grid {
+			t.Fatalf("the compiled scenario keeps digest %s and grid %d, its canonical bytes parse to %s and %d", digest, grid, d, g)
+		}
+		if sc.Shard != nil {
+			return
+		}
+		sub, err := sc.Slice(grid-1, 1)
+		if err != nil {
+			t.Fatalf("the grid's last cell does not slice: %v", err)
+		}
+		subBytes, err := sub.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		subDigest, _ := keptDigestAndGrid(t, sub, subBytes)
+		if subDigest == digest || bytes.Equal(subBytes, first) {
+			t.Fatalf("a slice kept its parent's canonical form:\n%s", subBytes)
+		}
+		fresh, err := Parse(subBytes)
+		if err != nil {
+			t.Fatalf("a slice's canonical form does not parse: %v\n%s", err, subBytes)
+		}
+		if d, _ := keptDigestAndGrid(t, fresh, subBytes); d != subDigest {
+			t.Fatalf("a slice keeps digest %s, its bytes parse to %s", subDigest, d)
+		}
+		if d, _ := keptDigestAndGrid(t, sc, first); d != digest {
+			t.Fatalf("slicing changed the parent's digest from %s to %s", digest, d)
+		}
 	})
+}
+
+// keptDigestAndGrid returns the digest and grid size sc keeps, after
+// checking that it keeps the canonical bytes want and the digest of those
+// bytes.
+func keptDigestAndGrid(t *testing.T, sc *Scenario, want []byte) (string, int) {
+	t.Helper()
+	data, err := sc.Marshal()
+	if err != nil || !bytes.Equal(data, want) {
+		t.Fatalf("the scenario keeps other bytes (%v):\n%s\nwant\n%s", err, data, want)
+	}
+	digest, err := sc.Digest()
+	if sum := sha256.Sum256(want); err != nil || digest != DigestPrefix+hex.EncodeToString(sum[:]) {
+		t.Fatalf("the scenario keeps digest %s (%v), not that of its bytes", digest, err)
+	}
+	grid, err := sc.GridSize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return digest, grid
 }
 
 // sameFields reports whether two scenarios hold the same values, taking a
@@ -96,5 +150,6 @@ func sameFields(a, b *Scenario) bool {
 		return false
 	}
 	x.Shard, y.Shard = nil, nil
+	x.comp, x.canon, y.comp, y.canon = nil, nil, nil, nil
 	return fmt.Sprintf("%+v", x) == fmt.Sprintf("%+v", y)
 }

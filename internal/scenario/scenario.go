@@ -29,12 +29,15 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"sort"
 	"strings"
+	"sync"
 
 	"smallbuffers/internal/adversary"
 	"smallbuffers/internal/faults"
@@ -80,6 +83,13 @@ type Shard struct {
 // axis is a list, and the scenario lifts to a harness.Sweep over the
 // cartesian product of the axes; a scenario whose axes all have one point
 // (IsSingle) is a one-cell sweep.
+//
+// A scenario is compiled once, by Parse or by the first Validate: every
+// component's registry entry and resolved params, its bounds and its grid
+// size are kept, and its canonical bytes and digest are kept once first
+// asked for. Everything after that (Sweep, Marshal, Digest, GridSize,
+// CellWeights, CellBounds, Note, RunOne, Slice) reads the compiled form,
+// so the exported fields are read-only once the scenario is compiled.
 type Scenario struct {
 	// Name and Doc label the scenario in reports and corpora.
 	Name string
@@ -118,7 +128,39 @@ type Scenario struct {
 	// without a shard marshal byte-identically to the pre-shard schema.
 	Shard *Shard
 
-	validated bool
+	comp  *compiled  // set by Validate; shared with the scenario's slices
+	canon *canonical // this scenario's own canonical bytes and digest
+}
+
+// compiled is a scenario as Validate compiled it. It never changes, and a
+// shard does not change it, so a scenario's slices share it.
+type compiled struct {
+	topologies  []part[registry.Topology]
+	protocols   []part[registry.Protocol]
+	adversaries []part[registry.Adversary]
+	invariants  []part[registry.Invariant]
+	metrics     []part[registry.Metric]
+	faults      []part[registry.Fault]
+	bounds      []adversary.Bound
+	selfHosting bool
+	grid        int
+}
+
+// part is one compiled component: its registry entry, its resolved
+// params and, on the axes that name cells, its label.
+type part[E any] struct {
+	entry  E
+	params registry.Params
+	label  string
+}
+
+// canonical is a scenario's canonical form and its digest, made on first
+// use.
+type canonical struct {
+	once   sync.Once
+	data   []byte
+	digest string
+	err    error
 }
 
 // scenarioJSON is the wire form: each axis has a singular and a plural
@@ -150,7 +192,8 @@ type scenarioJSON struct {
 	Shard       *Shard          `json:"shard,omitempty"`
 }
 
-// Parse decodes and validates a scenario from JSON bytes.
+// Parse decodes a scenario from JSON bytes and compiles it (see
+// Validate).
 func Parse(data []byte) (*Scenario, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -251,11 +294,24 @@ func LoadFile(path string) (*Scenario, error) {
 // singleton axes collapse to singular keys, parameters carry materialized
 // defaults, rationals are exact lowest-terms strings. Marshal validates
 // first, so the output is always loadable, and Marshal∘Load is a fixed
-// point on its own output.
+// point on its own output. The bytes are made once and kept, together
+// with the digest, and shared: callers must not modify them.
 func (sc *Scenario) Marshal() ([]byte, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
+	c := sc.canon
+	c.once.Do(func() {
+		if c.data, c.err = sc.encode(); c.err == nil {
+			sum := sha256.Sum256(c.data)
+			c.digest = DigestPrefix + hex.EncodeToString(sum[:])
+		}
+	})
+	return c.data, c.err
+}
+
+// encode renders the compiled scenario's canonical form.
+func (sc *Scenario) encode() ([]byte, error) {
 	w := scenarioJSON{Name: sc.Name, Doc: sc.Doc, Verify: sc.Verify, Shard: sc.Shard}
 	var err error
 	if w.Topology, w.Topologies, err = axisJSON(sc.Topologies); err != nil {
@@ -325,14 +381,16 @@ func axisJSON[T any](list []T) (json.RawMessage, json.RawMessage, error) {
 	}
 }
 
-// Validate checks the scenario against the registry and normalizes it in
-// place: component parameters are resolved (unknown names and parameters
-// fail with suggestions) and rewritten canonically, rationals are reduced,
-// and defaulted axes (seeds) are materialized. A grid of more than
-// maxGridCells cells, and a shard reaching outside the grid, are
-// rejected. Validate is idempotent.
+// Validate checks the scenario against the registry, normalizes it in
+// place and compiles it: component parameters are resolved (unknown names
+// and parameters fail with suggestions) and rewritten canonically,
+// rationals are reduced, and defaulted axes (seeds) are materialized. A
+// rounds entry above maxRounds, a grid of more than maxGridCells cells,
+// and a shard reaching outside the grid are rejected. Validate is
+// idempotent: once it succeeds, the scenario is compiled and later calls
+// return at once.
 func (sc *Scenario) Validate() error {
-	if sc.validated {
+	if sc.comp != nil {
 		return nil
 	}
 	if len(sc.Protocols) == 0 {
@@ -377,6 +435,9 @@ func (sc *Scenario) Validate() error {
 		if r < 0 {
 			return fmt.Errorf("scenario: negative rounds %d", r)
 		}
+		if r > maxRounds {
+			return fmt.Errorf("scenario: rounds %d exceeds the limit of %d rounds per cell", r, maxRounds)
+		}
 	}
 	for _, b := range sc.Bandwidths {
 		if b < 1 {
@@ -389,59 +450,30 @@ func (sc *Scenario) Validate() error {
 
 	// Resolve every component against its registry schema and rewrite the
 	// parameters canonically.
-	for i := range sc.Topologies {
-		e, err := registry.LookupTopology(sc.Topologies[i].Name)
-		if err != nil {
-			return fmt.Errorf("scenario: %w", err)
-		}
-		if err := normalize(&sc.Topologies[i], e.Params); err != nil {
-			return fmt.Errorf("scenario: topology %q: %w", e.Name, err)
-		}
+	c := &compiled{selfHosting: selfHosting}
+	if c.topologies, err = compileAxis("topology", sc.Topologies, registry.LookupTopology,
+		func(e registry.Topology) registry.Schema { return e.Params }); err != nil {
+		return err
 	}
-	for i := range sc.Protocols {
-		e, err := registry.LookupProtocol(sc.Protocols[i].Name)
-		if err != nil {
-			return fmt.Errorf("scenario: %w", err)
-		}
-		if err := normalize(&sc.Protocols[i], e.Params); err != nil {
-			return fmt.Errorf("scenario: protocol %q: %w", e.Name, err)
-		}
+	if c.protocols, err = compileAxis("protocol", sc.Protocols, registry.LookupProtocol,
+		func(e registry.Protocol) registry.Schema { return e.Params }); err != nil {
+		return err
 	}
-	for i := range sc.Adversaries {
-		e, err := registry.LookupAdversary(sc.Adversaries[i].Name)
-		if err != nil {
-			return fmt.Errorf("scenario: %w", err)
-		}
-		if err := normalize(&sc.Adversaries[i], e.Params); err != nil {
-			return fmt.Errorf("scenario: adversary %q: %w", e.Name, err)
-		}
+	if c.adversaries, err = compileAxis("adversary", sc.Adversaries, registry.LookupAdversary,
+		func(e registry.Adversary) registry.Schema { return e.Params }); err != nil {
+		return err
 	}
-	for i := range sc.Invariants {
-		e, err := registry.LookupInvariant(sc.Invariants[i].Name)
-		if err != nil {
-			return fmt.Errorf("scenario: %w", err)
-		}
-		if err := normalize(&sc.Invariants[i], e.Params); err != nil {
-			return fmt.Errorf("scenario: invariant %q: %w", e.Name, err)
-		}
+	if c.invariants, err = compileAxis("invariant", sc.Invariants, registry.LookupInvariant,
+		func(e registry.Invariant) registry.Schema { return e.Params }); err != nil {
+		return err
 	}
-	for i := range sc.Metrics {
-		e, err := registry.LookupMetric(sc.Metrics[i].Name)
-		if err != nil {
-			return fmt.Errorf("scenario: %w", err)
-		}
-		if err := normalize(&sc.Metrics[i], e.Params); err != nil {
-			return fmt.Errorf("scenario: metric %q: %w", e.Name, err)
-		}
+	if c.metrics, err = compileAxis("metric", sc.Metrics, registry.LookupMetric,
+		func(e registry.Metric) registry.Schema { return e.Params }); err != nil {
+		return err
 	}
-	for i := range sc.Faults {
-		e, err := registry.LookupFault(sc.Faults[i].Name)
-		if err != nil {
-			return fmt.Errorf("scenario: %w", err)
-		}
-		if err := normalize(&sc.Faults[i], e.Params); err != nil {
-			return fmt.Errorf("scenario: fault %q: %w", e.Name, err)
-		}
+	if c.faults, err = compileAxis("fault", sc.Faults, registry.LookupFault,
+		func(e registry.Fault) registry.Schema { return e.Params }); err != nil {
+		return err
 	}
 	// Metric names must be unique — summaries key on the collector name,
 	// so two entries of the same metric would silently shadow each other.
@@ -467,27 +499,25 @@ func (sc *Scenario) Validate() error {
 			return fmt.Errorf("scenario: bound %d: negative sigma %d", i, b.Sigma)
 		}
 		sc.Bounds[i].Rho = rho.String()
+		c.bounds = append(c.bounds, adversary.Bound{Rho: rho, Sigma: b.Sigma})
 	}
 
 	// Axis entries must be unique — on every axis: duplicate cells would
 	// silently re-run the same point and double-weight it in aggregates.
 	// Axes check in a fixed order (a map literal here would pick which
-	// duplicate gets reported nondeterministically).
-	for _, axis := range []struct {
-		name  string
-		comps []Component
-	}{
-		{"topology", sc.Topologies}, {"protocol", sc.Protocols},
-		{"adversary", sc.Adversaries}, {"fault", sc.Faults},
-	} {
-		seen := map[string]bool{}
-		for _, c := range axis.comps {
-			l := c.label()
-			if seen[l] {
-				return fmt.Errorf("scenario: duplicate %s %s", axis.name, l)
-			}
-			seen[l] = true
-		}
+	// duplicate gets reported nondeterministically). Labeling a cell axis
+	// also keeps each entry's label for Sweep.
+	if err := labelAxis("topology", c.topologies, sc.Topologies); err != nil {
+		return err
+	}
+	if err := labelAxis("protocol", c.protocols, sc.Protocols); err != nil {
+		return err
+	}
+	if err := labelAxis("adversary", c.adversaries, sc.Adversaries); err != nil {
+		return err
+	}
+	if err := labelAxis("fault", c.faults, sc.Faults); err != nil {
+		return err
 	}
 	for _, axis := range []struct {
 		name string
@@ -520,22 +550,59 @@ func (sc *Scenario) Validate() error {
 		seenBounds[b] = true
 	}
 
-	total := sc.gridSize()
-	if total > maxGridCells {
+	c.grid = sc.gridSize()
+	if c.grid > maxGridCells {
 		return fmt.Errorf("scenario: the grid has more than %d cells", maxGridCells)
 	}
 	// A shard must name a non-empty range inside the grid; validating it
 	// here means a sharded scenario file is rejected at load time when
 	// its range cannot exist, not when a remote daemon tries to run it.
 	if sh := sc.Shard; sh != nil {
-		if err := checkShard(sh.Offset, sh.Count, total); err != nil {
+		if err := checkShard(sh.Offset, sh.Count, c.grid); err != nil {
 			return err
 		}
 	}
 
-	sc.validated = true
+	sc.comp, sc.canon = c, new(canonical)
 	return nil
 }
+
+// compileAxis resolves each component of one axis against its registry
+// entry's schema and rewrites its params canonically.
+func compileAxis[E any](axis string, comps []Component, lookup func(string) (E, error), schema func(E) registry.Schema) ([]part[E], error) {
+	parts := make([]part[E], len(comps))
+	for i, c := range comps {
+		e, err := lookup(c.Name)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
+		}
+		p, err := schema(e).Resolve(c.Params)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: %s %q: %w", axis, c.Name, err)
+		}
+		comps[i].Params = p.JSONMap()
+		parts[i] = part[E]{entry: e, params: p}
+	}
+	return parts, nil
+}
+
+// labelAxis labels each compiled entry of a cell axis and rejects a label
+// the axis already has.
+func labelAxis[E any](axis string, parts []part[E], comps []Component) error {
+	seen := make(map[string]bool, len(comps))
+	for i, c := range comps {
+		l := c.label()
+		if seen[l] {
+			return fmt.Errorf("scenario: duplicate %s %s", axis, l)
+		}
+		seen[l], parts[i].label = true, l
+	}
+	return nil
+}
+
+// maxRounds bounds a cell's rounds: a run's series, and a crafted
+// adversary's schedule past its presized 2^16 rounds, grow with them.
+const maxRounds = 1 << 24
 
 // maxGridCells bounds a grid's row-major expansion. Every run, sharded
 // or not, expands its whole grid to index its cells, so a larger grid is
@@ -586,7 +653,7 @@ func (sc *Scenario) GridSize() (int, error) {
 	if err := sc.Validate(); err != nil {
 		return 0, err
 	}
-	return sc.gridSize(), nil
+	return sc.comp.grid, nil
 }
 
 // CellWeights returns per-cell cost weights for the scenario's grid —
@@ -606,38 +673,19 @@ func (sc *Scenario) CellWeights() ([]int, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	total := sc.gridSize()
-	selfHosting, err := sc.selfHosting()
-	if err != nil {
-		return nil, err
+	c := sc.comp
+	weights := make([]int, c.grid)
+	for i := range weights {
+		weights[i] = 1
 	}
-	weights := make([]int, total)
-	if selfHosting || len(sc.Topologies) == 0 {
-		for i := range weights {
-			weights[i] = 1
-		}
-		return weights, nil
-	}
-	block := total / len(sc.Topologies)
-	for t, c := range sc.Topologies {
-		e, err := registry.LookupTopology(c.Name)
+	for t, tp := range c.topologies {
+		nw, err := registry.BuildTopology(tp.entry.Name, tp.params)
 		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
+			return nil, fmt.Errorf("scenario: topology %s: %w", tp.label, err)
 		}
-		p, err := resolved(c, e.Params)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		nw, err := registry.BuildTopology(e.Name, p)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: topology %s: %w", c.label(), err)
-		}
-		w := nw.Len()
-		if w < 1 {
-			w = 1
-		}
+		block := c.grid / len(c.topologies)
 		for i := t * block; i < (t+1)*block; i++ {
-			weights[i] = w
+			weights[i] = max(nw.Len(), 1)
 		}
 	}
 	return weights, nil
@@ -658,34 +706,15 @@ func (sc *Scenario) Slice(offset, count int) (*Scenario, error) {
 	if sc.Shard != nil {
 		return nil, fmt.Errorf("scenario: %s is already sharded (%+v); slice the unsharded parent", sc.label(), *sc.Shard)
 	}
-	// The copy shares the parent's materialized axes, which the Validate
-	// above has already normalized, so only the shard range needs
-	// checking here. Skipping the full re-validation is also what makes
-	// Slice safe to call concurrently: Validate materializes defaults
-	// into the shared parameter maps.
-	if err := checkShard(offset, count, sc.gridSize()); err != nil {
+	// The copy shares the parent's compiled form, which a shard does not
+	// change, so only the shard range needs checking, and Slice is safe to
+	// call concurrently. Its canonical bytes and digest are its own.
+	if err := checkShard(offset, count, sc.comp.grid); err != nil {
 		return nil, err
 	}
 	out := *sc
-	out.Shard = &Shard{Offset: offset, Count: count}
+	out.Shard, out.canon = &Shard{Offset: offset, Count: count}, new(canonical)
 	return &out, nil
-}
-
-// normalize resolves a component's raw params against its schema and
-// stores the canonical JSON form back on the component.
-func normalize(c *Component, schema registry.Schema) error {
-	p, err := schema.Resolve(c.Params)
-	if err != nil {
-		return err
-	}
-	c.Params = p.JSONMap()
-	return nil
-}
-
-// resolved returns the component's params re-resolved against schema; the
-// component must have been normalized (Validate).
-func resolved(c Component, schema registry.Schema) (registry.Params, error) {
-	return schema.Resolve(c.Params)
 }
 
 // label renders the component for axis names and error messages:
@@ -752,29 +781,16 @@ func (sc *Scenario) Note() (string, error) {
 	if err := sc.single(); err != nil {
 		return "", err
 	}
-	adv, err := registry.LookupAdversary(sc.Adversaries[0].Name)
-	if err != nil {
-		return "", fmt.Errorf("scenario: %w", err)
-	}
-	if adv.SelfHosting() {
-		bound, err := sc.bound(0)
+	c := sc.comp
+	if c.selfHosting {
+		adv := c.adversaries[0]
+		prep, err := adv.entry.Prepare(c.bounds[0], adv.params)
 		if err != nil {
-			return "", err
-		}
-		p, err := resolved(sc.Adversaries[0], adv.Params)
-		if err != nil {
-			return "", fmt.Errorf("scenario: %w", err)
-		}
-		prep, err := adv.Prepare(bound, p)
-		if err != nil {
-			return "", fmt.Errorf("scenario: adversary %q: %w", adv.Name, err)
+			return "", fmt.Errorf("scenario: adversary %q: %w", adv.entry.Name, err)
 		}
 		return prep.Note, nil
 	}
-	proto, err := registry.LookupProtocol(sc.Protocols[0].Name)
-	if err != nil {
-		return "", fmt.Errorf("scenario: %w", err)
-	}
+	proto := c.protocols[0].entry
 	bounds, err := sc.CellBounds()
 	if err != nil {
 		return "", err
@@ -800,29 +816,16 @@ func (sc *Scenario) CellBounds() (map[int]int, error) {
 		return nil, err
 	}
 	out := map[int]int{}
-	selfHosting, err := sc.selfHosting()
-	if err != nil || selfHosting {
-		return out, err
+	if sc.comp.selfHosting {
+		return out, nil
 	}
 	sw, err := sc.Sweep()
 	if err != nil {
 		return nil, err
 	}
-	type protocol struct {
-		entry  registry.Protocol
-		params registry.Params
-	}
-	protos := make(map[string]protocol, len(sc.Protocols))
-	for _, c := range sc.Protocols {
-		e, err := registry.LookupProtocol(c.Name)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		p, err := resolved(c, e.Params)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		protos[c.label()] = protocol{e, p}
+	protos := make(map[string]part[registry.Protocol], len(sc.comp.protocols))
+	for _, p := range sc.comp.protocols {
+		protos[p.label] = p
 	}
 	cells, err := sw.CellsToRun()
 	if err != nil {
@@ -874,22 +877,11 @@ func (sc *Scenario) RunOne(ctx context.Context, obs ...metrics.Observer) (harnes
 // buildInvariants materializes the scenario's invariant set against a
 // built topology.
 func (sc *Scenario) buildInvariants(nw *network.Network) ([]sim.Invariant, error) {
-	if len(sc.Invariants) == 0 {
-		return nil, nil
-	}
-	out := make([]sim.Invariant, 0, len(sc.Invariants))
-	for _, c := range sc.Invariants {
-		e, err := registry.LookupInvariant(c.Name)
+	out := make([]sim.Invariant, 0, len(sc.comp.invariants))
+	for _, p := range sc.comp.invariants {
+		inv, err := p.entry.Build(nw, p.params)
 		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		p, err := resolved(c, e.Params)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		inv, err := e.Build(nw, p)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: invariant %q: %w", e.Name, err)
+			return nil, fmt.Errorf("scenario: invariant %q: %w", p.entry.Name, err)
 		}
 		out = append(out, inv)
 	}
@@ -897,25 +889,15 @@ func (sc *Scenario) buildInvariants(nw *network.Network) ([]sim.Invariant, error
 }
 
 // buildMetrics materializes fresh collector instances from the
-// scenario's metric set. Fresh per call — collectors are stateful and
-// single-run, so every sweep cell rebuilds its own.
-func (sc *Scenario) buildMetrics() ([]metrics.Collector, error) {
-	if len(sc.Metrics) == 0 {
-		return nil, nil
-	}
-	out := make([]metrics.Collector, 0, len(sc.Metrics))
-	for _, c := range sc.Metrics {
-		e, err := registry.LookupMetric(c.Name)
+// scenario's metric set, sized for a run of rounds rounds. Fresh per call
+// — collectors are stateful and single-run, so every sweep cell rebuilds
+// its own.
+func (sc *Scenario) buildMetrics(rounds int) ([]metrics.Collector, error) {
+	out := make([]metrics.Collector, 0, len(sc.comp.metrics))
+	for _, p := range sc.comp.metrics {
+		col, err := p.entry.Build(p.params, rounds)
 		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		p, err := resolved(c, e.Params)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		col, err := e.Build(p)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: metric %q: %w", e.Name, err)
+			return nil, fmt.Errorf("scenario: metric %q: %w", p.entry.Name, err)
 		}
 		out = append(out, col)
 	}
@@ -926,109 +908,63 @@ func (sc *Scenario) buildMetrics() ([]metrics.Collector, error) {
 // its registry entry and bound (Reset) to the given topology and seed.
 // Fresh per call — fault schedules are keyed off the bound seed, so every
 // sweep cell rebuilds its own.
-func (sc *Scenario) buildFault(c Component, nw *network.Network, seed int64) (faults.Model, error) {
-	e, err := registry.LookupFault(c.Name)
+func buildFault(p part[registry.Fault], nw *network.Network, seed int64) (faults.Model, error) {
+	m, err := p.entry.Build(p.params)
 	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	p, err := resolved(c, e.Params)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	m, err := e.Build(p)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: fault %q: %w", e.Name, err)
+		return nil, fmt.Errorf("scenario: fault %q: %w", p.entry.Name, err)
 	}
 	if err := m.Reset(nw, seed); err != nil {
-		return nil, fmt.Errorf("scenario: fault %q: %w", e.Name, err)
+		return nil, fmt.Errorf("scenario: fault %q: %w", p.entry.Name, err)
 	}
 	return m, nil
 }
 
-// bound parses the i-th declared bound.
-func (sc *Scenario) bound(i int) (adversary.Bound, error) {
-	rho, err := rat.Parse(sc.Bounds[i].Rho)
-	if err != nil {
-		return adversary.Bound{}, fmt.Errorf("scenario: bound %d: %w", i, err)
-	}
-	return adversary.Bound{Rho: rho, Sigma: sc.Bounds[i].Sigma}, nil
-}
-
 // Sweep lifts the scenario to a harness.Sweep over the cartesian product
-// of its axes; it is the only scenario compiler. Seeds reach the
-// adversaries verbatim, so a one-point scenario's one cell is exactly the
-// run its flag-based CLI equivalent describes.
+// of its axes, from its compiled form. Seeds reach the adversaries
+// verbatim, so a one-point scenario's one cell is exactly the run its
+// flag-based CLI equivalent describes.
 func (sc *Scenario) Sweep() (*harness.Sweep, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
+	c := sc.comp
 	sw := &harness.Sweep{
 		Seeds:           sc.Seeds,
 		Rounds:          sc.Rounds,
 		Bandwidths:      sc.Bandwidths,
+		Bounds:          c.bounds,
 		VerifyAdversary: sc.Verify,
 	}
 	if sc.Shard != nil {
 		sw.ShardOffset = sc.Shard.Offset
 		sw.ShardCount = sc.Shard.Count
 	}
-	for i := range sc.Bounds {
-		b, err := sc.bound(i)
-		if err != nil {
-			return nil, err
-		}
-		sw.Bounds = append(sw.Bounds, b)
-	}
-
-	for _, c := range sc.Protocols {
-		e, err := registry.LookupProtocol(c.Name)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		p, err := resolved(c, e.Params)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		entry := e
+	for _, p := range c.protocols {
 		sw.Protocols = append(sw.Protocols, harness.ProtocolSpec{
-			Name: c.label(),
-			New:  func() (sim.Protocol, error) { return entry.Build(p) },
+			Name: p.label,
+			New:  func() (sim.Protocol, error) { return p.entry.Build(p.params) },
 		})
 	}
 
-	selfHosting, err := sc.selfHosting()
-	if err != nil {
-		return nil, err
-	}
-	if selfHosting {
+	if c.selfHosting {
 		// The construction dictates topology and horizon: prepare once to
 		// size the grid, and have each cell re-prepare a fresh pattern.
-		e, err := registry.LookupAdversary(sc.Adversaries[0].Name)
+		a := c.adversaries[0]
+		prep, err := a.entry.Prepare(c.bounds[0], a.params)
 		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
+			return nil, fmt.Errorf("scenario: adversary %q: %w", a.entry.Name, err)
 		}
-		p, err := resolved(sc.Adversaries[0], e.Params)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		bound := sw.Bounds[0]
-		prep, err := e.Prepare(bound, p)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: adversary %q: %w", e.Name, err)
-		}
-		label := sc.Adversaries[0].label()
-		entry := e
 		// The network is immutable and every cell shares the one bound, so
 		// the upfront Prepare's Net serves all cells; only the adversary is
 		// stateful and must be re-prepared per cell.
 		sw.Topologies = []harness.TopologySpec{{
-			Name: label,
+			Name: a.label,
 			New:  func() (*network.Network, error) { return prep.Net, nil },
 		}}
 		sw.Adversaries = []harness.AdversarySpec{{
-			Name: label,
+			Name: a.label,
 			New: func(_ *network.Network, b adversary.Bound, _ int64, _ int) (adversary.Adversary, error) {
-				pr, err := entry.Prepare(b, p)
+				pr, err := a.entry.Prepare(b, a.params)
 				if err != nil {
 					return nil, err
 				}
@@ -1039,41 +975,23 @@ func (sc *Scenario) Sweep() (*harness.Sweep, error) {
 		// The construction declares its own bound (σ = 1).
 		sw.Bounds = []adversary.Bound{prep.Bound}
 	} else {
-		for _, c := range sc.Topologies {
-			e, err := registry.LookupTopology(c.Name)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: %w", err)
-			}
-			p, err := resolved(c, e.Params)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: %w", err)
-			}
-			name := e.Name
+		for _, t := range c.topologies {
 			sw.Topologies = append(sw.Topologies, harness.TopologySpec{
-				Name: c.label(),
-				New:  func() (*network.Network, error) { return registry.BuildTopology(name, p) },
+				Name: t.label,
+				New:  func() (*network.Network, error) { return registry.BuildTopology(t.entry.Name, t.params) },
 			})
 		}
-		for _, c := range sc.Adversaries {
-			e, err := registry.LookupAdversary(c.Name)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: %w", err)
-			}
-			p, err := resolved(c, e.Params)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: %w", err)
-			}
-			entry := e
+		for _, a := range c.adversaries {
 			sw.Adversaries = append(sw.Adversaries, harness.AdversarySpec{
-				Name: c.label(),
+				Name: a.label,
 				New: func(nw *network.Network, b adversary.Bound, seed int64, rounds int) (adversary.Adversary, error) {
-					return entry.Build(registry.AdversaryContext{Net: nw, Bound: b, Seed: seed, Rounds: rounds}, p)
+					return a.entry.Build(registry.AdversaryContext{Net: nw, Bound: b, Seed: seed, Rounds: rounds}, a.params)
 				},
 			})
 		}
 	}
 
-	if len(sc.Invariants) > 0 {
+	if len(c.invariants) > 0 {
 		sw.Invariants = func(_ harness.Cell, nw *network.Network) []sim.Invariant {
 			invs, err := sc.buildInvariants(nw)
 			if err != nil {
@@ -1084,17 +1002,16 @@ func (sc *Scenario) Sweep() (*harness.Sweep, error) {
 			return invs
 		}
 	}
-	if len(sc.Metrics) > 0 {
-		sw.Metrics = func(harness.Cell, *network.Network) ([]metrics.Collector, error) {
-			return sc.buildMetrics()
+	if len(c.metrics) > 0 {
+		sw.Metrics = func(cell harness.Cell, _ *network.Network) ([]metrics.Collector, error) {
+			return sc.buildMetrics(cell.Rounds)
 		}
 	}
-	for _, c := range sc.Faults {
-		comp := c
+	for _, f := range c.faults {
 		sw.Faults = append(sw.Faults, harness.FaultSpec{
-			Name: comp.label(),
+			Name: f.label,
 			New: func(nw *network.Network, seed int64) (faults.Model, error) {
-				return sc.buildFault(comp, nw, seed)
+				return buildFault(f, nw, seed)
 			},
 		})
 	}

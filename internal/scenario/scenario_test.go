@@ -428,6 +428,10 @@ var validationErrorCases = []struct {
 		"topology": {"name": "path"}, "protocol": {"name": "pts"},
 		"adversary": {"name": "random"}, "bound": {"rho": "1/4611686018427387904", "sigma": 2}, "rounds": 10
 	}`, "denominator above"},
+	{"rounds above the cap", `{
+		"topology": {"name": "path"}, "protocol": {"name": "pts"},
+		"adversary": {"name": "stream"}, "bound": {"rho": "1", "sigma": 1}, "rounds": [10, 16777217]
+	}`, "exceeds the limit of 16777216 rounds"},
 	{"missing rounds", `{
 		"topology": {"name": "path"}, "protocol": {"name": "pts"},
 		"adversary": {"name": "stream"}, "bound": {"rho": "1", "sigma": 1}

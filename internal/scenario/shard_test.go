@@ -203,7 +203,7 @@ func TestShardValidationErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		tc.mutate(sc)
-		sc.validated = false
+		sc.comp = nil
 		if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.wantSub)
 		}

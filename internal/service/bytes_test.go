@@ -15,13 +15,43 @@ import (
 // POSTs each testdata/scenarios file once, synchronously, to a daemon
 // whose cache is off, so every request parses, builds its sweep, runs
 // it, publishes its records and writes its report, and the client
-// discards the bodies. With crafted adversaries replaying a flat,
-// presized schedule and each record encoded once, for its frame, digest
-// and report alike, daemon and client together allocate 1.38 MB per op
-// (measured with go1.24.0 on linux/amd64). With a schedule grown as a
-// map of slices and copied whole, and every report re-encoding its
-// cells, the op allocated 2.04 MB.
+// discards the bodies. With each scenario compiled once and each metric's
+// series sized to its cell's rounds and handed over at the end of the run,
+// daemon and client together allocate 1.17 MB per op (measured with
+// go1.24.0 on linux/amd64). With each component's params resolved again
+// for every use and every series sized to its cap and copied, 1.38 MB;
+// with a schedule grown as a map of slices and copied whole, and every
+// report re-encoding its cells, 2.04 MB.
 func TestServedMissBytes(t *testing.T) {
+	const limit = 1_210_000
+	got := passBytes(t, Config{Workers: 2, SweepWorkers: 1, CacheCells: -1})
+	t.Logf("%d B per op (limit %d)", got, limit)
+	if got > limit {
+		t.Errorf("one corpus pass of cache misses allocates %d B, want ≤ %d", got, limit)
+	}
+}
+
+// TestServedHitBytes is the byte gate on a daemon's warm hits: one op
+// POSTs each testdata/scenarios file once more, synchronously, to a
+// daemon that has answered every one of them, and the client discards
+// the bodies. Each body is the one that created its run, so the daemon
+// answers it without parsing: daemon and client together allocate 123 KB
+// per op (measured with go1.24.0 on linux/amd64). When every hit parsed
+// and digested its body, 305 KB.
+func TestServedHitBytes(t *testing.T) {
+	const limit = 127_000
+	got := passBytes(t, Config{Workers: 2, SweepWorkers: 1})
+	t.Logf("%d B per op (limit %d)", got, limit)
+	if got > limit {
+		t.Errorf("one corpus pass of cache hits allocates %d B, want ≤ %d", got, limit)
+	}
+}
+
+// passBytes returns the bytes one corpus pass allocates on a daemon with
+// cfg: each testdata/scenarios file POSTed once, synchronously, the
+// bodies discarded. It is the least of 8 passes at one P, after a first
+// pass that fills the daemon's cache when cfg keeps one.
+func passBytes(t *testing.T, cfg Config) uint64 {
 	if raceEnabled {
 		// The race detector's instrumentation changes what allocates.
 		t.Skip("allocation gate: run without -race")
@@ -36,7 +66,7 @@ func TestServedMissBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, ts := newTestServer(t, Config{Workers: 2, SweepWorkers: 1, CacheCells: -1})
+	_, ts := newTestServer(t, cfg)
 	client := ts.Client()
 	op := func() {
 		for i, body := range bodies {
@@ -64,9 +94,5 @@ func TestServedMissBytes(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		best = min(best, after.TotalAlloc-before.TotalAlloc)
 	}
-	const limit = 1_430_000
-	t.Logf("%d B per op (limit %d)", best, limit)
-	if best > limit {
-		t.Errorf("one corpus pass of cache misses allocates %d B, want ≤ %d", best, limit)
-	}
+	return best
 }

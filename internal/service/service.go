@@ -33,7 +33,10 @@
 // Submissions are keyed by Scenario.Digest(), the SHA-256 of the
 // canonical scenario form. A digest that matches a completed run is
 // served from the cache without simulating; a digest that matches an
-// in-flight run joins it (single-flight). New digests are enqueued to a
+// in-flight run joins it (single-flight). A body byte-identical to the
+// one that created a run still known by its digest names that digest by
+// its own SHA-256, so it is answered without parsing; any other spelling
+// of the scenario is parsed and digested first. New digests are enqueued to a
 // pool of Workers run-executors; each run executes its (possibly
 // one-point) grid through harness.Sweep with SweepWorkers cell workers,
 // so at most Workers × SweepWorkers cells are in flight at once. Every
@@ -50,6 +53,7 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -183,8 +187,9 @@ type Report struct {
 type run struct {
 	id     string
 	digest string
+	body   [sha256.Size]byte // SHA-256 of the POST body that created the run
 	name   string
-	sweep  *harness.Sweep
+	sweep  *harness.Sweep     // dropped at finish, with the scenario it holds
 	span   harness.IndexRange // global index range of the run's cells
 
 	ctx    context.Context
@@ -302,7 +307,10 @@ type Server struct {
 	seq      int
 	runs     map[string]*run // by id; entries live exactly as long as their cache entry
 	byDigest map[string]*run // in-flight and cleanly-finished runs, by scenario digest
-	cache    *lru[*run]      // finished runs; eviction drops the id and digest indexes
+	// byBody holds each run by the SHA-256 of the body that created it,
+	// until its cache entry is evicted: at most one entry per run.
+	byBody map[[sha256.Size]byte]*run
+	cache  *lru[*run] // finished runs; eviction drops the id, digest and body indexes
 }
 
 // New starts a service with cfg's pool and cache bounds. The returned
@@ -318,6 +326,7 @@ func New(cfg Config) *Server {
 		queue:    make(chan *run, cfg.QueueDepth),
 		runs:     make(map[string]*run),
 		byDigest: make(map[string]*run),
+		byBody:   make(map[[sha256.Size]byte]*run),
 	}
 	s.cache = newLRU[*run](cfg.CacheCells, func(digest string, r *run) {
 		// Runs under s.mu (every cache mutation is). Drop the indexes so
@@ -326,6 +335,9 @@ func New(cfg Config) *Server {
 		delete(s.runs, r.id)
 		if s.byDigest[digest] == r {
 			delete(s.byDigest, digest)
+		}
+		if s.byBody[r.body] == r {
+			delete(s.byBody, r.body)
 		}
 	})
 	s.mux = http.NewServeMux()
@@ -454,7 +466,7 @@ func (s *Server) finish(r *run, ctxErr error) {
 	}
 	r.finished = true
 	sum := r.tally.summary(r.span.Count())
-	r.summary, r.tally = sum, tally{}
+	r.summary, r.tally, r.sweep = sum, tally{}, nil
 	lines := r.lines
 	if ctxErr != nil {
 		r.status = StatusCancelled
@@ -589,15 +601,30 @@ func (t *tally) summary(requested int) *Summary {
 	return &sum
 }
 
-// handleSubmit accepts a scenario, dedupes it against the digest index,
-// and (by default) waits for the result. ?wait=0 detaches: the run is
-// pinned to completion and a 202 with the run id is returned.
+// handleSubmit accepts a scenario, dedupes it against the body and
+// digest indexes, and (by default) waits for the result. ?wait=0
+// detaches: the run is pinned to completion and a 202 with the run id is
+// returned.
 func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 4<<20))
 	if err != nil {
 		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("scenario body: %w", err))
 		return
 	}
+	sum := sha256.Sum256(body)
+	wait := req.URL.Query().Get("wait") != "0"
+
+	// Fastest path: a body that created a run still known by its digest
+	// is answered without parsing it.
+	s.mu.Lock()
+	if s.rejectUnavailableLocked(w) {
+		return
+	}
+	if r, ok := s.byBody[sum]; ok && s.serveExistingLocked(w, req, r.digest, wait) {
+		return
+	}
+	s.mu.Unlock()
+
 	sc, err := scenario.Parse(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -608,7 +635,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	wait := req.URL.Query().Get("wait") != "0"
 
 	// Fast path: the digest alone decides cache hits and in-flight
 	// joins — no grid expansion for repeated workloads.
@@ -653,11 +679,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if warmed != nil {
-		s.serveWarmedLocked(w, sc.Name, digest, span, warmed, warmedSum)
+		s.serveWarmedLocked(w, sum, sc.Name, digest, span, warmed, warmedSum)
 		return
 	}
 	s.metrics.cacheMisses.Add(1)
-	r := s.newRunLocked(s.baseCtx, sc.Name, digest, span)
+	r := s.newRunLocked(s.baseCtx, sum, sc.Name, digest, span)
 	r.sweep, r.watchers = sw, 1 // the submitter, detached by respondJoined
 	s.metrics.runsStarted.Add(1)
 	s.metrics.runsInFlight.Add(1)
@@ -696,14 +722,16 @@ func cellSpan(sc *scenario.Scenario) (harness.IndexRange, error) {
 	return harness.IndexRange{Hi: total}, nil
 }
 
-// newRunLocked registers a queued run of span's cells for digest, under
-// a context of its own below parent. Must be called holding s.mu.
-func (s *Server) newRunLocked(parent context.Context, name, digest string, span harness.IndexRange) *run {
+// newRunLocked registers a queued run of span's cells for digest, created
+// by the body whose SHA-256 is body, under a context of its own below
+// parent. Must be called holding s.mu.
+func (s *Server) newRunLocked(parent context.Context, body [sha256.Size]byte, name, digest string, span harness.IndexRange) *run {
 	s.seq++
 	ctx, cancel := context.WithCancel(parent)
 	r := &run{
 		id:      fmt.Sprintf("r%d-%s", s.seq, strings.TrimPrefix(digest, scenario.DigestPrefix)[:12]),
 		digest:  digest,
+		body:    body,
 		name:    name,
 		span:    span,
 		ctx:     ctx,
@@ -716,6 +744,7 @@ func (s *Server) newRunLocked(parent context.Context, name, digest string, span 
 	r.live = live.NewAccumulator(r.id, span.Count(), s.cfg.SweepWorkers, s.cfg.Clock)
 	s.runs[r.id] = r
 	s.byDigest[digest] = r
+	s.byBody[body] = r
 	return r
 }
 
@@ -723,8 +752,8 @@ func (s *Server) newRunLocked(parent context.Context, name, digest string, span 
 // cached run — indexed, LRU-governed, and streamable exactly like a run
 // this process executed — and serves it as a cache hit. Must be entered
 // holding s.mu; always releases it.
-func (s *Server) serveWarmedLocked(w http.ResponseWriter, name, digest string, span harness.IndexRange, lines []json.RawMessage, sum *Summary) {
-	r := s.newRunLocked(context.Background(), name, digest, span)
+func (s *Server) serveWarmedLocked(w http.ResponseWriter, body [sha256.Size]byte, name, digest string, span harness.IndexRange, lines []json.RawMessage, sum *Summary) {
+	r := s.newRunLocked(context.Background(), body, name, digest, span)
 	r.cancel() // sealed from birth: nothing to abandon
 	r.status, r.finished, r.lines, r.summary = StatusDone, true, lines, sum
 	close(r.done)

@@ -692,8 +692,10 @@ func TestHostileRateRejected(t *testing.T) {
 // product no slice can hold.
 // Validate's offset+count and the grid's size once wrapped round, so both
 // validated, were queued, and panicked when the worker expanded the grid,
-// killing the daemon. Each POST must get a 400, and the daemon must keep
-// serving.
+// killing the daemon. It also posts two one-cell scenarios of 2·10⁹
+// rounds, past the 2^24 cap on a cell's rounds; the greedykiller one once
+// presized a schedule of about 40 GB before its first round. Each POST
+// must get a 400, and the daemon must keep serving.
 func TestHostileGridRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	axis := func(n int) string {
@@ -721,6 +723,20 @@ func TestHostileGridRejected(t *testing.T) {
 			"bandwidths": ` + axis(20000) + `,
 			"seeds": ` + axis(20000) + `
 		}`, "cells"},
+		{"path over 2e9 rounds", `{
+			"topology": {"name": "path", "params": {"n": 8}},
+			"protocol": {"name": "ppts"},
+			"adversary": {"name": "random"},
+			"bound": {"rho": "1/2", "sigma": 1},
+			"rounds": 2000000000
+		}`, "exceeds the limit of 16777216 rounds"},
+		{"greedykiller over 2e9 rounds", `{
+			"topology": {"name": "path", "params": {"n": 8}},
+			"protocol": {"name": "ppts"},
+			"adversary": {"name": "greedykiller"},
+			"bound": {"rho": "3/4", "sigma": 1},
+			"rounds": 2000000000
+		}`, "exceeds the limit of 16777216 rounds"},
 	} {
 		code, rep := post(t, ts.URL, tc.body)
 		if code != http.StatusBadRequest || !strings.Contains(rep.Error, tc.want) {

@@ -62,7 +62,7 @@ func TestDropConservation(t *testing.T) {
 	}
 	links := newLinkForwards(12) // faultSpec's path(12)
 	res, err := Run(context.Background(), faultSpec(t, dm,
-		WithMetrics(metrics.NewDelivery(), metrics.NewGoodput(64, 16), metrics.NewDropRate(64, 16)),
+		WithMetrics(metrics.NewDelivery(), metrics.NewGoodput(64, 16, 300), metrics.NewDropRate(64, 16, 300)),
 		WithObservers(links)))
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestFaultedRunIsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := Run(context.Background(), faultSpec(t, fm,
-			WithMetrics(metrics.NewDelivery(), metrics.NewDropRate(64, 16))))
+			WithMetrics(metrics.NewDelivery(), metrics.NewDropRate(64, 16, 300))))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -176,8 +176,8 @@ func TestFullCollectorSetConsistency(t *testing.T) {
 	const rounds = 300
 	links := newLinkForwards(nw.Len())
 	res, err := Run(context.Background(), NewSpec(nw, &greedyOldest{}, adv, rounds,
-		WithMetrics(metrics.NewMaxLoad(), metrics.NewLoadSeries(64, 16), metrics.NewLoadHist(),
-			metrics.NewLatency(), metrics.NewLinkUtilSeries(64, 16)),
+		WithMetrics(metrics.NewMaxLoad(), metrics.NewLoadSeries(64, 16, rounds), metrics.NewLoadHist(),
+			metrics.NewLatency(), metrics.NewLinkUtilSeries(64, 16, rounds)),
 		WithObservers(links)))
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestLoadSeriesBoundedAtMillionRounds(t *testing.T) {
 	nw := network.MustPath(2)
 	adv := adversary.NewStream(fullRate(1), 0, 1)
 	res, err := Run(context.Background(), NewSpec(nw, &greedyOldest{}, adv, rounds,
-		WithMetrics(metrics.NewLoadSeries(capPoints, tailCap))))
+		WithMetrics(metrics.NewLoadSeries(capPoints, tailCap, rounds))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestMaxLinkUtilizationTieBreak(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := metrics.NewLinkUtilSeries(16, 4)
+			c := metrics.NewLinkUtilSeries(16, 4, 10)
 			c.OnSample(0, metrics.LT, e)
 			var moves []metrics.Move
 			for v, f := range tc.perLink {
@@ -449,7 +449,7 @@ func TestMaxLinkUtilizationAllSinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(context.Background(), NewSpec(nw, &greedyOldest{}, adversary.Empty{}, 5,
-		WithMetrics(metrics.NewLinkUtilSeries(16, 4))))
+		WithMetrics(metrics.NewLinkUtilSeries(16, 4, 5))))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -342,6 +342,10 @@ func (e *Engine) Release() {
 	e.res = Result{}
 }
 
+// Nodes returns the node count the engine's storage is sized for: the
+// largest topology it has run on.
+func (e *Engine) Nodes() int { return cap(e.buffers) }
+
 // dropHooks empties the hook list, clearing its whole backing array so no
 // earlier run's observer stays reachable through it.
 func (e *Engine) dropHooks() {
