@@ -106,7 +106,8 @@ func NewRandom(nw *network.Network, bound Bound, dests []network.NodeID, seed in
 	return r, nil
 }
 
-// sources holds the random sources of released adversaries.
+// sources holds the random sources of released adversaries. No network
+// sizes a source, so each weighs one whatever its 4.9 KB.
 var sources freelist.List[*rand.Rand]
 
 // newRand returns a generator seeded with seed. It reseeds a released

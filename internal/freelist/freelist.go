@@ -7,10 +7,12 @@ package freelist
 
 import "sync"
 
-// Nodes bounds each List: the items it keeps are sized for at most Nodes
-// nodes in all, the budget of the registry's topology memo. A list holds
-// no more items than were in use at once, and the budget keeps a large
-// network's arrays from staying pinned after its run.
+// Nodes bounds each List: the items it keeps weigh at most Nodes in all,
+// the budget of the registry's topology memo. An item's weight, given to
+// Put, is the node count it is sized for or an upper bound on it, and an
+// item no network sizes weighs one. A list holds no more items than were
+// in use at once, and the budget keeps a large network's arrays from
+// staying pinned after its run.
 const Nodes = 1 << 16
 
 // List is a mutex-guarded stack of released items; the zero value is an
@@ -34,8 +36,8 @@ func (l *List[T]) Get() (x T, ok bool) {
 	return x, ok
 }
 
-// Put releases x, sized for nodes nodes (at least one), for a later Get;
-// it drops x when the list would then hold more than Nodes nodes.
+// Put releases x, weighing nodes (at least one), for a later Get; it
+// drops x when the list would then weigh more than Nodes.
 func (l *List[T]) Put(x T, nodes int) {
 	nodes = max(nodes, 1)
 	l.mu.Lock()

@@ -32,15 +32,14 @@ type SeriesRecord struct {
 // so its record is the same whatever it was sized for. Appending is
 // amortized O(1) and allocates nothing after construction while the run
 // is no longer than declared, so a 10⁶-round run costs the same memory as
-// a 10³-round one. Its collector appends once per round, so once the
-// run's last round is in, Record hands the series' own arrays over
-// instead of copying them; an Append after that copies them first.
+// a 10³-round one. Record hands the series' own arrays over instead of
+// copying them; an Append after a Record copies them first, so a record
+// stays as it was taken and the run's one final record copies nothing.
 type BoundedSeries struct {
 	key     string
 	agg     string
 	cap     int
 	tailCap int
-	rounds  int // the run's declared length
 	stride  int
 	vals    []int
 	pend    int // accumulator for the in-progress point
@@ -58,7 +57,7 @@ type BoundedSeries struct {
 func NewBoundedSeries(key, agg string, capPoints, tailCap, rounds int) *BoundedSeries {
 	capPoints = max(capPoints+capPoints%2, 2)
 	tailCap, rounds = max(tailCap, 0), max(rounds, 0)
-	return &BoundedSeries{key: key, agg: agg, cap: capPoints, tailCap: tailCap, rounds: rounds, stride: 1,
+	return &BoundedSeries{key: key, agg: agg, cap: capPoints, tailCap: tailCap, stride: 1,
 		vals: make([]int, 0, min(capPoints, rounds+1)), tail: make([]int, 0, min(tailCap, rounds))}
 }
 
@@ -105,23 +104,17 @@ func (s *BoundedSeries) fold(a, b int) int {
 // Record renders the series in canonical wire form. The in-progress
 // partial point (covering the trailing n mod stride rounds) is included
 // as the final value, so the record is a pure function of the appended
-// sequence. Once the run's declared rounds are all appended, the record
-// holds the series' own arrays; a record taken while the run continues
-// holds copies.
+// sequence. The record holds the series' own arrays, which the next
+// Append copies before it changes them.
 func (s *BoundedSeries) Record() SeriesRecord {
-	rec := SeriesRecord{Key: s.key, Agg: s.agg, Stride: s.stride, Rounds: s.n}
-	if s.n == s.rounds {
-		if s.tailAt > 0 { // rotate the ring into order, in place
-			slices.Reverse(s.tail[:s.tailAt])
-			slices.Reverse(s.tail[s.tailAt:])
-			slices.Reverse(s.tail)
-			s.tailAt = 0
-		}
-		rec.Values, rec.Tail, s.handed = s.vals, s.tail, true
-	} else {
-		rec.Values = append(make([]int, 0, len(s.vals)+1), s.vals...)
-		rec.Tail = append(append(make([]int, 0, len(s.tail)), s.tail[s.tailAt:]...), s.tail[:s.tailAt]...)
+	if s.tailAt > 0 { // rotate the ring into order, in place
+		slices.Reverse(s.tail[:s.tailAt])
+		slices.Reverse(s.tail[s.tailAt:])
+		slices.Reverse(s.tail)
+		s.tailAt = 0
 	}
+	rec := SeriesRecord{Key: s.key, Agg: s.agg, Stride: s.stride, Rounds: s.n, Values: s.vals, Tail: s.tail}
+	s.handed = true
 	if s.pendN > 0 {
 		rec.Values = append(rec.Values, s.pend)
 	}

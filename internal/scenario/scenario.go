@@ -602,6 +602,8 @@ func labelAxis[E any](axis string, parts []part[E], comps []Component) error {
 
 // maxRounds bounds a cell's rounds: a run's series, and a crafted
 // adversary's schedule past its presized 2^16 rounds, grow with them.
+// Validate checks every declared rounds entry; Sweep checks the horizon a
+// self-hosting adversary dictates, once it is prepared.
 const maxRounds = 1 << 24
 
 // maxGridCells bounds a grid's row-major expansion. Every run, sharded
@@ -922,7 +924,8 @@ func buildFault(p part[registry.Fault], nw *network.Network, seed int64) (faults
 // Sweep lifts the scenario to a harness.Sweep over the cartesian product
 // of its axes, from its compiled form. Seeds reach the adversaries
 // verbatim, so a one-point scenario's one cell is exactly the run its
-// flag-based CLI equivalent describes.
+// flag-based CLI equivalent describes. A self-hosting adversary whose
+// horizon exceeds maxRounds is rejected here.
 func (sc *Scenario) Sweep() (*harness.Sweep, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -953,6 +956,9 @@ func (sc *Scenario) Sweep() (*harness.Sweep, error) {
 		prep, err := a.entry.Prepare(c.bounds[0], a.params)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: adversary %q: %w", a.entry.Name, err)
+		}
+		if prep.Rounds > maxRounds {
+			return nil, fmt.Errorf("scenario: adversary %q: horizon %d exceeds the limit of %d rounds per cell", a.entry.Name, prep.Rounds, maxRounds)
 		}
 		// The network is immutable and every cell shares the one bound, so
 		// the upfront Prepare's Net serves all cells; only the adversary is

@@ -37,10 +37,10 @@ func localDigest(t *testing.T, body string) string {
 }
 
 // TestBodyIndex covers the answer a byte-identical resubmission gets
-// without parsing, and every way back to the full path: a whitespace
-// variant is parsed and still hits, an evicted or cancelled digest runs
-// again and reproduces its results digest, and the index holds one entry
-// per run the cache still holds.
+// without parsing, and every way back to the full path: a draining daemon
+// parses every body, a whitespace variant is parsed and still hits, an
+// evicted or cancelled digest runs again and reproduces its results
+// digest, and the index holds one entry per run the cache still holds.
 func TestBodyIndex(t *testing.T) {
 	svc, ts := newTestServer(t, Config{Workers: 2, CacheCells: 4})
 	a := scenarioBody("index-a", 3, 50, 0) // 3 cells
@@ -58,6 +58,21 @@ func TestBodyIndex(t *testing.T) {
 	if !hit.Cached || hit.ID != first.ID || hit.ResultsDigest != want {
 		t.Errorf("resubmission: %+v, want a hit on %s", hit, first.ID)
 	}
+
+	// A draining daemon answers as it did before the index: a malformed
+	// body gets a final 400 and an indexed one a retryable 503.
+	svc.mu.Lock()
+	svc.draining++
+	svc.mu.Unlock()
+	if code, _ := post(t, ts.URL, "{"); code != http.StatusBadRequest {
+		t.Errorf("malformed body while draining: %d, want 400", code)
+	}
+	if code, _ := post(t, ts.URL, a); code != http.StatusServiceUnavailable {
+		t.Errorf("indexed body while draining: %d, want 503", code)
+	}
+	svc.mu.Lock()
+	svc.draining--
+	svc.mu.Unlock()
 
 	// A whitespace variant names the same digest only once parsed: it
 	// hits the cached run and is not indexed.

@@ -615,12 +615,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	wait := req.URL.Query().Get("wait") != "0"
 
 	// Fastest path: a body that created a run still known by its digest
-	// is answered without parsing it.
+	// is answered without parsing it. A closed or draining daemon parses
+	// every body first, so a malformed one still gets its 400.
 	s.mu.Lock()
-	if s.rejectUnavailableLocked(w) {
-		return
-	}
-	if r, ok := s.byBody[sum]; ok && s.serveExistingLocked(w, req, r.digest, wait) {
+	if r, ok := s.byBody[sum]; ok && !s.closed && s.draining == 0 && s.serveExistingLocked(w, req, r.digest, wait) {
 		return
 	}
 	s.mu.Unlock()

@@ -694,8 +694,10 @@ func TestHostileRateRejected(t *testing.T) {
 // validated, were queued, and panicked when the worker expanded the grid,
 // killing the daemon. It also posts two one-cell scenarios of 2·10⁹
 // rounds, past the 2^24 cap on a cell's rounds; the greedykiller one once
-// presized a schedule of about 40 GB before its first round. Each POST
-// must get a 400, and the daemon must keep serving.
+// presized a schedule of about 40 GB before its first round. A lowerbound
+// of m = 257, ℓ = 2 declares no rounds but dictates a horizon of 257³
+// rounds, past the same cap. Each POST must get a 400, and the daemon
+// must keep serving.
 func TestHostileGridRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	axis := func(n int) string {
@@ -737,6 +739,11 @@ func TestHostileGridRejected(t *testing.T) {
 			"bound": {"rho": "3/4", "sigma": 1},
 			"rounds": 2000000000
 		}`, "exceeds the limit of 16777216 rounds"},
+		{"lowerbound horizon past the cap", `{
+			"protocol": {"name": "ppts"},
+			"adversary": {"name": "lowerbound", "params": {"m": 257, "ell": 2}},
+			"bound": {"rho": "1", "sigma": 1}
+		}`, "horizon 16974593 exceeds the limit of 16777216 rounds"},
 	} {
 		code, rep := post(t, ts.URL, tc.body)
 		if code != http.StatusBadRequest || !strings.Contains(rep.Error, tc.want) {
