@@ -309,7 +309,7 @@ func runScenarioFile(ctx context.Context, w io.Writer, path string, validateOnly
 	if storeDir != "" {
 		lines := make([]json.RawMessage, len(recs))
 		for i, rec := range recs {
-			lines[i], _ = json.Marshal(rec) // a CellRecord always marshals
+			lines[i] = harness.MarshalCanonical(rec)
 		}
 		if err := store.Seal(storeDir, dig, span, lines, agg.Digest()); err != nil {
 			return ms, fmt.Errorf("persisting results: %w", err)

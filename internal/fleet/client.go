@@ -136,25 +136,19 @@ func (c *client) submit(ctx context.Context, body []byte) (string, *service.Repo
 		return "", nil, err
 	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusAccepted:
-		var rep service.Report
-		if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-			return "", nil, fmt.Errorf("decoding submit response: %w", err)
-		}
-		if rep.ID == "" {
-			return "", nil, fmt.Errorf("submit response carries no run id")
-		}
-		return rep.ID, nil, nil
-	case http.StatusOK:
-		var rep service.Report
-		if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-			return "", nil, fmt.Errorf("decoding cached report: %w", err)
-		}
-		return "", &rep, nil
-	default:
+	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
 		return "", nil, decodeError(resp)
 	}
+	var rep service.Report
+	switch err := json.NewDecoder(resp.Body).Decode(&rep); {
+	case err != nil:
+		return "", nil, fmt.Errorf("decoding submit response: %w", err)
+	case resp.StatusCode == http.StatusOK:
+		return "", &rep, nil
+	case rep.ID == "":
+		return "", nil, fmt.Errorf("submit response carries no run id")
+	}
+	return rep.ID, nil, nil
 }
 
 // A shard stream's scanner starts with a buffer of streamBufInit bytes and
@@ -167,8 +161,8 @@ const (
 // stream follows a run's NDJSON stream, invoking onCell for every cell
 // record as its frame decodes whole, and returns the closing summary
 // report. onCell also gets the record's canonical encoding, cut from the
-// frame (see service.CutCellFrame), or nil for a frame of another
-// layout; the bytes are valid only during the call. An error means the
+// frame (see service.CutCellFrame), valid only during the call; a cell
+// frame that is not canonical breaks the stream. An error means the
 // stream broke before the summary: the cells already passed to onCell
 // are sound, the rest of the run never arrived.
 func (c *client) stream(ctx context.Context, runID string, onCell func(rec harness.CellRecord, line []byte)) (*service.Report, error) {
@@ -191,25 +185,26 @@ func (c *client) stream(ctx context.Context, runID string, onCell func(rec harne
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		// A cell frame decodes once, into its record; a summary frame's
-		// report fields are unknown here and decode below.
+		if canonical, ok := service.CutCellFrame(line); ok {
+			rec, err := harness.DecodeCanonical(canonical)
+			if err != nil {
+				return nil, fmt.Errorf("malformed cell frame: %w", err)
+			}
+			onCell(rec, canonical)
+			continue
+		}
 		var frame struct {
 			Type string `json:"type"`
-			harness.CellRecord
+			service.Report
 		}
 		if err := json.Unmarshal(line, &frame); err != nil {
 			return nil, fmt.Errorf("malformed stream frame: %w", err)
 		}
 		switch frame.Type {
-		case "cell":
-			canonical, _ := service.CutCellFrame(line)
-			onCell(frame.CellRecord, canonical)
 		case "summary":
-			var rep service.Report
-			if err := json.Unmarshal(line, &rep); err != nil {
-				return nil, fmt.Errorf("malformed summary frame: %w", err)
-			}
-			return &rep, nil
+			return &frame.Report, nil
+		case "cell":
+			return nil, fmt.Errorf("malformed cell frame: it does not open with %s", service.CellFramePrefix)
 		default:
 			return nil, fmt.Errorf("unknown stream frame type %q", frame.Type)
 		}

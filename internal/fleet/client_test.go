@@ -6,12 +6,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"smallbuffers/internal/harness"
 	"smallbuffers/internal/service"
+	"smallbuffers/internal/store"
 )
 
 // cellFrame and summaryFrame render stream frames the way the service
@@ -61,10 +65,12 @@ func TestStreamDecoder(t *testing.T) {
 			rep:   &rep,
 		},
 		{
-			name:  "a frame of another layout decodes without an encoding",
-			body:  `{"index":3,"cell":"n=8","max_load":2,"injected":40,"delivered":38,"residual":2,"type":"cell"}` + "\n" + summaryFrame(t, rep),
+			name: "a frame of another layout breaks the stream",
+			body: cellFrame(t, small) + `{"index":3,"cell":"n=8","max_load":2,"injected":40,"delivered":38,"residual":2,"type":"cell"}` + "\n" +
+				summaryFrame(t, rep),
 			cells: []harness.CellRecord{small},
-			rep:   &rep,
+			cut:   1,
+			err:   "malformed cell frame",
 		},
 		{
 			name: "a frame past the cap fails after the cells before it",
@@ -108,9 +114,6 @@ func TestStreamDecoder(t *testing.T) {
 			cut := 0
 			got, err := newClient(ts.URL).stream(context.Background(), "r1-x", func(rec harness.CellRecord, line []byte) {
 				cells = append(cells, rec)
-				if line == nil {
-					return
-				}
 				cut++
 				if want, err := json.Marshal(rec); err != nil || string(line) != string(want) {
 					t.Errorf("cell %d: cut %s from its frame, want %s", rec.Index, line, want)
@@ -134,4 +137,133 @@ func TestStreamDecoder(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFleetHostileCellFrame gives a fleet one daemon whose first stream
+// carries one bad cell frame: cut one byte short, its fields reordered
+// (still valid JSON, and the record json.Unmarshal reads from it is
+// sound), an extra space, or a duplicated index key. The frame must break
+// the stream and the shard must be retried; nothing from the bad frame
+// reaches the store, which holds one canonical frame per cell, and the
+// fleet's digest is the local run's. A daemon that answers a shard from
+// its cache sends the cells in the POST's report instead, and a respaced
+// cell there must fail the shard the same way.
+func TestFleetHostileCellFrame(t *testing.T) {
+	sc := gridScenario(t, "fleet-hostile", 4, 20, 0)
+	want := localDigest(t, sc)
+	for _, tc := range []struct {
+		name   string
+		cached bool // a first run leaves every shard's report in the daemon's cache
+		tamper func(frame string) string
+	}{
+		{"cut one byte short", false, func(f string) string { return f[:len(f)-1] }},
+		{"fields reordered", false, func(f string) string {
+			// json.Marshal writes a map's keys sorted: "cell" before
+			// "index".
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal([]byte(f), &fields); err != nil {
+				t.Fatal(err)
+			}
+			delete(fields, "type")
+			sorted, err := json.Marshal(fields)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return service.CellFramePrefix + string(sorted[1:])
+		}},
+		{"an extra space", false, func(f string) string { return strings.Replace(f, `"index":`, `"index": `, 1) }},
+		{"a duplicated index key", false, func(f string) string {
+			i := strings.Index(f, `,"cell":`)
+			return f[:i] + "," + f[len(service.CellFramePrefix):i] + f[i:]
+		}},
+		{"an extra space in a cached report", true, func(f string) string {
+			return strings.Replace(f, `"cells":[{"index":`, `"cells":[{"index": `, 1)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := newDaemon(t, service.Config{Workers: 1, SweepWorkers: 1})
+			if tc.cached {
+				warm := Config{Endpoints: []string{d.ts.URL}, InFlightPerDaemon: 1, Clock: &fakeClock{}, Logf: t.Logf}
+				if _, err := Run(context.Background(), warm, sc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var wrapped, tampered atomic.Bool
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				target := strings.HasSuffix(r.URL.Path, "/stream")
+				if tc.cached {
+					target = r.Method == http.MethodPost
+				}
+				if target && wrapped.CompareAndSwap(false, true) {
+					w = &tamperingWriter{ResponseWriter: w, tamper: func(frame string) string {
+						bad := tc.tamper(frame)
+						if bad == frame {
+							t.Errorf("tampering left %s as it was", frame)
+						}
+						tampered.Store(true)
+						return bad
+					}}
+				}
+				d.serve(w, r)
+			}))
+			defer ts.Close()
+			root := t.TempDir()
+			st := openStoreFor(t, root, sc)
+			cfg := Config{Endpoints: []string{ts.URL}, Store: st, InFlightPerDaemon: 1, Clock: &fakeClock{}, Logf: t.Logf}
+			res, err := Run(context.Background(), cfg, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tampered.Load() {
+				t.Fatal("no cell was tampered with")
+			}
+			if res.Summary.ResultsDigest != want || res.Summary.Retries == 0 {
+				t.Errorf("fleet digest %s after %d retries, want the local %s after a retry", res.Summary.ResultsDigest, res.Summary.Retries, want)
+			}
+			if got, err := st.Digest(); err != nil || got != want {
+				t.Errorf("the store re-derives %s (%v), want %s", got, err, want)
+			}
+			total, err := sc.GridSize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			segs, err := filepath.Glob(filepath.Join(store.EntryDir(root, st.Scenario()), "seg-*.ndj"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames := 0
+			for _, seg := range segs {
+				data, err := os.ReadFile(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				frames += strings.Count(string(data), "\n")
+			}
+			if frames != total {
+				t.Errorf("the store holds %d frames, want one per cell, %d", frames, total)
+			}
+		})
+	}
+}
+
+// tamperingWriter replaces the first write that carries a cell, a
+// stream's cell frame or a report with cells, with tamper's version of
+// it.
+type tamperingWriter struct {
+	http.ResponseWriter
+	tamper func(frame string) string
+	done   bool
+}
+
+func (w *tamperingWriter) Flush() { _ = http.NewResponseController(w.ResponseWriter).Flush() }
+
+func (w *tamperingWriter) Write(p []byte) (int, error) {
+	if w.done || !strings.Contains(string(p), `"index":`) {
+		return w.ResponseWriter.Write(p)
+	}
+	w.done = true
+	if _, err := io.WriteString(w.ResponseWriter, w.tamper(strings.TrimSuffix(string(p), "\n"))+"\n"); err != nil {
+		return 0, err
+	}
+	return len(p), nil
 }

@@ -27,7 +27,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -545,8 +544,16 @@ func (co *coordinator) runTask(ctx context.Context, d *daemonState, t *task) {
 			co.requeue(t, true)
 			return
 		}
-		for _, rec := range cached.Cells {
-			co.appendCell(t, rec, nil)
+		for _, line := range cached.Cells {
+			rec, err := harness.DecodeCanonical(line)
+			if err != nil {
+				// Like a broken stream: keep what committed, redo the rest.
+				co.cfg.Logf("fleet: cached report of %s from %s: %v", t.item.rng, d.endpoint, err)
+				co.daemonFailed(d)
+				co.requeue(t, true)
+				return
+			}
+			co.appendCell(t, rec, line)
 		}
 		co.commitDone(d, t, co.cfg.Clock.Now().Sub(start))
 		return
@@ -594,8 +601,8 @@ func (co *coordinator) runTask(ctx context.Context, d *daemonState, t *task) {
 }
 
 // appendCell commits one received record to the merge, and tallies it.
-// line, when not nil, is the record's canonical encoding as its daemon
-// made it (see service.CutCellFrame), which a store keeps as it is.
+// line is the record's canonical encoding as its daemon made it, which
+// the record was decoded from and a store keeps as it is.
 // Records carrying a context-cancellation error are scheduling artifacts
 // — a cell interrupted mid-simulation, not a result — and are dropped so
 // their indices stay uncovered and re-run. A record outside the task's
@@ -621,12 +628,8 @@ func (co *coordinator) appendCell(t *task, rec harness.CellRecord, line []byte) 
 	co.tally(rec)
 }
 
-// commit appends one record and its canonical encoding to the merge. A
-// record from a cached report has no encoding and is encoded here, once.
+// commit appends one record and its canonical encoding to the merge.
 func (co *coordinator) commit(rec harness.CellRecord, line []byte) error {
-	if line == nil {
-		line, _ = json.Marshal(rec) // a CellRecord always marshals
-	}
 	if st := co.cfg.Store; st != nil {
 		return st.AppendEncoded(rec.Index, rec.Faults != "", line)
 	}

@@ -3,7 +3,6 @@ package harness
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"hash"
 )
@@ -40,17 +39,13 @@ func NewRecordsDigester() *RecordsDigester {
 // order (the canonical digest order); a duplicate or out-of-order index
 // is an error and leaves the digester unchanged.
 func (d *RecordsDigester) Add(rec CellRecord) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		// CellRecord is a flat struct of ints and strings; Marshal cannot
-		// fail on it.
-		panic(err)
-	}
-	return d.AddEncoded(rec.Index, rec.Faults != "", line)
+	var err error
+	withCanonical(rec, func(line []byte) { err = d.AddEncoded(rec.Index, rec.Faults != "", line) })
+	return err
 }
 
-// AddEncoded feeds one record by its canonical JSON encoding (the exact
-// bytes json.Marshal produces for the CellRecord, no trailing newline).
+// AddEncoded feeds one record by its canonical encoding (see
+// AppendCanonical; no trailing newline).
 // Callers that already hold the wire bytes — the store reading records
 // back off disk — avoid a decode/re-encode round trip this way.
 func (d *RecordsDigester) AddEncoded(index int, faulted bool, line []byte) error {
@@ -63,11 +58,14 @@ func (d *RecordsDigester) AddEncoded(index int, faulted bool, line []byte) error
 		d.faulted = true
 	}
 	hashWrite(d.v2, line)
-	hashWrite(d.v2, []byte{'\n'})
+	hashWrite(d.v2, newline)
 	hashWrite(d.v3, line)
-	hashWrite(d.v3, []byte{'\n'})
+	hashWrite(d.v3, newline)
 	return nil
 }
+
+// newline ends every hashed record; a literal would escape, and allocate.
+var newline = []byte{'\n'}
 
 // Count returns the number of records fed so far.
 func (d *RecordsDigester) Count() int { return d.count }

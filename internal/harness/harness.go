@@ -20,6 +20,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -282,69 +283,54 @@ func (s *Sweep) validate() error {
 // Cells ignores the shard (it always returns the whole expansion; see
 // CellsToRun).
 func (s *Sweep) Cells() ([]Cell, error) {
+	whole := *s
+	whole.ShardOffset, whole.ShardCount = 0, 0
+	return whole.CellsToRun()
+}
+
+// CellsToRun returns the cells of the configured shard (the whole grid
+// without one): exactly the cells Stream and Run will execute, in global
+// index order. It builds only those cells, each from its global index's
+// digits in the grid's mixed radix.
+func (s *Sweep) CellsToRun() ([]Cell, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	seeds := s.Seeds
-	if len(seeds) == 0 {
-		seeds = []int64{1}
+	// The axis lengths in row-major order, outermost first (an empty
+	// seeds, bandwidth or fault axis has one entry), and their product,
+	// which saturates near math.MaxInt.
+	axes := [...]int{len(s.Topologies), len(s.Protocols), len(s.Adversaries), len(s.Bounds),
+		max(len(s.Bandwidths), 1), max(len(s.Faults), 1), max(len(s.Seeds), 1), len(s.Rounds)}
+	size := 1
+	for _, k := range axes {
+		size = min(size, math.MaxInt/k) * k
 	}
-	bandwidths := s.Bandwidths
-	if len(bandwidths) == 0 {
-		bandwidths = []int{0} // as built
-	}
-	faultNames := []string{""}
-	if len(s.Faults) > 0 {
-		faultNames = make([]string, len(s.Faults))
-		for i, f := range s.Faults {
-			faultNames[i] = f.Name
-		}
-	}
-	cells := make([]Cell, 0, len(s.Topologies)*len(s.Protocols)*len(s.Adversaries)*len(s.Bounds)*len(bandwidths)*len(faultNames)*len(seeds)*len(s.Rounds))
-	for _, topo := range s.Topologies {
-		for _, proto := range s.Protocols {
-			for _, adv := range s.Adversaries {
-				for _, bound := range s.Bounds {
-					for _, bw := range bandwidths {
-						for _, fname := range faultNames {
-							for _, seed := range seeds {
-								for _, r := range s.Rounds {
-									cells = append(cells, Cell{
-										Index:     len(cells),
-										Protocol:  proto.Name,
-										Topology:  topo.Name,
-										Adversary: adv.Name,
-										Bound:     bound,
-										Bandwidth: bw,
-										Faults:    fname,
-										Seed:      seed,
-										Rounds:    r,
-									})
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return cells, nil
-}
-
-// CellsToRun expands the grid (see Cells) and applies the configured
-// shard: exactly the cells Stream and Run will execute, in global index
-// order.
-func (s *Sweep) CellsToRun() ([]Cell, error) {
-	cells, err := s.Cells()
-	if err != nil {
-		return nil, err
-	}
+	lo, n := 0, size
 	if s.ShardCount != 0 {
 		// validate has rejected negative bounds; the sum can overflow.
-		if s.ShardCount > len(cells) || s.ShardOffset > len(cells)-s.ShardCount {
-			return nil, fmt.Errorf("harness: shard [%d,+%d) exceeds the %d-cell grid", s.ShardOffset, s.ShardCount, len(cells))
+		if s.ShardCount > size || s.ShardOffset > size-s.ShardCount {
+			return nil, fmt.Errorf("harness: shard [%d,+%d) exceeds the %d-cell grid", s.ShardOffset, s.ShardCount, size)
 		}
-		cells = cells[s.ShardOffset : s.ShardOffset+s.ShardCount]
+		lo, n = s.ShardOffset, s.ShardCount
+	}
+	cells := make([]Cell, n)
+	for i := range cells {
+		var at [len(axes)]int
+		for a, rest := len(axes)-1, lo+i; a >= 0; a-- {
+			at[a], rest = rest%axes[a], rest/axes[a]
+		}
+		c := Cell{Index: lo + i, Topology: s.Topologies[at[0]].Name, Protocol: s.Protocols[at[1]].Name,
+			Adversary: s.Adversaries[at[2]].Name, Bound: s.Bounds[at[3]], Seed: 1, Rounds: s.Rounds[at[7]]}
+		if len(s.Bandwidths) > 0 {
+			c.Bandwidth = s.Bandwidths[at[4]]
+		}
+		if len(s.Faults) > 0 {
+			c.Faults = s.Faults[at[5]].Name
+		}
+		if len(s.Seeds) > 0 {
+			c.Seed = s.Seeds[at[6]]
+		}
+		cells[i] = c
 	}
 	return cells, nil
 }

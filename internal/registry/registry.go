@@ -31,7 +31,7 @@ import (
 
 // Topology is a registered topology family: a named constructor with a
 // parameter schema. Build receives resolved canonical params and must be a
-// pure function of them: BuildTopology shares one network among all cells
+// pure function of them: TopologyBuilder shares one network among all cells
 // of the same family and params. Bandwidths are not a topology parameter —
 // scenarios impose them uniformly on a copy of the built network (the
 // harness's bandwidth axis), keeping "shape" and "link speed" independent
@@ -258,7 +258,7 @@ func LookupTopology(name string) (Topology, error) { return topologies.lookup(na
 // cells hand back (freelist.Nodes) has the same budget.
 const memoNodes = 1 << 16
 
-// memo holds the networks BuildTopology has built, by key; nodes sums
+// memo holds the networks TopologyBuilder has built, by key; nodes sums
 // their sizes.
 var memo struct {
 	sync.Mutex
@@ -266,14 +266,15 @@ var memo struct {
 	nodes int
 }
 
-// BuildTopology returns the network the named topology family builds from
-// the resolved params p, built once per process. A Network is immutable,
-// so every cell of the same family and params shares one; the bandwidth
-// axis runs on a copy that replaces only the bandwidths. The memo is keyed
-// by the family name and the canonical JSON encoding of p, never by a
-// label a scenario chose, and holds at most memoNodes nodes: a network
-// that would overflow it empties it first.
-func BuildTopology(name string, p Params) (*network.Network, error) {
+// TopologyBuilder returns the function that gives the network the named
+// topology family builds from the resolved params p, built once per
+// process: a Network is immutable, so every cell of the same family and
+// params shares one, and the bandwidth axis runs on a copy that replaces
+// only the bandwidths. The memo is keyed by the family name and the
+// canonical JSON encoding of p, made here once, never by a label a
+// scenario chose, and holds at most memoNodes nodes: a network that would
+// overflow it empties it first.
+func TopologyBuilder(name string, p Params) (func() (*network.Network, error), error) {
 	e, err := LookupTopology(name)
 	if err != nil {
 		return nil, err
@@ -283,17 +284,20 @@ func BuildTopology(name string, p Params) (*network.Network, error) {
 		return nil, fmt.Errorf("registry: topology %q: %w", name, err)
 	}
 	key := name + "\x00" + string(enc)
-	memo.Lock()
-	nw, ok := memo.nets[key]
-	memo.Unlock()
-	if ok {
+	return func() (*network.Network, error) {
+		memo.Lock()
+		nw, ok := memo.nets[key]
+		memo.Unlock()
+		if ok {
+			return nw, nil
+		}
+		nw, err := e.Build(p)
+		if err != nil {
+			return nil, err
+		}
+		remember(key, nw)
 		return nw, nil
-	}
-	if nw, err = e.Build(p); err != nil {
-		return nil, err
-	}
-	remember(key, nw)
-	return nw, nil
+	}, nil
 }
 
 // remember adds nw to the memo under key, emptying the memo first when nw

@@ -203,7 +203,11 @@ func TestReuseLeavesNothingBehind(t *testing.T) {
 	}
 
 	path := func(n int) *network.Network {
-		nw, err := registry.BuildTopology("path", registry.Params{"n": n})
+		build, err := registry.TopologyBuilder("path", registry.Params{"n": n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw, err := build()
 		if err != nil {
 			t.Fatal(err)
 		}

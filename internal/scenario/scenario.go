@@ -136,6 +136,7 @@ type Scenario struct {
 // shard does not change it, so a scenario's slices share it.
 type compiled struct {
 	topologies  []part[registry.Topology]
+	builds      []func() (*network.Network, error) // each topology's, through its memo key
 	protocols   []part[registry.Protocol]
 	adversaries []part[registry.Adversary]
 	invariants  []part[registry.Invariant]
@@ -455,6 +456,13 @@ func (sc *Scenario) Validate() error {
 		func(e registry.Topology) registry.Schema { return e.Params }); err != nil {
 		return err
 	}
+	for _, tp := range c.topologies {
+		build, err := registry.TopologyBuilder(tp.entry.Name, tp.params)
+		if err != nil {
+			return fmt.Errorf("scenario: %w", err)
+		}
+		c.builds = append(c.builds, build)
+	}
 	if c.protocols, err = compileAxis("protocol", sc.Protocols, registry.LookupProtocol,
 		func(e registry.Protocol) registry.Schema { return e.Params }); err != nil {
 		return err
@@ -681,7 +689,7 @@ func (sc *Scenario) CellWeights() ([]int, error) {
 		weights[i] = 1
 	}
 	for t, tp := range c.topologies {
-		nw, err := registry.BuildTopology(tp.entry.Name, tp.params)
+		nw, err := c.builds[t]()
 		if err != nil {
 			return nil, fmt.Errorf("scenario: topology %s: %w", tp.label, err)
 		}
@@ -981,11 +989,8 @@ func (sc *Scenario) Sweep() (*harness.Sweep, error) {
 		// The construction declares its own bound (σ = 1).
 		sw.Bounds = []adversary.Bound{prep.Bound}
 	} else {
-		for _, t := range c.topologies {
-			sw.Topologies = append(sw.Topologies, harness.TopologySpec{
-				Name: t.label,
-				New:  func() (*network.Network, error) { return registry.BuildTopology(t.entry.Name, t.params) },
-			})
+		for i, t := range c.topologies {
+			sw.Topologies = append(sw.Topologies, harness.TopologySpec{Name: t.label, New: c.builds[i]})
 		}
 		for _, a := range c.adversaries {
 			sw.Adversaries = append(sw.Adversaries, harness.AdversarySpec{

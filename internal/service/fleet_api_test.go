@@ -223,12 +223,13 @@ func TestShardedSubmissions(t *testing.T) {
 			t.Errorf("shard %v digest %s collides", rng, rep.Digest)
 		}
 		seen[rep.Digest] = true
-		for _, cr := range rep.Cells {
+		cells := cellRecords(t, rep)
+		for _, cr := range cells {
 			if cr.Index < rng.Lo || cr.Index >= rng.Hi {
 				t.Errorf("shard %v returned out-of-range cell %d", rng, cr.Index)
 			}
 		}
-		recs = append(recs, rep.Cells...)
+		recs = append(recs, cells...)
 	}
 	if got := harness.RecordsDigest(harness.RecordsSorted(recs)); got != wholeRep.ResultsDigest {
 		t.Errorf("merged shard digest %s, want %s", got, wholeRep.ResultsDigest)

@@ -56,10 +56,10 @@ func TestCorpusReportBytes(t *testing.T) {
 		if !bytes.Equal(data, want.Bytes()) {
 			t.Fatalf("%s: report bytes\n%s\nwant json.Encoder's\n%s", what, data, want.Bytes())
 		}
-		if rep.Status != StatusDone || rep.Cached != cached || len(rep.Cells) == 0 ||
-			harness.RecordsDigest(rep.Cells) != rep.ResultsDigest {
+		if d := harness.RecordsDigest(cellRecords(t, rep)); rep.Status != StatusDone || rep.Cached != cached ||
+			len(rep.Cells) == 0 || d != rep.ResultsDigest {
 			t.Fatalf("%s: status %q, cached %v, %d cells digesting to %s; want done, cached %v, the cells of results digest %s",
-				what, rep.Status, rep.Cached, len(rep.Cells), harness.RecordsDigest(rep.Cells), cached, rep.ResultsDigest)
+				what, rep.Status, rep.Cached, len(rep.Cells), d, cached, rep.ResultsDigest)
 		}
 		return rep
 	}
@@ -107,7 +107,7 @@ func TestCorpusReportBytes(t *testing.T) {
 		}
 		k := 0
 		err = st.ScanEncoded(func(line []byte) error {
-			if want := encodeRecord(first[i].Cells[k]); !bytes.Equal(line, want) {
+			if want := first[i].Cells[k]; !bytes.Equal(line, want) {
 				t.Errorf("%s: stored line %d\n%s\nwant\n%s", p, k, line, want)
 			}
 			k++
@@ -118,4 +118,21 @@ func TestCorpusReportBytes(t *testing.T) {
 			t.Errorf("%s: %d stored lines (%v), want %d", p, k, err, len(first[i].Cells))
 		}
 	}
+}
+
+// cellRecords decodes a report's cells with encoding/json, the record
+// codec's reference, and requires each to be the bytes json.Marshal
+// gives for its record.
+func cellRecords(t *testing.T, rep Report) []harness.CellRecord {
+	t.Helper()
+	recs := make([]harness.CellRecord, len(rep.Cells))
+	for i, line := range rep.Cells {
+		if err := json.Unmarshal(line, &recs[i]); err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
+		if want, err := json.Marshal(recs[i]); err != nil || !bytes.Equal(line, want) {
+			t.Fatalf("cell %d is %s, json.Marshal gives %s", i, line, want)
+		}
+	}
+	return recs
 }

@@ -168,17 +168,18 @@ type Summary struct {
 // Report is the wire form of a run: identity, lifecycle state, and (when
 // finished) the per-cell records and summary. ResultsDigest is duplicated
 // at the top level so shell pipelines can extract it without descending
-// into the summary.
+// into the summary. Cells holds each record's canonical encoding, in
+// index order, as publish made it (harness.DecodeCanonical reads one).
 type Report struct {
-	ID            string               `json:"id"`
-	Name          string               `json:"name,omitempty"`
-	Digest        string               `json:"digest"`
-	Status        string               `json:"status"`
-	Cached        bool                 `json:"cached"`
-	Error         string               `json:"error,omitempty"`
-	ResultsDigest string               `json:"results_digest,omitempty"`
-	Summary       *Summary             `json:"summary,omitempty"`
-	Cells         []harness.CellRecord `json:"cells,omitempty"`
+	ID            string            `json:"id"`
+	Name          string            `json:"name,omitempty"`
+	Digest        string            `json:"digest"`
+	Status        string            `json:"status"`
+	Cached        bool              `json:"cached"`
+	Error         string            `json:"error,omitempty"`
+	ResultsDigest string            `json:"results_digest,omitempty"`
+	Summary       *Summary          `json:"summary,omitempty"`
+	Cells         []json.RawMessage `json:"cells,omitempty"`
 }
 
 // run is one submitted scenario's lifecycle. Records publish in index
@@ -247,7 +248,7 @@ func (r *run) pin() {
 // publish encodes one cell record, folds it into the tally, appends its
 // line and wakes subscribers. Records publish in index order.
 func (r *run) publish(rec harness.CellRecord) {
-	line := encodeRecord(rec)
+	line := harness.MarshalCanonical(rec)
 	r.tally.add(rec, line)
 	r.mu.Lock()
 	r.lines = append(r.lines, line)
@@ -476,7 +477,6 @@ func (s *Server) finish(r *run, ctxErr error) {
 	}
 	close(r.changed)
 	r.changed = make(chan struct{})
-	close(r.done)
 	status := r.status
 	r.mu.Unlock()
 	r.live.Finish(status)
@@ -503,6 +503,9 @@ func (s *Server) finish(r *run, ctxErr error) {
 	// cost per record. The eviction callback prunes the indexes.
 	s.cache.add(r.digest, r, len(lines))
 	s.mu.Unlock()
+	// Waiters wake once the run is cached, so a client that reads its
+	// result and posts again finds the cache with the run in it.
+	close(r.done)
 
 	if ctxErr == nil && s.cfg.CacheDir != "" && len(lines) > 0 {
 		// Best effort: the run is already served and cached in memory, so
@@ -530,8 +533,8 @@ func (s *Server) loadFromDisk(digest string, span harness.IndexRange) ([]json.Ra
 	t := tally{digest: harness.NewRecordsDigester()}
 	lines := make([]json.RawMessage, 0, span.Count())
 	if st.ScanEncoded(func(line []byte) error {
-		var rec harness.CellRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
+		rec, err := harness.DecodeCanonical(line)
+		if err != nil {
 			return err
 		}
 		line = bytes.Clone(line)
@@ -542,18 +545,6 @@ func (s *Server) loadFromDisk(digest string, span harness.IndexRange) ([]json.Ra
 		return nil, nil
 	}
 	return lines, t.summary(len(lines))
-}
-
-// encodeRecord returns the record's canonical encoding, the bytes its
-// cell frame carries and the results digest hashes.
-func encodeRecord(rec harness.CellRecord) []byte {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		// CellRecord is a flat struct of ints, strings and integer
-		// summaries; Marshal cannot fail on it.
-		panic(err)
-	}
-	return line
 }
 
 // tally folds a run's records, given in index order, into its Summary.
@@ -889,18 +880,10 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"runs": reps})
 }
 
-// streamEvent is the shape of one NDJSON/SSE cell frame: the record
-// with a "type" field in front. The frames are written by splicing
-// CellFramePrefix onto the record's canonical encoding, which gives
-// json.Marshal(streamEvent{Type: "cell", CellRecord: rec}) byte for byte.
-type streamEvent struct {
-	Type string `json:"type"`
-	harness.CellRecord
-}
-
 // CellFramePrefix opens every cell frame of a run stream: the frame is
 // the record's canonical encoding with its opening brace replaced by
-// this prefix.
+// this prefix, which gives json.Marshal of the record with a "type"
+// field in front byte for byte.
 const CellFramePrefix = `{"type":"cell",`
 
 // CutCellFrame returns the record's canonical encoding inside a cell
@@ -1100,13 +1083,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // writeReport writes rep with lines, its records' canonical encodings,
-// as its cells: what writeJSON writes for rep with the lines decoded
-// into Cells.
+// as its cells.
 func writeReport(w http.ResponseWriter, code int, rep Report, lines []json.RawMessage) {
-	writeJSON(w, code, struct {
-		Report
-		Cells []json.RawMessage `json:"cells,omitempty"`
-	}{rep, lines})
+	rep.Cells = lines
+	writeJSON(w, code, rep)
 }
 
 // apiError is the wire form of every error response. Retryable marks

@@ -234,7 +234,7 @@ func TestMetricScenarioServedMatchesLocal(t *testing.T) {
 			t.Errorf("SweepWorkers=%d: served digest %s ≠ local %s", sweepWorkers, rep.ResultsDigest, local)
 		}
 		totalCount := 0
-		for _, cell := range rep.Cells {
+		for _, cell := range cellRecords(t, rep) {
 			if len(cell.Metrics) != 3 {
 				t.Fatalf("cell %d carries %d metric summaries, want 3", cell.Index, len(cell.Metrics))
 			}
@@ -532,7 +532,7 @@ func TestStreamFollowsRun(t *testing.T) {
 		if err := json.Unmarshal([]byte(frame), &ev); err != nil || ev.Index < 0 || ev.Index >= len(final.Cells) {
 			t.Fatalf("cell frame %s: %v", frame, err)
 		}
-		rec := final.Cells[ev.Index]
+		rec := cellRecords(t, final)[ev.Index]
 		want, err := json.Marshal(streamEvent{Type: "cell", CellRecord: rec})
 		if err != nil {
 			t.Fatal(err)
@@ -550,6 +550,13 @@ func TestStreamFollowsRun(t *testing.T) {
 	}
 }
 
+// streamEvent is the shape of one NDJSON/SSE cell frame: the record
+// with a "type" field in front.
+type streamEvent struct {
+	Type string `json:"type"`
+	harness.CellRecord
+}
+
 // TestSummarizeKindClash pins the tally's policy on two kinds under one
 // collector name: the merged metrics are dropped and the rest of the
 // summary kept. Its digest is the records digest, hashed from the
@@ -561,7 +568,7 @@ func TestSummarizeKindClash(t *testing.T) {
 	}
 	tl := tally{digest: harness.NewRecordsDigester()}
 	for _, rec := range recs {
-		tl.add(rec, encodeRecord(rec))
+		tl.add(rec, harness.MarshalCanonical(rec))
 	}
 	sum := tl.summary(2)
 	if sum.Metrics != nil || sum.Completed != 2 || sum.MaxLoadMax != 3 {

@@ -30,7 +30,7 @@ func Seal(root, scenarioDigest string, span harness.IndexRange, lines []json.Raw
 	}
 	defer st.Close()
 	for _, line := range lines {
-		index, faulted, err := probeLine(line)
+		index, faulted, err := harness.ProbeCanonical(line)
 		if err == nil && !st.Has(index) {
 			err = st.AppendEncoded(index, faulted, line)
 		}

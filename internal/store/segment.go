@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+
+	"smallbuffers/internal/harness"
 )
 
 // FormatVersion tags the on-disk layout. The compatibility contract: a
@@ -92,16 +94,20 @@ func saveManifest(dir string, m *manifest) error {
 	return os.Rename(tmp, filepath.Join(dir, manifestName))
 }
 
-// encodeLine frames one record's canonical JSON bytes for the segment
-// file: "<len> <sum> <json>\n", where sum is the first 16 hex characters
+// frameHead appends to b the "<len> <sum> " that opens a record's segment
+// frame, "<len> <sum> <json>\n", where sum is the first 16 hex characters
 // of sha256(json). Every record is self-validating — a bit flip anywhere
-// in the line breaks the length, the checksum, or the checksum match —
-// so recovery can always find the longest valid prefix of a segment
-// without trusting anything outside the line itself.
-func encodeLine(line []byte) []byte {
+// in the line breaks the length, the checksum, or the checksum match — so
+// recovery can always find the longest valid prefix of a segment without
+// trusting anything outside the line itself.
+func frameHead(b, line []byte) []byte {
 	sum := sha256.Sum256(line)
-	return fmt.Appendf(nil, "%d %s %s\n", len(line), hex.EncodeToString(sum[:8]), line)
+	b = strconv.AppendInt(b, int64(len(line)), 10)
+	return append(hex.AppendEncode(append(b, ' '), sum[:8]), ' ')
 }
+
+// newline ends every frame.
+var newline = []byte{'\n'}
 
 // scannedRec locates one validated record inside a segment: its global
 // cell index, the offset and length of the JSON payload, and whether it
@@ -126,22 +132,19 @@ func scanSegment(data []byte) (recs []scannedRec, valid int64) {
 		if sp <= 0 || sp > 9 {
 			break
 		}
-		n, err := strconv.Atoi(string(rest[:sp]))
-		if err != nil || n <= 0 || n > maxRecordBytes {
-			break
-		}
 		// Layout: len, space, 16 hex checksum chars, space, n payload
 		// bytes, newline.
+		n, err := strconv.Atoi(string(rest[:sp]))
 		bodyAt := sp + 1 + 16 + 1
-		if len(rest) < bodyAt+n+1 || rest[sp+1+16] != ' ' || rest[bodyAt+n] != '\n' {
+		if err != nil || n <= 0 || n > maxRecordBytes || len(rest) < bodyAt+n+1 || rest[bodyAt+n] != '\n' {
 			break
 		}
 		body := rest[bodyAt : bodyAt+n]
-		sum := sha256.Sum256(body)
-		if !bytes.Equal(rest[sp+1:sp+1+16], []byte(hex.EncodeToString(sum[:8]))) {
+		var head [32]byte
+		if !bytes.Equal(rest[:bodyAt], frameHead(head[:0], body)) {
 			break
 		}
-		index, faulted, err := probeLine(body)
+		index, faulted, err := harness.ProbeCanonical(body)
 		if err != nil {
 			break
 		}
@@ -149,17 +152,6 @@ func scanSegment(data []byte) (recs []scannedRec, valid int64) {
 		off += bodyAt + n + 1
 	}
 	return recs, int64(off)
-}
-
-// probeLine reads a record's index, and whether it carries a fault
-// entry, from its canonical encoding.
-func probeLine(line []byte) (index int, faulted bool, err error) {
-	var probe struct {
-		Index  int    `json:"index"`
-		Faults string `json:"faults"`
-	}
-	err = json.Unmarshal(line, &probe)
-	return probe.Index, probe.Faults != "", err
 }
 
 // hashWrite feeds b to the hash and checks the error, like the harness's

@@ -5,7 +5,7 @@
 // keyed by the scenario's content digest — the same address the service
 // tier's cache and the fleet's verification gates already speak. Records
 // are appended as they complete, in any order, as self-validating framed
-// lines (see encodeLine) in append-only segment files; a manifest tracks
+// lines (see frameHead) in append-only segment files; a manifest tracks
 // the committed state. Opening an entry recovers it: every segment is
 // scanned record by record, torn or bit-flipped tails are truncated,
 // segments whose committed prefix no longer matches their manifest
@@ -16,18 +16,19 @@
 // suspect record over serving it.
 //
 // The store obeys the repo's determinism discipline end to end: record
-// bytes are the canonical json.Marshal encoding (identical to what
-// RecordsDigest hashes, and what a caller holding them hands to
-// AppendEncoded), the digest of a complete entry is re-derived from the
-// stored bytes via harness.RecordsDigester in O(1) memory and without
-// decoding a record, and the manifest carries only integers and strings.
+// bytes are a record's canonical encoding, which one codec makes and
+// reads (harness.AppendCanonical, DecodeCanonical and ProbeCanonical,
+// held to encoding/json by their tests): what RecordsDigest hashes, and
+// what a caller holding them hands to AppendEncoded. The digest of a
+// complete entry is re-derived from the stored bytes via
+// harness.RecordsDigester in O(1) memory and without decoding a record,
+// and the manifest carries only integers and strings.
 package store
 
 import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"hash"
 	"os"
@@ -82,7 +83,8 @@ type Store struct {
 
 	active     *os.File // write handle of the session's segment; nil until first append
 	activeW    *bufio.Writer
-	activeHash hash.Hash
+	activeHash hash.Hash // of the active segment's bytes; its manifest digest is taken at sync
+	head       [32]byte  // the frame head AppendEncoded writes; a local array would escape
 
 	entries       []recEntry // indexed by cell index − span.Lo
 	count         int
@@ -350,18 +352,15 @@ func (s *Store) ranges(covered bool, within harness.IndexRange) []harness.IndexR
 // already covered is an error — the caller's bookkeeping, not the
 // record, is wrong, and silently dropping either would hide it.
 func (s *Store) Append(rec harness.CellRecord) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: record %d: %w", rec.Index, err)
-	}
-	return s.AppendEncoded(rec.Index, rec.Faults != "", line)
+	return s.AppendEncoded(rec.Index, rec.Faults != "", harness.MarshalCanonical(rec))
 }
 
 // AppendEncoded is Append for a caller that holds the record's canonical
-// encoding: line is exactly what json.Marshal gives for the record with
-// the given index, and faulted tells whether it carries a fault entry.
-// The store frames and hashes those bytes as they are; it does not keep
-// line.
+// encoding: line is exactly what harness.AppendCanonical gives for the
+// record with the given index, and faulted tells whether it carries a
+// fault entry. The store frames and hashes those bytes as they are,
+// writing the frame (see frameHead) straight into the segment's writer
+// and hash; it does not keep line.
 func (s *Store) AppendEncoded(index int, faulted bool, line []byte) error {
 	if len(line) == 0 || len(line) > maxRecordBytes {
 		return fmt.Errorf("store: record %d encodes to %d bytes", index, len(line))
@@ -382,16 +381,17 @@ func (s *Store) AppendEncoded(index int, faulted bool, line []byte) error {
 			return err
 		}
 	}
-	framed := encodeLine(line)
+	frame := [...][]byte{frameHead(s.head[:0], line), line, newline}
 	meta := &s.segs[len(s.segs)-1]
-	off := meta.Bytes + int64(len(framed)-len(line)-1)
-	if _, err := s.activeW.Write(framed); err != nil {
-		return fmt.Errorf("store: segment %s: %w", meta.File, err)
+	for _, b := range frame {
+		if _, err := s.activeW.Write(b); err != nil {
+			return fmt.Errorf("store: segment %s: %w", meta.File, err)
+		}
+		hashWrite(s.activeHash, b)
 	}
-	hashWrite(s.activeHash, framed)
-	meta.Bytes += int64(len(framed))
+	off := meta.Bytes + int64(len(frame[0]))
+	meta.Bytes += int64(len(frame[0]) + len(line) + 1)
 	meta.Records++
-	meta.Digest = "sha256:" + hex.EncodeToString(s.activeHash.Sum(nil))
 	s.entries[index-s.span.Lo] = recEntry{seg: int32(len(s.segs) - 1), n: int32(len(line)), off: off, faulted: faulted}
 	s.count++
 	s.unsynced++
@@ -446,6 +446,7 @@ func (s *Store) syncLocked() error {
 		if err := s.activeW.Flush(); err != nil {
 			return err
 		}
+		s.segs[len(s.segs)-1].Digest = "sha256:" + hex.EncodeToString(s.activeHash.Sum(nil))
 	}
 	m := &manifest{
 		Format:        FormatVersion,
@@ -484,12 +485,12 @@ func (s *Store) SetRecordsDigest(d string) error {
 }
 
 // Scan streams the covered records in global index order, decoding each
-// from its segment. Memory stays O(1) in cells: one record is alive at a
-// time.
+// from its segment with harness.DecodeCanonical. Memory stays O(1) in
+// cells: one record is alive at a time.
 func (s *Store) Scan(fn func(harness.CellRecord) error) error {
 	return s.ScanEncoded(func(line []byte) error {
-		var rec harness.CellRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
+		rec, err := harness.DecodeCanonical(line)
+		if err != nil {
 			return fmt.Errorf("store: record decode: %w", err)
 		}
 		return fn(rec)
@@ -512,14 +513,15 @@ func (s *Store) scanLines(fn func(index int, e recEntry, line []byte) error) err
 			return err
 		}
 	}
-	var buf []byte
+	var longest int32
+	for _, e := range s.entries {
+		longest = max(longest, e.n)
+	}
+	buf := make([]byte, longest)
 	for i := range s.entries {
 		e := s.entries[i]
 		if e.n == 0 {
 			continue
-		}
-		if int(e.n) > cap(buf) {
-			buf = make([]byte, e.n)
 		}
 		b := buf[:e.n]
 		if _, err := s.files[e.seg].ReadAt(b, e.off); err != nil {

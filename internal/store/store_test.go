@@ -1,6 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -144,6 +148,71 @@ func TestStoreRoundTrip(t *testing.T) {
 	got2, err := s2.Digest()
 	if err != nil || got2 != want {
 		t.Fatalf("reopen re-derived digest: %s, %v", got2, err)
+	}
+}
+
+// TestStoreFrameBytes holds the segment and manifest bytes to the
+// reference framing, fmt.Appendf("%d %s %s\n", …) over json.Marshal's
+// encoding: AppendEncoded writes a frame straight into the segment's
+// writer and hash, and the manifest takes the active segment's digest at
+// each sync, so every synced manifest must describe its file's prefix.
+func TestStoreFrameBytes(t *testing.T) {
+	root := t.TempDir()
+	span := harness.IndexRange{Lo: 0, Hi: 8}
+	s := mustOpen(t, root, span, Options{SyncEvery: 3})
+	recs := allRecs(8)
+	recs[2].Cell, recs[2].Faults, recs[2].Dropped = "ρ=1/2 <σ> \"q\"", "drop(p=1/10)", 3
+	recs[5].Err = "boom\n"
+	var want []byte
+	for k, i := range []int{3, 0, 7, 1, 2, 4, 6, 5} {
+		line, err := json.Marshal(recs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(line)
+		want = fmt.Appendf(want, "%d %s %s\n", len(line), hex.EncodeToString(sum[:8]), line)
+		if err := s.Append(recs[i]); err != nil {
+			t.Fatalf("Append(%d): %v", i, err)
+		}
+		if k == 4 { // after the sync at the third append
+			checkManifest(t, root, 3)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs := segFiles(t, root)
+	if len(segs) != 1 {
+		t.Fatalf("%d segments, want 1", len(segs))
+	}
+	got, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("segment bytes:\n%s\nwant:\n%s", got, want)
+	}
+	checkManifest(t, root, 8)
+}
+
+// checkManifest requires the entry's manifest to describe the first
+// records frames of its one segment: their bytes and their SHA-256.
+func checkManifest(t *testing.T, root string, records int) {
+	t.Helper()
+	man, err := loadManifest(EntryDir(root, testDigest))
+	if err != nil || man == nil || len(man.Segments) != 1 {
+		t.Fatalf("manifest %+v (%v), want one segment", man, err)
+	}
+	data, err := os.ReadFile(segFiles(t, root)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := man.Segments[0]
+	if meta.Bytes > int64(len(data)) || bytes.Count(data[:meta.Bytes], newline) != records || meta.Records != records {
+		t.Fatalf("manifest commits %d records in %d bytes of %d, want %d records", meta.Records, meta.Bytes, len(data), records)
+	}
+	if sum := sha256.Sum256(data[:meta.Bytes]); meta.Digest != "sha256:"+hex.EncodeToString(sum[:]) {
+		t.Errorf("manifest digest %s, its %d-byte prefix hashes to %x", meta.Digest, meta.Bytes, sum)
 	}
 }
 
