@@ -65,7 +65,7 @@ func (b Bound) Validate() error {
 // ValidateFor rejects bounds that no protocol could serve on nw: ρ must
 // satisfy 0 ≤ ρ ≤ B_min where B_min is the bottleneck link bandwidth (a
 // sustained per-buffer rate above the slowest link is undeliverable), and
-// σ must be non-negative. On unit-capacity networks this is Validate.
+// the bound must pass Check. On unit-capacity networks this is Validate.
 func (b Bound) ValidateFor(nw *network.Network) error {
 	return b.validateAgainst(nw.BottleneckBandwidth())
 }
@@ -80,28 +80,37 @@ var ErrRateInadmissible = errors.New("rate above the bottleneck bandwidth")
 // constructions need, and it keeps Excess's q·ξ well inside int64.
 const maxRateDen = 1_000_000
 
-// CheckRate is the rule every rate obeys on any network: 0 ≤ ρ, and ρ's
-// denominator in lowest terms is at most 10^6. Bound validation and
-// scenario validation both apply it.
-func CheckRate(rho rat.Rat) error {
-	if rho.Sign() < 0 {
-		return fmt.Errorf("adversary: rate ρ=%v negative", rho)
+// maxSigma caps a bound's burst σ. σ sizes allocations: a crafted burst
+// presizes its ⌊ρ+σ⌋ injections before round 0, 16 B each, and the
+// random pattern draws 4σ+4 candidates a round. At 2^16 a burst's slab
+// stays near 1 MB.
+const maxSigma = 1 << 16
+
+// Check is the rule every bound obeys on any network: 0 ≤ ρ with ρ's
+// denominator in lowest terms at most 10^6, and 0 ≤ σ ≤ 2^16. Bound
+// validation and scenario validation both apply it.
+func (b Bound) Check() error {
+	if b.Rho.Sign() < 0 {
+		return fmt.Errorf("adversary: rate ρ=%v negative", b.Rho)
 	}
-	if rho.Den() > maxRateDen {
-		return fmt.Errorf("adversary: rate ρ=%v has a denominator above %d", rho, maxRateDen)
+	if b.Rho.Den() > maxRateDen {
+		return fmt.Errorf("adversary: rate ρ=%v has a denominator above %d", b.Rho, maxRateDen)
+	}
+	if b.Sigma < 0 {
+		return fmt.Errorf("adversary: burst σ=%d negative", b.Sigma)
+	}
+	if b.Sigma > maxSigma {
+		return fmt.Errorf("adversary: burst σ=%d exceeds the limit of %d", b.Sigma, maxSigma)
 	}
 	return nil
 }
 
 func (b Bound) validateAgainst(bmin int) error {
-	if err := CheckRate(b.Rho); err != nil {
+	if err := b.Check(); err != nil {
 		return err
 	}
 	if rat.FromInt(int64(bmin)).Less(b.Rho) {
 		return fmt.Errorf("adversary: %w: ρ=%v outside [0,%d]", ErrRateInadmissible, b.Rho, bmin)
-	}
-	if b.Sigma < 0 {
-		return fmt.Errorf("adversary: burst σ=%d negative", b.Sigma)
 	}
 	return nil
 }

@@ -26,6 +26,8 @@ func TestBoundValidate(t *testing.T) {
 		{"negative burst", Bound{Rho: rat.One, Sigma: -1}, false},
 		{"denominator at the cap", Bound{Rho: rat.New(1, maxRateDen)}, true},
 		{"denominator above the cap", Bound{Rho: rat.New(1, 1<<62)}, false},
+		{"burst at the cap", Bound{Rho: rat.One, Sigma: maxSigma}, true},
+		{"burst above the cap", Bound{Rho: rat.One, Sigma: maxSigma + 1}, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 // (PTSBurst, PPTSBurst, TreeBurst, GreedyKiller) schedule for the cells of
 // the pinned corpus and experiment files: the SHA-256 of one
 // "file cell round src dst" line per injection, in round order.
-const craftedSchedulesDigest = "3ffa55e489b745407b9aabd761071e9892286a4d8ca068d448ce391391cff0f2"
+const craftedSchedulesDigest = "cfadfb22de31626ef3c4c934871aa680233216fc47dcdd97727fddea3191eaac"
 
 // TestCraftedSchedulesPinned builds the adversary of every cell of
 // testdata/scenarios and testdata/experiments and hashes each crafted

@@ -60,9 +60,6 @@ func (v *Verifier) Check(round int, injections []packet.Injection) error {
 	return nil
 }
 
-// Excess exposes the underlying tracker (read-only use).
-func (v *Verifier) Excess() *Excess { return v.excess }
-
 // VerifyPrefix runs an adversary for the given number of rounds through a
 // fresh verifier and returns the first violation, if any. The adversary is
 // consumed (stateful adversaries cannot be reused afterwards).

@@ -164,15 +164,3 @@ func (FTG) Less(nw *network.Network, v network.NodeID, a, b packet.Packet) bool 
 	db, _ := nw.Dist(v, b.Dst)
 	return da > db
 }
-
-// All returns one greedy protocol per classical policy, in a stable order.
-func All() []*Greedy {
-	return []*Greedy{
-		NewGreedy(FIFO{}),
-		NewGreedy(LIFO{}),
-		NewGreedy(LIS{}),
-		NewGreedy(SIS{}),
-		NewGreedy(NTG{}),
-		NewGreedy(FTG{}),
-	}
-}

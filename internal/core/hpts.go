@@ -85,9 +85,6 @@ func (p *HPTS) Name() string {
 // ℓ rounds (the ℓ-reduction).
 func (p *HPTS) PhaseLength() int { return p.ell }
 
-// Hierarchy returns the attached hierarchy (nil before Attach).
-func (p *HPTS) Hierarchy() *Hierarchy { return p.h }
-
 // Attach implements sim.Protocol.
 func (p *HPTS) Attach(nw *network.Network, bound adversary.Bound, _ []network.NodeID) error {
 	h, err := HierarchyFor(nw.Len(), p.ell)

@@ -4,9 +4,11 @@
 // cmd/aqtbench binary runs these; their output is the source for
 // EXPERIMENTS.md.
 //
-// E1–E4, E7 and E12 are data: scenario files named after the experiment
-// ("e1-*.json"), checked cell by cell against the bound each protocol
-// declares in the registry. The others build their tables in Go.
+// E1–E5, E7 and E10–E13 are data: scenario files named after the
+// experiment ("e1-*.json"), checked cell by cell against the bound each
+// protocol declares in the registry, or the floor a self-hosting
+// adversary forces. Their claims that compare cells are tests over the
+// files' records. F1, E6, E8 and E9 build their tables in Go.
 //
 // Index (see the Index section of EXPERIMENTS.md for the full mapping):
 //
@@ -31,6 +33,8 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"maps"
+	"slices"
 	"strings"
 
 	"smallbuffers/internal/metrics"
@@ -71,17 +75,21 @@ func All(files fs.FS) []Experiment {
 			"Prop B.3: ≤ 2 + σ (single dest); Prop 3.5: ≤ 1 + d′ + σ"),
 		fromFiles(files, "E4", "HPTS hierarchical bound on a path of n = m^ℓ nodes",
 			"Theorem 4.1: max load ≤ ℓ·n^(1/ℓ) + σ + 1 for ρ·ℓ ≤ 1"),
-		E5LowerBound(),
+		fromFiles(files, "E5", "lower-bound adversary vs the protocol portfolio",
+			"Theorem 5.1: any protocol needs Ω(((ℓ+1)ρ−1)/2ℓ · n^(1/ℓ)) space"),
 		E6Tradeoff(),
 		fromFiles(files, "E7", "greedy scheduling policies vs PPTS under d-destination stress",
 			"§1 (and [17]): greedy forwarding needs Ω(d) buffers for ρ > 1/2"),
 		E8Ablations(),
 		E9Exact(),
-		E10Locality(),
-		E11Latency(),
+		fromFiles(files, "E10", "the price of locality: centralized PTS vs local downhill",
+			"§1 recent progress ([9], [17]): optimal-local is Θ(ρ·log n + σ)"),
+		fromFiles(files, "E11", "the latency price of space-optimal forwarding",
+			"complement to §3 (space-optimality) and §1's greedy discussion"),
 		fromFiles(files, "E12", "space vs link bandwidth: max load under capacitated links",
 			"title/§1: with great speed come small buffers — B ≥ 1 generalization"),
-		E13Faults(),
+		fromFiles(files, "E13", "buffer headroom under loss: drop probability vs max load and goodput",
+			"Prop 3.1 under faults: loss preserves ≤ 2 + σ; goodput pays"),
 	}
 }
 
@@ -97,11 +105,9 @@ func ByID(files fs.FS, id string) (Experiment, error) {
 }
 
 // fromFiles returns the experiment whose tables are the scenario files of
-// files named "<id>-*.json" (in lower case). Each file runs through
-// Scenario.Run and renders one table of cell, max load, bound and ✓,
-// where the bound is the one the cell's protocol declares
-// (Scenario.CellBounds). The experiment fails if any cell errors or goes
-// over its bound.
+// files named "<id>-*.json" (in lower case), one table per file (see
+// fileTable). The experiment fails if any cell errors, goes over its
+// bound or stays under its floor.
 func fromFiles(files fs.FS, id, title, paper string) Experiment {
 	return Experiment{ID: id, Title: title, Paper: paper, Run: func(ctx context.Context, w io.Writer) (*Outcome, error) {
 		names, err := fs.Glob(files, strings.ToLower(id)+"-*.json")
@@ -113,40 +119,81 @@ func fromFiles(files fs.FS, id, title, paper string) Experiment {
 		}
 		out := &Outcome{OK: true}
 		for _, name := range names {
-			data, err := fs.ReadFile(files, name)
-			if err != nil {
-				return nil, err
-			}
-			sc, err := scenario.Parse(data)
+			table, ok, err := fileTable(ctx, files, name)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", name, err)
 			}
-			bounds, err := sc.CellBounds()
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", name, err)
-			}
-			agg, err := sc.Run(ctx)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", name, err)
-			}
-			if err := agg.FirstErr(); err != nil {
-				return nil, fmt.Errorf("%s: %w", name, err)
-			}
-			table := stats.NewTable(sc.Name+": "+sc.Doc, "cell", "max load", "bound", "✓")
-			for _, cr := range agg.Cells {
-				b, ok := bounds[cr.Cell.Index]
-				if !ok {
-					table.AddRow(cr.Cell, cr.Result.MaxLoad, "—", "—")
-					continue
-				}
-				within := cr.Result.MaxLoad <= b
-				out.OK = out.OK && within
-				table.AddRow(cr.Cell, cr.Result.MaxLoad, b, stats.CheckMark(within))
-			}
+			out.OK = out.OK && ok
 			out.Tables = append(out.Tables, table)
 		}
 		return out, emit(w, out)
 	}}
+}
+
+// fileTable runs one scenario file through Scenario.Run and renders a row
+// per cell: its max load, the limit it is checked against and ✓, its
+// delivered, dropped and residual counts, its max latency, and the
+// scalars of every metric the file selects. A cell's limit is the bound
+// its protocol declares ("≤ b", Scenario.CellBounds) or the floor its
+// self-hosting adversary forces ("≥ f", Scenario.CellFloors); ok reports
+// whether every cell kept its limit.
+func fileTable(ctx context.Context, files fs.FS, name string) (*stats.Table, bool, error) {
+	data, err := fs.ReadFile(files, name)
+	if err != nil {
+		return nil, false, err
+	}
+	sc, err := scenario.Parse(data)
+	if err != nil {
+		return nil, false, err
+	}
+	bounds, err := sc.CellBounds()
+	if err != nil {
+		return nil, false, err
+	}
+	floors, err := sc.CellFloors()
+	if err != nil {
+		return nil, false, err
+	}
+	agg, err := sc.Run(ctx)
+	if err != nil {
+		return nil, false, err
+	}
+	if err := agg.FirstErr(); err != nil {
+		return nil, false, err
+	}
+	recs := agg.Records()
+	cols := []string{"cell", "max load", "bound", "✓", "delivered", "dropped", "residual", "max latency"}
+	// Every cell of a file has the same collectors, so the first record
+	// names the scalar columns.
+	type scalar struct{ metric, key string }
+	var scalars []scalar
+	if len(sc.Metrics) > 0 {
+		for _, s := range recs[0].Metrics {
+			for _, k := range slices.Sorted(maps.Keys(s.Scalars)) {
+				scalars = append(scalars, scalar{s.Name, k})
+				cols = append(cols, s.Name+" "+k)
+			}
+		}
+	}
+	table := stats.NewTable(sc.Name+": "+sc.Doc, cols...)
+	ok := true
+	for _, rec := range recs {
+		limit, check := "—", "—"
+		if b, has := bounds[rec.Index]; has {
+			within := rec.MaxLoad <= b
+			limit, check, ok = fmt.Sprintf("≤ %d", b), stats.CheckMark(within), ok && within
+		} else if f, has := floors[rec.Index]; has {
+			reached := rec.MaxLoad >= f
+			limit, check, ok = fmt.Sprintf("≥ %d", f), stats.CheckMark(reached), ok && reached
+		}
+		row := []any{rec.Cell, rec.MaxLoad, limit, check, rec.Delivered, rec.Dropped, rec.Residual, rec.MaxLatency}
+		for _, s := range scalars {
+			sum, _ := rec.MetricByName(s.metric)
+			row = append(row, sum.Scalar(s.key))
+		}
+		table.AddRow(row...)
+	}
+	return table, ok, nil
 }
 
 // RunAll executes exps in order, writing a header and every table to w,

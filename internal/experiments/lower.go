@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"smallbuffers/internal/adversary"
-	"smallbuffers/internal/baseline"
 	"smallbuffers/internal/core"
 	"smallbuffers/internal/lowerbound"
 	"smallbuffers/internal/network"
@@ -15,106 +13,6 @@ import (
 	"smallbuffers/internal/sim"
 	"smallbuffers/internal/stats"
 )
-
-// E5LowerBound reproduces Theorem 5.1: the Section 5 pattern forces every
-// protocol to a max load of at least ((ℓ+1)ρ−1)/2ℓ · m.
-func E5LowerBound() Experiment {
-	return Experiment{
-		ID:    "E5",
-		Title: "lower-bound adversary vs the protocol portfolio",
-		Paper: "Theorem 5.1: any protocol needs Ω(((ℓ+1)ρ−1)/2ℓ · n^(1/ℓ)) space",
-		Run: func(ctx context.Context, w io.Writer) (*Outcome, error) {
-			ok := true
-			var tables []*stats.Table
-			for _, pc := range []struct {
-				m, ell int
-				rho    rat.Rat
-			}{
-				{4, 2, rat.New(3, 4)},
-				{8, 2, rat.New(1, 2)},
-				{8, 2, rat.New(3, 4)},
-				{12, 2, rat.New(3, 4)},
-				{4, 3, rat.New(1, 2)},
-			} {
-				probe, err := lowerbound.New(pc.m, pc.ell, pc.rho)
-				if err != nil {
-					return nil, err
-				}
-				nw, err := probe.Network()
-				if err != nil {
-					return nil, err
-				}
-				floor := probe.PredictedBound()
-				floorInt := int(floor.Ceil())
-				table := stats.NewTable(
-					fmt.Sprintf("m=%d ℓ=%d ρ=%v (n=%d buffers, %d rounds): predicted floor %v",
-						pc.m, pc.ell, pc.rho, probe.N(), probe.Rounds(), floor),
-					"protocol", "measured", "floor", "ratio", "staleness lemmas", "ok")
-				protos := []func() sim.Protocol{
-					func() sim.Protocol { return core.NewPPTS() },
-					func() sim.Protocol { return core.NewPPTS(core.PPTSWithDrain()) },
-				}
-				for _, g := range baseline.All() {
-					g := g
-					protos = append(protos, func() sim.Protocol { return baseline.NewGreedy(policyOf(g)) })
-				}
-				for _, mk := range protos {
-					proto := mk()
-					adv, err := lowerbound.New(pc.m, pc.ell, pc.rho)
-					if err != nil {
-						return nil, err
-					}
-					tracker := lowerbound.NewStalenessTracker(adv)
-					res, err := sim.Run(ctx, sim.NewSpec(nw, proto, adv, adv.Rounds(),
-						sim.WithObservers(tracker)))
-					if err != nil {
-						return nil, err
-					}
-					lemmaErr := tracker.Err
-					if lemmaErr == nil {
-						lemmaErr = tracker.Lemma55()
-					}
-					rowOK := res.MaxLoad >= floorInt && lemmaErr == nil
-					ok = ok && rowOK
-					lemmas := "5.2–5.5 hold"
-					if lemmaErr != nil {
-						lemmas = lemmaErr.Error()
-					}
-					table.AddRow(proto.Name(), res.MaxLoad, floorInt,
-						stats.Ratio(res.MaxLoad, floorInt), lemmas, stats.CheckMark(rowOK))
-				}
-				tables = append(tables, table)
-			}
-			out := &Outcome{Tables: tables, OK: ok,
-				Notes: []string{
-					"expected shape: measured ≥ floor for every protocol; the ratio grows with ((ℓ+1)ρ−1)·m",
-					"the paper's Ω hides a constant; ratios well above 1 are expected",
-				}}
-			return out, emit(w, out)
-		},
-	}
-}
-
-// policyOf recovers the policy from a prototype greedy protocol (baseline
-// protocols are stateful per run, so E5 re-instantiates them).
-func policyOf(g *baseline.Greedy) baseline.Policy {
-	switch g.Name() {
-	case "Greedy-FIFO":
-		return baseline.FIFO{}
-	case "Greedy-LIFO":
-		return baseline.LIFO{}
-	case "Greedy-LIS":
-		return baseline.LIS{}
-	case "Greedy-SIS":
-		return baseline.SIS{}
-	case "Greedy-NTG":
-		return baseline.NTG{}
-	case "Greedy-FTG":
-		return baseline.FTG{}
-	default:
-		return baseline.LIS{}
-	}
-}
 
 // E9Exact computes the exact offline optimum on tiny instances and places
 // it between the Theorem 5.1 floor and the online protocols.

@@ -42,9 +42,6 @@ func NewDrop(p rat.Rat) (*Drop, error) {
 // Name implements Model.
 func (*Drop) Name() string { return DropName }
 
-// P returns the drop probability.
-func (d *Drop) P() rat.Rat { return d.p }
-
 // Reset implements Model.
 func (d *Drop) Reset(nw *network.Network, seed int64) error {
 	if nw == nil {

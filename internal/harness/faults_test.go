@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"smallbuffers/internal/adversary"
@@ -41,6 +42,19 @@ func recordJSON(t *testing.T, rec CellRecord) string {
 	return string(b)
 }
 
+func dropFault(p rat.Rat) FaultSpec {
+	return FaultSpec{Name: fmt.Sprintf("drop(%v)", p), New: func(nw *network.Network, seed int64) (faults.Model, error) {
+		m, err := faults.NewDrop(p)
+		if err != nil {
+			return nil, err
+		}
+		if err := m.Reset(nw, seed); err != nil {
+			return nil, err
+		}
+		return m, nil
+	}}
+}
+
 func flapFault(p rat.Rat, period, down int) FaultSpec {
 	return FaultSpec{Name: "flap", New: func(nw *network.Network, seed int64) (faults.Model, error) {
 		m, err := faults.NewLinkFlap(p, period, down)
@@ -60,7 +74,7 @@ func flapFault(p rat.Rat, period, down int) FaultSpec {
 // counts 1, 3, and 8.
 func TestFaultSweepDeterministicAcrossWorkers(t *testing.T) {
 	axis := []FaultSpec{
-		DropFault(rat.New(1, 10)),
+		dropFault(rat.New(1, 10)),
 		flapFault(rat.New(1, 2), 16, 4),
 	}
 	digests := make(map[string][]int)
@@ -105,7 +119,7 @@ func TestZeroFaultAxisMatchesNoAxis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := faultSweep(3, []FaultSpec{DropFault(rat.New(0, 1))}).Run(context.Background())
+	zero, err := faultSweep(3, []FaultSpec{dropFault(rat.New(0, 1))}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

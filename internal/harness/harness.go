@@ -30,7 +30,6 @@ import (
 	"smallbuffers/internal/freelist"
 	"smallbuffers/internal/metrics"
 	"smallbuffers/internal/network"
-	"smallbuffers/internal/rat"
 	"smallbuffers/internal/sim"
 	"smallbuffers/internal/stats"
 )
@@ -83,21 +82,6 @@ func RandomAdversary(dests []network.NodeID) AdversarySpec {
 type FaultSpec struct {
 	Name string
 	New  func(nw *network.Network, seed int64) (faults.Model, error)
-}
-
-// DropFault is the FaultSpec for i.i.d. per-link loss with probability p
-// (labelled with p's exact value, e.g. "drop(1/20)").
-func DropFault(p rat.Rat) FaultSpec {
-	return FaultSpec{Name: fmt.Sprintf("drop(%v)", p), New: func(nw *network.Network, seed int64) (faults.Model, error) {
-		m, err := faults.NewDrop(p)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.Reset(nw, seed); err != nil {
-			return nil, err
-		}
-		return m, nil
-	}}
 }
 
 // Cell identifies one point of the sweep grid: the names of its coordinates

@@ -1,15 +1,11 @@
 package lowerbound
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
 	"smallbuffers/internal/adversary"
-	"smallbuffers/internal/baseline"
-	"smallbuffers/internal/core"
 	"smallbuffers/internal/rat"
-	"smallbuffers/internal/sim"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -183,91 +179,6 @@ func TestPredictedBound(t *testing.T) {
 	}
 	if got := low.PredictedBound(); got.Sign() != 0 {
 		t.Errorf("PredictedBound = %v, want 0", got)
-	}
-}
-
-// TestForcesLoadOnAllProtocols is the executable Theorem 5.1: every
-// implemented protocol, greedy or peak-to-sink, accumulates at least the
-// predicted load on the pattern.
-func TestForcesLoadOnAllProtocols(t *testing.T) {
-	adv0, err := New(4, 2, rat.New(3, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw, err := adv0.Network()
-	if err != nil {
-		t.Fatal(err)
-	}
-	floor := int(adv0.PredictedBound().Ceil())
-	if floor < 2 {
-		t.Fatalf("test wants a non-trivial floor, got %d", floor)
-	}
-	protos := []sim.Protocol{
-		core.NewPPTS(),
-		core.NewPTS(core.WithDrain()),
-	}
-	for _, g := range baseline.All() {
-		protos = append(protos, g)
-	}
-	for _, proto := range protos {
-		proto := proto
-		t.Run(proto.Name(), func(t *testing.T) {
-			adv, err := New(4, 2, rat.New(3, 4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := sim.Run(context.Background(), sim.NewSpec(nw, proto, adv, adv.Rounds()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.MaxLoad < floor {
-				t.Errorf("MaxLoad = %d < predicted floor %d", res.MaxLoad, floor)
-			}
-		})
-	}
-}
-
-// TestStalenessLemmas replays Lemmas 5.2–5.4 during runs of several
-// protocols over the pattern.
-func TestStalenessLemmas(t *testing.T) {
-	adv0, err := New(4, 2, rat.New(1, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw, err := adv0.Network()
-	if err != nil {
-		t.Fatal(err)
-	}
-	protos := []func() sim.Protocol{
-		func() sim.Protocol { return baseline.NewGreedy(baseline.LIS{}) },
-		func() sim.Protocol { return baseline.NewGreedy(baseline.NTG{}) },
-		func() sim.Protocol { return core.NewPPTS() },
-	}
-	for _, mk := range protos {
-		proto := mk()
-		t.Run(proto.Name(), func(t *testing.T) {
-			adv, err := New(4, 2, rat.New(1, 2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			tracker := NewStalenessTracker(adv)
-			_, err = sim.Run(context.Background(), sim.NewSpec(nw, proto, adv, adv.Rounds(), sim.WithObservers(tracker)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tracker.Err != nil {
-				t.Errorf("staleness lemma violated: %v", tracker.Err)
-			}
-			// Lemma 5.4: α-stale total over τ rounds is ≤ τ.
-			if tracker.AlphaTotal() > adv.Rounds() {
-				t.Errorf("α-stale total %d > rounds %d", tracker.AlphaTotal(), adv.Rounds())
-			}
-			// Lemma 5.5: per-epoch dichotomy (β burst or fresh growth).
-			if err := tracker.Lemma55(); err != nil {
-				t.Error(err)
-			}
-			t.Logf("fresh=%d α=%d β=%d", tracker.FreshCount(), tracker.AlphaTotal(), tracker.BetaTotal())
-		})
 	}
 }
 

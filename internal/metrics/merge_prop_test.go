@@ -177,17 +177,11 @@ func TestMergeTieKeepsFirst(t *testing.T) {
 			Anchored: []string{"max_load_node"},
 		}
 	}
-	ab, err := Merge(mk(3), mk(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ab := foldPair(t, mk(3), mk(7))
 	if got := ab.Scalars["max_load_node"]; got != 3 {
 		t.Errorf("tie merge kept node %d, want first argument's 3", got)
 	}
-	ba, err := Merge(mk(7), mk(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ba := foldPair(t, mk(7), mk(3))
 	if got := ba.Scalars["max_load_node"]; got != 7 {
 		t.Errorf("tie merge kept node %d, want first argument's 7", got)
 	}
@@ -223,10 +217,10 @@ func TestMergeAllMismatchedNames(t *testing.T) {
 func TestMergeKindMismatch(t *testing.T) {
 	a := Summary{Name: "x", Kind: KindScalar}
 	b := Summary{Name: "x", Kind: KindHist}
-	if _, err := Merge(a, b); err == nil {
+	var f Fold
+	f.Add(0, a)
+	f.Add(1, b)
+	if f.Err() == nil {
 		t.Fatal("merging mismatched kinds succeeded")
-	}
-	if _, err := Merge(a, Summary{Name: "y", Kind: KindScalar}); err == nil {
-		t.Fatal("merging mismatched names succeeded")
 	}
 }

@@ -211,33 +211,6 @@ func (s Summary) SeriesByKey(key string) (SeriesRecord, bool) {
 	return SeriesRecord{}, false
 }
 
-// Merge folds two same-name summaries from different runs into one
-// aggregate — the fold (see Fold) of a as cell 0 and b as cell 1, so an
-// anchor tie goes to a. The rules are deterministic per payload:
-//
-//   - histograms merge bucket-wise, and every quantile scalar (p50, p90,
-//     p99) plus count/sum/min/max is re-derived from the merged histogram;
-//   - scalars merge by element-wise maximum (the aggregate of per-run
-//     maxima is the grid maximum) — except the anchored group: when
-//     Anchor names a scalar, the run with the greater anchor value
-//     contributes the anchor and every Anchored key, so argmax-position
-//     scalars (max_load_node, max_load_round, busiest_link, …) stay
-//     attributed to the run the maximum actually occurred in; an anchor
-//     tie goes to the lower cell index, whatever order the runs arrive in;
-//   - series are dropped — per-round series from different runs have no
-//     canonical alignment, so an aggregate carries none.
-//
-// Merging summaries with different names or kinds is an error.
-func Merge(a, b Summary) (Summary, error) {
-	if a.Name != b.Name || a.Kind != b.Kind {
-		return Summary{}, fmt.Errorf("metrics: cannot merge %s/%s with %s/%s", a.Name, a.Kind, b.Name, b.Kind)
-	}
-	var f Fold
-	f.Add(0, a)
-	f.Add(1, b)
-	return f.names[a.Name].summary(), nil
-}
-
 // MergeAll folds a set of same-shaped summary maps, run i as cell i, into
 // one aggregate map (see Fold). Runs that lack a name other runs carry
 // still contribute to the names they have.
@@ -256,14 +229,25 @@ func MergeAll(runs []map[string]Summary) (map[string]Summary, error) {
 
 // Fold aggregates the metric summaries of a grid's cells per collector
 // name, in place and in any order. Each Add updates one running
-// aggregate per name under Merge's rules, and every rule is
-// order-independent — maxima, histogram buckets, and an anchor winner
-// whose ties go to the lower cell index — so folding the same cells in
-// any order gives what Merge gives folded pairwise in cell-index order
-// (MergeAll). That holds for summaries that agree per name on their
-// kind, their anchor and on carrying a histogram, as one collector's do.
-// A name folded from one cell keeps that cell's summary as it is, series
-// included.
+// aggregate per name, and the rules are deterministic per payload:
+//
+//   - histograms merge bucket-wise, and every quantile scalar (p50, p90,
+//     p99) plus count/sum/min/max is re-derived from the merged histogram;
+//   - scalars merge by element-wise maximum (the aggregate of per-run
+//     maxima is the grid maximum) — except the anchored group: when
+//     Anchor names a scalar, the run with the greater anchor value
+//     contributes the anchor and every Anchored key, so argmax-position
+//     scalars (max_load_node, max_load_round, busiest_link, …) stay
+//     attributed to the run the maximum actually occurred in; an anchor
+//     tie goes to the lower cell index, whatever order the runs arrive in;
+//   - series are dropped — per-round series from different runs have no
+//     canonical alignment, so an aggregate carries none.
+//
+// Every rule is order-independent, so folding the same cells in any
+// order gives the same aggregate. That holds for summaries that agree
+// per name on their kind, their anchor and on carrying a histogram, as
+// one collector's do. A name folded from one cell keeps that cell's
+// summary as it is, series included.
 //
 // The zero Fold is empty. A Fold is not safe for concurrent use; it
 // never modifies the summaries it is given, and what Map returns shares

@@ -183,10 +183,7 @@ func TestWindowSummariesMerge(t *testing.T) {
 	windowLoadRounds(a, []int{1, 2, 3})
 	b := NewWindowLoad(4, 990)
 	windowLoadRounds(b, []int{7, 0, 0})
-	m, err := Merge(a.Summarize(), b.Summarize())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := foldPair(t, a.Summarize(), b.Summarize())
 	if m.Scalars["window_max"] != 7 || m.Scalars["window_mean_millis"] != 2333 {
 		t.Fatalf("merged scalars %v", m.Scalars)
 	}

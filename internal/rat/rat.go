@@ -8,7 +8,7 @@
 // The implementation uses int64 numerators/denominators and normalizes
 // eagerly. All operations check for overflow and panic with a descriptive
 // message if an intermediate product would not fit; simulation-scale values
-// (rates with denominators ≤ 10^6, which adversary.CheckRate enforces,
+// (rates with denominators ≤ 10^6, which adversary.Bound.Check enforces,
 // horizons ≤ 10^9 rounds) are far below the overflow threshold.
 package rat
 

@@ -348,6 +348,7 @@ func registerAdversaries() {
 				Adversary: lb,
 				Bound:     lb.Bound(), // (ρ,1)-bounded regardless of the declared σ
 				Rounds:    lb.Rounds(),
+				Floor:     int(lb.PredictedBound().Ceil()),
 				Note:      fmt.Sprintf("Theorem 5.1 floor: max load ≥ ~%v", lb.PredictedBound()),
 			}, nil
 		},

@@ -78,6 +78,9 @@ type Prepared struct {
 	Adversary adversary.Adversary
 	Bound     adversary.Bound
 	Rounds    int
+	// Floor is the max load the pattern forces on every protocol (the
+	// Theorem 5.1 floor); zero or less forces none.
+	Floor int
 	// Note annotates reports (e.g. the Theorem 5.1 floor).
 	Note string
 }
@@ -270,16 +273,17 @@ var memo struct {
 // topology family builds from the resolved params p, built once per
 // process: a Network is immutable, so every cell of the same family and
 // params shares one, and the bandwidth axis runs on a copy that replaces
-// only the bandwidths. The memo is keyed by the family name and the
-// canonical JSON encoding of p, made here once, never by a label a
-// scenario chose, and holds at most memoNodes nodes: a network that would
-// overflow it empties it first.
-func TopologyBuilder(name string, p Params) (func() (*network.Network, error), error) {
+// only the bandwidths. The memo is keyed by the family name and the JSON
+// encoding of canon, p's canonical form (p.JSONMap(), which a compiled
+// scenario already holds), made here once, never by a label a scenario
+// chose, and holds at most memoNodes nodes: a network that would overflow
+// it empties it first.
+func TopologyBuilder(name string, p Params, canon map[string]any) (func() (*network.Network, error), error) {
 	e, err := LookupTopology(name)
 	if err != nil {
 		return nil, err
 	}
-	enc, err := json.Marshal(p.JSONMap())
+	enc, err := json.Marshal(canon)
 	if err != nil {
 		return nil, fmt.Errorf("registry: topology %q: %w", name, err)
 	}

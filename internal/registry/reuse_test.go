@@ -203,7 +203,8 @@ func TestReuseLeavesNothingBehind(t *testing.T) {
 	}
 
 	path := func(n int) *network.Network {
-		build, err := registry.TopologyBuilder("path", registry.Params{"n": n})
+		p := registry.Params{"n": n}
+		build, err := registry.TopologyBuilder("path", p, p.JSONMap())
 		if err != nil {
 			t.Fatal(err)
 		}

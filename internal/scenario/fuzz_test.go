@@ -7,7 +7,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
+
+	"smallbuffers/internal/rat"
 )
 
 // FuzzScenarioParse feeds arbitrary bytes to Parse, the decoder of every
@@ -18,9 +22,13 @@ import (
 // marshals to the same bytes. The compiled scenario's kept digest and grid
 // size are those of its canonical bytes parsed afresh, and a slice of it
 // keeps its own bytes and digest, which parse back to themselves and
-// leave the parent's alone. The seeds
-// are the 30 pinned files, the malformed documents the tests feed Parse
-// and two shards, one inside the grid and one past MaxInt.
+// leave the parent's alone. Every accepted scenario keeps the limits
+// Validate enforces on what one scenario may cost: each ρ's denominator
+// at most 10^6, each σ at most 2^16, each rounds entry at most 2^24 and a
+// grid of at most 2^24 cells. The seeds are the pinned files, the
+// malformed documents the tests feed Parse, two shards, one inside the
+// grid and one past MaxInt, and a scenario just inside and one just
+// outside each limit.
 func FuzzScenarioParse(f *testing.F) {
 	for _, dir := range []string{"scenarios", "experiments"} {
 		files, err := filepath.Glob(filepath.Join("..", "..", "testdata", dir, "*.json"))
@@ -56,10 +64,28 @@ func FuzzScenarioParse(f *testing.F) {
 	f.Add(bytes.Replace(shardGridSrc(), []byte(`"name": "shard-grid",`),
 		[]byte(`"name": "shard-grid", "shard": {"offset": 9223372036854775807, "count": 1},`), 1))
 
+	for _, seed := range limitSeeds() {
+		f.Add(seed)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc, err := Parse(data)
 		if err != nil {
 			return
+		}
+		for _, b := range sc.Bounds {
+			rho, err := rat.Parse(b.Rho)
+			if err != nil || rho.Den() > 1_000_000 || b.Sigma > 1<<16 {
+				t.Fatalf("accepted bound %+v is past ρ's 10^6 denominator or σ's 2^16 (%v)", b, err)
+			}
+		}
+		for _, r := range sc.Rounds {
+			if r > maxRounds {
+				t.Fatalf("accepted rounds %d past %d", r, maxRounds)
+			}
+		}
+		if grid, err := sc.GridSize(); err != nil || grid > maxGridCells {
+			t.Fatalf("accepted a grid of %d cells past %d (%v)", grid, maxGridCells, err)
 		}
 		if sh := sc.Shard; sh != nil {
 			total, err := sc.GridSize()
@@ -119,6 +145,37 @@ func FuzzScenarioParse(f *testing.F) {
 			t.Fatalf("slicing changed the parent's digest from %s to %s", digest, d)
 		}
 	})
+}
+
+// limitSeeds returns, for each limit FuzzScenarioParse asserts, a
+// scenario just inside it and one just outside.
+func limitSeeds() [][]byte {
+	cell := func(bound, rounds string) []byte {
+		return []byte(`{"topology": {"name": "path", "params": {"n": 8}}, "protocol": {"name": "pts"},
+			"adversary": {"name": "burst"}, "bound": ` + bound + `, "rounds": ` + rounds + `}`)
+	}
+	axis := func(n int) string {
+		vals := make([]string, n)
+		for i := range vals {
+			vals[i] = strconv.Itoa(i + 1)
+		}
+		return "[" + strings.Join(vals, ",") + "]"
+	}
+	grid := func(seeds, rounds, bandwidths int) []byte {
+		return []byte(`{"topology": {"name": "path", "params": {"n": 8}}, "protocol": {"name": "pts"},
+			"adversary": {"name": "burst"}, "bound": {"rho": "1", "sigma": 1},
+			"seeds": ` + axis(seeds) + `, "rounds": ` + axis(rounds) + `, "bandwidths": ` + axis(bandwidths) + `}`)
+	}
+	return [][]byte{
+		cell(`{"rho": "1/1000000", "sigma": 1}`, "10"),
+		cell(`{"rho": "1/1000001", "sigma": 1}`, "10"),
+		cell(`{"rho": "1", "sigma": 65536}`, "10"),
+		cell(`{"rho": "1", "sigma": 65537}`, "10"),
+		cell(`{"rho": "1", "sigma": 1}`, "16777216"),
+		cell(`{"rho": "1", "sigma": 1}`, "16777217"),
+		grid(256, 256, 256), // 2^24 cells
+		grid(97, 257, 673),  // 2^24 + 1 cells
+	}
 }
 
 // keptDigestAndGrid returns the digest and grid size sc keeps, after

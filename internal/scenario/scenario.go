@@ -88,8 +88,9 @@ type Shard struct {
 // component's registry entry and resolved params, its bounds and its grid
 // size are kept, and its canonical bytes and digest are kept once first
 // asked for. Everything after that (Sweep, Marshal, Digest, GridSize,
-// CellWeights, CellBounds, Note, RunOne, Slice) reads the compiled form,
-// so the exported fields are read-only once the scenario is compiled.
+// CellWeights, CellBounds, CellFloors, Note, RunOne, Slice) reads the
+// compiled form, so the exported fields are read-only once the scenario
+// is compiled.
 type Scenario struct {
 	// Name and Doc label the scenario in reports and corpora.
 	Name string
@@ -456,8 +457,8 @@ func (sc *Scenario) Validate() error {
 		func(e registry.Topology) registry.Schema { return e.Params }); err != nil {
 		return err
 	}
-	for _, tp := range c.topologies {
-		build, err := registry.TopologyBuilder(tp.entry.Name, tp.params)
+	for i, tp := range c.topologies {
+		build, err := registry.TopologyBuilder(tp.entry.Name, tp.params, sc.Topologies[i].Params)
 		if err != nil {
 			return fmt.Errorf("scenario: %w", err)
 		}
@@ -493,21 +494,19 @@ func (sc *Scenario) Validate() error {
 		seenMetrics[m.Name] = true
 	}
 
-	// Canonicalize bounds: exact, reduced, a rate every adversary accepts,
-	// non-negative σ.
+	// Canonicalize bounds: exact, reduced, and within the rate and burst
+	// limits every adversary accepts (adversary.Bound.Check).
 	for i, b := range sc.Bounds {
 		rho, err := rat.Parse(b.Rho)
 		if err != nil {
 			return fmt.Errorf("scenario: bound %d: bad rho: %w", i, err)
 		}
-		if err := adversary.CheckRate(rho); err != nil {
+		bound := adversary.Bound{Rho: rho, Sigma: b.Sigma}
+		if err := bound.Check(); err != nil {
 			return fmt.Errorf("scenario: bound %d: %w", i, err)
 		}
-		if b.Sigma < 0 {
-			return fmt.Errorf("scenario: bound %d: negative sigma %d", i, b.Sigma)
-		}
 		sc.Bounds[i].Rho = rho.String()
-		c.bounds = append(c.bounds, adversary.Bound{Rho: rho, Sigma: b.Sigma})
+		c.bounds = append(c.bounds, bound)
 	}
 
 	// Axis entries must be unique — on every axis: duplicate cells would
@@ -820,7 +819,8 @@ func (sc *Scenario) Note() (string, error) {
 // bound and on the destinations its adversary hints, as the engine hands
 // them to Attach. Cells outside the theorem's hypotheses, faulted cells,
 // cells that fail to build and every cell of a self-hosting adversary get
-// none. A sharded scenario covers its shard's cells.
+// none (a self-hosting adversary declares a floor instead: CellFloors). A
+// sharded scenario covers its shard's cells.
 func (sc *Scenario) CellBounds() (map[int]int, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -856,6 +856,46 @@ func (sc *Scenario) CellBounds() (map[int]int, error) {
 		}
 		if b, ok := pr.entry.Bound(pr.params, nw, c.Bound, dests); ok {
 			out[c.Index] = b
+		}
+	}
+	return out, nil
+}
+
+// CellFloors returns the max load every cell of a self-hosting adversary
+// must reach, keyed by cell index: the floor its construction declares
+// (registry.Prepared.Floor). Cells under a fault model or on links of
+// bandwidth above 1 get none, since the construction forces its floor on
+// unit, loss-free links, and neither does any cell of a scenario whose
+// adversary is not self-hosting. A sharded scenario covers its shard's
+// cells.
+func (sc *Scenario) CellFloors() (map[int]int, error) {
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	out := map[int]int{}
+	c := sc.comp
+	if !c.selfHosting {
+		return out, nil
+	}
+	a := c.adversaries[0]
+	prep, err := a.entry.Prepare(c.bounds[0], a.params)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: adversary %q: %w", a.entry.Name, err)
+	}
+	if prep.Floor <= 0 {
+		return out, nil
+	}
+	sw, err := sc.Sweep()
+	if err != nil {
+		return nil, err
+	}
+	cells, err := sw.CellsToRun()
+	if err != nil {
+		return nil, err
+	}
+	for _, cell := range cells {
+		if cell.Faults == "" && cell.Bandwidth <= 1 {
+			out[cell.Index] = prep.Floor
 		}
 	}
 	return out, nil

@@ -248,8 +248,8 @@ func TestCellSpanMatchesCellsToRun(t *testing.T) {
 		}
 		files = append(files, m...)
 	}
-	if len(files) != 30 {
-		t.Fatalf("%d pinned files, want 30", len(files))
+	if len(files) != 43 {
+		t.Fatalf("%d pinned files, want 43", len(files))
 	}
 	for _, f := range files {
 		sc, err := scenario.LoadFile(f)

@@ -746,6 +746,13 @@ func TestHostileGridRejected(t *testing.T) {
 			"bound": {"rho": "3/4", "sigma": 1},
 			"rounds": 2000000000
 		}`, "exceeds the limit of 16777216 rounds"},
+		{"burst at sigma 2e9", `{
+			"topology": {"name": "path", "params": {"n": 8}},
+			"protocol": {"name": "pts"},
+			"adversary": {"name": "burst"},
+			"bound": {"rho": "1", "sigma": 2000000000},
+			"rounds": 10
+		}`, "burst σ=2000000000 exceeds the limit of 65536"},
 		{"lowerbound horizon past the cap", `{
 			"protocol": {"name": "ppts"},
 			"adversary": {"name": "lowerbound", "params": {"m": 257, "ell": 2}},

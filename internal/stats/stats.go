@@ -223,14 +223,6 @@ func Histogram(w io.Writer, title string, bars []HistBar, width int) error {
 	return nil
 }
 
-// Ratio formats measured/bound as a tightness ratio string ("0.83×").
-func Ratio(measured, bound int) string {
-	if bound == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.2f×", float64(measured)/float64(bound))
-}
-
 // CheckMark renders "✓" when ok, "✗ VIOLATION" otherwise; experiment tables
 // use it for bound assertions.
 func CheckMark(ok bool) string {

@@ -8,10 +8,10 @@ import (
 
 	sb "smallbuffers"
 	"smallbuffers/internal/adversary"
-	"smallbuffers/internal/baseline"
 	"smallbuffers/internal/core"
 	"smallbuffers/internal/opt"
 	"smallbuffers/internal/rat"
+	"smallbuffers/internal/registry"
 )
 
 // TestPublicAPIEndToEnd drives the library end to end: build a topology,
@@ -78,8 +78,14 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	})
 
 	t.Run("greedy_baselines", func(t *testing.T) {
-		if got := len(baseline.All()); got != 6 {
-			t.Fatalf("baseline.All = %d policies, want 6", got)
+		greedy := 0
+		for _, name := range registry.ProtocolNames() {
+			if strings.HasPrefix(name, "greedy-") {
+				greedy++
+			}
+		}
+		if greedy != 6 {
+			t.Fatalf("the registry has %d greedy-* protocols, want 6", greedy)
 		}
 		adv := adversary.NewStream(bound, 0, 63)
 		res, err := sb.RunContext(context.Background(), sb.NewSpec(nw, sb.NewGreedy(sb.NTG), adv, 200))
